@@ -12,6 +12,7 @@ from .strings import (  # noqa: E402,F401
     TERNARY,
     consistent_witness,
     extends,
+    join_all,
     join_sets,
     pairwise_compatible,
     reduce_strings,

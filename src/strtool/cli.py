@@ -39,6 +39,7 @@ from .languages import (
 )
 from .logogram import (
     DEFAULT_CANDIDATE_BUDGET,
+    Analysis,
     DecisionProblem,
     ProblemIndex,
     auto_positions,
@@ -277,8 +278,8 @@ def suite_sat(n: int, m: int, max_subset: int, budget: int, workers: int = 1) ->
     checks: list[CheckResult] = []
     spec = EchelonSpec(n, m)
     problem = enumerate_echelon(spec)
-    index = ProblemIndex(problem.base)
-    result = log_rel(problem, index=index, budget=budget, workers=workers)
+    analysis = Analysis(problem, budget=budget, workers=workers)
+    result = analysis.logogram
 
     start = time.perf_counter()
     oracle = consistent_selection_count(n, m)
@@ -298,7 +299,7 @@ def suite_sat(n: int, m: int, max_subset: int, budget: int, workers: int = 1) ->
     ), start)
 
     start = time.perf_counter()
-    verdicts = classify_all(problem, result, index)
+    verdicts = classify_all(analysis)
     wizard_count = sum(1 for v in verdicts if v.kind == WIZARD)
     timed(checks, CheckResult(
         name="sat-no-wizards",
@@ -312,7 +313,7 @@ def suite_sat(n: int, m: int, max_subset: int, budget: int, workers: int = 1) ->
     ), start)
 
     start = time.perf_counter()
-    inner = internal_independence(problem, result, index)
+    inner = internal_independence(analysis)
     timed(checks, CheckResult(
         name="sat-internal",
         holds=inner.holds,
@@ -321,7 +322,7 @@ def suite_sat(n: int, m: int, max_subset: int, budget: int, workers: int = 1) ->
     ), start)
 
     start = time.perf_counter()
-    strong = strong_independence(problem, result, index)
+    strong = strong_independence(analysis)
     timed(checks, CheckResult(
         name="sat-strong",
         holds=strong.holds,
@@ -337,7 +338,7 @@ def suite_sat(n: int, m: int, max_subset: int, budget: int, workers: int = 1) ->
     ), start)
 
     start = time.perf_counter()
-    complete = complete_independence(problem, max_subset, result, index, echelon=spec)
+    complete = complete_independence(analysis, max_subset, echelon=spec)
     timed(checks, CheckResult(
         name="sat-complete",
         holds=complete.holds,
@@ -349,14 +350,14 @@ def suite_sat(n: int, m: int, max_subset: int, budget: int, workers: int = 1) ->
     start = time.perf_counter()
     timed(checks, CheckResult(
         name="sat-irreducible",
-        holds=irreducible(problem, result, index),
+        holds=irreducible(analysis),
         counts={"members": len(result.reduced)},
     ), start)
 
     start = time.perf_counter()
     timed(checks, CheckResult(
         name="sat-expansion-identity",
-        holds=verify_logogram_expansion(problem, result, index),
+        holds=verify_logogram_expansion(analysis),
         counts={"base": len(problem.base), "target": len(problem.target)},
     ), start)
     return checks
@@ -365,7 +366,7 @@ def suite_sat(n: int, m: int, max_subset: int, budget: int, workers: int = 1) ->
 def suite_wizards(n: int, m: int, budget: int) -> list[CheckResult]:
     checks: list[CheckResult] = []
     start = time.perf_counter()
-    toy = wizard_cover_report(toy_wizard_problem())
+    toy = wizard_cover_report(Analysis(toy_wizard_problem()))
     timed(checks, CheckResult(
         name="wizard-cover-toy",
         holds=toy.holds,
@@ -378,7 +379,7 @@ def suite_wizards(n: int, m: int, budget: int) -> list[CheckResult]:
 
     start = time.perf_counter()
     problem = enumerate_echelon(EchelonSpec(n, m))
-    echelon_report = wizard_cover_report(problem, budget=budget)
+    echelon_report = wizard_cover_report(Analysis(problem, budget=budget))
     timed(checks, CheckResult(
         name="wizard-cover-echelon",
         holds=echelon_report.holds,
@@ -391,7 +392,7 @@ def suite_regions(n: int, m: int, ignore_bewitched: bool, budget: int) -> list[C
     checks: list[CheckResult] = []
     start = time.perf_counter()
     problem = enumerate_echelon(EchelonSpec(n, m))
-    report = region_relations(problem, ignore_bewitched, budget=budget)
+    report = region_relations(Analysis(problem, budget=budget), ignore_bewitched)
     timed(checks, CheckResult(
         name="region-relations",
         holds=report.holds,
@@ -560,7 +561,7 @@ def cmd_classify(args: argparse.Namespace) -> tuple[VerificationReport, int]:
     problem = enumerate_echelon(spec, budget=args.word_budget)
     g = PartialString.parse(problem.alphabet, args.string)
     try:
-        verdict = classify(g, problem, budget=args.budget)
+        verdict = classify(g, Analysis(problem, budget=args.budget))
     except NotInReducedLogogram as exc:
         payload = {"string": g.render(), "error": str(exc)}
         return VerificationReport(config=cfg, result=payload), 1

@@ -1,6 +1,9 @@
 """Entanglement, witness classification, and independence properties.
 
-All verifiers work on explicit finite problems.  A reduced-logogram string
+All verifiers work on explicit finite problems, and every problem-level
+check takes one `Analysis` (see `strtool.logogram`), which computes the
+index, the reduced logogram, its cylinders and member masks, and the region
+logograms once and shares them between checks.  A reduced-logogram string
 is classified by how its relative cylinder sits inside the solution
 regions: inside exactly one region it is a proper witness, inside two or
 more an improper witness (pseudowizard), inside the target but no single
@@ -23,9 +26,9 @@ import itertools
 from dataclasses import dataclass, field
 
 from .languages import BudgetExceeded, FiniteLanguage, expand_in
-from .logogram import DecisionProblem, LogogramResult, ProblemIndex, log_rel
+from .logogram import Analysis, LogogramResult, ProblemIndex
 from .sat import SAT_ALPHABET, EchelonSpec
-from .strings import PartialString, word_includes
+from .strings import PartialString, join_all
 
 PROPER_WITNESS = "ProperWitness"
 IMPROPER_WITNESS = "ImproperWitness"
@@ -36,16 +39,9 @@ class NotInReducedLogogram(ValueError):
     """The queried string is not a member of the problem's reduced logogram."""
 
 
-def _check_occurs(g: PartialString, E: FiniteLanguage, name: str) -> None:
-    if not any(word_includes(w, g) for w in E.words):
-        raise ValueError(f"{name} {g.render()!r} does not occur in the base language")
-
-
 def entangles(f: PartialString, g: PartialString, E: FiniteLanguage) -> bool:
     """True iff every E-word including f also includes g; both must occur in E."""
-    _check_occurs(f, E, "f")
-    _check_occurs(g, E, "g")
-    return all(word_includes(w, g) for w in E.words if word_includes(w, f))
+    return entangles_sets((f,), (g,), E)
 
 
 def pairwise_independent(f: PartialString, g: PartialString, E: FiniteLanguage) -> bool:
@@ -59,11 +55,19 @@ def entangles_sets(H, K, E: FiniteLanguage) -> bool:
     Vacuously true for empty H.  Every member of either set must occur in E.
     """
     H, K = frozenset(H), frozenset(K)
+    if not H | K:
+        return True
+    idx = ProblemIndex(E)
+    exp_h = exp_k = 0
     for g in sorted(H | K, key=lambda s: (s.size, s.render())):
-        _check_occurs(g, E, "member")
-    exp_h = expand_in(H, E)
-    exp_k = expand_in(K, E)
-    return exp_h.issubset(exp_k)
+        cyl = idx.cylinder_mask(g)
+        if not cyl:
+            raise ValueError(f"member {g.render()!r} does not occur in the base language")
+        if g in H:
+            exp_h |= cyl
+        if g in K:
+            exp_k |= cyl
+    return not (exp_h & ~exp_k)
 
 
 @dataclass(frozen=True)
@@ -100,64 +104,21 @@ class IndependenceVerdict:
         return out
 
 
-class _MemberIndex:
-    """Inclusion masks for a fixed antichain of strings: which members each word includes."""
-
-    def __init__(self, members):
-        self.members = sorted(members, key=lambda g: (g.size, g.render()))
-        self.all_mask = (1 << len(self.members)) - 1
-        positions = sorted({p for g in self.members for p in g.domain})
-        self.rows: list[tuple[int, int, dict[str, int]]] = []
-        for p in positions:
-            undef = 0
-            codes: dict[str, int] = {}
-            for i, g in enumerate(self.members):
-                sym = g.get(p)
-                if sym is None:
-                    undef |= 1 << i
-                else:
-                    codes[sym] = codes.get(sym, 0) | (1 << i)
-            self.rows.append((p, undef, codes))
-
-    def included_mask(self, word: str) -> int:
-        acc = self.all_mask
-        n = len(word)
-        for p, undef, codes in self.rows:
-            sym_mask = codes.get(word[p - 1], 0) if p <= n else 0
-            acc &= undef | sym_mask
-            if not acc:
-                return 0
-        return acc
-
-
-def _reduced(problem: DecisionProblem, result: LogogramResult | None, index: ProblemIndex | None, **log_kwargs):
-    idx = index if index is not None else ProblemIndex(problem.base)
-    res = result if result is not None else log_rel(problem, index=idx, **log_kwargs)
-    return idx, res
-
-
-def classify_all(
-    problem: DecisionProblem,
-    result: LogogramResult | None = None,
-    index: ProblemIndex | None = None,
-    **log_kwargs,
-) -> list[StringVerdict]:
+def classify_all(analysis: Analysis) -> list[StringVerdict]:
     """Classify every reduced-logogram string against the solution regions."""
-    if problem.regions is None:
-        raise ValueError("problem has no solution regions")
-    idx, res = _reduced(problem, result, index, **log_kwargs)
-    region_masks = [idx.word_mask(r.words) for r in problem.regions]
-    target_mask = idx.word_mask(problem.target.words)
+    region_masks = analysis.region_masks
+    target_words = 0  # the regions cover the target exactly
+    for rm in region_masks:
+        target_words |= rm
     verdicts = []
-    for g in sorted(res.reduced, key=lambda s: (s.size, s.render())):
-        cyl = idx.cylinder_mask(g)
+    for g, cyl in zip(analysis.members, analysis.cylinders):
         containing = tuple(i + 1 for i, rm in enumerate(region_masks) if not (cyl & ~rm))
         if len(containing) == 1:
             kind = PROPER_WITNESS
         elif containing:
             kind = IMPROPER_WITNESS
         else:
-            if cyl & ~target_mask:
+            if cyl & ~target_words:
                 raise ValueError(
                     f"cylinder of {g.render()!r} leaves the target; regions cannot classify it"
                 )
@@ -166,33 +127,16 @@ def classify_all(
     return verdicts
 
 
-def classify(
-    g: PartialString,
-    problem: DecisionProblem,
-    result: LogogramResult | None = None,
-    index: ProblemIndex | None = None,
-    **log_kwargs,
-) -> StringVerdict:
+def classify(g: PartialString, analysis: Analysis) -> StringVerdict:
     """Classify one string; it must belong to the problem's reduced logogram."""
-    idx, res = _reduced(problem, result, index, **log_kwargs)
-    if g not in res.reduced:
+    if g not in analysis.logogram.reduced:
         raise NotInReducedLogogram(f"{g.render()!r} is not in the reduced logogram")
-    for verdict in classify_all(problem, res, idx):
-        if verdict.string == g:
-            return verdict
-    raise AssertionError("unreachable: member not classified")
+    return next(v for v in classify_all(analysis) if v.string == g)
 
 
-def internal_independence(
-    problem: DecisionProblem,
-    result: LogogramResult | None = None,
-    index: ProblemIndex | None = None,
-    **log_kwargs,
-) -> IndependenceVerdict:
+def internal_independence(analysis: Analysis) -> IndependenceVerdict:
     """Pairwise cylinder incomparability across the reduced logogram."""
-    idx, res = _reduced(problem, result, index, **log_kwargs)
-    members = sorted(res.reduced, key=lambda g: (g.size, g.render()))
-    cyls = [idx.cylinder_mask(g) for g in members]
+    members, cyls = analysis.members, analysis.cylinders
     checked = 0
     for i, j in itertools.combinations(range(len(members)), 2):
         checked += 1
@@ -211,21 +155,10 @@ def internal_independence(
     return IndependenceVerdict(property="Internal", holds=True, subsets_checked=checked)
 
 
-def strong_independence(
-    problem: DecisionProblem,
-    result: LogogramResult | None = None,
-    index: ProblemIndex | None = None,
-    **log_kwargs,
-) -> IndependenceVerdict:
+def strong_independence(analysis: Analysis) -> IndependenceVerdict:
     """Every reduced-logogram string has a base word including it and nothing else from the set."""
-    idx, res = _reduced(problem, result, index, **log_kwargs)
-    midx = _MemberIndex(res.reduced)
-    singles = set()
-    for w in idx.words:
-        mask = midx.included_mask(w)
-        if mask and not (mask & (mask - 1)):
-            singles.add(mask)
-    for i, g in enumerate(midx.members):
+    singles = {mask for mask in analysis.member_masks.values() if mask and not (mask & (mask - 1))}
+    for i, g in enumerate(analysis.members):
         if (1 << i) not in singles:
             return IndependenceVerdict(
                 property="Strong",
@@ -236,44 +169,29 @@ def strong_independence(
                     "reason": "no base word includes this string alone",
                 },
             )
-    return IndependenceVerdict(property="Strong", holds=True, subsets_checked=len(midx.members))
+    return IndependenceVerdict(property="Strong", holds=True, subsets_checked=len(analysis.members))
 
 
 def construct_separator(fs, spec: EchelonSpec) -> str:
     """Encoded word whose body carries exactly the prescriptions of the given strings.
 
-    The body holds a string's code wherever some member prescribes one and
+    The body holds the join's code wherever some member prescribes one and
     '0' elsewhere, so the word includes each member; the caller checks that
     nothing unsubsumed rides along.  Raises on incompatible members or
     entries outside the echelon's clause blocks.
     """
-    members = list(fs)
+    joined = join_all(fs)
+    if joined is None:
+        raise ValueError("incompatible prescriptions")
+    if joined.alphabet != SAT_ALPHABET:
+        raise ValueError("separator strings must use the CNF-code alphabet")
     body = ["0"] * (spec.n * spec.m)
     start = spec.n + spec.m + 2
-    seen: dict[int, str] = {}
-    for g in members:
-        if g.alphabet != SAT_ALPHABET:
-            raise ValueError("separator strings must use the CNF-code alphabet")
-        for pos, sym in g.entries:
-            if not (start < pos <= start + spec.n * spec.m):
-                raise ValueError(f"position {pos} of {g.render()!r} is outside echelon ({spec.n},{spec.m})")
-            if seen.setdefault(pos, sym) != sym:
-                raise ValueError(f"incompatible prescriptions at position {pos}")
-            body[pos - start - 1] = sym
-    word = spec.prefix + "".join(body)
-    for g in members:
-        if not word_includes(word, g):
-            raise AssertionError("separator fails to include an input string")
-    return word
-
-
-def _join_entries(members) -> dict[int, str]:
-    joined: dict[int, str] = {}
-    for g in members:
-        for pos, sym in g.entries:
-            if joined.setdefault(pos, sym) != sym:
-                raise ValueError("members are not pairwise compatible")
-    return joined
+    for pos, sym in joined.entries:
+        if not (start < pos <= start + spec.n * spec.m):
+            raise ValueError(f"position {pos} of {joined.render()!r} is outside echelon ({spec.n},{spec.m})")
+        body[pos - start - 1] = sym
+    return spec.prefix + "".join(body)
 
 
 def _below(g: PartialString, joined: dict[int, str]) -> bool:
@@ -281,13 +199,10 @@ def _below(g: PartialString, joined: dict[int, str]) -> bool:
 
 
 def complete_independence(
-    problem: DecisionProblem,
+    analysis: Analysis,
     max_subset: int = 4,
-    result: LogogramResult | None = None,
-    index: ProblemIndex | None = None,
     echelon: EchelonSpec | None = None,
     subset_budget: int = 10 ** 6,
-    **log_kwargs,
 ) -> IndependenceVerdict:
     """Separating words for pairwise-compatible subsets of the reduced logogram.
 
@@ -299,9 +214,9 @@ def complete_independence(
     """
     if max_subset < 2:
         raise ValueError("max_subset must be at least 2")
-    idx, res = _reduced(problem, result, index, **log_kwargs)
-    midx = _MemberIndex(res.reduced)
-    members = midx.members
+    idx = analysis.index
+    members = analysis.members
+    word_masks = analysis.member_masks
     count = len(members)
     neighbors = [0] * count
     for i, j in itertools.combinations(range(count), 2):
@@ -330,13 +245,12 @@ def complete_independence(
     partial = clique_count(None) > subset_budget
     cap = max_subset if partial else None
 
-    word_masks = [midx.included_mask(w) for w in idx.words]
     checked = 0
     worst: tuple | None = None
 
     def separated(subset: list[int]) -> bool:
-        chosen = [members[i] for i in subset]
-        joined = _join_entries(chosen)
+        joined = join_all([members[i] for i in subset])
+        below = dict(joined.entries)
         need = 0
         for i in subset:
             need |= 1 << i
@@ -348,20 +262,16 @@ def complete_independence(
             while extra:
                 low = extra & -extra
                 extra ^= low
-                if not _below(members[low.bit_length() - 1], joined):
+                if not _below(members[low.bit_length() - 1], below):
                     return False
             return True
 
         if echelon is not None:
-            word = construct_separator(chosen, echelon)
-            if word in idx.bit and word_ok(midx.included_mask(word)):
+            word = construct_separator((joined,), echelon)
+            if word in word_masks and word_ok(word_masks[word]):
                 return True
-        g = PartialString.of(problem.alphabet, joined)
-        cyl = idx.cylinder_mask(g)
-        for wi, w in enumerate(idx.words):
-            if (idx.bit[w] & cyl) and word_ok(word_masks[wi]):
-                return True
-        return False
+        cyl = idx.cylinder_mask(joined)
+        return any(idx.bit[w] & cyl and word_ok(mask) for w, mask in word_masks.items())
 
     stack = [([i], neighbors[i] >> (i + 1) << (i + 1)) for i in range(count - 1, -1, -1)]
     while stack:
@@ -396,41 +306,26 @@ def complete_independence(
     return verdict
 
 
-def completeness_of_subset(
-    H,
-    problem: DecisionProblem,
-    result: LogogramResult | None = None,
-    **log_kwargs,
-) -> bool:
+def completeness_of_subset(H, analysis: Analysis) -> bool:
     """True iff the expansion of H inside the base equals the target."""
     H = frozenset(H)
-    if result is None:
-        result = log_rel(problem, **log_kwargs)
-    if not H <= result.reduced:
+    if not H <= analysis.logogram.reduced:
         raise ValueError("subset must lie inside the reduced logogram")
-    return expand_in(H, problem.base) == problem.target
+    return expand_in(H, analysis.problem.base) == analysis.problem.target
 
 
-def irreducible(
-    problem: DecisionProblem,
-    result: LogogramResult | None = None,
-    index: ProblemIndex | None = None,
-    **log_kwargs,
-) -> bool:
+def irreducible(analysis: Analysis) -> bool:
     """True iff removing any one reduced-logogram string breaks completeness."""
-    idx, res = _reduced(problem, result, index, **log_kwargs)
-    members = sorted(res.reduced, key=lambda g: (g.size, g.render()))
-    if not members:
-        return len(problem.target.words) == 0
-    cyls = [idx.cylinder_mask(g) for g in members]
-    target_mask = idx.target_mask(problem.target)
-    prefix = [0] * (len(members) + 1)
+    cyls = analysis.cylinders
+    if not cyls:
+        return len(analysis.problem.target.words) == 0
+    prefix = [0] * (len(cyls) + 1)
     for i, c in enumerate(cyls):
         prefix[i + 1] = prefix[i] | c
-    suffix = [0] * (len(members) + 1)
-    for i in range(len(members) - 1, -1, -1):
+    suffix = [0] * (len(cyls) + 1)
+    for i in range(len(cyls) - 1, -1, -1):
         suffix[i] = suffix[i + 1] | cyls[i]
-    return all(prefix[i] | suffix[i + 1] != target_mask for i in range(len(members)))
+    return all(prefix[i] | suffix[i + 1] != analysis.target_mask for i in range(len(cyls)))
 
 
 @dataclass(frozen=True)
@@ -465,34 +360,20 @@ class WizardCoverReport:
         }
 
 
-def wizard_cover_report(
-    problem: DecisionProblem,
-    result: LogogramResult | None = None,
-    index: ProblemIndex | None = None,
-    **log_kwargs,
-) -> WizardCoverReport:
+def wizard_cover_report(analysis: Analysis) -> WizardCoverReport:
     """For each wizard, check its cylinder against the union of intersecting witness cylinders.
 
     Witnesses are drawn from the union of the region reduced logograms.
     Records whether the union inclusion is proper and whether any witness
     cylinder sits inside the wizard's cylinder.
     """
-    if problem.regions is None:
-        raise ValueError("problem has no solution regions")
-    idx, res = _reduced(problem, result, index, **log_kwargs)
-    verdicts = classify_all(problem, res, idx)
-    wizards = [v.string for v in verdicts if v.kind == WIZARD]
+    verdicts = classify_all(analysis)
+    wizards = [(v.string, cyl) for v, cyl in zip(verdicts, analysis.cylinders) if v.kind == WIZARD]
     report = WizardCoverReport(holds=True, wizard_count=len(wizards))
     if not wizards:
         return report
-    witness_pool: set[PartialString] = set()
-    for region in problem.regions:
-        sub = DecisionProblem(base=problem.base, target=region)
-        witness_pool |= log_rel(sub, index=idx, **log_kwargs).reduced
-    pool = sorted(witness_pool, key=lambda g: (g.size, g.render()))
-    pool_cyls = [idx.cylinder_mask(g) for g in pool]
-    for g in sorted(wizards, key=lambda s: (s.size, s.render())):
-        cyl = idx.cylinder_mask(g)
+    pool_cyls = [analysis.index.cylinder_mask(g) for g in frozenset().union(*analysis.region_logograms)]
+    for g, cyl in wizards:
         assoc = [c for c in pool_cyls if c & cyl]
         union = 0
         for c in assoc:
@@ -530,7 +411,7 @@ class ShapeReport:
         }
 
 
-def sat_shape_report(spec: EchelonSpec, result: LogogramResult) -> ShapeReport:
+def sat_shape_report(spec: EchelonSpec, logogram: LogogramResult) -> ShapeReport:
     """Check the expected shape of echelon reduced-logogram strings.
 
     Expected: entries only on clause-block positions, codes drawn from
@@ -538,8 +419,8 @@ def sat_shape_report(spec: EchelonSpec, result: LogogramResult) -> ShapeReport:
     signs across clauses.  Violations become findings, not errors.
     """
     start = spec.n + spec.m + 2
-    report = ShapeReport(holds=True, members=len(result.reduced))
-    for g in sorted(result.reduced, key=lambda s: (s.size, s.render())):
+    report = ShapeReport(holds=True, members=len(logogram.reduced))
+    for g in logogram.sorted_reduced():
         problems: list[str] = []
         per_clause: dict[int, int] = {}
         signs: dict[int, str] = {}
@@ -639,12 +520,7 @@ class RegionRelationsReport:
         }
 
 
-def region_relations(
-    problem: DecisionProblem,
-    ignore_bewitched: bool,
-    index: ProblemIndex | None = None,
-    **log_kwargs,
-) -> RegionRelationsReport:
+def region_relations(analysis: Analysis, ignore_bewitched: bool) -> RegionRelationsReport:
     """Disjointness and two-way non-entanglement of successive region logograms.
 
     For each i, the union of the first i region reduced logograms is
@@ -655,15 +531,9 @@ def region_relations(
     set entanglement presupposes occupied sides.  Unfiltered disjointness
     is always recorded alongside.
     """
-    if problem.regions is None:
-        raise ValueError("problem has no solution regions")
-    idx = index if index is not None else ProblemIndex(problem.base)
-    region_masks = [idx.word_mask(r.words) for r in problem.regions]
-
-    raw_logograms: list[frozenset[PartialString]] = []
-    for region in problem.regions:
-        sub = DecisionProblem(base=problem.base, target=region)
-        raw_logograms.append(log_rel(sub, index=idx, **log_kwargs).reduced)
+    idx = analysis.index
+    region_masks = analysis.region_masks
+    raw_logograms = analysis.region_logograms
 
     def proper_only(members) -> frozenset[PartialString]:
         kept = []
@@ -685,7 +555,7 @@ def region_relations(
     report = RegionRelationsReport(ignore_bewitched=ignore_bewitched, holds=True)
     low: frozenset[PartialString] = frozenset()
     low_raw: frozenset[PartialString] = frozenset()
-    for i in range(1, len(problem.regions)):
+    for i in range(1, len(raw_logograms)):
         low = low | filtered[i - 1]
         low_raw = low_raw | raw_logograms[i - 1]
         high = filtered[i]

@@ -5,9 +5,9 @@ are allowed.  Full length-capped slices stand in for the set of all words
 wherever a law quantifies over it: every identity checked here is
 echelon-wise, so a capped slice is an exact test bed, not an approximation.
 
-Language file format: header line "alphabet=<symbols>", then one word per
-line; '#' starts a comment; blank lines are ignored (the empty word is not
-representable in files).
+Language file format: one header line "alphabet=<symbols>", then one word
+per line; '#' starts a comment; blank lines are ignored (the empty word is
+not representable in files).
 """
 
 from __future__ import annotations
@@ -272,11 +272,13 @@ def save_language(L: FiniteLanguage, path: str | Path) -> None:
 def load_language(path: str | Path) -> FiniteLanguage:
     alphabet: Alphabet | None = None
     words: list[str] = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("alphabet="):
+            if alphabet is not None:
+                raise ValueError(f"{path}:{lineno}: repeated 'alphabet=' header")
             alphabet = Alphabet.of(line.removeprefix("alphabet="))
             continue
         if alphabet is None:

@@ -13,10 +13,15 @@ pass ordered by domain size.  A deliberately plain enumerator
 against every word with no index, no restriction and no pruning; it is the
 correctness oracle for the engine.
 
+An `Analysis` wraps one problem and computes its index, logogram, member
+cylinders and masks, and region logograms once, on first use; the checks in
+`strtool.independence` take one.
+
 Cache files: "logogram-<fingerprint>.txt" with a JSON header line followed
 by one rendered string per line, reduced members flagged "R ", remaining
-members flagged ". ".  A fingerprint or version mismatch invalidates the
-file and the caller recomputes.
+members flagged ". ".  A fingerprint or version mismatch, or a body that
+disagrees with the header's reduced_count (or full_count, when the full set
+is stored), invalidates the file and the caller recomputes.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import json
 import multiprocessing
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from hashlib import sha256
 from pathlib import Path
 
@@ -115,6 +121,71 @@ class ProblemIndex:
         if self.prefix_free:
             return self.word_mask(target.words)
         return self.word_mask(cylindrify(target, self.language).words)
+
+
+class Analysis:
+    """One decision problem and the artefacts every check shares, each computed once on first use.
+
+    Members are the reduced logogram sorted by (size, render); bit i of a
+    member mask stands for members[i], and bit k of a cylinder, target or
+    region mask for index.words[k].
+    """
+
+    def __init__(self, problem: DecisionProblem, *, budget: int = DEFAULT_CANDIDATE_BUDGET, workers: int = 1):
+        self.problem = problem
+        self.budget = budget
+        self.workers = workers
+
+    @cached_property
+    def index(self) -> ProblemIndex:
+        return ProblemIndex(self.problem.base)
+
+    @cached_property
+    def logogram(self) -> "LogogramResult":
+        return log_rel(self.problem, index=self.index, budget=self.budget, workers=self.workers)
+
+    @cached_property
+    def members(self) -> list[PartialString]:
+        return self.logogram.sorted_reduced()
+
+    @cached_property
+    def cylinders(self) -> list[int]:
+        return [self.index.cylinder_mask(g) for g in self.members]
+
+    @cached_property
+    def target_mask(self) -> int:
+        return self.index.target_mask(self.problem.target)
+
+    @property
+    def regions(self) -> tuple[FiniteLanguage, ...]:
+        if self.problem.regions is None:
+            raise ValueError("problem has no solution regions")
+        return self.problem.regions
+
+    @cached_property
+    def region_masks(self) -> list[int]:
+        return [self.index.word_mask(r.words) for r in self.regions]
+
+    @cached_property
+    def member_masks(self) -> dict[str, int]:
+        """For each base word, the mask of the members it includes: the cylinders transposed."""
+        masks = [0] * len(self.index.words)
+        for i, cyl in enumerate(self.cylinders):
+            bits = bin(cyl)[:1:-1]  # bits[k] is bit k of the cylinder
+            k = bits.find("1")
+            while k >= 0:
+                masks[k] |= 1 << i
+                k = bits.find("1", k + 1)
+        return dict(zip(self.index.words, masks))
+
+    @cached_property
+    def region_logograms(self) -> list[frozenset[PartialString]]:
+        """The reduced logogram of each region within the base, one walk per region."""
+        return [
+            log_rel(DecisionProblem(self.problem.base, region), index=self.index, budget=self.budget,
+                    workers=self.workers, keep_full=False).reduced
+            for region in self.regions
+        ]
 
 
 @dataclass
@@ -463,17 +534,16 @@ def logexp_closure_check(
     return report
 
 
-def verify_logogram_expansion(
-    problem: DecisionProblem,
-    result: LogogramResult | None = None,
-    index: ProblemIndex | None = None,
-    **log_kwargs,
-) -> bool:
-    """True iff expanding the logogram (full and reduced) inside E recovers the prefix closure of F."""
-    idx = index if index is not None else ProblemIndex(problem.base)
-    if result is None:
-        result = log_rel(problem, index=idx, **log_kwargs)
-    target = idx.mask_language(idx.target_mask(problem.target))
+def verify_logogram_expansion(analysis: Analysis | DecisionProblem) -> bool:
+    """True iff expanding the logogram (full and reduced) inside E recovers the prefix closure of F.
+
+    The expansions are recomputed by scanning the base words, independently
+    of the index masks the engine used.
+    """
+    if isinstance(analysis, DecisionProblem):
+        analysis = Analysis(analysis)
+    problem, result = analysis.problem, analysis.logogram
+    target = analysis.index.mask_language(analysis.target_mask)
     exp_full = expand_in(result.full, problem.base) if result.full is not None else result.expansion
     if exp_full != target:
         return False
@@ -481,20 +551,17 @@ def verify_logogram_expansion(
 
 
 def cover_of(
-    problem: DecisionProblem,
+    analysis: Analysis,
     H: frozenset[PartialString] | None = None,
-    result: LogogramResult | None = None,
-    **log_kwargs,
 ) -> list[tuple[PartialString, FiniteLanguage]]:
     """Pairs (g, relative cylinder of g) for g in the reduced logogram or a subset of it."""
-    if result is None:
-        result = log_rel(problem, **log_kwargs)
-    if H is None:
-        H = result.reduced
-    elif not H <= result.reduced:
+    if H is not None and not H <= analysis.logogram.reduced:
         raise ValueError("cover strings must belong to the reduced logogram")
-    members = sorted(H, key=lambda g: (g.size, g.render()))
-    return [(g, expand_in([g], problem.base)) for g in members]
+    return [
+        (g, analysis.index.mask_language(cyl))
+        for g, cyl in zip(analysis.members, analysis.cylinders)
+        if H is None or g in H
+    ]
 
 
 # --- cache files ---
@@ -527,6 +594,7 @@ def save_logogram_cache(result: LogogramResult, problem: DecisionProblem, cache_
         "candidate_space_size": result.candidate_space_size,
         "full_count": result.full_count,
         "full_stored": result.full is not None,
+        "reduced_count": len(result.reduced),
     }
     lines = [json.dumps(header, sort_keys=True)]
     reduced_sorted = sorted(result.reduced, key=lambda g: (g.size, g.render()))
@@ -567,6 +635,8 @@ def load_logogram_cache(
                 extras.add(PartialString.parse(problem.alphabet, line[2:]))
             elif line.strip():
                 return None
+        if len(reduced) != header.get("reduced_count"):
+            return None
         full = frozenset(reduced | extras) if header.get("full_stored") else None
         if header.get("full_stored") and len(full) != header.get("full_count"):
             return None

@@ -93,12 +93,13 @@ class PartialString:
 
     def __post_init__(self) -> None:
         last = 0
+        symbols = self.alphabet.symbols
         for pos, sym in self.entries:
             if not isinstance(pos, int) or pos < 1:
                 raise ValueError(f"positions must be integers >= 1, got {pos!r}")
             if pos <= last:
                 raise ValueError("entries must be sorted by strictly increasing position")
-            if sym not in self.alphabet:
+            if sym not in symbols:
                 raise ValueError(f"symbol {sym!r} not in {self.alphabet!r}")
             last = pos
 
@@ -198,11 +199,7 @@ class PartialString:
 
     def join(self, other: "PartialString") -> "PartialString | None":
         """Least common extension, or None when incompatible."""
-        if not self.compatible(other):
-            return None
-        merged = dict(self.entries)
-        merged.update(other.entries)
-        return PartialString.of(self.alphabet, merged)
+        return join_all((self, other))
 
     def meet(self, other: "PartialString") -> "PartialString":
         """Restriction to the positions where both agree; always defined."""
@@ -236,6 +233,22 @@ def _common_alphabet(H: Iterable[PartialString], K: Iterable[PartialString] = ()
         elif g.alphabet != alphabet:
             raise AlphabetMismatch(f"mixed alphabets in string set: {alphabet!r} vs {g.alphabet!r}")
     return alphabet
+
+
+def join_all(H: Iterable[PartialString]) -> PartialString | None:
+    """Least common extension of every member of a nonempty H, or None when two members conflict."""
+    members = tuple(H)
+    if len(members) == 1:
+        return members[0]
+    alphabet = _common_alphabet(members)
+    if alphabet is None:
+        raise ValueError("the join of an empty set has no alphabet")
+    merged: dict[int, str] = {}
+    for g in members:
+        for pos, sym in g.entries:
+            if merged.setdefault(pos, sym) != sym:
+                return None
+    return PartialString.of(alphabet, merged)
 
 
 def join_sets(H: frozenset[PartialString], K: frozenset[PartialString]) -> frozenset[PartialString]:
@@ -274,13 +287,10 @@ def consistent_witness(H: frozenset[PartialString]) -> str | None:
     prescribes them, and the alphabet's first symbol elsewhere.  A finite H
     has a witness exactly when its members are pairwise compatible.
     """
-    alphabet = _common_alphabet(H)
-    if alphabet is None:
+    if not H:
         return ""
-    chars: dict[int, str] = {}
-    for g in H:
-        for pos, sym in g.entries:
-            if chars.setdefault(pos, sym) != sym:
-                return None
-    length = max((g.size for g in H), default=0)
-    return "".join(chars.get(i, alphabet.first) for i in range(1, length + 1))
+    joined = join_all(H)
+    if joined is None:
+        return None
+    chars = joined.as_dict
+    return "".join(chars.get(i, joined.alphabet.first) for i in range(1, joined.size + 1))

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from strtool.cli import random_problem, toy_wizard_problem
+from strtool.cli import _oracle_agrees, random_problem, toy_wizard_problem
 from strtool.independence import (
     IMPROPER_WITNESS,
     WIZARD,
@@ -25,8 +25,8 @@ from strtool.independence import (
     strong_independence,
     wizard_cover_report,
 )
-from strtool.languages import BINARY, TERNARY, check_expansion_laws, expand_in
-from strtool.logogram import ProblemIndex, log_rel, log_rel_naive, verify_logogram_expansion
+from strtool.languages import BINARY, TERNARY, check_expansion_laws
+from strtool.logogram import Analysis, verify_logogram_expansion
 from strtool.sat import (
     CnfInstance,
     EchelonSpec,
@@ -51,16 +51,16 @@ def criterion(number: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def batteries():
-    """Per-echelon problem, index, logogram result, and wall time, computed once."""
+    """Per-echelon problem, analysis, logogram result, and wall time, computed once."""
     out = {}
     for n, m in ECHELONS:
         started = time.perf_counter()
         problem = enumerate_echelon(EchelonSpec(n, m))
-        index = ProblemIndex(problem.base)
-        result = log_rel(problem, index=index)
+        analysis = Analysis(problem)
+        result = analysis.logogram
         out[(n, m)] = {
             "problem": problem,
-            "index": index,
+            "analysis": analysis,
             "result": result,
             "spec": EchelonSpec(n, m),
             "setup_elapsed": time.perf_counter() - started,
@@ -75,17 +75,6 @@ def test_criterion_1_closure_laws():
     ok = report.holds and elapsed < 10.0
     criterion(1, ok, f"closure/expansion laws on 1000 seeded samples, {elapsed:.2f}s"
                      + (f"; failures: {report.failures[:2]}" if report.failures else ""))
-
-
-def _oracle_match(problem, naive_budget):
-    naive_full, naive_reduced = log_rel_naive(problem, budget=naive_budget)
-    plain = log_rel(problem, restrict="never", keep_full=True, budget=naive_budget)
-    if plain.full != naive_full or plain.reduced != naive_reduced:
-        return False
-    auto = log_rel(problem, restrict="auto", keep_full=True)
-    if auto.reduced != naive_reduced:
-        return False
-    return expand_in(auto.reduced, problem.base) == expand_in(naive_reduced, problem.base)
 
 
 def test_criterion_2_oracle_equivalence():
@@ -105,12 +94,12 @@ def test_criterion_2_oracle_equivalence():
         space = (len(alphabet.symbols) + 1) ** problem.base.max_len
         assert space <= bound
         checked += 1
-        if not _oracle_match(problem, naive_budget=bound):
+        if not _oracle_agrees(problem, naive_budget=bound):
             mismatches += 1
     for n, m in EXHAUSTIVE_ECHELONS:
         problem = enumerate_echelon(EchelonSpec(n, m))
         checked += 1
-        if not _oracle_match(problem, naive_budget=4 ** 10):
+        if not _oracle_agrees(problem, naive_budget=4 ** 10):
             mismatches += 1
     criterion(2, mismatches == 0,
               f"naive-enumerator equivalence on {checked} problems, {mismatches} discrepancies")
@@ -125,7 +114,7 @@ def test_criterion_3_expansion_identity(batteries):
         if not verify_logogram_expansion(problem):
             failures += 1
     for key, bundle in batteries.items():
-        if not verify_logogram_expansion(bundle["problem"], bundle["result"], bundle["index"]):
+        if not verify_logogram_expansion(bundle["analysis"]):
             failures += 1
     criterion(3, failures == 0,
               f"logogram-expansion identity on 500 random problems + {len(batteries)} echelons, "
@@ -137,10 +126,10 @@ def test_criterion_4_sat_structure(batteries):
     timings = []
     for (n, m), bundle in batteries.items():
         started = time.perf_counter()
-        problem, index, result = bundle["problem"], bundle["index"], bundle["result"]
+        analysis, result = bundle["analysis"], bundle["result"]
         spec = bundle["spec"]
 
-        verdicts = classify_all(problem, result, index)
+        verdicts = classify_all(analysis)
         wizards = sum(1 for v in verdicts if v.kind == WIZARD)
         if wizards:
             problems.append(f"({n},{m}): {wizards} wizards")
@@ -149,18 +138,18 @@ def test_criterion_4_sat_structure(batteries):
         if not shape.holds:
             problems.append(f"({n},{m}): shape findings {shape.to_json()['findings']}")
 
-        if not internal_independence(problem, result, index).holds:
+        if not internal_independence(analysis).holds:
             problems.append(f"({n},{m}): internal independence fails")
-        if not strong_independence(problem, result, index).holds:
+        if not strong_independence(analysis).holds:
             problems.append(f"({n},{m}): strong independence fails")
 
-        complete = complete_independence(problem, 4, result, index, echelon=spec)
+        complete = complete_independence(analysis, 4, echelon=spec)
         if not complete.holds:
             problems.append(f"({n},{m}): complete independence fails: {complete.counterexample}")
         if (n, m) in EXHAUSTIVE_ECHELONS and complete.partial:
             problems.append(f"({n},{m}): expected exhaustive subset check")
 
-        if not irreducible(problem, result, index):
+        if not irreducible(analysis):
             problems.append(f"({n},{m}): reduced logogram not irreducible")
 
         oracle = consistent_selection_count(n, m)
@@ -189,10 +178,9 @@ def test_criterion_5_strong_implies_internal(batteries):
                for i in range(30))
     violations = 0
     for problem in zoo:
-        index = ProblemIndex(problem.base)
-        result = log_rel(problem, index=index)
-        strong = strong_independence(problem, result, index)
-        inner = internal_independence(problem, result, index)
+        analysis = Analysis(problem)
+        strong = strong_independence(analysis)
+        inner = internal_independence(analysis)
         if strong.holds and not inner.holds:
             violations += 1
     criterion(5, violations == 0,
@@ -202,8 +190,7 @@ def test_criterion_5_strong_implies_internal(batteries):
 def test_criterion_6_region_relations(batteries):
     issues = []
     for n, m in ((2, 2), (3, 2)):
-        report = region_relations(batteries[(n, m)]["problem"], ignore_bewitched=True,
-                                  index=batteries[(n, m)]["index"])
+        report = region_relations(batteries[(n, m)]["analysis"], ignore_bewitched=True)
         if not report.holds:
             issues.append(f"({n},{m}): {[r.to_json() for r in report.rows if not r.disjoint]}")
     criterion(6, not issues, "filtered region disjointness and non-entanglement on (2,2) and (3,2)"
@@ -215,9 +202,7 @@ def test_criterion_7_worked_formula():
     sizes_ok = occurrence_size(inst) == 4 and effective_size(inst) == 2 and is_bewitched(inst)
     word = encode(inst)
     problem = enumerate_echelon(EchelonSpec(4, 2))
-    index = ProblemIndex(problem.base)
-    result = log_rel(problem, index=index)
-    verdicts = classify_all(problem, result, index)
+    verdicts = classify_all(Analysis(problem))
     kinds = [v.kind for v in verdicts if word_includes(word, v.string)]
     ok = sizes_ok and IMPROPER_WITNESS in kinds
     criterion(7, ok, f"worked formula: size 4, effective 2, bewitched; "
@@ -225,7 +210,7 @@ def test_criterion_7_worked_formula():
 
 
 def test_criterion_8_wizard_union_cover():
-    report = wizard_cover_report(toy_wizard_problem())
+    report = wizard_cover_report(Analysis(toy_wizard_problem()))
     proper_flags = [f.proper for f in report.findings]
     ok = report.holds and report.wizard_count > 0 and proper_flags == [False, False]
     criterion(8, ok, f"toy wizard union inclusion holds for {report.wizard_count} wizards; "

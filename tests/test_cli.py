@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +42,29 @@ class TestLogogramCommand:
         cache_file.write_text("{\"schema\": 1, \"problem\": \"bogus\"}\n")
         code, third = run_json(capsys, "logogram", "--n", "1", "--m", "2", "--cache-dir", str(tmp_path))
         assert code == 0 and third["result"]["cached"] is False
+
+    def test_truncated_reduced_cache_is_recomputed(self, capsys, tmp_path):
+        argv = ("logogram", "--n", "2", "--m", "2", "--reduced", "--cache-dir", str(tmp_path))
+        code, cold = run_json(capsys, *argv)
+        assert code == 0 and cold["result"]["cached"] is False
+        cache_file = next(tmp_path.glob("logogram-*.txt"))
+        lines = cache_file.read_text().splitlines(keepends=True)
+        for keep in range(len(lines)):
+            cache_file.write_text("".join(lines[:keep]))
+            code, warm = run_json(capsys, *argv)
+            assert code == 0
+            assert warm["result"]["cached"] is False, f"hit on the first {keep} lines"
+            assert warm["result"]["reduced_count"] == 12
+            assert warm["result"]["reduced"] == cold["result"]["reduced"]
+
+    def test_repeated_alphabet_header_is_exit_2(self, capsys, tmp_path):
+        base = tmp_path / "base.lang"
+        base.write_text("alphabet=01\n0\nalphabet=012\n2\n")
+        target = tmp_path / "target.lang"
+        target.write_text("alphabet=012\n2\n")
+        assert main(["logogram", "--base-file", str(base), "--target-file", str(target),
+                     "--cache-dir", str(tmp_path)]) == 2
+        assert f"{base}:3" in capsys.readouterr().err
 
     def test_budget_error_is_exit_2(self, capsys):
         assert main(["logogram", "--n", "4", "--m", "4"]) == 2
@@ -123,3 +148,14 @@ class TestClassifyCommand:
         code, report = run_json(capsys, "classify", "--n", "1", "--m", "1", "--string", "5:2")
         assert code == 0
         assert report["result"]["kind"] == "ProperWitness"
+
+
+def test_benchmark_traced_names_exist():
+    """Every function the benchmark's traced run wraps is still a callable of its module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+    spec = importlib.util.spec_from_file_location("perfbench_child", path)
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    missing = [f"{home.__name__}.{name}" for home, names in child.TRACED.values()
+               for name in names if not callable(getattr(home, name, None))]
+    assert child.TRACED and not missing

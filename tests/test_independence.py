@@ -24,8 +24,9 @@ from strtool.independence import (
     strong_independence,
     wizard_cover_report,
 )
+from strtool import logogram
 from strtool.languages import BINARY, FiniteLanguage, sigma_exact
-from strtool.logogram import DecisionProblem, ProblemIndex, log_rel
+from strtool.logogram import Analysis, DecisionProblem
 from strtool.sat import EchelonSpec, enumerate_echelon, selection_strings, string_entries
 from strtool.strings import PartialString
 
@@ -39,9 +40,8 @@ def lang(words, alphabet=BINARY):
 
 
 def echelon_with_result(n, m):
-    problem = enumerate_echelon(EchelonSpec(n, m))
-    index = ProblemIndex(problem.base)
-    return problem, log_rel(problem, index=index), index
+    analysis = Analysis(enumerate_echelon(EchelonSpec(n, m)))
+    return analysis.problem, analysis.logogram, analysis
 
 
 # A problem whose third string is entangled with the other two: the base
@@ -50,6 +50,31 @@ def entangled_problem():
     E = lang(["101", "011", "111", "000"])
     F = lang(["101", "011", "111"])
     return DecisionProblem(E, F)
+
+
+class TestAnalysis:
+    def test_checks_share_one_index_and_one_walk_per_logogram(self, monkeypatch):
+        indexes, walks = [], []
+        real_index, real_log_rel = logogram.ProblemIndex, logogram.log_rel
+
+        class CountingIndex(real_index):
+            def __init__(self, base):
+                indexes.append(base)
+                super().__init__(base)
+
+        def counting_log_rel(problem, *args, **kwargs):
+            walks.append(problem.target)
+            return real_log_rel(problem, *args, **kwargs)
+
+        monkeypatch.setattr(logogram, "ProblemIndex", CountingIndex)
+        monkeypatch.setattr(logogram, "log_rel", counting_log_rel)
+        toy = toy_wizard_problem()
+        analysis = Analysis(toy)
+        classify_all(analysis)
+        assert wizard_cover_report(analysis).wizard_count == 2
+        region_relations(analysis, ignore_bewitched=False)
+        assert len(indexes) == 1
+        assert walks == [toy.target, *toy.regions]  # the problem's walk, then one per region
 
 
 class TestEntanglement:
@@ -75,7 +100,7 @@ class TestEntanglement:
         assert not pairwise_independent(ps("1"), ps("10"), E)
 
     def test_pairwise_on_minimal_echelon(self):
-        problem, result, index = echelon_with_result(1, 1)
+        problem, result, analysis = echelon_with_result(1, 1)
         a, b = sorted(result.reduced, key=lambda g: g.render())
         assert pairwise_independent(a, b, problem.base)
 
@@ -88,44 +113,44 @@ class TestEntanglement:
 
 class TestClassify:
     def test_minimal_echelon_proper(self):
-        problem, result, index = echelon_with_result(1, 1)
-        verdict = classify(PartialString.of(problem.alphabet, {5: "1"}), problem, result, index)
+        problem, result, analysis = echelon_with_result(1, 1)
+        verdict = classify(PartialString.of(problem.alphabet, {5: "1"}), analysis)
         assert verdict.kind == PROPER_WITNESS
         assert verdict.containing_regions == (2,)
 
     def test_two_variable_improper(self):
-        problem, result, index = echelon_with_result(2, 1)
+        problem, result, analysis = echelon_with_result(2, 1)
         g = string_entries(EchelonSpec(2, 1), [(1, 1, "1")])
-        verdict = classify(g, problem, result, index)
+        verdict = classify(g, analysis)
         assert verdict.kind == IMPROPER_WITNESS
         assert verdict.containing_regions == (2, 4)
 
     def test_toy_wizard(self):
         toy = toy_wizard_problem()
-        verdict = classify(ps("1"), toy)
+        verdict = classify(ps("1"), Analysis(toy))
         assert verdict.kind == WIZARD
         assert verdict.containing_regions == ()
 
     def test_partitions_reduced_logogram(self):
-        problem, result, index = echelon_with_result(2, 2)
-        verdicts = classify_all(problem, result, index)
+        problem, result, analysis = echelon_with_result(2, 2)
+        verdicts = classify_all(analysis)
         assert len(verdicts) == len(result.reduced)
         assert {v.kind for v in verdicts} <= {PROPER_WITNESS, IMPROPER_WITNESS, WIZARD}
 
     def test_rejects_non_members(self):
-        problem, result, index = echelon_with_result(1, 1)
+        problem, result, analysis = echelon_with_result(1, 1)
         with pytest.raises(NotInReducedLogogram):
-            classify(PartialString.of(problem.alphabet, {5: "0"}), problem, result, index)
+            classify(PartialString.of(problem.alphabet, {5: "0"}), analysis)
 
     def test_requires_regions(self):
         problem = DecisionProblem(sigma_exact(BINARY, 2), lang(["11"]))
         with pytest.raises(ValueError):
-            classify(ps("11"), problem)
+            classify(ps("11"), Analysis(problem))
 
 
 class TestWizardCover:
     def test_toy_report(self):
-        report = wizard_cover_report(toy_wizard_problem())
+        report = wizard_cover_report(Analysis(toy_wizard_problem()))
         assert report.holds
         assert report.wizard_count == 2
         for finding in report.findings:
@@ -135,44 +160,44 @@ class TestWizardCover:
 
     def test_echelons_have_no_wizards(self):
         for n, m in ((1, 1), (2, 1), (1, 2), (2, 2)):
-            problem, result, index = echelon_with_result(n, m)
-            report = wizard_cover_report(problem, result, index)
+            problem, result, analysis = echelon_with_result(n, m)
+            report = wizard_cover_report(analysis)
             assert report.wizard_count == 0
             assert report.holds and report.findings == []
 
     def test_requires_regions(self):
         with pytest.raises(ValueError):
-            wizard_cover_report(entangled_problem())
+            wizard_cover_report(Analysis(entangled_problem()))
 
 
 class TestInternal:
     def test_echelons_hold(self):
         for n, m in ((1, 1), (2, 2)):
-            problem, result, index = echelon_with_result(n, m)
-            assert internal_independence(problem, result, index).holds
+            problem, result, analysis = echelon_with_result(n, m)
+            assert internal_independence(analysis).holds
 
     def test_singleton_logogram_vacuous(self):
         problem = DecisionProblem(lang(["10"]), lang(["10"]))
-        verdict = internal_independence(problem)
+        verdict = internal_independence(Analysis(problem))
         assert verdict.holds and verdict.subsets_checked == 0
 
     def test_entangled_problem_fails(self):
-        verdict = internal_independence(entangled_problem())
+        verdict = internal_independence(Analysis(entangled_problem()))
         assert not verdict.holds
         assert verdict.counterexample is not None
 
 
 class TestStrong:
     def test_single_clause_separation(self):
-        problem, result, index = echelon_with_result(2, 1)
-        assert strong_independence(problem, result, index).holds
+        problem, result, analysis = echelon_with_result(2, 1)
+        assert strong_independence(analysis).holds
 
     def test_larger_echelon(self):
-        problem, result, index = echelon_with_result(2, 2)
-        assert strong_independence(problem, result, index).holds
+        problem, result, analysis = echelon_with_result(2, 2)
+        assert strong_independence(analysis).holds
 
     def test_entangled_problem_fails(self):
-        verdict = strong_independence(entangled_problem())
+        verdict = strong_independence(Analysis(entangled_problem()))
         assert not verdict.holds
         assert verdict.counterexample["strings"] == ["1"]
 
@@ -180,9 +205,9 @@ class TestStrong:
         problems = [entangled_problem(), toy_wizard_problem()]
         problems += [enumerate_echelon(EchelonSpec(n, m)) for n, m in ((1, 1), (2, 1), (1, 2), (2, 2))]
         for problem in problems:
-            strong = strong_independence(problem)
+            strong = strong_independence(Analysis(problem))
             if strong.holds:
-                assert internal_independence(problem).holds
+                assert internal_independence(Analysis(problem)).holds
 
 
 class TestSeparator:
@@ -216,30 +241,30 @@ class TestSeparator:
 class TestComplete:
     def test_small_echelons_exhaustive(self):
         for n, m in ((1, 1), (2, 1), (1, 2), (2, 2)):
-            problem, result, index = echelon_with_result(n, m)
-            verdict = complete_independence(problem, 4, result, index, echelon=EchelonSpec(n, m))
+            problem, result, analysis = echelon_with_result(n, m)
+            verdict = complete_independence(analysis, 4, echelon=EchelonSpec(n, m))
             assert verdict.holds and not verdict.partial
 
     def test_generic_search_without_echelon_shortcut(self):
-        problem, result, index = echelon_with_result(2, 1)
-        verdict = complete_independence(problem, 4, result, index)
+        problem, result, analysis = echelon_with_result(2, 1)
+        verdict = complete_independence(analysis, 4)
         assert verdict.holds and not verdict.partial
 
     def test_entangled_problem_fails(self):
-        verdict = complete_independence(entangled_problem(), 4)
+        verdict = complete_independence(Analysis(entangled_problem()), 4)
         assert not verdict.holds
         # no word contains position-1 "1" without also containing position-3 "1"
         assert verdict.counterexample["strings"] == ["1"]
 
     def test_budget_cap_marks_partial(self):
-        problem, result, index = echelon_with_result(2, 2)
-        verdict = complete_independence(problem, 2, result, index,
+        problem, result, analysis = echelon_with_result(2, 2)
+        verdict = complete_independence(analysis, 2,
                                         echelon=EchelonSpec(2, 2), subset_budget=10)
         assert verdict.partial
         assert verdict.holds  # everything it did check still separates
 
     def test_subset_count_matches_brute_force(self):
-        problem, result, index = echelon_with_result(2, 1)
+        problem, result, analysis = echelon_with_result(2, 1)
         import itertools as it
         members = sorted(result.reduced, key=lambda g: (g.size, g.render()))
         expected = 0
@@ -247,57 +272,57 @@ class TestComplete:
             for combo in it.combinations(members, r):
                 if all(a.compatible(b) for a, b in it.combinations(combo, 2)):
                     expected += 1
-        verdict = complete_independence(problem, 4, result, index, echelon=EchelonSpec(2, 1))
+        verdict = complete_independence(analysis, 4, echelon=EchelonSpec(2, 1))
         assert verdict.subsets_checked == expected
 
 
 class TestCompletenessAndIrreducibility:
     def test_full_reduced_logogram_is_complete(self):
         for n, m in ((1, 1), (2, 1), (2, 2)):
-            problem, result, index = echelon_with_result(n, m)
-            assert completeness_of_subset(result.reduced, problem, result)
+            problem, result, analysis = echelon_with_result(n, m)
+            assert completeness_of_subset(result.reduced, analysis)
 
     def test_dropping_a_member_breaks_completeness(self):
-        problem, result, index = echelon_with_result(2, 2)
+        problem, result, analysis = echelon_with_result(2, 2)
         member = sorted(result.reduced, key=lambda g: g.render())[0]
-        assert not completeness_of_subset(result.reduced - {member}, problem, result)
+        assert not completeness_of_subset(result.reduced - {member}, analysis)
 
     def test_empty_subset_incomplete(self):
-        problem, result, index = echelon_with_result(1, 1)
-        assert not completeness_of_subset(frozenset(), problem, result)
+        problem, result, analysis = echelon_with_result(1, 1)
+        assert not completeness_of_subset(frozenset(), analysis)
 
     def test_rejects_foreign_subset(self):
-        problem, result, index = echelon_with_result(1, 1)
+        problem, result, analysis = echelon_with_result(1, 1)
         with pytest.raises(ValueError):
-            completeness_of_subset(frozenset({ps("1", problem.alphabet)}), problem, result)
+            completeness_of_subset(frozenset({ps("1", problem.alphabet)}), analysis)
 
     def test_irreducible_echelons(self):
         for n, m in ((1, 1), (2, 2)):
-            problem, result, index = echelon_with_result(n, m)
-            assert irreducible(problem, result, index)
+            problem, result, analysis = echelon_with_result(n, m)
+            assert irreducible(analysis)
 
     def test_singleton_member(self):
         problem = DecisionProblem(sigma_exact(BINARY, 2), lang(["11"]))
-        assert irreducible(problem)
+        assert irreducible(Analysis(problem))
 
     def test_redundant_member_not_irreducible(self):
-        assert not irreducible(entangled_problem())
+        assert not irreducible(Analysis(entangled_problem()))
 
 
 class TestShape:
     def test_echelon_members_are_one_literal_per_clause(self):
         for n, m in ((1, 1), (2, 1), (2, 2)):
-            problem, result, index = echelon_with_result(n, m)
+            problem, result, analysis = echelon_with_result(n, m)
             report = sat_shape_report(EchelonSpec(n, m), result)
             assert report.holds and report.findings == []
 
     def test_reduced_equals_selection_oracle_strings(self):
         for n, m in ((1, 1), (2, 1), (1, 2), (2, 2)):
-            problem, result, index = echelon_with_result(n, m)
+            problem, result, analysis = echelon_with_result(n, m)
             assert result.reduced == selection_strings(EchelonSpec(n, m))
 
     def test_flags_malformed_member(self):
-        problem, result, index = echelon_with_result(1, 1)
+        problem, result, analysis = echelon_with_result(1, 1)
         fake = type(result)(
             full=None,
             reduced=frozenset({PartialString.of(problem.alphabet, {5: "0"})}),
@@ -353,7 +378,7 @@ class TestEvents:
 class TestRegionRelations:
     def test_minimal_echelon(self):
         problem = enumerate_echelon(EchelonSpec(1, 1))
-        report = region_relations(problem, ignore_bewitched=False)
+        report = region_relations(Analysis(problem), ignore_bewitched=False)
         assert report.holds
         assert len(report.rows) == 1
         row = report.rows[0]
@@ -361,21 +386,21 @@ class TestRegionRelations:
 
     def test_filtered_two_by_two(self):
         problem = enumerate_echelon(EchelonSpec(2, 2))
-        report = region_relations(problem, ignore_bewitched=True)
+        report = region_relations(Analysis(problem), ignore_bewitched=True)
         assert report.holds
         assert all(not r.vacuous for r in report.rows)
 
     def test_unfiltered_shares_pseudowizards(self):
         problem = enumerate_echelon(EchelonSpec(2, 1))
-        report = region_relations(problem, ignore_bewitched=False)
+        report = region_relations(Analysis(problem), ignore_bewitched=False)
         assert not all(r.disjoint for r in report.rows)
 
     def test_three_two_goes_vacuous(self):
         problem = enumerate_echelon(EchelonSpec(3, 2))
-        report = region_relations(problem, ignore_bewitched=True)
+        report = region_relations(Analysis(problem), ignore_bewitched=True)
         assert report.holds
         assert all(r.vacuous for r in report.rows)
 
     def test_requires_regions(self):
         with pytest.raises(ValueError):
-            region_relations(entangled_problem(), True)
+            region_relations(Analysis(entangled_problem()), True)

@@ -142,3 +142,9 @@ class TestLanguageFiles:
         path.write_text("10\n")
         with pytest.raises(ValueError):
             load_language(path)
+
+    def test_repeated_header(self, tmp_path):
+        path = tmp_path / "twice.lang"
+        path.write_text("alphabet=01\n0\nalphabet=012\n2\n")
+        with pytest.raises(ValueError, match=f"{path}:3: repeated 'alphabet=' header"):
+            load_language(path)

@@ -15,6 +15,7 @@ from strtool.languages import (
     sigma_upto,
 )
 from strtool.logogram import (
+    Analysis,
     DecisionProblem,
     ProblemIndex,
     auto_positions,
@@ -226,18 +227,18 @@ class TestExpansionIdentity:
 class TestCover:
     def test_cover_of_reduced_unions_to_target(self):
         problem = DecisionProblem(sigma_exact(BINARY, 2), lang(["10", "11", "01"]))
-        pairs = cover_of(problem)
+        pairs = cover_of(Analysis(problem))
         union = frozenset().union(*(cyl.words for _, cyl in pairs))
         assert union == problem.target.words
 
     def test_empty_subset(self):
         problem = DecisionProblem(sigma_exact(BINARY, 2), lang(["10", "11"]))
-        assert cover_of(problem, H=frozenset()) == []
+        assert cover_of(Analysis(problem), H=frozenset()) == []
 
     def test_rejects_foreign_strings(self):
         problem = DecisionProblem(sigma_exact(BINARY, 2), lang(["10", "11"]))
         with pytest.raises(ValueError):
-            cover_of(problem, H=frozenset({ps("0")}))
+            cover_of(Analysis(problem), H=frozenset({ps("0")}))
 
 
 class TestCache:
@@ -267,6 +268,17 @@ class TestCache:
         result = log_rel(problem)
         path = save_logogram_cache(result, problem, tmp_path)
         path.write_text(path.read_text() + "garbage line\n")
+        assert load_logogram_cache(problem, tmp_path, result.positions) is None
+
+    def test_header_without_reduced_count_forces_recompute(self, tmp_path):
+        problem = DecisionProblem(sigma_exact(BINARY, 2), lang(["10", "11"]))
+        result = log_rel(problem)
+        path = save_logogram_cache(result, problem, tmp_path)
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        assert header.pop("reduced_count") == len(result.reduced)
+        lines[0] = json.dumps(header, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
         assert load_logogram_cache(problem, tmp_path, result.positions) is None
 
     def test_fingerprint_depends_on_problem(self):

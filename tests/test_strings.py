@@ -11,6 +11,7 @@ from strtool.strings import (
     TERNARY,
     consistent_witness,
     extends,
+    join_all,
     join_sets,
     pairwise_compatible,
     reduce_strings,
@@ -131,17 +132,46 @@ class TestCompatibilityAndJoin:
 
     @given(strings(), strings())
     def test_join_defined_iff_compatible(self, f, g):
-        j = f.join(g)
-        assert (j is not None) == f.compatible(g)
-        if j is not None:
-            assert f <= j and g <= j
-            assert set(j.domain) == set(f.domain) | set(g.domain)
+        for j in (f.join(g), join_all((f, g))):
+            assert (j is not None) == f.compatible(g)
+            if j is not None:
+                assert f <= j and g <= j
+                assert set(j.domain) == set(f.domain) | set(g.domain)
 
     @given(strings(), strings(), strings())
     def test_join_is_least_upper_bound(self, f, g, h):
-        j = f.join(g)
-        if j is not None and f <= h and g <= h:
-            assert j <= h
+        for j in (f.join(g), join_all((f, g))):
+            if j is not None and f <= h and g <= h:
+                assert j <= h
+
+    @given(st.frozensets(strings(), min_size=1, max_size=5), strings())
+    def test_join_all_of_a_set(self, H, h):
+        j = join_all(H)
+        assert (j is not None) == pairwise_compatible(H)
+        if j is not None:
+            assert all(g <= j for g in H)
+            assert set(j.domain) == {p for g in H for p in g.domain}
+            if all(g <= h for g in H):
+                assert j <= h
+
+    @given(st.frozensets(strings(), min_size=1, max_size=5))
+    def test_join_all_agrees_with_consistent_witness(self, H):
+        j = join_all(H)
+        witness = consistent_witness(H)
+        assert (j is None) == (witness is None)
+        if j is not None:
+            assert len(witness) == j.size
+            assert j <= PartialString.from_word(TERNARY, witness)
+
+    def test_join_all_examples(self):
+        assert join_all([ps("1"), ps("_0"), ps("__2")]) == ps("102")
+        assert join_all([ps("1"), ps("_0"), ps("2")]) is None
+        g = ps("1_2")
+        assert join_all([g]) is g
+        with pytest.raises(ValueError):
+            join_all([])
+        with pytest.raises(AlphabetMismatch):
+            join_all([ps("1"), PartialString.parse(BINARY, "_1")])
 
     @given(strings(), strings())
     def test_meet_is_lower_bound(self, f, g):
