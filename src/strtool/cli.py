@@ -274,7 +274,7 @@ def suite_logogram(samples: int, seed: int) -> list[CheckResult]:
     return checks
 
 
-def suite_sat(n: int, m: int, max_subset: int, budget: int, workers: int = 1) -> list[CheckResult]:
+def suite_sat(n: int, m: int, budget: int, workers: int = 1) -> list[CheckResult]:
     checks: list[CheckResult] = []
     spec = EchelonSpec(n, m)
     problem = enumerate_echelon(spec)
@@ -338,12 +338,12 @@ def suite_sat(n: int, m: int, max_subset: int, budget: int, workers: int = 1) ->
     ), start)
 
     start = time.perf_counter()
-    complete = complete_independence(analysis, max_subset, echelon=spec)
+    complete = complete_independence(analysis)
     timed(checks, CheckResult(
         name="sat-complete",
         holds=complete.holds,
         partial=complete.partial,
-        counts={"subsets": complete.subsets_checked, "max_subset": max_subset},
+        counts={"subsets": complete.subsets_checked},
         counterexample=complete.counterexample,
     ), start)
 
@@ -463,7 +463,7 @@ def run_suite(cfg: dict) -> VerificationReport:
     if suite in ("logogram", "all"):
         checks.extend(suite_logogram(max(10, cfg["samples"] // 4), cfg["seed"]))
     if suite in ("sat", "all"):
-        checks.extend(suite_sat(cfg["n"], cfg["m"], cfg["max_subset"], cfg["budget"], cfg["threads"]))
+        checks.extend(suite_sat(cfg["n"], cfg["m"], cfg["budget"], cfg["threads"]))
     if suite in ("wizards", "all"):
         checks.extend(suite_wizards(cfg["n"], cfg["m"], cfg["budget"]))
     if suite in ("regions", "all"):
@@ -610,7 +610,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--m", type=int, default=2)
     p_ver.add_argument("--samples", type=int, default=200)
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--max-subset", type=int, default=4)
     p_ver.add_argument("--ignore-bewitched", action="store_true")
     common(p_ver)
     p_ver.set_defaults(func=cmd_verify)

@@ -18,6 +18,13 @@ the last on finite problems:
   * complete: every pairwise-compatible subset has a base word including
     exactly that subset's join and nothing else from the reduced logogram
     beyond strings the join subsumes.
+
+Complete independence is decided exactly, without enumerating subsets.  A
+word including a compatible subset C includes join(C), hence every member
+below the join; so C is separated iff some word's member mask equals that
+closed set J(C).  The check walks the distinct closed sets (10,934 on the
+(3,3) echelon, against 566,442 compatible subsets) and looks each one up
+among the words' member masks.
 """
 
 from __future__ import annotations
@@ -176,9 +183,10 @@ def construct_separator(fs, spec: EchelonSpec) -> str:
     """Encoded word whose body carries exactly the prescriptions of the given strings.
 
     The body holds the join's code wherever some member prescribes one and
-    '0' elsewhere, so the word includes each member; the caller checks that
-    nothing unsubsumed rides along.  Raises on incompatible members or
-    entries outside the echelon's clause blocks.
+    '0' elsewhere, so the word includes each member.  On an echelon this is
+    the constructive witness behind complete independence: the separator of
+    a closed set's join includes exactly that closed set.  Raises on
+    incompatible members or entries outside the echelon's clause blocks.
     """
     joined = join_all(fs)
     if joined is None:
@@ -194,116 +202,80 @@ def construct_separator(fs, spec: EchelonSpec) -> str:
     return spec.prefix + "".join(body)
 
 
-def _below(g: PartialString, joined: dict[int, str]) -> bool:
-    return all(joined.get(p) == s for p, s in g.entries)
+def complete_independence(analysis: Analysis) -> IndependenceVerdict:
+    """Exact complete independence, decided over the join-closed member sets.
 
-
-def complete_independence(
-    analysis: Analysis,
-    max_subset: int = 4,
-    echelon: EchelonSpec | None = None,
-    subset_budget: int = 10 ** 6,
-) -> IndependenceVerdict:
-    """Separating words for pairwise-compatible subsets of the reduced logogram.
-
-    All subset sizes are checked when the number of pairwise-compatible
-    subsets fits the budget; otherwise sizes are capped at max_subset and
-    the verdict is marked partial.  For echelon problems the canonical
-    separator word is tried first, then the base words of the join's
-    cylinder are searched.
+    For a pairwise-compatible subset C let J(C) be the members lying below
+    join(C).  A word including all of C includes join(C), hence all of
+    J(C); so a word separates C (includes C and nothing the join does not
+    subsume) iff its member mask equals J(C).  The property therefore holds
+    iff every distinct closed set J(C) is some base word's member mask.
+    Closed sets are reached from the empty subset by joining one compatible
+    member at a time, with two bitset ANDs per step; subsets_checked counts
+    them.  The counterexample is the smallest failing C by (size, member
+    renders).
     """
-    if max_subset < 2:
-        raise ValueError("max_subset must be at least 2")
-    idx = analysis.index
     members = analysis.members
-    word_masks = analysis.member_masks
-    count = len(members)
-    neighbors = [0] * count
-    for i, j in itertools.combinations(range(count), 2):
-        if members[i].compatible(members[j]):
-            neighbors[i] |= 1 << j
-            neighbors[j] |= 1 << i
+    # compatible[i]: the members that can be joined to member i; domain[i]: its positions as bits
+    compatible = [sum(1 << j for j, h in enumerate(members) if g.compatible(h)) for g in members]
+    domain = [sum(1 << p for p, _ in g.entries) for g in members]
+    inside: dict[int, int] = {}  # domain bits -> members whose domain lies inside
 
-    def clique_count(cap: int | None) -> int:
-        total = 0
-        stack = [(i, neighbors[i] >> (i + 1) << (i + 1), 1) for i in range(count)]
-        while stack:
-            _, allowed, size = stack.pop()
-            total += 1
-            if total > subset_budget:
-                return total
-            if cap is not None and size >= cap:
-                continue
-            rest = allowed
-            while rest:
-                low = rest & -rest
-                j = low.bit_length() - 1
-                rest ^= low
-                stack.append((j, allowed & neighbors[j] >> (j + 1) << (j + 1), size + 1))
-        return total
+    def below(compat: int, dom: int) -> int:
+        """Members below the join with this compatible set and domain."""
+        if dom not in inside:
+            inside[dom] = sum(1 << i for i, d in enumerate(domain) if not d & ~dom)
+        return compat & inside[dom]
 
-    partial = clique_count(None) > subset_budget
-    cap = max_subset if partial else None
+    closed: set[int] = set()
+    work = [(0, (1 << len(members)) - 1, 0)]  # the empty subset, which every member extends
+    while work:
+        K, compat, dom = work.pop()
+        rest = compat & ~K
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = low.bit_length() - 1
+            compat2, dom2 = compat & compatible[j], dom | domain[j]
+            K2 = below(compat2, dom2)
+            if K2 not in closed:
+                closed.add(K2)
+                work.append((K2, compat2, dom2))
 
-    checked = 0
-    worst: tuple | None = None
-
-    def separated(subset: list[int]) -> bool:
-        joined = join_all([members[i] for i in subset])
-        below = dict(joined.entries)
-        need = 0
-        for i in subset:
-            need |= 1 << i
-
-        def word_ok(mask: int) -> bool:
-            if mask & need != need:
-                return False
-            extra = mask & ~need
-            while extra:
-                low = extra & -extra
-                extra ^= low
-                if not _below(members[low.bit_length() - 1], below):
-                    return False
-            return True
-
-        if echelon is not None:
-            word = construct_separator((joined,), echelon)
-            if word in word_masks and word_ok(word_masks[word]):
-                return True
-        cyl = idx.cylinder_mask(joined)
-        return any(idx.bit[w] & cyl and word_ok(mask) for w, mask in word_masks.items())
-
-    stack = [([i], neighbors[i] >> (i + 1) << (i + 1)) for i in range(count - 1, -1, -1)]
-    while stack:
-        subset, allowed = stack.pop()
-        checked += 1
-        if not separated(subset):
-            key = (len(subset), tuple(members[i].render() for i in subset))
-            if worst is None or key < worst:
-                worst = key
-        if cap is None or len(subset) < cap:
-            rest = allowed
-            picks = []
-            while rest:
-                low = rest & -rest
-                j = low.bit_length() - 1
-                rest ^= low
-                picks.append(j)
-            for j in reversed(picks):
-                stack.append((subset + [j], allowed & neighbors[j] >> (j + 1) << (j + 1)))
-
-    verdict = IndependenceVerdict(
-        property="Complete",
-        holds=worst is None,
-        subsets_checked=checked,
-        partial=partial,
-    )
-    if worst is not None:
+    failing = closed - set(analysis.member_masks.values())
+    verdict = IndependenceVerdict(property="Complete", holds=not failing, subsets_checked=len(closed))
+    if failing:
         verdict.counterexample = {
-            "strings": list(worst[1]),
+            "strings": _smallest_generator(members, compatible, domain, below, failing),
             "reason": "no base word includes exactly this compatible subset",
         }
     return verdict
+
+
+def _smallest_generator(members, compatible, domain, below, failing: set[int]) -> list[str]:
+    """Renders of the smallest compatible subset C, by (size, renders), whose closed set is failing.
+
+    C lies inside its own closed set, so only subsets of some failing set
+    are walked, one size at a time; each failing set generates itself, so
+    the search ends by the size of the smallest one.
+    """
+    renders = [g.render() for g in members]
+    for size in itertools.count(1):
+        found = []
+
+        def extend(chosen: list[int], mask: int, compat: int, dom: int) -> None:
+            if len(chosen) == size:
+                if below(compat, dom) in failing:
+                    found.append(tuple(renders[i] for i in chosen))
+                return
+            for j in range(chosen[-1] + 1 if chosen else 0, len(members)):
+                bigger = mask | 1 << j
+                if compat >> j & 1 and any(bigger & K == bigger for K in failing):
+                    extend(chosen + [j], bigger, compat & compatible[j], dom | domain[j])
+
+        extend([], 0, (1 << len(members)) - 1, 0)
+        if found:
+            return list(min(found))
 
 
 def completeness_of_subset(H, analysis: Analysis) -> bool:

@@ -19,9 +19,12 @@ cylinders and masks, and region logograms once, on first use; the checks in
 
 Cache files: "logogram-<fingerprint>.txt" with a JSON header line followed
 by one rendered string per line, reduced members flagged "R ", remaining
-members flagged ". ".  A fingerprint or version mismatch, or a body that
-disagrees with the header's reduced_count (or full_count, when the full set
-is stored), invalidates the file and the caller recomputes.
+members flagged ". ".  The header carries a sha256 of itself (without the
+digest) and the body lines; a missing or mismatched digest, a fingerprint or
+version mismatch, or a body that disagrees with the header's reduced_count
+(or full_count, when the full set is stored), invalidates the file and the
+caller recomputes.  Files are written to a temporary name and renamed into
+place, so a reader never sees a partial write.
 """
 
 from __future__ import annotations
@@ -29,7 +32,9 @@ from __future__ import annotations
 import itertools
 import json
 import multiprocessing
+import os
 import time
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from hashlib import sha256
@@ -420,7 +425,8 @@ def _parallel_collect(idx, sym_masks, powers, base, bad_mask, workers):
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(processes=workers) as pool:
             parts = pool.map(_subtree_worker, chunks)
-    except (ValueError, OSError):
+    except (ValueError, OSError) as exc:
+        warnings.warn(f"parallel logogram walk unavailable ({exc!r}); walking serially", RuntimeWarning)
         keys, _, expansion = _dfs_collect(sym_masks, powers, base, bad_mask, 0, 0, idx.all_mask)
         return keys, expansion
     finally:
@@ -583,6 +589,12 @@ def cache_file(cache_dir: str | Path, fingerprint: str) -> Path:
     return Path(cache_dir) / f"logogram-{fingerprint}.txt"
 
 
+def _cache_digest(header: dict, body: list[str]) -> str:
+    """sha256 over the canonical header (without its digest) and the body lines."""
+    text = json.dumps(header, sort_keys=True) + "\n" + "\n".join(body)
+    return sha256(text.encode()).hexdigest()
+
+
 def save_logogram_cache(result: LogogramResult, problem: DecisionProblem, cache_dir: str | Path) -> Path:
     fingerprint = problem_fingerprint(problem, result.positions)
     header = {
@@ -596,15 +608,21 @@ def save_logogram_cache(result: LogogramResult, problem: DecisionProblem, cache_
         "full_stored": result.full is not None,
         "reduced_count": len(result.reduced),
     }
-    lines = [json.dumps(header, sort_keys=True)]
     reduced_sorted = sorted(result.reduced, key=lambda g: (g.size, g.render()))
-    lines.extend("R " + g.render() for g in reduced_sorted)
+    body = ["R " + g.render() for g in reduced_sorted]
     if result.full is not None:
         extras = sorted(result.full - result.reduced, key=lambda g: (g.size, g.render()))
-        lines.extend(". " + g.render() for g in extras)
+        body.extend(". " + g.render() for g in extras)
+    header["sha256"] = _cache_digest(header, body)
     path = cache_file(cache_dir, fingerprint)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # a reader sees the old file or the whole new one, never a partial write
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text("\n".join([json.dumps(header, sort_keys=True), *body]) + "\n", encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return path
 
 
@@ -622,6 +640,8 @@ def load_logogram_cache(
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
         header = json.loads(lines[0])
+        if not isinstance(header, dict) or header.pop("sha256", None) != _cache_digest(header, lines[1:]):
+            return None
         if header.get("schema") != 1 or header.get("problem") != fingerprint or header.get("tool") != __version__:
             return None
         if tuple(header.get("positions", ())) != positions:

@@ -143,11 +143,11 @@ def test_criterion_4_sat_structure(batteries):
         if not strong_independence(analysis).holds:
             problems.append(f"({n},{m}): strong independence fails")
 
-        complete = complete_independence(analysis, 4, echelon=spec)
+        complete = complete_independence(analysis)
         if not complete.holds:
             problems.append(f"({n},{m}): complete independence fails: {complete.counterexample}")
-        if (n, m) in EXHAUSTIVE_ECHELONS and complete.partial:
-            problems.append(f"({n},{m}): expected exhaustive subset check")
+        if complete.partial:
+            problems.append(f"({n},{m}): expected an exact complete-independence verdict")
 
         if not irreducible(analysis):
             problems.append(f"({n},{m}): reduced logogram not irreducible")

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from strtool.cli import constituents_by_intersection, toy_wizard_problem
+from strtool.cli import constituents_by_intersection, random_problem, toy_wizard_problem
 from strtool.independence import (
     EventFamily,
     IMPROPER_WITNESS,
@@ -25,10 +27,10 @@ from strtool.independence import (
     wizard_cover_report,
 )
 from strtool import logogram
-from strtool.languages import BINARY, FiniteLanguage, sigma_exact
+from strtool.languages import BINARY, TERNARY, FiniteLanguage, sigma_exact
 from strtool.logogram import Analysis, DecisionProblem
 from strtool.sat import EchelonSpec, enumerate_echelon, selection_strings, string_entries
-from strtool.strings import PartialString
+from strtool.strings import PartialString, join_all, word_includes
 
 
 def ps(text, alphabet=BINARY):
@@ -238,42 +240,105 @@ class TestSeparator:
             construct_separator([string_entries(EchelonSpec(2, 2), [(2, 2, "1")])], spec)
 
 
+def compatible_subsets(members):
+    """Every nonempty pairwise-compatible subset, as ascending index lists (plain clique walk)."""
+    stack = [[i] for i in range(len(members) - 1, -1, -1)]
+    while stack:
+        subset = stack.pop()
+        yield subset
+        for j in range(len(members) - 1, subset[-1], -1):
+            if all(members[i].compatible(members[j]) for i in subset):
+                stack.append(subset + [j])
+
+
+def closed_set(members, subset):
+    """J(C): the members lying below the join of the subset."""
+    joined = join_all([members[i] for i in subset])
+    return frozenset(i for i, g in enumerate(members) if g <= joined)
+
+
+def complete_oracle(analysis):
+    """(holds, counterexample strings) by enumerating every compatible subset and scanning every word."""
+    members = analysis.members
+    masks = [sum(1 << i for i, g in enumerate(members) if word_includes(w, g)) for w in analysis.problem.base.words]
+    worst = None
+    for subset in compatible_subsets(members):
+        need = sum(1 << i for i in subset)
+        allowed = sum(1 << i for i in closed_set(members, subset))
+        if not any(mask & need == need and not (mask & ~allowed) for mask in masks):
+            key = (len(subset), tuple(members[i].render() for i in subset))
+            worst = key if worst is None or key < worst else worst
+    return worst is None, None if worst is None else list(worst[1])
+
+
 class TestComplete:
     def test_small_echelons_exhaustive(self):
         for n, m in ((1, 1), (2, 1), (1, 2), (2, 2)):
             problem, result, analysis = echelon_with_result(n, m)
-            verdict = complete_independence(analysis, 4, echelon=EchelonSpec(n, m))
+            verdict = complete_independence(analysis)
             assert verdict.holds and not verdict.partial
 
     def test_generic_search_without_echelon_shortcut(self):
         problem, result, analysis = echelon_with_result(2, 1)
-        verdict = complete_independence(analysis, 4)
+        verdict = complete_independence(analysis)
         assert verdict.holds and not verdict.partial
 
     def test_entangled_problem_fails(self):
-        verdict = complete_independence(Analysis(entangled_problem()), 4)
+        verdict = complete_independence(Analysis(entangled_problem()))
         assert not verdict.holds
         # no word contains position-1 "1" without also containing position-3 "1"
         assert verdict.counterexample["strings"] == ["1"]
 
-    def test_budget_cap_marks_partial(self):
-        problem, result, analysis = echelon_with_result(2, 2)
-        verdict = complete_independence(analysis, 2,
-                                        echelon=EchelonSpec(2, 2), subset_budget=10)
-        assert verdict.partial
-        assert verdict.holds  # everything it did check still separates
-
     def test_subset_count_matches_brute_force(self):
-        problem, result, analysis = echelon_with_result(2, 1)
-        import itertools as it
-        members = sorted(result.reduced, key=lambda g: (g.size, g.render()))
-        expected = 0
-        for r in range(1, len(members) + 1):
-            for combo in it.combinations(members, r):
-                if all(a.compatible(b) for a, b in it.combinations(combo, 2)):
-                    expected += 1
-        verdict = complete_independence(analysis, 4, echelon=EchelonSpec(2, 1))
-        assert verdict.subsets_checked == expected
+        for (n, m), expected in (((2, 1), 8), ((2, 2), 44)):
+            problem, result, analysis = echelon_with_result(n, m)
+            members = analysis.members
+            distinct = {closed_set(members, subset) for subset in compatible_subsets(members)}
+            assert len(distinct) == expected
+            assert complete_independence(analysis).subsets_checked == expected
+
+    def test_agrees_with_subset_enumeration_on_random_problems(self):
+        rng = random.Random(20261017)
+        failing_sizes = []
+        for trial in range(2000):
+            alphabet = BINARY if trial % 2 else TERNARY
+            if trial % 4 < 2:  # fixed word length
+                pool = sorted(sigma_exact(alphabet, rng.randint(2, 4)).words)
+                base = lang(rng.sample(pool, rng.randint(1, min(len(pool), 24))), alphabet)
+            else:  # mixed word lengths
+                base = random_problem(rng, alphabet, max_len=4, max_words=24).base
+            target = lang([w for w in sorted(base.words) if rng.random() < 0.5], alphabet)
+            analysis = Analysis(DecisionProblem(base, target))
+            verdict = complete_independence(analysis)
+            holds, counterexample = complete_oracle(analysis)
+            assert verdict.holds == holds, (sorted(base.words), sorted(target.words))
+            assert (verdict.counterexample or {}).get("strings") == counterexample
+            assert not verdict.partial
+            if not holds:
+                failing_sizes.append(len(counterexample))
+        assert 200 < len(failing_sizes) < 1800  # both verdicts are well represented
+        assert sum(size > 1 for size in failing_sizes) > 20  # and not only singleton failures
+
+    def test_separator_realises_every_closed_set(self):
+        for n, m in ((2, 2), (3, 2), (2, 3)):
+            spec = EchelonSpec(n, m)
+            problem, result, analysis = echelon_with_result(n, m)
+            members = analysis.members
+            closed = {closed_set(members, [i]) for i in range(len(members))}
+            frontier = list(closed)
+            while frontier:
+                K = frontier.pop()
+                for j in range(len(members)):
+                    if j not in K and all(members[i].compatible(members[j]) for i in K):
+                        bigger = closed_set(members, sorted(K | {j}))
+                        if bigger not in closed:
+                            closed.add(bigger)
+                            frontier.append(bigger)
+            assert len(closed) == complete_independence(analysis).subsets_checked
+            for K in closed:
+                word = construct_separator((join_all([members[i] for i in K]),), spec)
+                assert word in problem.base.words
+                assert analysis.member_masks[word] == sum(1 << i for i in K)
 
 
 class TestCompletenessAndIrreducibility:

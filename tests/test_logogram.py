@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from strtool.logogram import (
     ProblemIndex,
     auto_positions,
     cover_of,
+    _cache_digest,
     load_logogram_cache,
     log_abs,
     log_rel,
@@ -31,6 +33,7 @@ from strtool.logogram import (
     verify_logogram_expansion,
 )
 from strtool.cli import random_problem
+from strtool.sat import EchelonSpec, enumerate_echelon
 from strtool.strings import PartialString, reduce_strings
 
 
@@ -143,6 +146,20 @@ class TestLogRel:
         assert serial.full == parallel.full
         assert serial.reduced == parallel.reduced
 
+    def test_fork_failure_falls_back_to_serial_with_a_warning(self, monkeypatch):
+        problem = enumerate_echelon(EchelonSpec(2, 3))
+        serial = log_rel(problem)
+        assert serial.candidate_space_size >= 4096  # large enough to take the parallel path
+
+        def refuse(method):
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(multiprocessing, "get_context", refuse)
+        with pytest.warns(RuntimeWarning, match="fork refused"):
+            fallback = log_rel(problem, workers=2)
+        assert fallback.reduced == serial.reduced
+        assert fallback.full_count == serial.full_count
+
 
 class TestNaiveOracle:
     def test_agrees_on_seeded_problems(self):
@@ -252,15 +269,22 @@ class TestCache:
         assert loaded.full == result.full
         assert loaded.candidate_space_size == result.candidate_space_size
 
+    @staticmethod
+    def rewrite_header(path, edit):
+        """Apply edit to the header and sign it again, so only the edited field is wrong."""
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        header.pop("sha256")
+        edit(header)
+        header["sha256"] = _cache_digest(header, lines[1:])
+        lines[0] = json.dumps(header, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+
     def test_mismatched_fingerprint_forces_recompute(self, tmp_path):
         problem = DecisionProblem(sigma_exact(BINARY, 2), lang(["10", "11"]))
         result = log_rel(problem)
         path = save_logogram_cache(result, problem, tmp_path)
-        header = json.loads(path.read_text().splitlines()[0])
-        header["problem"] = "0" * 24
-        lines = path.read_text().splitlines()
-        lines[0] = json.dumps(header, sort_keys=True)
-        path.write_text("\n".join(lines) + "\n")
+        self.rewrite_header(path, lambda header: header.update(problem="0" * 24))
         assert load_logogram_cache(problem, tmp_path, result.positions) is None
 
     def test_corrupted_body_forces_recompute(self, tmp_path):
@@ -274,12 +298,47 @@ class TestCache:
         problem = DecisionProblem(sigma_exact(BINARY, 2), lang(["10", "11"]))
         result = log_rel(problem)
         path = save_logogram_cache(result, problem, tmp_path)
+        self.rewrite_header(path, lambda header: header.pop("reduced_count"))
+        assert load_logogram_cache(problem, tmp_path, result.positions) is None
+
+    def test_header_without_digest_forces_recompute(self, tmp_path):
+        problem = DecisionProblem(sigma_exact(BINARY, 2), lang(["10", "11"]))
+        result = log_rel(problem)
+        path = save_logogram_cache(result, problem, tmp_path)
         lines = path.read_text().splitlines()
         header = json.loads(lines[0])
-        assert header.pop("reduced_count") == len(result.reduced)
+        header.pop("sha256")
         lines[0] = json.dumps(header, sort_keys=True)
         path.write_text("\n".join(lines) + "\n")
         assert load_logogram_cache(problem, tmp_path, result.positions) is None
+
+    @pytest.mark.parametrize("header", ["[1]", "0", "null"])
+    def test_non_object_header_forces_recompute(self, tmp_path, header):
+        problem = DecisionProblem(sigma_exact(BINARY, 2), lang(["10", "11"]))
+        result = log_rel(problem)
+        path = save_logogram_cache(result, problem, tmp_path)
+        path.write_text(header + "\n" + "".join(path.read_text().splitlines(keepends=True)[1:]))
+        assert load_logogram_cache(problem, tmp_path, result.positions) is None
+
+    @pytest.mark.parametrize("n, m, keep_full", [(2, 2, False), (2, 1, True)])
+    def test_truncated_or_flipped_file_is_never_a_wrong_hit(self, tmp_path, n, m, keep_full):
+        spec = EchelonSpec(n, m)
+        problem = enumerate_echelon(spec)
+        cold = log_rel(problem, candidate_positions=spec.body_positions, keep_full=keep_full)
+        path = save_logogram_cache(cold, problem, tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temporary file left behind
+        data = path.read_bytes()
+        damaged = [data[:cut] for cut in range(len(data))]
+        damaged += [data[:i] + bytes([data[i] ^ 1]) + data[i + 1:] for i in range(len(data))]
+
+        def seen(result):
+            return (result.full, result.reduced, result.full_count, result.candidate_space_size,
+                    result.positions, result.restricted)
+
+        for blob in damaged:
+            path.write_bytes(blob)
+            loaded = load_logogram_cache(problem, tmp_path, cold.positions)
+            assert loaded is None or seen(loaded) == seen(cold), blob
 
     def test_fingerprint_depends_on_problem(self):
         E = sigma_exact(BINARY, 2)
