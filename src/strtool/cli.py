@@ -499,9 +499,11 @@ def cmd_logogram(args: argparse.Namespace) -> tuple[VerificationReport, int]:
             raise BudgetExceeded(f"echelon ({args.n},{args.m}) candidates", space, args.budget)
         problem = enumerate_echelon(spec, budget=args.word_budget)
         positions = spec.body_positions
+        index = None
     elif args.base_file and args.target_file:
         problem = _load_problem_files(args.base_file, args.target_file, args.region_file)
-        positions = auto_positions(ProblemIndex(problem.base))
+        index = ProblemIndex(problem.base)
+        positions = auto_positions(index)
     else:
         raise ValueError("need either --n/--m or --base-file/--target-file")
 
@@ -517,6 +519,7 @@ def cmd_logogram(args: argparse.Namespace) -> tuple[VerificationReport, int]:
             budget=args.budget,
             keep_full=False if args.reduced else None,
             workers=workers,
+            index=index,
         )
         if not args.no_cache:
             save_logogram_cache(result, problem, args.cache_dir)

@@ -283,6 +283,9 @@ def load_language(path: str | Path) -> FiniteLanguage:
             continue
         if alphabet is None:
             raise ValueError(f"{path}: missing 'alphabet=' header before first word")
+        for c in line:
+            if c not in alphabet:
+                raise ValueError(f"{path}:{lineno}: word {line!r} uses symbol {c!r} outside {alphabet!r}")
         words.append(line)
     if alphabet is None:
         raise ValueError(f"{path}: missing 'alphabet=' header")

@@ -7,11 +7,14 @@ closure of F within E; the reduced logogram keeps its minimal elements.
 Engine layout: E is indexed once into per-(position, symbol) bitmasks over
 the word list, so a candidate's relative cylinder is an AND of masks.
 Candidates are walked position by position, pruning any branch whose
-cylinder is already empty, then minimal elements are extracted in a second
-pass ordered by domain size.  A deliberately plain enumerator
-(`log_rel_naive`) re-derives the same sets by scanning every candidate
-against every word with no index, no restriction and no pruning; it is the
-correctness oracle for the engine.
+cylinder is already empty, into one set of qualifying integer keys (digit j
+of a key is the symbol code at the j-th candidate position, 0 = undefined).
+Every string between a qualifying string and a qualifying extension of it
+qualifies too, so a key is minimal iff none of its one-entry deletions is
+in the set; only the keys that are reported are decoded into strings.  A
+deliberately plain enumerator (`log_rel_naive`) re-derives the same sets by
+scanning every candidate against every word with no index, no restriction
+and no pruning; it is the correctness oracle for the engine.
 
 An `Analysis` wraps one problem and computes its index, logogram, member
 cylinders and masks, and region logograms once, on first use; the checks in
@@ -201,43 +204,40 @@ class LogogramResult:
     candidate_space_size: int
     positions: tuple[int, ...]
     restricted: bool
-    expansion: FiniteLanguage
     elapsed: float
 
     def sorted_reduced(self) -> list[PartialString]:
         return sorted(self.reduced, key=lambda g: (g.size, g.render()))
 
 
-def _dfs_collect(sym_masks, powers, base, bad_mask, depth, key0, mask0):
-    """Enumerate all candidates below a partial assignment; return qualifying keys, count, expansion."""
-    keys: list[int] = []
-    expansion = 0
-    positions_left = len(sym_masks)
-    sink = keys.append
+def _dfs_collect(sym_masks, powers, bad_mask, depth, key0, mask0) -> set[int]:
+    """Keys of the qualifying candidates below a partial assignment (mask0 nonempty).
 
-    def rec(j: int, key: int, mask: int) -> None:
-        nonlocal expansion
-        if j == positions_left:
-            if mask and not (mask & bad_mask):
-                sink(key)
-                expansion |= mask
-            return
-        rec(j + 1, key, mask)
+    A candidate qualifies when its cylinder is nonempty and holds no bad word.
+    """
+    keys: set[int] = set()
+    npos = len(sym_masks)
+    stack = [(depth, key0, mask0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        j, key, mask = pop()
+        if j == npos:
+            if not mask & bad_mask:
+                keys.add(key)
+            continue
+        push((j + 1, key, mask))
         mult = powers[j]
-        row = sym_masks[j]
-        for si in range(base - 1):
-            m2 = mask & row[si]
+        for d, row in enumerate(sym_masks[j], 1):
+            m2 = mask & row
             if m2:
-                rec(j + 1, key + (si + 1) * mult, m2)
-
-    rec(depth, key0, mask0)
-    return keys, len(keys), expansion
+                push((j + 1, key + d * mult, m2))
+    return keys
 
 
 _FORK_STATE: dict | None = None
 
 
-def _subtree_worker(prefix_digits):
+def _subtree_worker(prefix_digits) -> set[int]:
     st = _FORK_STATE
     mask = st["all_mask"]
     key = 0
@@ -246,45 +246,28 @@ def _subtree_worker(prefix_digits):
             mask &= st["sym_masks"][j][d - 1]
         key += d * st["powers"][j]
     if not mask:
-        return [], 0, 0
-    return _dfs_collect(st["sym_masks"], st["powers"], st["base"], st["bad_mask"], len(prefix_digits), key, mask)
+        return set()
+    return _dfs_collect(st["sym_masks"], st["powers"], st["bad_mask"], len(prefix_digits), key, mask)
 
 
-def _minimal_key_indices(keys, digit_rows, npos, nsym):
-    """Indices of minimal candidates, given per-key digit tuples (0 = undefined)."""
-    order = sorted(range(len(keys)), key=lambda i: (sum(1 for d in digit_rows[i] if d), digit_rows[i]))
-    undef = [0] * npos
-    by_code = [[0] * nsym for _ in range(npos)]
-    accepted_bits = 0
-    minimal: list[int] = []
-    for i in order:
-        digits = digit_rows[i]
-        incl = accepted_bits
-        for j in range(npos):
-            d = digits[j]
-            incl &= undef[j] if d == 0 else (undef[j] | by_code[j][d - 1])
-            if not incl:
+def _minimal_keys(keys: set[int], powers, base: int) -> list[int]:
+    """The qualifying keys none of whose one-entry deletions qualifies.
+
+    Every candidate between a qualifying string and a qualifying extension of
+    it qualifies too, so a key with a smaller qualifying key also has a
+    qualifying one-entry deletion.
+    """
+    minimal = []
+    for key in keys:
+        rest, j = key, 0
+        while rest:
+            rest, d = divmod(rest, base)
+            if d and key - d * powers[j] in keys:
                 break
-        if incl:
-            continue
-        bit = 1 << len(minimal)
-        for j in range(npos):
-            d = digits[j]
-            if d == 0:
-                undef[j] |= bit
-            else:
-                by_code[j][d - 1] |= bit
-        accepted_bits |= bit
-        minimal.append(i)
+            j += 1
+        else:
+            minimal.append(key)
     return minimal
-
-
-def _key_digits(key: int, npos: int, base: int) -> tuple[int, ...]:
-    digits = []
-    for _ in range(npos):
-        key, d = divmod(key, base)
-        digits.append(d)
-    return tuple(digits)
 
 
 def auto_positions(index: ProblemIndex) -> tuple[int, ...]:
@@ -380,32 +363,28 @@ def _logogram_over(
     bad_mask = idx.all_mask & ~target_mask
 
     if workers > 1 and space >= 4096:
-        keys, expansion = _parallel_collect(idx, sym_masks, powers, base, bad_mask, workers)
+        keys = _parallel_collect(idx, sym_masks, powers, base, bad_mask, workers)
     else:
-        keys, _, expansion = _dfs_collect(sym_masks, powers, base, bad_mask, 0, 0, idx.all_mask)
+        keys = _dfs_collect(sym_masks, powers, bad_mask, 0, 0, idx.all_mask)
 
-    digit_rows = [_key_digits(k, npos, base) for k in keys]
-    minimal_idx = _minimal_key_indices(keys, digit_rows, npos, len(symbols))
+    def to_string(key: int) -> PartialString:
+        entries = []
+        for p in positions:
+            key, d = divmod(key, base)
+            if d:
+                entries.append((p, symbols[d - 1]))
+        return PartialString(idx.alphabet, tuple(entries))
 
-    def to_string(digits) -> PartialString:
-        return PartialString(
-            idx.alphabet,
-            tuple((positions[j], symbols[d - 1]) for j, d in enumerate(digits) if d),
-        )
-
-    reduced = frozenset(to_string(digit_rows[i]) for i in minimal_idx)
     full_count = len(keys)
     if keep_full is None:
         keep_full = full_count <= FULL_KEEP_LIMIT
-    full = frozenset(to_string(row) for row in digit_rows) if keep_full else None
     return LogogramResult(
-        full=full,
-        reduced=reduced,
+        full=frozenset(map(to_string, keys)) if keep_full else None,
+        reduced=frozenset(map(to_string, _minimal_keys(keys, powers, base))),
         full_count=full_count,
         candidate_space_size=space,
         positions=positions,
         restricted=restricted,
-        expansion=idx.mask_language(expansion),
         elapsed=time.perf_counter() - start,
     )
 
@@ -417,7 +396,6 @@ def _parallel_collect(idx, sym_masks, powers, base, bad_mask, workers):
     _FORK_STATE = {
         "sym_masks": sym_masks,
         "powers": powers,
-        "base": base,
         "bad_mask": bad_mask,
         "all_mask": idx.all_mask,
     }
@@ -427,16 +405,10 @@ def _parallel_collect(idx, sym_masks, powers, base, bad_mask, workers):
             parts = pool.map(_subtree_worker, chunks)
     except (ValueError, OSError) as exc:
         warnings.warn(f"parallel logogram walk unavailable ({exc!r}); walking serially", RuntimeWarning)
-        keys, _, expansion = _dfs_collect(sym_masks, powers, base, bad_mask, 0, 0, idx.all_mask)
-        return keys, expansion
+        return _dfs_collect(sym_masks, powers, bad_mask, 0, 0, idx.all_mask)
     finally:
         _FORK_STATE = None
-    keys: list[int] = []
-    expansion = 0
-    for part_keys, _, part_exp in parts:
-        keys.extend(part_keys)
-        expansion |= part_exp
-    return keys, expansion
+    return set().union(*parts)
 
 
 def log_rel_naive(problem: DecisionProblem, candidate_positions=None, budget: int = 4 ** 9):
@@ -544,14 +516,15 @@ def verify_logogram_expansion(analysis: Analysis | DecisionProblem) -> bool:
     """True iff expanding the logogram (full and reduced) inside E recovers the prefix closure of F.
 
     The expansions are recomputed by scanning the base words, independently
-    of the index masks the engine used.
+    of the index masks the engine used.  The full set is scanned only when
+    it is stored; otherwise its expansion is the reduced set's, since every
+    member of the full set extends a reduced one.
     """
     if isinstance(analysis, DecisionProblem):
         analysis = Analysis(analysis)
     problem, result = analysis.problem, analysis.logogram
     target = analysis.index.mask_language(analysis.target_mask)
-    exp_full = expand_in(result.full, problem.base) if result.full is not None else result.expansion
-    if exp_full != target:
+    if result.full is not None and expand_in(result.full, problem.base) != target:
         return False
     return expand_in(result.reduced, problem.base) == target
 
@@ -667,7 +640,6 @@ def load_logogram_cache(
             candidate_space_size=header.get("candidate_space_size", 0),
             positions=positions,
             restricted=bool(header.get("restricted")),
-            expansion=expand_in(reduced, problem.base),
             elapsed=time.perf_counter() - start,
         )
     except (ValueError, KeyError, IndexError, json.JSONDecodeError):

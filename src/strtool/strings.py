@@ -98,7 +98,8 @@ class PartialString:
             if not isinstance(pos, int) or pos < 1:
                 raise ValueError(f"positions must be integers >= 1, got {pos!r}")
             if pos <= last:
-                raise ValueError("entries must be sorted by strictly increasing position")
+                raise ValueError(f"repeated position {pos}" if pos == last
+                                 else "entries must be sorted by strictly increasing position")
             if sym not in symbols:
                 raise ValueError(f"symbol {sym!r} not in {self.alphabet!r}")
             last = pos

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from strtool.cli import main
+from strtool.logogram import ProblemIndex
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -65,6 +66,34 @@ class TestLogogramCommand:
         assert main(["logogram", "--base-file", str(base), "--target-file", str(target),
                      "--cache-dir", str(tmp_path)]) == 2
         assert f"{base}:3" in capsys.readouterr().err
+
+    def test_word_outside_alphabet_is_exit_2(self, capsys, tmp_path):
+        base = tmp_path / "base.lang"
+        base.write_text("alphabet=01\n00\n02\n")
+        target = tmp_path / "target.lang"
+        target.write_text("alphabet=01\n00\n")
+        assert main(["logogram", "--base-file", str(base), "--target-file", str(target),
+                     "--cache-dir", str(tmp_path)]) == 2
+        assert f"{base}:3" in capsys.readouterr().err
+
+    def test_problem_files_build_one_index(self, capsys, tmp_path, monkeypatch):
+        built = []
+        init = ProblemIndex.__init__
+
+        def counting_init(self, base):
+            built.append(base)
+            init(self, base)
+
+        monkeypatch.setattr(ProblemIndex, "__init__", counting_init)
+        base = tmp_path / "base.lang"
+        base.write_text("alphabet=01\n000\n001\n010\n011\n")
+        target = tmp_path / "target.lang"
+        target.write_text("alphabet=01\n011\n")
+        code, report = run_json(capsys, "logogram", "--base-file", str(base),
+                                "--target-file", str(target), "--reduced", "--no-cache")
+        assert code == 0
+        assert report["result"]["reduced"] == ["_11"]
+        assert len(built) == 1
 
     def test_budget_error_is_exit_2(self, capsys):
         assert main(["logogram", "--n", "4", "--m", "4"]) == 2
@@ -143,6 +172,10 @@ class TestClassifyCommand:
 
     def test_malformed_string_is_usage_error(self, capsys):
         assert main(["classify", "--n", "1", "--m", "1", "--string", "__x_1"]) == 2
+
+    def test_repeated_sparse_position_is_usage_error(self, capsys):
+        assert main(["classify", "--n", "1", "--m", "1", "--string", "5:1,5:2"]) == 2
+        assert "repeated position 5" in capsys.readouterr().err
 
     def test_sparse_rendering_accepted(self, capsys):
         code, report = run_json(capsys, "classify", "--n", "1", "--m", "1", "--string", "5:2")

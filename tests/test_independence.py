@@ -395,7 +395,6 @@ class TestShape:
             candidate_space_size=4,
             positions=(5,),
             restricted=True,
-            expansion=problem.base,
             elapsed=0.0,
         )
         report = sat_shape_report(EchelonSpec(1, 1), fake)

@@ -143,6 +143,12 @@ class TestLanguageFiles:
         with pytest.raises(ValueError):
             load_language(path)
 
+    def test_word_outside_alphabet_names_file_and_line(self, tmp_path):
+        path = tmp_path / "stray.lang"
+        path.write_text("alphabet=01\n01\n02\n")
+        with pytest.raises(ValueError, match=f"{path}:3: word '02' uses symbol '2' outside"):
+            load_language(path)
+
     def test_repeated_header(self, tmp_path):
         path = tmp_path / "twice.lang"
         path.write_text("alphabet=01\n0\nalphabet=012\n2\n")

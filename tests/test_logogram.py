@@ -1,3 +1,5 @@
+import dataclasses
+import gc
 import json
 import multiprocessing
 import random
@@ -160,6 +162,18 @@ class TestLogRel:
         assert fallback.reduced == serial.reduced
         assert fallback.full_count == serial.full_count
 
+    def test_walks_leave_no_reference_cycles(self):
+        problem = enumerate_echelon(EchelonSpec(2, 2))
+        gc.collect()
+        gc.disable()
+        try:
+            log_rel(problem)
+            assert gc.collect() == 0
+            Analysis(problem).region_logograms
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 class TestNaiveOracle:
     def test_agrees_on_seeded_problems(self):
@@ -239,6 +253,17 @@ class TestExpansionIdentity:
         for i in range(60):
             problem = random_problem(rng, (BINARY, TERNARY)[i % 2], max_len=rng.randint(1, 5))
             assert verify_logogram_expansion(problem)
+
+    def test_reduced_set_decides_when_full_set_is_not_stored(self):
+        problem = enumerate_echelon(EchelonSpec(2, 2))
+        analysis = Analysis(problem)
+        result = log_rel(problem, keep_full=False)
+        assert result.full is None
+        analysis.logogram = result
+        assert verify_logogram_expansion(analysis)
+        dropped = min(result.reduced, key=lambda g: (g.size, g.render()))
+        analysis.logogram = dataclasses.replace(result, reduced=result.reduced - {dropped})
+        assert not verify_logogram_expansion(analysis)
 
 
 class TestCover:

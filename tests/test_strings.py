@@ -79,6 +79,8 @@ class TestConstruction:
         assert ps("-") == PartialString.bottom(TERNARY)
         with pytest.raises(ValueError):
             ps("a:1")
+        with pytest.raises(ValueError, match="repeated position 5"):
+            ps("5:1,5:2")
 
     def test_parse_is_lenient_about_trailing_blanks(self):
         assert ps("1__") == ps("1")
