@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -45,6 +46,8 @@ class FiniteLanguage:
     words: frozenset[str]
 
     def __post_init__(self) -> None:
+        if set("".join(self.words)) <= set(self.alphabet.symbols):
+            return  # one pass over all symbols; the loop below only names the offender
         for w in self.words:
             for c in w:
                 if c not in self.alphabet:
@@ -120,14 +123,27 @@ def is_full_slice(L: FiniteLanguage, cap: int) -> bool:
 
 
 def expand_in(H: Iterable[PartialString], L: FiniteLanguage) -> FiniteLanguage:
-    """Words of L that include at least one member of H."""
+    """Words of L that include at least one member of H.
+
+    Members are grouped by domain (their tuple of positions) into sets of
+    symbol projections, so each word is projected once per distinct domain
+    and looked up, instead of being tested against every member.
+    """
     members = list(H)
     for g in members:
         if g.alphabet != L.alphabet:
             raise AlphabetMismatch(f"string alphabet {g.alphabet!r} differs from language {L.alphabet!r}")
-    if not members:
-        return FiniteLanguage.empty(L.alphabet)
-    return FiniteLanguage(L.alphabet, frozenset(w for w in L.words if any(word_includes(w, g) for g in members)))
+    projections: dict[tuple[int, ...], set] = {}
+    for g in members:
+        if not g.entries:
+            return L  # the empty string is included in every word
+        entries = dict((pos - 1, sym) for pos, sym in g.entries)
+        projections.setdefault(tuple(entries), set()).add(itemgetter(*entries)(entries))
+    rest = set(L.words)
+    for domain, projs in projections.items():
+        need, project = domain[-1] + 1, itemgetter(*domain)
+        rest -= {w for w in rest if len(w) >= need and project(w) in projs}
+    return FiniteLanguage(L.alphabet, L.words - rest)
 
 
 def cylindrify(A: FiniteLanguage, L: FiniteLanguage) -> FiniteLanguage:

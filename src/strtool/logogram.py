@@ -79,7 +79,12 @@ class DecisionProblem:
 
 
 class ProblemIndex:
-    """Per-(position, symbol) bitmask index over the words of a base language."""
+    """Per-(position, symbol) bitmask index over the words of a base language.
+
+    Bit k of every mask stands for words[k] (sorted by length, then text);
+    `ordinal` maps each word to its k.  Masks are built as little-endian
+    byte rows and converted once, so no per-word integer is kept.
+    """
 
     def __init__(self, base: FiniteLanguage):
         if not base.words:
@@ -87,14 +92,21 @@ class ProblemIndex:
         self.language = base
         self.alphabet = base.alphabet
         self.words = tuple(sorted(base.words, key=lambda w: (len(w), w)))
-        self.bit = {w: 1 << i for i, w in enumerate(self.words)}
+        self.ordinal = {w: k for k, w in enumerate(self.words)}
         self.all_mask = (1 << len(self.words)) - 1
         self.max_len = len(self.words[-1])
-        self.pos_masks: list[dict[str, int]] = [dict() for _ in range(self.max_len)]
-        for w, b in self.bit.items():
+        rows: list[dict[str, bytearray]] = [dict() for _ in range(self.max_len)]
+        self.row_bytes = (len(self.words) + 7) >> 3
+        for k, w in enumerate(self.words):
+            byte, bit = k >> 3, 1 << (k & 7)
             for i, c in enumerate(w):
-                masks = self.pos_masks[i]
-                masks[c] = masks.get(c, 0) | b
+                row = rows[i].get(c)
+                if row is None:
+                    row = rows[i][c] = bytearray(self.row_bytes)
+                row[byte] |= bit
+        self.pos_masks: list[dict[str, int]] = [
+            {c: int.from_bytes(row, "little") for c, row in by_symbol.items()} for by_symbol in rows
+        ]
         by_lex = sorted(base.words)
         self.prefix_free = not any(
             by_lex[i + 1].startswith(by_lex[i]) for i in range(len(by_lex) - 1)
@@ -106,10 +118,11 @@ class ProblemIndex:
         self.shared_prefix_len = shared if len(self.words) > 1 else 0
 
     def word_mask(self, words) -> int:
-        mask = 0
+        row = bytearray(self.row_bytes)
         for w in words:
-            mask |= self.bit[w]
-        return mask
+            k = self.ordinal[w]
+            row[k >> 3] |= 1 << (k & 7)
+        return int.from_bytes(row, "little")
 
     def cylinder_mask(self, g: PartialString) -> int:
         mask = self.all_mask
@@ -122,7 +135,8 @@ class ProblemIndex:
         return mask
 
     def mask_language(self, mask: int) -> FiniteLanguage:
-        return FiniteLanguage.of(self.alphabet, (w for w in self.words if self.bit[w] & mask))
+        bits = bin(mask)[:1:-1]  # bits[k] is bit k of the mask
+        return FiniteLanguage.of(self.alphabet, (w for w, b in zip(self.words, bits) if b == "1"))
 
     def target_mask(self, target: FiniteLanguage) -> int:
         """Mask of the prefix closure of the target within the base (the target itself when prefix-free)."""

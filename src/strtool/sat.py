@@ -7,6 +7,12 @@ one block per clause; code 0 means the variable is absent from the clause,
 word position (n + m + 2) + (j - 1) * n + i.  All encoded words form a
 prefix-free language, one echelon per (n, m).
 
+Labelling: bit j of an assignment mask stands for solutions(n)[j].  Each
+of the 3**n clause blocks has one mask, the assignments making that clause
+true; a word's satisfying assignments are the AND of its m block masks, so
+`enumerate_echelon` labels the target and the regions without decoding a
+word.  `decode` and `satisfies` are the per-formula forms of the same facts.
+
 Literals are nonzero signed integers (DIMACS style): +i for the plain
 variable, -i for its negation.  The CLI formula grammar separates clauses
 with ';' and literals with ',': "1,3,-4;2,-3".
@@ -154,31 +160,45 @@ def decode(word: str) -> CnfInstance:
     return CnfInstance(n, m, tuple(clauses))
 
 
+def _clause_masks(n: int) -> list[tuple[str, int]]:
+    """Every clause block of n codes with its assignment mask: bit j set when solutions(n)[j] makes it true."""
+    ys = solutions(n)
+    full = (1 << len(ys)) - 1
+    literal = []  # per variable: code -> mask of the assignments making that literal true
+    for i in range(n):
+        plain = sum(1 << j for j, y in enumerate(ys) if y[i])
+        literal.append({"0": 0, "1": plain, "2": full ^ plain})
+    blocks = []
+    for codes in itertools.product(SAT_ALPHABET.symbols, repeat=n):
+        mask = 0
+        for i, code in enumerate(codes):
+            mask |= literal[i][code]
+        blocks.append(("".join(codes), mask))
+    return blocks
+
+
 def enumerate_echelon(spec: EchelonSpec, budget: int = DEFAULT_WORD_BUDGET) -> DecisionProblem:
-    """The full echelon: all encoded words, the satisfiable ones, and one region per assignment."""
+    """The full echelon: all encoded words, the satisfiable ones, and one region per assignment.
+
+    A word's satisfying assignments are the AND of its clause blocks' masks
+    (`_clause_masks`): it is in the target when the AND is nonzero and in
+    region j when bit j is set.
+    """
     count = 3 ** (spec.n * spec.m)
     if count > budget:
         raise BudgetExceeded(f"echelon ({spec.n},{spec.m}) enumeration", count, budget)
-    ys = solutions(spec.n)
-    words = []
-    region_words: list[list[str]] = [[] for _ in ys]
-    sat_words = []
-    for body in itertools.product(SAT_ALPHABET.symbols, repeat=spec.n * spec.m):
-        word = spec.prefix + "".join(body)
-        words.append(word)
-        inst = decode(word)
-        satisfiable = False
-        for j, y in enumerate(ys):
-            if satisfies(inst, y):
-                region_words[j].append(word)
-                satisfiable = True
-        if satisfiable:
-            sat_words.append(word)
+    blocks = _clause_masks(spec.n)
+    labelled = [(spec.prefix, (1 << 2 ** spec.n) - 1)]
+    for _ in range(spec.m):
+        labelled = [(word + body, mask & block) for word, mask in labelled for body, block in blocks]
     alphabet = SAT_ALPHABET
     return DecisionProblem(
-        base=FiniteLanguage.of(alphabet, words),
-        target=FiniteLanguage.of(alphabet, sat_words),
-        regions=tuple(FiniteLanguage.of(alphabet, ws) for ws in region_words),
+        base=FiniteLanguage.of(alphabet, (word for word, _ in labelled)),
+        target=FiniteLanguage.of(alphabet, (word for word, mask in labelled if mask)),
+        regions=tuple(
+            FiniteLanguage.of(alphabet, (word for word, mask in labelled if mask >> j & 1))
+            for j in range(2 ** spec.n)
+        ),
     )
 
 

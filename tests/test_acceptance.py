@@ -5,13 +5,16 @@ per-criterion lines.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import strtool
 from strtool.cli import _oracle_agrees, random_problem, toy_wizard_problem
 from strtool.independence import (
     IMPROPER_WITNESS,
@@ -220,8 +223,10 @@ def test_criterion_8_wizard_union_cover():
 def test_criterion_9_byte_stable_reports():
     cmd = [sys.executable, "-m", "strtool", "verify", "--suite", "all",
            "--samples", "60", "--seed", "11", "--format", "json"]
-    first = subprocess.run(cmd, capture_output=True, check=False)
-    second = subprocess.run(cmd, capture_output=True, check=False)
+    src = str(Path(strtool.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    first = subprocess.run(cmd, capture_output=True, check=False, env=env)
+    second = subprocess.run(cmd, capture_output=True, check=False, env=env)
     ok = first.stdout == second.stdout and first.returncode == second.returncode == 0
     payload = json.loads(first.stdout) if ok else {}
     criterion(9, ok, f"two seeded runs byte-identical ({len(first.stdout)} bytes, "

@@ -14,12 +14,13 @@ from strtool.languages import (
     load_language,
     occurs_in,
     random_language,
+    random_string_set,
     save_language,
     sigma_exact,
     sigma_upto,
     strings_of,
 )
-from strtool.strings import AlphabetMismatch, PartialString
+from strtool.strings import AlphabetMismatch, PartialString, word_includes
 
 
 def ps(text, alphabet=BINARY):
@@ -56,6 +57,26 @@ class TestExpandIn:
     def test_alphabet_mismatch(self):
         with pytest.raises(AlphabetMismatch):
             expand_in({ps("1", TERNARY)}, sigma_exact(BINARY, 2))
+
+    def test_agrees_with_word_includes_scan(self):
+        rng = random.Random(5)
+        seen = {"empty": 0, "shared domain": 0, "past a word's end": 0}
+        for i in range(600):
+            alphabet = (BINARY, TERNARY)[i % 2]
+            L = random_language(rng, alphabet, cap=6, max_words=30)
+            H = set(random_string_set(rng, alphabet, cap=8, max_size=6))
+            for g in list(H):
+                if g.entries and rng.random() < 0.5:
+                    H.add(PartialString.of(alphabet, [(p, rng.choice(alphabet.symbols)) for p, _ in g.entries]))
+            if rng.random() < 0.1:
+                H.add(PartialString.bottom(alphabet))
+            domains = [tuple(p for p, _ in g.entries) for g in H]
+            seen["empty"] += () in domains
+            seen["shared domain"] += len(set(domains)) < len(domains)
+            seen["past a word's end"] += any(g.size > len(w) for g in H for w in L.words)
+            expected = {w for w in L.words if any(word_includes(w, g) for g in H)}
+            assert expand_in(H, L).words == expected
+        assert min(seen.values()) > 20, seen
 
 
 class TestCylindrify:

@@ -13,6 +13,7 @@ from strtool.languages import (
     TERNARY,
     cylindrify,
     expand_in,
+    random_language,
     random_string_set,
     sigma_exact,
     sigma_upto,
@@ -76,6 +77,25 @@ class TestProblemIndex:
         assert idx.cylinder_mask(PartialString.bottom(BINARY)) == idx.all_mask
         assert bin(idx.cylinder_mask(ps("1"))).count("1") == 2
         assert idx.cylinder_mask(PartialString.of(BINARY, {5: "1"})) == 0
+
+    def test_masks_agree_with_per_word_bits(self):
+        rng = random.Random(9)
+        for i in range(300):
+            alphabet = (BINARY, TERNARY)[i % 2]
+            L = random_language(rng, alphabet, cap=7, max_words=40)
+            if not L.words:
+                continue
+            idx = ProblemIndex(L)
+            bit = {w: 1 << k for k, w in enumerate(idx.words)}
+            for pos in range(1, idx.max_len + 1):
+                for sym in alphabet.symbols:
+                    expected = sum(b for w, b in bit.items() if len(w) >= pos and w[pos - 1] == sym)
+                    assert idx.pos_masks[pos - 1].get(sym, 0) == expected
+            subset = [w for w in idx.words if rng.random() < 0.5]
+            mask = sum(bit[w] for w in subset)
+            assert idx.word_mask(subset) == mask
+            assert idx.mask_language(mask).words == frozenset(subset)
+            assert idx.mask_language(idx.all_mask).words == L.words
 
 
 class TestLogRel:

@@ -40,6 +40,24 @@ def random_instance(rng: random.Random, max_n: int = 4, max_m: int = 3) -> CnfIn
     return CnfInstance.of(n, clauses)
 
 
+def label_by_assignment(spec: EchelonSpec):
+    """Per-assignment labelling: decode every word and test it under each assignment (oracle)."""
+    ys = solutions(spec.n)
+    words, sat_words, region_words = [], [], [[] for _ in ys]
+    for body in itertools.product("012", repeat=spec.n * spec.m):
+        word = spec.prefix + "".join(body)
+        words.append(word)
+        inst = decode(word)
+        satisfiable = False
+        for j, y in enumerate(ys):
+            if satisfies(inst, y):
+                region_words[j].append(word)
+                satisfiable = True
+        if satisfiable:
+            sat_words.append(word)
+    return frozenset(words), frozenset(sat_words), [frozenset(ws) for ws in region_words]
+
+
 class TestInstance:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -138,6 +156,15 @@ class TestEchelons:
         for j, region in enumerate(problem.regions):
             y = solutions(2)[j]
             assert region.words == {w for w in problem.base.words if satisfies(decode(w), y)}
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (1, 2), (3, 1), (2, 2), (3, 2), (2, 3), (4, 1)])
+    def test_labelling_matches_per_assignment_oracle(self, n, m):
+        spec = EchelonSpec(n, m)
+        problem = enumerate_echelon(spec)
+        base, target, regions = label_by_assignment(spec)
+        assert problem.base.words == base
+        assert problem.target.words == target
+        assert [r.words for r in problem.regions] == regions
 
     def test_prefix_free(self):
         for spec in (EchelonSpec(1, 1), EchelonSpec(2, 1), EchelonSpec(2, 2)):
