@@ -1,0 +1,49 @@
+"""Guard digests: run fixed strtool commands and print one line per command.
+
+Each line holds the exit code, the first 16 hex digits of the sha256 of the
+command's stdout, and its argv.  Run it on two checkouts and diff the
+outputs to show that a change leaves every report byte-identical:
+
+    python3 scripts/guard.py > before.txt    # in the old checkout
+    python3 scripts/guard.py > after.txt     # in the new one
+    diff before.txt after.txt
+
+strtool is imported from the `src` directory next to this script.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+COMMANDS = (
+    ("verify", "--suite", "all"),
+    ("verify", "--suite", "all", "--samples", "60", "--seed", "11"),
+    ("verify", "--suite", "sat", "--n", "3", "--m", "3", "--threads", "1"),
+    ("verify", "--suite", "regions", "--n", "4", "--m", "2", "--ignore-bewitched", "--threads", "1"),
+    ("verify", "--suite", "wizards", "--n", "4", "--m", "2", "--threads", "1"),
+    ("logogram", "--n", "3", "--m", "3", "--reduced", "--no-cache", "--threads", "1"),
+    ("logogram", "--n", "3", "--m", "2", "--no-cache", "--threads", "1"),
+    ("classify", "--n", "2", "--m", "2", "--string", "0010001120"),
+)
+
+
+def main() -> int:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    for command in COMMANDS:
+        argv = [*command, "--format", "json"]
+        proc = subprocess.run([sys.executable, "-m", "strtool", *argv], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+        digest = hashlib.sha256(proc.stdout).hexdigest()[:16]
+        print(proc.returncode, digest, " ".join(argv), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -154,13 +154,8 @@ def timed(checks: list[CheckResult], check: CheckResult, started: float) -> None
 
 def toy_wizard_problem() -> DecisionProblem:
     """Four binary words of length two; the target misses "00" and splits into singleton regions."""
-    E = sigma_exact(BINARY, 2)
-    targets = ["01", "10", "11"]
-    return DecisionProblem(
-        base=E,
-        target=FiniteLanguage.of(BINARY, targets),
-        regions=tuple(FiniteLanguage.of(BINARY, [w]) for w in targets),
-    )
+    labels = {"01": 1, "10": 2, "11": 4}
+    return DecisionProblem(base=sigma_exact(BINARY, 2), target=FiniteLanguage.of(BINARY, labels), labels=labels)
 
 
 def random_problem(rng: random.Random, alphabet, max_len: int, max_words: int = 16) -> DecisionProblem:
@@ -483,13 +478,6 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / TOOL_NAME
 
 
-def _load_problem_files(base_file: str, target_file: str, region_files: list[str]) -> DecisionProblem:
-    base = load_language(base_file)
-    target = load_language(target_file)
-    regions = tuple(load_language(f) for f in region_files) or None
-    return DecisionProblem(base=base, target=target, regions=regions)
-
-
 def cmd_logogram(args: argparse.Namespace) -> tuple[VerificationReport, int]:
     workers = args.threads
     if args.n is not None and args.m is not None:
@@ -501,7 +489,7 @@ def cmd_logogram(args: argparse.Namespace) -> tuple[VerificationReport, int]:
         positions = spec.body_positions
         index = None
     elif args.base_file and args.target_file:
-        problem = _load_problem_files(args.base_file, args.target_file, args.region_file)
+        problem = DecisionProblem(base=load_language(args.base_file), target=load_language(args.target_file))
         index = ProblemIndex(problem.base)
         positions = auto_positions(index)
     else:
@@ -599,7 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_log.add_argument("--m", type=int)
     p_log.add_argument("--base-file")
     p_log.add_argument("--target-file")
-    p_log.add_argument("--region-file", action="append", default=[])
     p_log.add_argument("--reduced", "--reduced-only", dest="reduced", action="store_true",
                        help="print the reduced strings and skip storing the full set")
     p_log.add_argument("--cache-dir", type=Path, default=default_cache_dir())

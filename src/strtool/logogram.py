@@ -17,8 +17,8 @@ scanning every candidate against every word with no index, no restriction
 and no pruning; it is the correctness oracle for the engine.
 
 An `Analysis` wraps one problem and computes its index, logogram, member
-cylinders and masks, and region logograms once, on first use; the checks in
-`strtool.independence` take one.
+cylinders and masks, region masks (from the labels) and region logograms
+once, on first use; the checks in `strtool.independence` take one.
 
 Cache files: "logogram-<fingerprint>.txt" with a JSON header line followed
 by one rendered string per line, reduced members flagged "R ", remaining
@@ -38,9 +38,11 @@ import multiprocessing
 import os
 import time
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from hashlib import sha256
+from operator import itemgetter
 from pathlib import Path
 
 from . import __version__
@@ -53,24 +55,26 @@ FULL_KEEP_LIMIT = 50_000
 
 @dataclass(frozen=True)
 class DecisionProblem:
-    """A base language E, a target F inside it, and optional solution regions covering F."""
+    """A base language E, a target F inside it, and optional solution regions covering F.
+
+    Regions are labels: bit j of labels[w] means that target word w lies in region j, so
+    there are max(labels.values()).bit_length() regions.  Every target word carries a nonzero
+    label and no other word carries one; a region language is built only where one is walked.
+    """
 
     base: FiniteLanguage
     target: FiniteLanguage
-    regions: tuple[FiniteLanguage, ...] | None = None
+    labels: dict[str, int] | None = None
 
     def __post_init__(self) -> None:
         if self.base.alphabet != self.target.alphabet:
             raise AlphabetMismatch("base and target use different alphabets")
         if not self.target.issubset(self.base):
             raise ValueError("target must be a subset of the base language")
-        if self.regions is not None:
-            covered: frozenset[str] = frozenset()
-            for region in self.regions:
-                if not region.issubset(self.target):
-                    raise ValueError("every region must be a subset of the target")
-                covered |= region.words
-            if covered != self.target.words:
+        if self.labels is not None:
+            if not self.labels.keys() <= self.target.words:
+                raise ValueError("every region must be a subset of the target")
+            if self.labels.keys() != self.target.words or not all(self.labels.values()):
                 raise ValueError("regions must cover the target exactly")
 
     @property
@@ -82,8 +86,9 @@ class ProblemIndex:
     """Per-(position, symbol) bitmask index over the words of a base language.
 
     Bit k of every mask stands for words[k] (sorted by length, then text);
-    `ordinal` maps each word to its k.  Masks are built as little-endian
-    byte rows and converted once, so no per-word integer is kept.
+    `ordinal` maps each word to its k.  The words longer than position i
+    form a suffix of the list, so each position's masks come from one
+    column string of that suffix, one translate to binary digits per symbol.
     """
 
     def __init__(self, base: FiniteLanguage):
@@ -91,23 +96,22 @@ class ProblemIndex:
             raise ValueError("cannot index an empty base language")
         self.language = base
         self.alphabet = base.alphabet
-        self.words = tuple(sorted(base.words, key=lambda w: (len(w), w)))
+        by_lex = sorted(base.words)
+        self.words = tuple(sorted(by_lex, key=len))  # stable: by length, then text
         self.ordinal = {w: k for k, w in enumerate(self.words)}
         self.all_mask = (1 << len(self.words)) - 1
         self.max_len = len(self.words[-1])
-        rows: list[dict[str, bytearray]] = [dict() for _ in range(self.max_len)]
         self.row_bytes = (len(self.words) + 7) >> 3
-        for k, w in enumerate(self.words):
-            byte, bit = k >> 3, 1 << (k & 7)
-            for i, c in enumerate(w):
-                row = rows[i].get(c)
-                if row is None:
-                    row = rows[i][c] = bytearray(self.row_bytes)
-                row[byte] |= bit
-        self.pos_masks: list[dict[str, int]] = [
-            {c: int.from_bytes(row, "little") for c, row in by_symbol.items()} for by_symbol in rows
-        ]
-        by_lex = sorted(base.words)
+        zeros = dict.fromkeys(map(ord, self.alphabet.symbols), "0")
+        tables = {c: str.maketrans({**zeros, ord(c): "1"}) for c in self.alphabet.symbols}
+        self.pos_masks: list[dict[str, int]] = []
+        for i in range(self.max_len):
+            start = bisect_right(self.words, i, key=len)  # the words longer than i form a suffix
+            column = "".join(map(itemgetter(i), self.words[start:]))
+            self.pos_masks.append({
+                c: int(column.translate(table)[::-1], 2) << start
+                for c, table in tables.items() if c in column
+            })
         self.prefix_free = not any(
             by_lex[i + 1].startswith(by_lex[i]) for i in range(len(by_lex) - 1)
         )
@@ -178,15 +182,24 @@ class Analysis:
     def target_mask(self) -> int:
         return self.index.target_mask(self.problem.target)
 
-    @property
-    def regions(self) -> tuple[FiniteLanguage, ...]:
-        if self.problem.regions is None:
-            raise ValueError("problem has no solution regions")
-        return self.problem.regions
-
     @cached_property
     def region_masks(self) -> list[int]:
-        return [self.index.word_mask(r.words) for r in self.regions]
+        """Mask j holds the words whose label has bit j set.
+
+        The labels are written out as binary digits, last word first, so one region's digits,
+        a strided slice, read as its mask; 64 regions at a time bound the string's memory.
+        """
+        labels = self.problem.labels
+        if labels is None:
+            raise ValueError("problem has no solution regions")
+        count = max(labels.values(), default=0).bit_length()
+        order = [labels.get(w, 0) for w in reversed(self.index.words)]
+        masks = []
+        for low in range(0, count, 64):
+            width = min(64, count - low)
+            digits = "".join([format(label >> low & (1 << width) - 1, f"0{width}b") for label in order])
+            masks.extend(int(digits[width - 1 - j::width], 2) for j in range(width))
+        return masks
 
     @cached_property
     def member_masks(self) -> dict[str, int]:
@@ -204,9 +217,9 @@ class Analysis:
     def region_logograms(self) -> list[frozenset[PartialString]]:
         """The reduced logogram of each region within the base, one walk per region."""
         return [
-            log_rel(DecisionProblem(self.problem.base, region), index=self.index, budget=self.budget,
-                    workers=self.workers, keep_full=False).reduced
-            for region in self.regions
+            log_rel(DecisionProblem(self.problem.base, self.index.mask_language(mask)), index=self.index,
+                    budget=self.budget, workers=self.workers, keep_full=False).reduced
+            for mask in self.region_masks
         ]
 
 

@@ -10,8 +10,11 @@ prefix-free language, one echelon per (n, m).
 Labelling: bit j of an assignment mask stands for solutions(n)[j].  Each
 of the 3**n clause blocks has one mask, the assignments making that clause
 true; a word's satisfying assignments are the AND of its m block masks, so
-`enumerate_echelon` labels the target and the regions without decoding a
-word.  `decode` and `satisfies` are the per-formula forms of the same facts.
+`enumerate_echelon` labels words without decoding them.  The nonzero masks
+are the problem's region labels: the target is the labelled words, and
+region j (the formulas satisfied by assignment j) is the words whose label
+has bit j set.  `decode` and `satisfies` are the per-formula forms of the
+same facts.
 
 Literals are nonzero signed integers (DIMACS style): +i for the plain
 variable, -i for its negation.  The CLI formula grammar separates clauses
@@ -178,11 +181,11 @@ def _clause_masks(n: int) -> list[tuple[str, int]]:
 
 
 def enumerate_echelon(spec: EchelonSpec, budget: int = DEFAULT_WORD_BUDGET) -> DecisionProblem:
-    """The full echelon: all encoded words, the satisfiable ones, and one region per assignment.
+    """The full echelon: all encoded words, the satisfiable ones, and their region labels.
 
-    A word's satisfying assignments are the AND of its clause blocks' masks
-    (`_clause_masks`): it is in the target when the AND is nonzero and in
-    region j when bit j is set.
+    A word's label is the AND of its clause blocks' masks (`_clause_masks`):
+    bit j is set when assignment j satisfies the formula.  The target is the
+    words with a nonzero label, and only they are labelled.
     """
     count = 3 ** (spec.n * spec.m)
     if count > budget:
@@ -191,14 +194,11 @@ def enumerate_echelon(spec: EchelonSpec, budget: int = DEFAULT_WORD_BUDGET) -> D
     labelled = [(spec.prefix, (1 << 2 ** spec.n) - 1)]
     for _ in range(spec.m):
         labelled = [(word + body, mask & block) for word, mask in labelled for body, block in blocks]
-    alphabet = SAT_ALPHABET
+    labels = {word: mask for word, mask in labelled if mask}
     return DecisionProblem(
-        base=FiniteLanguage.of(alphabet, (word for word, _ in labelled)),
-        target=FiniteLanguage.of(alphabet, (word for word, mask in labelled if mask)),
-        regions=tuple(
-            FiniteLanguage.of(alphabet, (word for word, mask in labelled if mask >> j & 1))
-            for j in range(2 ** spec.n)
-        ),
+        base=FiniteLanguage.of(SAT_ALPHABET, (word for word, _ in labelled)),
+        target=FiniteLanguage.of(SAT_ALPHABET, labels),
+        labels=labels,
     )
 
 

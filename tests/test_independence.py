@@ -76,7 +76,9 @@ class TestAnalysis:
         assert wizard_cover_report(analysis).wizard_count == 2
         region_relations(analysis, ignore_bewitched=False)
         assert len(indexes) == 1
-        assert walks == [toy.target, *toy.regions]  # the problem's walk, then one per region
+        regions = [lang(w for w, label in toy.labels.items() if label >> j & 1)
+                   for j in range(max(toy.labels.values()).bit_length())]
+        assert walks == [toy.target, *regions]  # the problem's walk, then one per region
 
 
 class TestEntanglement:

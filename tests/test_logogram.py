@@ -60,8 +60,24 @@ class TestDecisionProblem:
     def test_regions_must_cover(self):
         E = sigma_exact(BINARY, 1)
         with pytest.raises(ValueError):
-            DecisionProblem(base=E, target=E, regions=(lang(["0"]),))
-        DecisionProblem(base=E, target=E, regions=(lang(["0"]), lang(["1"])))
+            DecisionProblem(base=E, target=E, labels={"0": 1})  # "1" lies in no region
+        with pytest.raises(ValueError, match="cover"):
+            DecisionProblem(base=E, target=E, labels={"0": 1, "1": 0})  # a zero label
+        with pytest.raises(ValueError, match="subset"):
+            DecisionProblem(base=E, target=lang(["0"]), labels={"0": 1, "1": 2})  # "1" is not a target word
+        with pytest.raises(ValueError, match="cover"):
+            DecisionProblem(base=E, target=E, labels={"1": 2})  # the target word "0" is unlabelled
+        DecisionProblem(base=E, target=E, labels={"0": 1, "1": 2})
+
+    def test_region_masks_transpose_labels(self):
+        rng = random.Random(4)
+        E = sigma_exact(BINARY, 8)
+        for count in (1, 63, 64, 65, 130):  # region masks are built 64 regions at a time
+            labels = {w: rng.randrange(1, 1 << count) for w in sorted(E.words) if rng.random() < 0.7}
+            labels[min(labels)] |= 1 << count - 1  # the last region is nonempty
+            analysis = Analysis(DecisionProblem(E, lang(labels), labels))
+            regions = [[w for w, label in labels.items() if label >> j & 1] for j in range(count)]
+            assert analysis.region_masks == [analysis.index.word_mask(r) for r in regions]
 
 
 class TestProblemIndex:

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from strtool.languages import BudgetExceeded
-from strtool.logogram import ProblemIndex
+from strtool.languages import BudgetExceeded, FiniteLanguage
+from strtool.logogram import Analysis, ProblemIndex
 from strtool.sat import (
     CnfInstance,
     EchelonSpec,
@@ -56,6 +56,13 @@ def label_by_assignment(spec: EchelonSpec):
         if satisfiable:
             sat_words.append(word)
     return frozenset(words), frozenset(sat_words), [frozenset(ws) for ws in region_words]
+
+
+def regions_of(problem):
+    """The region word sets a problem's labels stand for: region j holds the words whose label has bit j."""
+    labels = problem.labels
+    return [frozenset(w for w, l in labels.items() if l >> j & 1)
+            for j in range(max(labels.values()).bit_length())]
 
 
 class TestInstance:
@@ -147,15 +154,15 @@ class TestEchelons:
         assert len(p11.base) == 3 and len(p11.target) == 2
         p21 = enumerate_echelon(EchelonSpec(2, 1))
         assert len(p21.base) == 9 and len(p21.target) == 8
-        assert len(p11.regions) == 2 and len(p21.regions) == 4
+        assert len(regions_of(p11)) == 2 and len(regions_of(p21)) == 4
 
     def test_regions_recompose_target(self):
         problem = enumerate_echelon(EchelonSpec(2, 2))
-        union = frozenset().union(*(r.words for r in problem.regions))
+        union = frozenset().union(*regions_of(problem))
         assert union == problem.target.words
-        for j, region in enumerate(problem.regions):
+        for j, region in enumerate(regions_of(problem)):
             y = solutions(2)[j]
-            assert region.words == {w for w in problem.base.words if satisfies(decode(w), y)}
+            assert region == {w for w in problem.base.words if satisfies(decode(w), y)}
 
     @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (1, 2), (3, 1), (2, 2), (3, 2), (2, 3), (4, 1)])
     def test_labelling_matches_per_assignment_oracle(self, n, m):
@@ -164,7 +171,22 @@ class TestEchelons:
         base, target, regions = label_by_assignment(spec)
         assert problem.base.words == base
         assert problem.target.words == target
-        assert [r.words for r in problem.regions] == regions
+        assert regions_of(problem) == regions
+        analysis = Analysis(problem)
+        assert analysis.region_masks == [analysis.index.word_mask(r) for r in regions]
+
+    def test_builds_only_base_and_target(self, monkeypatch):
+        built = []
+        real_post_init = FiniteLanguage.__post_init__
+
+        def counting_post_init(language):
+            built.append(language)
+            real_post_init(language)
+
+        monkeypatch.setattr(FiniteLanguage, "__post_init__", counting_post_init)
+        problem = enumerate_echelon(EchelonSpec(2, 2))
+        assert len(built) == 2
+        assert built[0] is problem.base and built[1] is problem.target
 
     def test_prefix_free(self):
         for spec in (EchelonSpec(1, 1), EchelonSpec(2, 1), EchelonSpec(2, 2)):
