@@ -30,6 +30,8 @@ COMMANDS = (
     ("logogram", "--n", "3", "--m", "3", "--reduced", "--no-cache", "--threads", "1"),
     ("logogram", "--n", "3", "--m", "2", "--no-cache", "--threads", "1"),
     ("classify", "--n", "2", "--m", "2", "--string", "0010001120"),
+    ("verify", "--suite", "sat", "--n", "2", "--m", "3", "--threads", "2"),
+    ("logogram", "--n", "2", "--m", "4", "--no-cache", "--threads", "2"),
 )
 
 

@@ -6,12 +6,14 @@ closure of F within E; the reduced logogram keeps its minimal elements.
 
 Engine layout: E is indexed once into per-(position, symbol) bitmasks over
 the word list, so a candidate's relative cylinder is an AND of masks.
-Candidates are walked position by position, pruning any branch whose
-cylinder is already empty, into one set of qualifying integer keys (digit j
-of a key is the symbol code at the j-th candidate position, 0 = undefined).
-Every string between a qualifying string and a qualifying extension of it
-qualifies too, so a key is minimal iff none of its one-entry deletions is
-in the set; only the keys that are reported are decoded into strings.  A
+Candidates are integer keys (digit j of a key is the symbol code at the j-th
+candidate position, 0 = undefined).  A chain walk reaches each candidate with
+a nonempty cylinder once, from its last-entry deletion, and collects one set
+of qualifying keys plus the stops: the qualifying keys whose last-entry
+deletion does not qualify.  Every string between a qualifying string and a
+qualifying extension of it qualifies too, so a key is minimal iff none of its
+one-entry deletions is in the set, and only stops can be minimal; only the
+keys that are reported are decoded into strings.  A
 deliberately plain enumerator (`log_rel_naive`) re-derives the same sets by
 scanning every candidate against every word with no index, no restriction
 and no pruning; it is the correctness oracle for the engine.
@@ -237,55 +239,83 @@ class LogogramResult:
         return sorted(self.reduced, key=lambda g: (g.size, g.render()))
 
 
-def _dfs_collect(sym_masks, powers, bad_mask, depth, key0, mask0) -> set[int]:
-    """Keys of the qualifying candidates below a partial assignment (mask0 nonempty).
+def _chain_walk(sym_masks, powers, bad_mask, first, key0, mask0, parent_ok) -> tuple[set[int], list[int]]:
+    """Keys of the qualifying candidates at and below a chain root, and the stop keys among them.
 
     A candidate qualifies when its cylinder is nonempty and holds no bad word.
+    The root's entries at positions >= first are undefined and its mask is
+    nonempty; parent_ok says whether its last-entry deletion qualifies.  Each
+    candidate is reached once, from that deletion, its generating parent: a
+    stack entry is extended at each later position, and the extensions at the
+    last position are tested inline instead of pushed.  A candidate whose
+    parent qualifies qualifies too (its cylinder is smaller and nonempty), so
+    only the others are tested against bad_mask.  A stop is a qualifying key
+    whose generating parent does not qualify; the stops list holds the same
+    int objects as the key set.
     """
     keys: set[int] = set()
+    stops: list[int] = []
     npos = len(sym_masks)
-    stack = [(depth, key0, mask0)]
+    steps = [[(d * mult, row) for d, row in enumerate(rows, 1) if row] for rows, mult in zip(sym_masks, powers)]
+    last = steps.pop() if steps else []
+    # plan[j]: the extensions to push, (next j, key step, row) at positions j..npos-2,
+    # and those at position npos-1, tested inline
+    plan = [([(j2 + 1, step, row) for j2 in range(j, npos - 1) for step, row in steps[j2]], last if j < npos else [])
+            for j in range(npos + 1)]
+    add, stop = keys.add, stops.append
+    stack = [(first, key0, mask0, parent_ok)]
     pop, push = stack.pop, stack.append
     while stack:
-        j, key, mask = pop()
-        if j == npos:
-            if not mask & bad_mask:
-                keys.add(key)
-            continue
-        push((j + 1, key, mask))
-        mult = powers[j]
-        for d, row in enumerate(sym_masks[j], 1):
+        j, key, mask, parent_ok = pop()
+        ok = parent_ok or not mask & bad_mask
+        if ok:
+            add(key)
+            if not parent_ok:
+                stop(key)
+        pushed, inline = plan[j]
+        for j2, step, row in pushed:
             m2 = mask & row
             if m2:
-                push((j + 1, key + d * mult, m2))
-    return keys
+                push((j2, key + step, m2, ok))
+        for step, row in inline:
+            m2 = mask & row
+            if m2 and (ok or not m2 & bad_mask):
+                k2 = key + step
+                add(k2)
+                if not ok:
+                    stop(k2)
+    return keys, stops
 
 
 _FORK_STATE: dict | None = None
 
 
-def _subtree_worker(prefix_digits) -> set[int]:
+def _subtree_worker(prefix_digits) -> tuple[set[int], list[int]]:
+    """The chain walk over the candidates whose leading digits are prefix_digits."""
     st = _FORK_STATE
-    mask = st["all_mask"]
-    key = 0
+    bad_mask = st["bad_mask"]
+    mask, key = st["all_mask"], 0
+    parent_ok = False  # the empty candidate has no generating parent
     for j, d in enumerate(prefix_digits):
         if d:
+            parent_ok = not mask & bad_mask  # the cylinder without this entry, the parent if it is the last
             mask &= st["sym_masks"][j][d - 1]
-        key += d * st["powers"][j]
+            key += d * st["powers"][j]
     if not mask:
-        return set()
-    return _dfs_collect(st["sym_masks"], st["powers"], st["bad_mask"], len(prefix_digits), key, mask)
+        return set(), []
+    return _chain_walk(st["sym_masks"], st["powers"], bad_mask, len(prefix_digits), key, mask, parent_ok)
 
 
-def _minimal_keys(keys: set[int], powers, base: int) -> list[int]:
-    """The qualifying keys none of whose one-entry deletions qualifies.
+def _minimal_keys(keys: set[int], stops: list[int], powers, base: int) -> list[int]:
+    """The stop keys none of whose one-entry deletions qualifies.
 
     Every candidate between a qualifying string and a qualifying extension of
     it qualifies too, so a key with a smaller qualifying key also has a
-    qualifying one-entry deletion.
+    qualifying one-entry deletion.  A minimal key's last-entry deletion does
+    not qualify, so every minimal key is a stop.
     """
     minimal = []
-    for key in keys:
+    for key in stops:
         rest, j = key, 0
         while rest:
             rest, d = divmod(rest, base)
@@ -390,9 +420,9 @@ def _logogram_over(
     bad_mask = idx.all_mask & ~target_mask
 
     if workers > 1 and space >= 4096:
-        keys = _parallel_collect(idx, sym_masks, powers, base, bad_mask, workers)
+        keys, stops = _parallel_collect(idx, sym_masks, powers, base, bad_mask, workers)
     else:
-        keys = _dfs_collect(sym_masks, powers, bad_mask, 0, 0, idx.all_mask)
+        keys, stops = _chain_walk(sym_masks, powers, bad_mask, 0, 0, idx.all_mask, False)
 
     def to_string(key: int) -> PartialString:
         entries = []
@@ -407,7 +437,7 @@ def _logogram_over(
         keep_full = full_count <= FULL_KEEP_LIMIT
     return LogogramResult(
         full=frozenset(map(to_string, keys)) if keep_full else None,
-        reduced=frozenset(map(to_string, _minimal_keys(keys, powers, base))),
+        reduced=frozenset(map(to_string, _minimal_keys(keys, stops, powers, base))),
         full_count=full_count,
         candidate_space_size=space,
         positions=positions,
@@ -432,10 +462,10 @@ def _parallel_collect(idx, sym_masks, powers, base, bad_mask, workers):
             parts = pool.map(_subtree_worker, chunks)
     except (ValueError, OSError) as exc:
         warnings.warn(f"parallel logogram walk unavailable ({exc!r}); walking serially", RuntimeWarning)
-        return _dfs_collect(sym_masks, powers, bad_mask, 0, 0, idx.all_mask)
+        return _chain_walk(sym_masks, powers, bad_mask, 0, 0, idx.all_mask, False)
     finally:
         _FORK_STATE = None
-    return set().union(*parts)
+    return set().union(*(part_keys for part_keys, _ in parts)), [key for _, part_stops in parts for key in part_stops]
 
 
 def log_rel_naive(problem: DecisionProblem, candidate_positions=None, budget: int = 4 ** 9):

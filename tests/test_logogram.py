@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import itertools
 import json
 import multiprocessing
 import random
@@ -25,6 +26,7 @@ from strtool.logogram import (
     auto_positions,
     cover_of,
     _cache_digest,
+    _chain_walk,
     load_logogram_cache,
     log_abs,
     log_rel,
@@ -37,7 +39,7 @@ from strtool.logogram import (
 )
 from strtool.cli import random_problem
 from strtool.sat import EchelonSpec, enumerate_echelon
-from strtool.strings import PartialString, reduce_strings
+from strtool.strings import PartialString, reduce_strings, word_includes
 
 
 def ps(text, alphabet=BINARY):
@@ -178,11 +180,18 @@ class TestLogRel:
         assert auto.full < plain.full
 
     def test_workers_match_serial(self):
-        problem = DecisionProblem(sigma_exact(TERNARY, 4), lang(["0000", "0001", "0012"], TERNARY))
-        serial = log_rel(problem, keep_full=True)
-        parallel = log_rel(problem, keep_full=True, workers=2)
-        assert serial.full == parallel.full
-        assert serial.reduced == parallel.reduced
+        problems = [
+            enumerate_echelon(EchelonSpec(2, 3)),
+            enumerate_echelon(EchelonSpec(2, 4)),
+            random_problem(random.Random(17), TERNARY, max_len=6, max_words=40),  # mixed word lengths
+        ]
+        for problem in problems:
+            serial = log_rel(problem, keep_full=True)
+            assert serial.candidate_space_size >= 4096  # large enough to take the parallel path
+            parallel = log_rel(problem, keep_full=True, workers=2)
+            assert serial.full == parallel.full
+            assert serial.reduced == parallel.reduced
+            assert serial.full_count == parallel.full_count
 
     def test_fork_failure_falls_back_to_serial_with_a_warning(self, monkeypatch):
         problem = enumerate_echelon(EchelonSpec(2, 3))
@@ -209,6 +218,74 @@ class TestLogRel:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def walk(problem, positions):
+    """The chain walk's keys and stops over the given positions (digit j of a key is the symbol at positions[j])."""
+    idx = ProblemIndex(problem.base)
+    symbols = problem.alphabet.symbols
+    sym_masks = [[idx.pos_masks[p - 1].get(c, 0) if p <= idx.max_len else 0 for c in symbols] for p in positions]
+    powers = [(len(symbols) + 1) ** j for j in range(len(positions))]
+    bad_mask = idx.all_mask & ~idx.target_mask(problem.target)
+    return _chain_walk(sym_masks, powers, bad_mask, 0, 0, idx.all_mask, False)
+
+
+def brute_qualifying(problem, positions):
+    """Digit tuples of every candidate whose cylinder is nonempty and inside the target's closure."""
+    closure = cylindrify(problem.target, problem.base).words
+    symbols = problem.alphabet.symbols
+    out = set()
+    for digits in itertools.product(range(len(symbols) + 1), repeat=len(positions)):
+        g = PartialString(problem.alphabet, tuple((p, symbols[d - 1]) for p, d in zip(positions, digits) if d))
+        cyl = [w for w in problem.base.words if word_includes(w, g)]
+        if cyl and all(w in closure for w in cyl):
+            out.add(digits)
+    return out
+
+
+def last_entry_deletion(digits):
+    top = max((j for j, d in enumerate(digits) if d), default=None)
+    return None if top is None else digits[:top] + (0,) + digits[top + 1:]
+
+
+def chain_walk_cases():
+    """Seeded random problems with all or explicit positions, then fixed edge cases."""
+    rng = random.Random(23)
+    for i in range(24):
+        alphabet = (BINARY, TERNARY)[i % 2]
+        problem = random_problem(rng, alphabet, max_len=rng.randint(1, 4))
+        top = max(map(len, problem.base.words))
+        if i % 3 == 0:  # explicit positions, some past every word
+            yield problem, tuple(sorted(rng.sample(range(1, top + 3), min(top + 2, 4 if alphabet is BINARY else 3))))
+        else:
+            yield problem, tuple(range(1, top + 1))
+    base = lang(["", "1", "10", "011", "0110", "111"])
+    yield DecisionProblem(base, lang([])), (1, 2, 3, 4)
+    yield DecisionProblem(base, base), (1, 2, 3, 4)
+    yield DecisionProblem(base, lang(["10", "011"])), (2,)
+    yield DecisionProblem(base, lang(["10", "011"])), ()
+    yield DecisionProblem(base, base), ()
+    ternary = lang(["2", "20", "012", "1201", "22"], TERNARY)
+    yield DecisionProblem(ternary, lang(["012", "1201"], TERNARY)), (1, 2, 3, 4, 5)
+
+
+class TestChainWalk:
+    @pytest.mark.parametrize("problem,positions", list(chain_walk_cases()))
+    def test_against_brute_force_scan(self, problem, positions):
+        base = len(problem.alphabet.symbols) + 1
+
+        def key(digits):
+            return sum(d * base ** j for j, d in enumerate(digits))
+
+        keys, stops = walk(problem, positions)
+        qualifying = brute_qualifying(problem, positions)
+        assert keys == {key(t) for t in qualifying}
+        expected_stops = {key(t) for t in qualifying if last_entry_deletion(t) not in qualifying}
+        assert len(stops) == len(set(stops))  # each stop listed once
+        assert set(stops) == expected_stops
+        result = log_rel(problem, positions, keep_full=True)
+        assert result.full_count == len(qualifying)
+        assert result.reduced == reduce_strings(result.full)
 
 
 class TestNaiveOracle:
