@@ -32,6 +32,8 @@ COMMANDS = (
     ("classify", "--n", "2", "--m", "2", "--string", "0010001120"),
     ("verify", "--suite", "sat", "--n", "2", "--m", "3", "--threads", "2"),
     ("logogram", "--n", "2", "--m", "4", "--no-cache", "--threads", "2"),
+    ("verify", "--suite", "sat", "--n", "4", "--m", "2", "--threads", "1"),
+    ("verify", "--suite", "sat", "--n", "2", "--m", "5", "--threads", "1"),
 )
 
 

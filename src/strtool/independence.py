@@ -22,9 +22,11 @@ the last on finite problems:
 Complete independence is decided exactly, without enumerating subsets.  A
 word including a compatible subset C includes join(C), hence every member
 below the join; so C is separated iff some word's member mask equals that
-closed set J(C).  The check walks the distinct closed sets (10,934 on the
-(3,3) echelon, against 566,442 compatible subsets) and looks each one up
-among the words' member masks.
+closed set J(C).  The check walks the nonempty closed sets (10,934 on the
+(3,3) echelon, against 566,442 compatible subsets) by prefix-preserving
+closure extension, the canonical-parent scheme of LCM enumeration, which
+makes each closed set once; it looks each one up among the words' member
+masks as it is made.
 """
 
 from __future__ import annotations
@@ -210,40 +212,68 @@ def complete_independence(analysis: Analysis) -> IndependenceVerdict:
     J(C); so a word separates C (includes C and nothing the join does not
     subsume) iff its member mask equals J(C).  The property therefore holds
     iff every distinct closed set J(C) is some base word's member mask.
-    Closed sets are reached from the empty subset by joining one compatible
-    member at a time, with two bitset ANDs per step; subsets_checked counts
-    them.  The counterexample is the smallest failing C by (size, member
-    renders).
+
+    The walk starts from the root J(∅), the members with an empty domain,
+    and makes a closed set K by adding member `core` to its parent.  K is
+    extended only by compatible members j > core outside K, and the child
+    J(K + j) is kept iff it holds the same members below j as K.  Closed
+    sets are closed under intersection, so every one besides the root has
+    exactly one such parent and is made exactly once, with two bitset ANDs
+    per step and no record of the sets already made.  subsets_checked
+    counts the nonempty closed sets: the root counts only when it is
+    nonempty, which happens when ⊥ is a member.  The counterexample is the
+    smallest failing C by (size, member renders).
     """
     members = analysis.members
-    # compatible[i]: the members that can be joined to member i; domain[i]: its positions as bits
-    compatible = [sum(1 << j for j, h in enumerate(members) if g.compatible(h)) for g in members]
-    domain = [sum(1 << p for p, _ in g.entries) for g in members]
+    full = (1 << len(members)) - 1
+    # at_pos[p]: the members defined at position p; with_sym[p, s]: those holding symbol s there
+    at_pos: dict[int, int] = {}
+    with_sym: dict[tuple[int, str], int] = {}
+    for i, g in enumerate(members):
+        for p, sym in g.entries:
+            at_pos[p] = at_pos.get(p, 0) | 1 << i
+            with_sym[p, sym] = with_sym.get((p, sym), 0) | 1 << i
+    # compatible[i]: the members that can be joined to member i (no position holds another symbol)
+    compatible = []
+    for g in members:
+        clash = 0
+        for p, sym in g.entries:
+            clash |= at_pos[p] & ~with_sym[p, sym]
+        compatible.append(full & ~clash)
+    domain = [sum(1 << p for p, _ in g.entries) for g in members]  # positions as bits
     inside: dict[int, int] = {}  # domain bits -> members whose domain lies inside
 
     def below(compat: int, dom: int) -> int:
         """Members below the join with this compatible set and domain."""
         if dom not in inside:
-            inside[dom] = sum(1 << i for i, d in enumerate(domain) if not d & ~dom)
+            outside = 0
+            for p, held in at_pos.items():
+                if not dom >> p & 1:
+                    outside |= held
+            inside[dom] = full & ~outside
         return compat & inside[dom]
 
-    closed: set[int] = set()
-    work = [(0, (1 << len(members)) - 1, 0)]  # the empty subset, which every member extends
+    passing = set(analysis.member_masks.values())
+    failing: set[int] = set()
+    checked = 0
+    work = [(below(full, 0), full, 0, -1)]  # the root: the members with an empty domain
     while work:
-        K, compat, dom = work.pop()
-        rest = compat & ~K
+        K, compat, dom, core = work.pop()
+        if K:  # every child is nonempty; the root is when ⊥ is a member
+            checked += 1
+            if K not in passing:
+                failing.add(K)
+        rest = (compat & ~K) >> (core + 1) << (core + 1)  # the members j > core outside K
         while rest:
             low = rest & -rest
             rest ^= low
             j = low.bit_length() - 1
             compat2, dom2 = compat & compatible[j], dom | domain[j]
             K2 = below(compat2, dom2)
-            if K2 not in closed:
-                closed.add(K2)
-                work.append((K2, compat2, dom2))
+            if K2 & (low - 1) == K & (low - 1):
+                work.append((K2, compat2, dom2, j))
 
-    failing = closed - set(analysis.member_masks.values())
-    verdict = IndependenceVerdict(property="Complete", holds=not failing, subsets_checked=len(closed))
+    verdict = IndependenceVerdict(property="Complete", holds=not failing, subsets_checked=checked)
     if failing:
         verdict.counterexample = {
             "strings": _smallest_generator(members, compatible, domain, below, failing),

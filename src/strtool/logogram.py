@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import multiprocessing
 import os
 import time
 import warnings
@@ -447,6 +446,8 @@ def _logogram_over(
 
 
 def _parallel_collect(idx, sym_masks, powers, base, bad_mask, workers):
+    import multiprocessing  # only parallel walks need it, so importing strtool stays light
+
     global _FORK_STATE
     depth = min(2, len(sym_masks))
     chunks = list(itertools.product(range(base), repeat=depth))

@@ -1,9 +1,13 @@
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import strtool
 from strtool.cli import main
 from strtool.logogram import ProblemIndex
 
@@ -192,3 +196,12 @@ def test_benchmark_traced_names_exist():
     missing = [f"{home.__name__}.{name}" for home, names in child.TRACED.values()
                for name in names if not callable(getattr(home, name, None))]
     assert child.TRACED and not missing
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    """Only a parallel logogram walk imports multiprocessing; importing the CLI does not."""
+    src = str(Path(strtool.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, strtool.cli; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert proc.stdout.strip() == "False"

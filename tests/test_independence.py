@@ -260,17 +260,20 @@ def closed_set(members, subset):
 
 
 def complete_oracle(analysis):
-    """(holds, counterexample strings) by enumerating every compatible subset and scanning every word."""
+    """(holds, counterexample strings, distinct closed sets) by enumerating every compatible subset and scanning every word."""
     members = analysis.members
     masks = [sum(1 << i for i, g in enumerate(members) if word_includes(w, g)) for w in analysis.problem.base.words]
     worst = None
+    distinct = set()
     for subset in compatible_subsets(members):
+        closed = closed_set(members, subset)
+        distinct.add(closed)
         need = sum(1 << i for i in subset)
-        allowed = sum(1 << i for i in closed_set(members, subset))
+        allowed = sum(1 << i for i in closed)
         if not any(mask & need == need and not (mask & ~allowed) for mask in masks):
             key = (len(subset), tuple(members[i].render() for i in subset))
             worst = key if worst is None or key < worst else worst
-    return worst is None, None if worst is None else list(worst[1])
+    return worst is None, None if worst is None else list(worst[1]), len(distinct)
 
 
 class TestComplete:
@@ -299,6 +302,20 @@ class TestComplete:
             assert len(distinct) == expected
             assert complete_independence(analysis).subsets_checked == expected
 
+    def test_closed_set_counts_match_tight_formula(self):
+        # counted independently, as the echelon's tight formulas (ROADMAP item 4)
+        for (n, m), expected in (((2, 3), 164), ((2, 4), 548), ((3, 2), 574), ((4, 2), 5976), ((3, 3), 10934)):
+            problem, result, analysis = echelon_with_result(n, m)
+            assert complete_independence(analysis).subsets_checked == expected, (n, m)
+
+    def test_bottom_member_is_one_closed_set(self):
+        # target = base: the reduced logogram is the empty string alone, below every join
+        base = lang(["00", "01", "11"])
+        analysis = Analysis(DecisionProblem(base, base))
+        assert analysis.members == [PartialString.bottom(BINARY)]
+        verdict = complete_independence(analysis)
+        assert verdict.holds and verdict.subsets_checked == 1
+
     def test_agrees_with_subset_enumeration_on_random_problems(self):
         rng = random.Random(20261017)
         failing_sizes = []
@@ -312,9 +329,10 @@ class TestComplete:
             target = lang([w for w in sorted(base.words) if rng.random() < 0.5], alphabet)
             analysis = Analysis(DecisionProblem(base, target))
             verdict = complete_independence(analysis)
-            holds, counterexample = complete_oracle(analysis)
+            holds, counterexample, closed_count = complete_oracle(analysis)
             assert verdict.holds == holds, (sorted(base.words), sorted(target.words))
             assert (verdict.counterexample or {}).get("strings") == counterexample
+            assert verdict.subsets_checked == closed_count, (sorted(base.words), sorted(target.words))
             assert not verdict.partial
             if not holds:
                 failing_sizes.append(len(counterexample))
