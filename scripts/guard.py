@@ -34,6 +34,8 @@ COMMANDS = (
     ("logogram", "--n", "2", "--m", "4", "--no-cache", "--threads", "2"),
     ("verify", "--suite", "sat", "--n", "4", "--m", "2", "--threads", "1"),
     ("verify", "--suite", "sat", "--n", "2", "--m", "5", "--threads", "1"),
+    ("logogram", "--n", "5", "--m", "2", "--reduced", "--no-cache"),
+    ("verify", "--suite", "sat", "--n", "5", "--m", "2"),
 )
 
 

@@ -269,11 +269,11 @@ def suite_logogram(samples: int, seed: int) -> list[CheckResult]:
     return checks
 
 
-def suite_sat(n: int, m: int, budget: int, workers: int = 1) -> list[CheckResult]:
+def suite_sat(n: int, m: int, budget: int) -> list[CheckResult]:
     checks: list[CheckResult] = []
     spec = EchelonSpec(n, m)
     problem = enumerate_echelon(spec)
-    analysis = Analysis(problem, budget=budget, workers=workers)
+    analysis = Analysis(problem, budget=budget)
     result = analysis.logogram
 
     start = time.perf_counter()
@@ -458,7 +458,7 @@ def run_suite(cfg: dict) -> VerificationReport:
     if suite in ("logogram", "all"):
         checks.extend(suite_logogram(max(10, cfg["samples"] // 4), cfg["seed"]))
     if suite in ("sat", "all"):
-        checks.extend(suite_sat(cfg["n"], cfg["m"], cfg["budget"], cfg["threads"]))
+        checks.extend(suite_sat(cfg["n"], cfg["m"], cfg["budget"]))
     if suite in ("wizards", "all"):
         checks.extend(suite_wizards(cfg["n"], cfg["m"], cfg["budget"]))
     if suite in ("regions", "all"):
@@ -479,7 +479,6 @@ def default_cache_dir() -> Path:
 
 
 def cmd_logogram(args: argparse.Namespace) -> tuple[VerificationReport, int]:
-    workers = args.threads
     if args.n is not None and args.m is not None:
         spec = EchelonSpec(args.n, args.m)
         space = 4 ** (args.n * args.m)
@@ -495,10 +494,11 @@ def cmd_logogram(args: argparse.Namespace) -> tuple[VerificationReport, int]:
     else:
         raise ValueError("need either --n/--m or --base-file/--target-file")
 
+    fingerprint = problem_fingerprint(problem, positions)
     cached = False
     result = None
     if not args.no_cache:
-        result = load_logogram_cache(problem, args.cache_dir, positions)
+        result = load_logogram_cache(problem, args.cache_dir, positions, fingerprint)
         cached = result is not None
     if result is None:
         result = log_rel(
@@ -506,14 +506,13 @@ def cmd_logogram(args: argparse.Namespace) -> tuple[VerificationReport, int]:
             candidate_positions=positions,
             budget=args.budget,
             keep_full=False if args.reduced else None,
-            workers=workers,
             index=index,
         )
         if not args.no_cache:
-            save_logogram_cache(result, problem, args.cache_dir)
+            save_logogram_cache(result, problem, args.cache_dir, fingerprint)
 
     payload = {
-        "fingerprint": problem_fingerprint(problem, positions),
+        "fingerprint": fingerprint,
         "candidate_space_size": result.candidate_space_size,
         "full_count": result.full_count,
         "reduced_count": len(result.reduced),
@@ -579,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="candidate-space cap for logogram enumeration")
         p.add_argument("--word-budget", type=int, default=2_000_000,
                        help="word cap for echelon enumeration")
-        p.add_argument("--threads", type=int, default=1, help="worker processes for enumeration")
+        p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p_log = sub.add_parser("logogram", help="compute a reduced logogram (cached)")

@@ -7,16 +7,21 @@ closure of F within E; the reduced logogram keeps its minimal elements.
 Engine layout: E is indexed once into per-(position, symbol) bitmasks over
 the word list, so a candidate's relative cylinder is an AND of masks.
 Candidates are integer keys (digit j of a key is the symbol code at the j-th
-candidate position, 0 = undefined).  A chain walk reaches each candidate with
-a nonempty cylinder once, from its last-entry deletion, and collects one set
-of qualifying keys plus the stops: the qualifying keys whose last-entry
-deletion does not qualify.  Every string between a qualifying string and a
-qualifying extension of it qualifies too, so a key is minimal iff none of its
-one-entry deletions is in the set, and only stops can be minimal; only the
-keys that are reported are decoded into strings.  A
-deliberately plain enumerator (`log_rel_naive`) re-derives the same sets by
-scanning every candidate against every word with no index, no restriction
-and no pruning; it is the correctness oracle for the engine.
+candidate position, 0 = undefined), and the logogram is computed over bitsets
+of the whole candidate space, bit k standing for key k.  A candidate
+qualifies iff some base word extends it and no bad word (outside the
+target's closure) does; "some word of S extends it" is an OR-transform of
+S's word keys down the restriction order, one position at a time.  Every
+string between a qualifying string and a qualifying extension of it
+qualifies too, so a key is minimal iff none of its one-entry deletions
+qualifies: one more set of shifts.  full_count is the popcount of the
+qualifying set, and only the keys that are reported are decoded into
+strings.  The index keeps, per positions tuple, the digit-0 masks, one key
+per word and the keys some base word extends, so each region walk builds
+only its bad-word bitset.  A deliberately plain enumerator (`log_rel_naive`)
+re-derives the same sets by scanning every candidate against every word with
+no index, no restriction and no pruning; it is the correctness oracle for
+the engine.
 
 An `Analysis` wraps one problem and computes its index, logogram, member
 cylinders and masks, region masks (from the labels) and region logograms
@@ -37,8 +42,8 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import sys
 import time
-import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -121,6 +126,14 @@ class ProblemIndex:
         while shared < len(lo) and lo[shared] == hi[shared]:
             shared += 1
         self.shared_prefix_len = shared if len(self.words) > 1 else 0
+        self._spaces: dict[tuple[int, ...], CandidateSpace] = {}
+
+    def candidate_space(self, positions: tuple[int, ...]) -> "CandidateSpace":
+        """The key tables over these candidate positions, built on first use and kept."""
+        space = self._spaces.get(positions)
+        if space is None:
+            space = self._spaces[positions] = CandidateSpace(self, positions)
+        return space
 
     def word_mask(self, words) -> int:
         row = bytearray(self.row_bytes)
@@ -150,6 +163,98 @@ class ProblemIndex:
         return self.word_mask(cylindrify(target, self.language).words)
 
 
+class CandidateSpace:
+    """Bitsets over the candidate keys of one positions tuple, and the transforms the kernel applies to them.
+
+    Bit k of a bitset stands for candidate key k: digit j of k (base len(symbols) + 1) is
+    the symbol code at positions[j], 0 = undefined.  A word's key has digit 0 at the
+    positions past its end, and word w extends candidate g iff every nonzero digit of
+    g's key equals w's digit there: the restriction order on keys.
+    """
+
+    def __init__(self, index: ProblemIndex, positions: tuple[int, ...]):
+        symbols = index.alphabet.symbols
+        self.base = base = len(symbols) + 1
+        self.size = size = base ** len(positions)
+        self.steps = [base ** j for j in range(len(positions))]
+        self.keys = _word_keys(index, positions, base)
+        # zero[j]: the keys whose digit j is 0, one run of step bits every base * step bits
+        self.zero = []
+        for step in self.steps:
+            mask, width = (1 << step) - 1, base * step
+            while width < size:
+                mask |= mask << width
+                width <<= 1
+            self.zero.append(mask & ((1 << size) - 1))
+        self.reachable = self.extended(self.bitset(index.all_mask))
+
+    def bitset(self, word_mask: int) -> int:
+        """The keys of the words in word_mask (bit k for index.words[k])."""
+        row = bytearray((self.size + 7) >> 3)
+        for key in itertools.compress(self.keys, bin(word_mask)[:1:-1].encode().translate(_BIT_BYTES)):
+            row[key >> 3] |= 1 << (key & 7)
+        return int.from_bytes(row, "little")
+
+    def qualifying(self, bad_mask: int) -> int:
+        """The keys some word extends and no word of bad_mask extends."""
+        return self.reachable & ~self.extended(self.bitset(bad_mask))
+
+    def extended(self, bits: int) -> int:
+        """The keys some key in bits extends: the down-closure of bits, one position at a time."""
+        for step, zero in zip(self.steps, self.zero):
+            above = 0
+            for shift in range(step, self.base * step, step):
+                above |= bits >> shift
+            bits |= above & zero
+        return bits
+
+    def minimal(self, bits: int) -> int:
+        """The keys in bits none of whose one-entry deletions is in bits."""
+        covered = 0
+        for step, zero in zip(self.steps, self.zero):
+            below = bits & zero
+            for shift in range(step, self.base * step, step):
+                covered |= below << shift
+        return bits & ~covered
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _word_keys(index: ProblemIndex, positions: tuple[int, ...], base: int) -> memoryview:
+    """One candidate key per index word, in index order, as unsigned 64-bit integers.
+
+    The keys are summed as one integer of 64-bit fields, field k for word k: each
+    (position, symbol) mask contributes its bits, spread one to a field, times the
+    symbol's digit value at that position.
+    """
+    width = 8 * len(index.words)
+    packed = 0
+    for j, p in enumerate(positions):
+        if p > index.max_len:
+            continue
+        for d, sym in enumerate(index.alphabet.symbols, 1):
+            mask = index.pos_masks[p - 1].get(sym)
+            if mask:
+                bits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+                fields = bytearray(width)
+                fields[:8 * len(bits):8] = bits
+                packed += int.from_bytes(fields, "little") * (d * base ** j)
+    keys = memoryview(packed.to_bytes(width, sys.byteorder)).cast("Q")
+    return keys[::-1] if sys.byteorder == "big" else keys
+
+
+def set_bits(bits: int) -> list[int]:
+    """The indices of the set bits of a nonnegative integer, lowest first."""
+    digits = bin(bits)[:1:-1]  # digits[k] is bit k
+    out = []
+    k = digits.find("1")
+    while k >= 0:
+        out.append(k)
+        k = digits.find("1", k + 1)
+    return out
+
+
 class Analysis:
     """One decision problem and the artefacts every check shares, each computed once on first use.
 
@@ -158,10 +263,9 @@ class Analysis:
     region mask for index.words[k].
     """
 
-    def __init__(self, problem: DecisionProblem, *, budget: int = DEFAULT_CANDIDATE_BUDGET, workers: int = 1):
+    def __init__(self, problem: DecisionProblem, *, budget: int = DEFAULT_CANDIDATE_BUDGET):
         self.problem = problem
         self.budget = budget
-        self.workers = workers
 
     @cached_property
     def index(self) -> ProblemIndex:
@@ -169,7 +273,7 @@ class Analysis:
 
     @cached_property
     def logogram(self) -> "LogogramResult":
-        return log_rel(self.problem, index=self.index, budget=self.budget, workers=self.workers)
+        return log_rel(self.problem, index=self.index, budget=self.budget)
 
     @cached_property
     def members(self) -> list[PartialString]:
@@ -207,11 +311,8 @@ class Analysis:
         """For each base word, the mask of the members it includes: the cylinders transposed."""
         masks = [0] * len(self.index.words)
         for i, cyl in enumerate(self.cylinders):
-            bits = bin(cyl)[:1:-1]  # bits[k] is bit k of the cylinder
-            k = bits.find("1")
-            while k >= 0:
+            for k in set_bits(cyl):
                 masks[k] |= 1 << i
-                k = bits.find("1", k + 1)
         return dict(zip(self.index.words, masks))
 
     @cached_property
@@ -219,7 +320,7 @@ class Analysis:
         """The reduced logogram of each region within the base, one walk per region."""
         return [
             log_rel(DecisionProblem(self.problem.base, self.index.mask_language(mask)), index=self.index,
-                    budget=self.budget, workers=self.workers, keep_full=False).reduced
+                    budget=self.budget, keep_full=False).reduced
             for mask in self.region_masks
         ]
 
@@ -236,94 +337,6 @@ class LogogramResult:
 
     def sorted_reduced(self) -> list[PartialString]:
         return sorted(self.reduced, key=lambda g: (g.size, g.render()))
-
-
-def _chain_walk(sym_masks, powers, bad_mask, first, key0, mask0, parent_ok) -> tuple[set[int], list[int]]:
-    """Keys of the qualifying candidates at and below a chain root, and the stop keys among them.
-
-    A candidate qualifies when its cylinder is nonempty and holds no bad word.
-    The root's entries at positions >= first are undefined and its mask is
-    nonempty; parent_ok says whether its last-entry deletion qualifies.  Each
-    candidate is reached once, from that deletion, its generating parent: a
-    stack entry is extended at each later position, and the extensions at the
-    last position are tested inline instead of pushed.  A candidate whose
-    parent qualifies qualifies too (its cylinder is smaller and nonempty), so
-    only the others are tested against bad_mask.  A stop is a qualifying key
-    whose generating parent does not qualify; the stops list holds the same
-    int objects as the key set.
-    """
-    keys: set[int] = set()
-    stops: list[int] = []
-    npos = len(sym_masks)
-    steps = [[(d * mult, row) for d, row in enumerate(rows, 1) if row] for rows, mult in zip(sym_masks, powers)]
-    last = steps.pop() if steps else []
-    # plan[j]: the extensions to push, (next j, key step, row) at positions j..npos-2,
-    # and those at position npos-1, tested inline
-    plan = [([(j2 + 1, step, row) for j2 in range(j, npos - 1) for step, row in steps[j2]], last if j < npos else [])
-            for j in range(npos + 1)]
-    add, stop = keys.add, stops.append
-    stack = [(first, key0, mask0, parent_ok)]
-    pop, push = stack.pop, stack.append
-    while stack:
-        j, key, mask, parent_ok = pop()
-        ok = parent_ok or not mask & bad_mask
-        if ok:
-            add(key)
-            if not parent_ok:
-                stop(key)
-        pushed, inline = plan[j]
-        for j2, step, row in pushed:
-            m2 = mask & row
-            if m2:
-                push((j2, key + step, m2, ok))
-        for step, row in inline:
-            m2 = mask & row
-            if m2 and (ok or not m2 & bad_mask):
-                k2 = key + step
-                add(k2)
-                if not ok:
-                    stop(k2)
-    return keys, stops
-
-
-_FORK_STATE: dict | None = None
-
-
-def _subtree_worker(prefix_digits) -> tuple[set[int], list[int]]:
-    """The chain walk over the candidates whose leading digits are prefix_digits."""
-    st = _FORK_STATE
-    bad_mask = st["bad_mask"]
-    mask, key = st["all_mask"], 0
-    parent_ok = False  # the empty candidate has no generating parent
-    for j, d in enumerate(prefix_digits):
-        if d:
-            parent_ok = not mask & bad_mask  # the cylinder without this entry, the parent if it is the last
-            mask &= st["sym_masks"][j][d - 1]
-            key += d * st["powers"][j]
-    if not mask:
-        return set(), []
-    return _chain_walk(st["sym_masks"], st["powers"], bad_mask, len(prefix_digits), key, mask, parent_ok)
-
-
-def _minimal_keys(keys: set[int], stops: list[int], powers, base: int) -> list[int]:
-    """The stop keys none of whose one-entry deletions qualifies.
-
-    Every candidate between a qualifying string and a qualifying extension of
-    it qualifies too, so a key with a smaller qualifying key also has a
-    qualifying one-entry deletion.  A minimal key's last-entry deletion does
-    not qualify, so every minimal key is a stop.
-    """
-    minimal = []
-    for key in stops:
-        rest, j = key, 0
-        while rest:
-            rest, d = divmod(rest, base)
-            if d and key - d * powers[j] in keys:
-                break
-            j += 1
-        else:
-            minimal.append(key)
-    return minimal
 
 
 def auto_positions(index: ProblemIndex) -> tuple[int, ...]:
@@ -349,7 +362,6 @@ def log_rel(
     *,
     budget: int = DEFAULT_CANDIDATE_BUDGET,
     keep_full: bool | None = None,
-    workers: int = 1,
     restrict: str = "auto",
     index: ProblemIndex | None = None,
 ) -> LogogramResult:
@@ -367,10 +379,7 @@ def log_rel(
     idx = index if index is not None else ProblemIndex(problem.base)
     positions, restricted = _candidate_positions(idx, candidate_positions, restrict)
     target_mask = idx.target_mask(problem.target)
-    return _logogram_over(
-        idx, positions, restricted, target_mask, budget=budget, keep_full=keep_full,
-        workers=workers, started=start,
-    )
+    return _logogram_over(idx, positions, restricted, target_mask, budget=budget, keep_full=keep_full, started=start)
 
 
 def log_abs(
@@ -400,28 +409,17 @@ def _logogram_over(
     *,
     budget: int,
     keep_full: bool | None,
-    workers: int = 1,
     started: float | None = None,
 ) -> LogogramResult:
     start = started if started is not None else time.perf_counter()
     symbols = idx.alphabet.symbols
     base = len(symbols) + 1
-    npos = len(positions)
-    space = base ** npos
+    space = base ** len(positions)
     if space > budget:
         raise BudgetExceeded("candidate space too large", space, budget)
 
-    sym_masks = [
-        [idx.pos_masks[p - 1].get(sym, 0) if p <= idx.max_len else 0 for sym in symbols]
-        for p in positions
-    ]
-    powers = [base ** j for j in range(npos)]
-    bad_mask = idx.all_mask & ~target_mask
-
-    if workers > 1 and space >= 4096:
-        keys, stops = _parallel_collect(idx, sym_masks, powers, base, bad_mask, workers)
-    else:
-        keys, stops = _chain_walk(sym_masks, powers, bad_mask, 0, 0, idx.all_mask, False)
+    tables = idx.candidate_space(positions)
+    qualifying = tables.qualifying(idx.all_mask & ~target_mask)
 
     def to_string(key: int) -> PartialString:
         entries = []
@@ -431,42 +429,18 @@ def _logogram_over(
                 entries.append((p, symbols[d - 1]))
         return PartialString(idx.alphabet, tuple(entries))
 
-    full_count = len(keys)
+    full_count = qualifying.bit_count()
     if keep_full is None:
         keep_full = full_count <= FULL_KEEP_LIMIT
     return LogogramResult(
-        full=frozenset(map(to_string, keys)) if keep_full else None,
-        reduced=frozenset(map(to_string, _minimal_keys(keys, stops, powers, base))),
+        full=frozenset(map(to_string, set_bits(qualifying))) if keep_full else None,
+        reduced=frozenset(map(to_string, set_bits(tables.minimal(qualifying)))),
         full_count=full_count,
         candidate_space_size=space,
         positions=positions,
         restricted=restricted,
         elapsed=time.perf_counter() - start,
     )
-
-
-def _parallel_collect(idx, sym_masks, powers, base, bad_mask, workers):
-    import multiprocessing  # only parallel walks need it, so importing strtool stays light
-
-    global _FORK_STATE
-    depth = min(2, len(sym_masks))
-    chunks = list(itertools.product(range(base), repeat=depth))
-    _FORK_STATE = {
-        "sym_masks": sym_masks,
-        "powers": powers,
-        "bad_mask": bad_mask,
-        "all_mask": idx.all_mask,
-    }
-    try:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=workers) as pool:
-            parts = pool.map(_subtree_worker, chunks)
-    except (ValueError, OSError) as exc:
-        warnings.warn(f"parallel logogram walk unavailable ({exc!r}); walking serially", RuntimeWarning)
-        return _chain_walk(sym_masks, powers, bad_mask, 0, 0, idx.all_mask, False)
-    finally:
-        _FORK_STATE = None
-    return set().union(*(part_keys for part_keys, _ in parts)), [key for _, part_stops in parts for key in part_stops]
 
 
 def log_rel_naive(problem: DecisionProblem, candidate_positions=None, budget: int = 4 ** 9):
@@ -606,12 +580,9 @@ def cover_of(
 def problem_fingerprint(problem: DecisionProblem, positions: tuple[int, ...]) -> str:
     h = sha256()
     h.update(("alphabet=" + "".join(problem.alphabet.symbols)).encode())
-    h.update(b"\x00base")
-    for w in sorted(problem.base.words):
-        h.update(b"\x00" + w.encode())
-    h.update(b"\x00target")
-    for w in sorted(problem.target.words):
-        h.update(b"\x00" + w.encode())
+    for name, language in (("base", problem.base), ("target", problem.target)):
+        h.update(f"\x00{name}".encode())
+        h.update("".join(["\x00" + w for w in sorted(language.words)]).encode())
     h.update(("\x00positions=" + ",".join(map(str, positions))).encode())
     return h.hexdigest()[:24]
 
@@ -626,8 +597,15 @@ def _cache_digest(header: dict, body: list[str]) -> str:
     return sha256(text.encode()).hexdigest()
 
 
-def save_logogram_cache(result: LogogramResult, problem: DecisionProblem, cache_dir: str | Path) -> Path:
-    fingerprint = problem_fingerprint(problem, result.positions)
+def save_logogram_cache(
+    result: LogogramResult,
+    problem: DecisionProblem,
+    cache_dir: str | Path,
+    fingerprint: str | None = None,
+) -> Path:
+    """Write the result's cache file; fingerprint, when given, is problem_fingerprint(problem, result.positions)."""
+    if fingerprint is None:
+        fingerprint = problem_fingerprint(problem, result.positions)
     header = {
         "schema": 1,
         "problem": fingerprint,
@@ -661,10 +639,15 @@ def load_logogram_cache(
     problem: DecisionProblem,
     cache_dir: str | Path,
     positions: tuple[int, ...],
+    fingerprint: str | None = None,
 ) -> LogogramResult | None:
-    """Reload a cached logogram; any mismatch or corruption returns None so the caller recomputes."""
+    """Reload a cached logogram; any mismatch or corruption returns None so the caller recomputes.
+
+    fingerprint, when given, is problem_fingerprint(problem, positions).
+    """
     start = time.perf_counter()
-    fingerprint = problem_fingerprint(problem, positions)
+    if fingerprint is None:
+        fingerprint = problem_fingerprint(problem, positions)
     path = cache_file(cache_dir, fingerprint)
     if not path.is_file():
         return None

@@ -141,6 +141,14 @@ class TestVerifyCommand:
         assert code == 1
         assert report["pass"] is False
 
+    def test_threads_is_accepted_and_has_no_effect(self, capsys):
+        reports = []
+        for threads in ("2", "1"):
+            code, report = run_json(capsys, "verify", "--suite", "sat", "--n", "2", "--m", "3", "--threads", threads)
+            assert code == 0 and report["config"].pop("threads") == int(threads)
+            reports.append(report)
+        assert reports[0] == reports[1]
+
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["verify", "--suite", "nonsense"])
@@ -199,7 +207,7 @@ def test_benchmark_traced_names_exist():
 
 
 def test_cli_import_leaves_multiprocessing_unloaded():
-    """Only a parallel logogram walk imports multiprocessing; importing the CLI does not."""
+    """Importing the CLI does not load multiprocessing."""
     src = str(Path(strtool.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, strtool.cli; print('multiprocessing' in sys.modules)"

@@ -2,7 +2,6 @@ import dataclasses
 import gc
 import itertools
 import json
-import multiprocessing
 import random
 
 import pytest
@@ -26,7 +25,6 @@ from strtool.logogram import (
     auto_positions,
     cover_of,
     _cache_digest,
-    _chain_walk,
     load_logogram_cache,
     log_abs,
     log_rel,
@@ -35,11 +33,13 @@ from strtool.logogram import (
     logexp_closure_check,
     problem_fingerprint,
     save_logogram_cache,
+    set_bits,
     verify_logogram_expansion,
 )
 from strtool.cli import random_problem
-from strtool.sat import EchelonSpec, enumerate_echelon
-from strtool.strings import PartialString, reduce_strings, word_includes
+from strtool import logogram
+from strtool.sat import EchelonSpec, consistent_selection_count, enumerate_echelon
+from strtool.strings import Alphabet, PartialString, reduce_strings, word_includes
 
 
 def ps(text, alphabet=BINARY):
@@ -179,34 +179,6 @@ class TestLogRel:
         assert expand_in(auto.full, E) == expand_in(plain.full, E)
         assert auto.full < plain.full
 
-    def test_workers_match_serial(self):
-        problems = [
-            enumerate_echelon(EchelonSpec(2, 3)),
-            enumerate_echelon(EchelonSpec(2, 4)),
-            random_problem(random.Random(17), TERNARY, max_len=6, max_words=40),  # mixed word lengths
-        ]
-        for problem in problems:
-            serial = log_rel(problem, keep_full=True)
-            assert serial.candidate_space_size >= 4096  # large enough to take the parallel path
-            parallel = log_rel(problem, keep_full=True, workers=2)
-            assert serial.full == parallel.full
-            assert serial.reduced == parallel.reduced
-            assert serial.full_count == parallel.full_count
-
-    def test_fork_failure_falls_back_to_serial_with_a_warning(self, monkeypatch):
-        problem = enumerate_echelon(EchelonSpec(2, 3))
-        serial = log_rel(problem)
-        assert serial.candidate_space_size >= 4096  # large enough to take the parallel path
-
-        def refuse(method):
-            raise OSError("fork refused")
-
-        monkeypatch.setattr(multiprocessing, "get_context", refuse)
-        with pytest.warns(RuntimeWarning, match="fork refused"):
-            fallback = log_rel(problem, workers=2)
-        assert fallback.reduced == serial.reduced
-        assert fallback.full_count == serial.full_count
-
     def test_walks_leave_no_reference_cycles(self):
         problem = enumerate_echelon(EchelonSpec(2, 2))
         gc.collect()
@@ -220,16 +192,6 @@ class TestLogRel:
             gc.enable()
 
 
-def walk(problem, positions):
-    """The chain walk's keys and stops over the given positions (digit j of a key is the symbol at positions[j])."""
-    idx = ProblemIndex(problem.base)
-    symbols = problem.alphabet.symbols
-    sym_masks = [[idx.pos_masks[p - 1].get(c, 0) if p <= idx.max_len else 0 for c in symbols] for p in positions]
-    powers = [(len(symbols) + 1) ** j for j in range(len(positions))]
-    bad_mask = idx.all_mask & ~idx.target_mask(problem.target)
-    return _chain_walk(sym_masks, powers, bad_mask, 0, 0, idx.all_mask, False)
-
-
 def brute_qualifying(problem, positions):
     """Digit tuples of every candidate whose cylinder is nonempty and inside the target's closure."""
     closure = cylindrify(problem.target, problem.base).words
@@ -241,11 +203,6 @@ def brute_qualifying(problem, positions):
         if cyl and all(w in closure for w in cyl):
             out.add(digits)
     return out
-
-
-def last_entry_deletion(digits):
-    top = max((j for j, d in enumerate(digits) if d), default=None)
-    return None if top is None else digits[:top] + (0,) + digits[top + 1:]
 
 
 def chain_walk_cases():
@@ -270,22 +227,60 @@ def chain_walk_cases():
 
 
 class TestChainWalk:
+    """The bitset kernel against a brute-force scan of every candidate."""
+
     @pytest.mark.parametrize("problem,positions", list(chain_walk_cases()))
     def test_against_brute_force_scan(self, problem, positions):
         base = len(problem.alphabet.symbols) + 1
-
-        def key(digits):
-            return sum(d * base ** j for j, d in enumerate(digits))
-
-        keys, stops = walk(problem, positions)
+        symbols = problem.alphabet.symbols
         qualifying = brute_qualifying(problem, positions)
-        assert keys == {key(t) for t in qualifying}
-        expected_stops = {key(t) for t in qualifying if last_entry_deletion(t) not in qualifying}
-        assert len(stops) == len(set(stops))  # each stop listed once
-        assert set(stops) == expected_stops
+        idx = ProblemIndex(problem.base)
+        bad_mask = idx.all_mask & ~idx.target_mask(problem.target)
+        keys = set_bits(idx.candidate_space(positions).qualifying(bad_mask))
+        assert keys == sorted(sum(d * base ** j for j, d in enumerate(t)) for t in qualifying)
         result = log_rel(problem, positions, keep_full=True)
+        assert result.full == {
+            PartialString(problem.alphabet, tuple((p, symbols[d - 1]) for p, d in zip(positions, t) if d))
+            for t in qualifying
+        }
         assert result.full_count == len(qualifying)
         assert result.reduced == reduce_strings(result.full)
+
+
+class TestKernel:
+    def test_forty_symbol_alphabet_agrees_with_naive_oracle(self):
+        alphabet = Alphabet.of("0123456789abcdefghijklmnopqrstuvwxyzABCD")  # key base 41, past int()'s 36
+        rng = random.Random(40)
+        for max_len, positions in ((2, None), (3, (1, 3))):
+            words = {"".join(rng.choice(alphabet.symbols[30:]) for _ in range(rng.randint(0, max_len)))
+                     for _ in range(60)}
+            E = lang(words, alphabet)
+            problem = DecisionProblem(E, lang([w for w in sorted(words) if rng.random() < 0.5], alphabet))
+            naive_full, naive_reduced = log_rel_naive(problem, positions)
+            result = log_rel(problem, positions, keep_full=True, restrict="never")
+            assert result.full == naive_full and result.reduced == naive_reduced
+            assert any(g.entries and max(alphabet.symbols.index(c) for _, c in g.entries) >= 36
+                       for g in result.full)
+
+    @pytest.mark.parametrize("n, m, full_count, reduced", [
+        (4, 2, 57_088, 56), (3, 3, 157_184, 126), (2, 5, 63_072, 124), (5, 2, 981_504, 90),
+    ])
+    def test_echelon_counts(self, n, m, full_count, reduced):
+        spec = EchelonSpec(n, m)
+        result = log_rel(enumerate_echelon(spec), spec.body_positions, keep_full=False)
+        assert (result.full_count, len(result.reduced)) == (full_count, reduced)
+        assert reduced == consistent_selection_count(n, m)
+
+    def test_region_walks_reuse_the_index_tables(self, monkeypatch):
+        builds = []
+        word_keys = logogram._word_keys
+        monkeypatch.setattr(logogram, "_word_keys", lambda *args: builds.append(args) or word_keys(*args))
+        analysis = Analysis(enumerate_echelon(EchelonSpec(4, 2)))
+        positions = analysis.logogram.positions
+        tables = analysis.index.candidate_space(positions)
+        assert len(analysis.region_logograms) == 16
+        assert analysis.index.candidate_space(positions) is tables
+        assert len(builds) == 1
 
 
 class TestNaiveOracle:
@@ -477,6 +472,11 @@ class TestCache:
             path.write_bytes(blob)
             loaded = load_logogram_cache(problem, tmp_path, cold.positions)
             assert loaded is None or seen(loaded) == seen(cold), blob
+
+    def test_fingerprint_is_stable(self):
+        E = lang(["", "0", "12", "2", "201", "21"], TERNARY)
+        assert problem_fingerprint(DecisionProblem(E, lang(["12", "201"], TERNARY)), (1, 2, 3)) \
+            == "44cc2e0176309a8c71d98d5d"
 
     def test_fingerprint_depends_on_problem(self):
         E = sigma_exact(BINARY, 2)
