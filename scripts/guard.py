@@ -37,13 +37,19 @@ COMMANDS = (
     ("logogram", "--n", "5", "--m", "2", "--reduced", "--no-cache"),
     ("verify", "--suite", "sat", "--n", "5", "--m", "2"),
 )
+# The text renderer reads the same report objects as the JSON one.
+TEXT_COMMANDS = (
+    ("verify", "--suite", "all"),
+    ("logogram", "--n", "3", "--m", "2", "--no-cache"),
+)
 
 
 def main() -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    for command in COMMANDS:
-        argv = [*command, "--format", "json"]
+    runs = [(c, "json") for c in COMMANDS] + [(c, "text") for c in TEXT_COMMANDS]
+    for command, fmt in runs:
+        argv = [*command, "--format", fmt]
         proc = subprocess.run([sys.executable, "-m", "strtool", *argv], env=env,
                               stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
         digest = hashlib.sha256(proc.stdout).hexdigest()[:16]

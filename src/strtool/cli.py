@@ -20,7 +20,6 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
@@ -82,15 +81,16 @@ TOOL_NAME = "strtool"
 SUITES = ("closure", "logogram", "sat", "wizards", "regions", "events", "all")
 
 
-@dataclass
 class CheckResult:
-    name: str
-    holds: bool
-    partial: bool = False
-    counts: dict = field(default_factory=dict)
-    counterexample: object = None
-    details: object = None
-    elapsed: float = 0.0
+    def __init__(self, name: str, holds: bool, partial: bool = False, counts: dict | None = None,
+                 counterexample: object = None, details: object = None, elapsed: float = 0.0) -> None:
+        self.name = name
+        self.holds = holds
+        self.partial = partial
+        self.counts = {} if counts is None else counts
+        self.counterexample = counterexample
+        self.details = details
+        self.elapsed = elapsed
 
     def to_json(self) -> dict:
         return {
@@ -103,11 +103,11 @@ class CheckResult:
         }
 
 
-@dataclass
 class VerificationReport:
-    config: dict
-    checks: list[CheckResult] = field(default_factory=list)
-    result: dict | None = None  # single-result commands (logogram, classify)
+    def __init__(self, config: dict, checks: list[CheckResult] | None = None, result: dict | None = None) -> None:
+        self.config = config
+        self.checks = [] if checks is None else checks
+        self.result = result  # single-result commands (logogram, classify)
 
     @property
     def passed(self) -> bool:

@@ -32,12 +32,11 @@ masks as it is made.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .languages import BudgetExceeded, FiniteLanguage, expand_in
 from .logogram import Analysis, LogogramResult, ProblemIndex
 from .sat import SAT_ALPHABET, EchelonSpec
-from .strings import PartialString, join_all
+from .strings import PartialString, join_all, read_only
 
 PROPER_WITNESS = "ProperWitness"
 IMPROPER_WITNESS = "ImproperWitness"
@@ -79,11 +78,22 @@ def entangles_sets(H, K, E: FiniteLanguage) -> bool:
     return not (exp_h & ~exp_k)
 
 
-@dataclass(frozen=True)
 class StringVerdict:
-    string: PartialString
-    kind: str
-    containing_regions: tuple[int, ...]  # 1-based region indices
+    def __init__(self, string: PartialString, kind: str, containing_regions: tuple[int, ...]) -> None:
+        object.__setattr__(self, "string", string)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "containing_regions", containing_regions)  # 1-based region indices
+
+    __setattr__ = __delattr__ = read_only
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.string, self.kind, self.containing_regions) == (
+                other.string, other.kind, other.containing_regions)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.string, self.kind, self.containing_regions))
 
     def to_json(self) -> dict:
         return {
@@ -93,13 +103,14 @@ class StringVerdict:
         }
 
 
-@dataclass
 class IndependenceVerdict:
-    property: str
-    holds: bool
-    subsets_checked: int
-    partial: bool = False
-    counterexample: dict | None = None
+    def __init__(self, property: str, holds: bool, subsets_checked: int, partial: bool = False,
+                 counterexample: dict | None = None) -> None:
+        self.property = property
+        self.holds = holds
+        self.subsets_checked = subsets_checked
+        self.partial = partial
+        self.counterexample = counterexample
 
     def to_json(self) -> dict:
         out = {
@@ -330,13 +341,27 @@ def irreducible(analysis: Analysis) -> bool:
     return all(prefix[i] | suffix[i + 1] != analysis.target_mask for i in range(len(cyls)))
 
 
-@dataclass(frozen=True)
 class WizardFinding:
-    string: str
-    witnesses: int
-    union_holds: bool
-    proper: bool
-    witness_inside_wizard: bool
+    def __init__(self, string: str, witnesses: int, union_holds: bool, proper: bool,
+                 witness_inside_wizard: bool) -> None:
+        object.__setattr__(self, "string", string)
+        object.__setattr__(self, "witnesses", witnesses)
+        object.__setattr__(self, "union_holds", union_holds)
+        object.__setattr__(self, "proper", proper)
+        object.__setattr__(self, "witness_inside_wizard", witness_inside_wizard)
+
+    __setattr__ = __delattr__ = read_only
+
+    def _key(self) -> tuple:
+        return (self.string, self.witnesses, self.union_holds, self.proper, self.witness_inside_wizard)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def to_json(self) -> dict:
         return {
@@ -348,11 +373,11 @@ class WizardFinding:
         }
 
 
-@dataclass
 class WizardCoverReport:
-    holds: bool
-    wizard_count: int
-    findings: list[WizardFinding] = field(default_factory=list)
+    def __init__(self, holds: bool, wizard_count: int, findings: list[WizardFinding] | None = None) -> None:
+        self.holds = holds
+        self.wizard_count = wizard_count
+        self.findings = [] if findings is None else findings
 
     def to_json(self) -> dict:
         return {
@@ -393,17 +418,17 @@ def wizard_cover_report(analysis: Analysis) -> WizardCoverReport:
     return report
 
 
-@dataclass
 class ShapeFinding:
-    string: str
-    problems: tuple[str, ...]
+    def __init__(self, string: str, problems: tuple[str, ...]) -> None:
+        self.string = string
+        self.problems = problems
 
 
-@dataclass
 class ShapeReport:
-    holds: bool
-    members: int
-    findings: list[ShapeFinding] = field(default_factory=list)
+    def __init__(self, holds: bool, members: int, findings: list[ShapeFinding] | None = None) -> None:
+        self.holds = holds
+        self.members = members
+        self.findings = [] if findings is None else findings
 
     def to_json(self) -> dict:
         return {
@@ -446,15 +471,23 @@ def sat_shape_report(spec: EchelonSpec, logogram: LogogramResult) -> ShapeReport
     return report
 
 
-@dataclass(frozen=True)
 class EventFamily:
-    universe: FiniteLanguage
-    events: tuple[FiniteLanguage, ...]
-
-    def __post_init__(self) -> None:
-        for E in self.events:
-            if not E.issubset(self.universe):
+    def __init__(self, universe: FiniteLanguage, events: tuple[FiniteLanguage, ...]) -> None:
+        for E in events:
+            if not E.issubset(universe):
                 raise ValueError("every event must be a subset of the universe")
+        object.__setattr__(self, "universe", universe)
+        object.__setattr__(self, "events", events)
+
+    __setattr__ = __delattr__ = read_only
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.universe, self.events) == (other.universe, other.events)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.universe, self.events))
 
 
 def atomic_constituents(family: EventFamily, bit_budget: int = 16) -> list[FiniteLanguage]:
@@ -484,16 +517,31 @@ def completely_independent_events(family: EventFamily, bit_budget: int = 16) -> 
     return len(atomic_constituents(family, bit_budget)) == 2 ** len(family.events)
 
 
-@dataclass(frozen=True)
 class RegionRow:
-    index: int  # compares regions 1..index against region index+1
-    disjoint: bool
-    disjoint_unfiltered: bool
-    low_entangles_high: bool
-    high_entangles_low: bool
-    vacuous: bool
-    low_size: int
-    high_size: int
+    def __init__(self, index: int, disjoint: bool, disjoint_unfiltered: bool, low_entangles_high: bool,
+                 high_entangles_low: bool, vacuous: bool, low_size: int, high_size: int) -> None:
+        object.__setattr__(self, "index", index)  # compares regions 1..index against region index+1
+        object.__setattr__(self, "disjoint", disjoint)
+        object.__setattr__(self, "disjoint_unfiltered", disjoint_unfiltered)
+        object.__setattr__(self, "low_entangles_high", low_entangles_high)
+        object.__setattr__(self, "high_entangles_low", high_entangles_low)
+        object.__setattr__(self, "vacuous", vacuous)
+        object.__setattr__(self, "low_size", low_size)
+        object.__setattr__(self, "high_size", high_size)
+
+    __setattr__ = __delattr__ = read_only
+
+    def _key(self) -> tuple:
+        return (self.index, self.disjoint, self.disjoint_unfiltered, self.low_entangles_high,
+                self.high_entangles_low, self.vacuous, self.low_size, self.high_size)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def to_json(self) -> dict:
         return {
@@ -508,11 +556,11 @@ class RegionRow:
         }
 
 
-@dataclass
 class RegionRelationsReport:
-    ignore_bewitched: bool
-    holds: bool
-    rows: list[RegionRow] = field(default_factory=list)
+    def __init__(self, ignore_bewitched: bool, holds: bool, rows: list[RegionRow] | None = None) -> None:
+        self.ignore_bewitched = ignore_bewitched
+        self.holds = holds
+        self.rows = [] if rows is None else rows
 
     def to_json(self) -> dict:
         return {

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -26,6 +25,7 @@ from .strings import (
     PartialString,
     TERNARY,
     join_sets,
+    read_only,
     reduce_strings,
     word_includes,
 )
@@ -40,18 +40,25 @@ class BudgetExceeded(RuntimeError):
         self.budget = budget
 
 
-@dataclass(frozen=True)
 class FiniteLanguage:
-    alphabet: Alphabet
-    words: frozenset[str]
+    def __init__(self, alphabet: Alphabet, words: frozenset[str]) -> None:
+        if not set("".join(words)) <= set(alphabet.symbols):
+            for w in words:  # one pass over all symbols above; this loop only names the offender
+                for c in w:
+                    if c not in alphabet:
+                        raise ValueError(f"word {w!r} uses symbol {c!r} outside {alphabet!r}")
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "words", words)
 
-    def __post_init__(self) -> None:
-        if set("".join(self.words)) <= set(self.alphabet.symbols):
-            return  # one pass over all symbols; the loop below only names the offender
-        for w in self.words:
-            for c in w:
-                if c not in self.alphabet:
-                    raise ValueError(f"word {w!r} uses symbol {c!r} outside {self.alphabet!r}")
+    __setattr__ = __delattr__ = read_only
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.alphabet, self.words) == (other.alphabet, other.words)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet, self.words))
 
     @classmethod
     def of(cls, alphabet: Alphabet, words: Iterable[str]) -> "FiniteLanguage":
@@ -211,15 +218,16 @@ def random_string_set(rng: random.Random, alphabet: Alphabet, cap: int, max_size
     return frozenset(random_string(rng, alphabet, cap) for _ in range(rng.randint(0, max_size)))
 
 
-@dataclass
 class LawReport:
     """Outcome of a seeded law-checking run."""
 
-    samples: int
-    seed: int
-    holds: bool = True
-    checks: dict[str, int] = field(default_factory=dict)
-    failures: list[str] = field(default_factory=list)
+    def __init__(self, samples: int, seed: int, holds: bool = True,
+                 checks: dict[str, int] | None = None, failures: list[str] | None = None) -> None:
+        self.samples = samples
+        self.seed = seed
+        self.holds = holds
+        self.checks = {} if checks is None else checks
+        self.failures = [] if failures is None else failures
 
     def record(self, law: str, ok: bool, detail: str) -> None:
         self.checks[law] = self.checks.get(law, 0) + 1

@@ -45,21 +45,18 @@ import os
 import sys
 import time
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
-from hashlib import sha256
 from operator import itemgetter
 from pathlib import Path
 
 from . import __version__
 from .languages import BudgetExceeded, FiniteLanguage, cylindrify, expand_in, is_full_slice
-from .strings import AlphabetMismatch, PartialString, reduce_strings
+from .strings import AlphabetMismatch, PartialString, read_only, reduce_strings
 
 DEFAULT_CANDIDATE_BUDGET = 4 ** 12
 FULL_KEEP_LIMIT = 50_000
 
 
-@dataclass(frozen=True)
 class DecisionProblem:
     """A base language E, a target F inside it, and optional solution regions covering F.
 
@@ -68,20 +65,29 @@ class DecisionProblem:
     label and no other word carries one; a region language is built only where one is walked.
     """
 
-    base: FiniteLanguage
-    target: FiniteLanguage
-    labels: dict[str, int] | None = None
-
-    def __post_init__(self) -> None:
-        if self.base.alphabet != self.target.alphabet:
+    def __init__(self, base: FiniteLanguage, target: FiniteLanguage, labels: dict[str, int] | None = None) -> None:
+        if base.alphabet != target.alphabet:
             raise AlphabetMismatch("base and target use different alphabets")
-        if not self.target.issubset(self.base):
+        if not target.issubset(base):
             raise ValueError("target must be a subset of the base language")
-        if self.labels is not None:
-            if not self.labels.keys() <= self.target.words:
+        if labels is not None:
+            if not labels.keys() <= target.words:
                 raise ValueError("every region must be a subset of the target")
-            if self.labels.keys() != self.target.words or not all(self.labels.values()):
+            if labels.keys() != target.words or not all(labels.values()):
                 raise ValueError("regions must cover the target exactly")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "labels", labels)
+
+    __setattr__ = __delattr__ = read_only
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.base, self.target, self.labels) == (other.base, other.target, other.labels)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.target, self.labels))
 
     @property
     def alphabet(self):
@@ -325,15 +331,16 @@ class Analysis:
         ]
 
 
-@dataclass
 class LogogramResult:
-    full: frozenset[PartialString] | None
-    reduced: frozenset[PartialString]
-    full_count: int
-    candidate_space_size: int
-    positions: tuple[int, ...]
-    restricted: bool
-    elapsed: float
+    def __init__(self, full: frozenset[PartialString] | None, reduced: frozenset[PartialString], full_count: int,
+                 candidate_space_size: int, positions: tuple[int, ...], restricted: bool, elapsed: float) -> None:
+        self.full = full
+        self.reduced = reduced
+        self.full_count = full_count
+        self.candidate_space_size = candidate_space_size
+        self.positions = positions
+        self.restricted = restricted
+        self.elapsed = elapsed
 
     def sorted_reduced(self) -> list[PartialString]:
         return sorted(self.reduced, key=lambda g: (g.size, g.render()))
@@ -490,14 +497,15 @@ def logexp(H: frozenset[PartialString], universe: FiniteLanguage, *, budget: int
     return result.full
 
 
-@dataclass
 class LogExpReport:
-    extensive: bool
-    idempotent: bool
-    monotone: bool
-    holds: bool
-    collective_sample: str | None = None
-    union_strict: bool | None = None
+    def __init__(self, extensive: bool, idempotent: bool, monotone: bool, holds: bool,
+                 collective_sample: str | None = None, union_strict: bool | None = None) -> None:
+        self.extensive = extensive
+        self.idempotent = idempotent
+        self.monotone = monotone
+        self.holds = holds
+        self.collective_sample = collective_sample
+        self.union_strict = union_strict
 
     def to_json(self) -> dict:
         return {
@@ -578,6 +586,8 @@ def cover_of(
 # --- cache files ---
 
 def problem_fingerprint(problem: DecisionProblem, positions: tuple[int, ...]) -> str:
+    from hashlib import sha256  # imported on use: loading OpenSSL would add to every command's start-up
+
     h = sha256()
     h.update(("alphabet=" + "".join(problem.alphabet.symbols)).encode())
     for name, language in (("base", problem.base), ("target", problem.target)):
@@ -593,6 +603,8 @@ def cache_file(cache_dir: str | Path, fingerprint: str) -> Path:
 
 def _cache_digest(header: dict, body: list[str]) -> str:
     """sha256 over the canonical header (without its digest) and the body lines."""
+    from hashlib import sha256
+
     text = json.dumps(header, sort_keys=True) + "\n" + "\n".join(body)
     return sha256(text.encode()).hexdigest()
 

@@ -25,17 +25,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .languages import BudgetExceeded, FiniteLanguage
 from .logogram import DecisionProblem
-from .strings import TERNARY, Alphabet, PartialString
+from .strings import TERNARY, Alphabet, PartialString, read_only
 
 SAT_ALPHABET: Alphabet = TERNARY
 DEFAULT_WORD_BUDGET = 2_000_000
 
 
-@dataclass(frozen=True)
 class CnfInstance:
     """n variables, m clauses; a clause is a frozenset of signed literals.
 
@@ -44,19 +42,28 @@ class CnfInstance:
     reserves a single code per (clause, variable) slot.
     """
 
-    n: int
-    m: int
-    clauses: tuple[frozenset[int], ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.m < 1:
+    def __init__(self, n: int, m: int, clauses: tuple[frozenset[int], ...]) -> None:
+        if n < 1 or m < 1:
             raise ValueError("need n >= 1 and m >= 1")
-        if len(self.clauses) != self.m:
-            raise ValueError(f"declared m={self.m} but got {len(self.clauses)} clauses")
-        for clause in self.clauses:
+        if len(clauses) != m:
+            raise ValueError(f"declared m={m} but got {len(clauses)} clauses")
+        for clause in clauses:
             for lit in clause:
-                if lit == 0 or abs(lit) > self.n:
-                    raise ValueError(f"literal {lit} out of range for n={self.n}")
+                if lit == 0 or abs(lit) > n:
+                    raise ValueError(f"literal {lit} out of range for n={n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "clauses", clauses)
+
+    __setattr__ = __delattr__ = read_only
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.n, self.m, self.clauses) == (other.n, other.m, other.clauses)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.m, self.clauses))
 
     @classmethod
     def of(cls, n: int, clauses) -> "CnfInstance":
@@ -91,16 +98,24 @@ def satisfies(inst: CnfInstance, y: Assignment) -> bool:
     return all(any(lit_true(lit) for lit in clause) for clause in inst.clauses)
 
 
-@dataclass(frozen=True)
 class EchelonSpec:
     """One (n, m) slice of the encoded language."""
 
-    n: int
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.m < 1:
+    def __init__(self, n: int, m: int) -> None:
+        if n < 1 or m < 1:
             raise ValueError("need n >= 1 and m >= 1")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+
+    __setattr__ = __delattr__ = read_only
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.n, self.m) == (other.n, other.m)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.m))
 
     @property
     def prefix(self) -> str:

@@ -17,7 +17,6 @@ Text forms:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
@@ -29,25 +28,42 @@ class AlphabetMismatch(ValueError):
     """Raised when an operation mixes strings over different alphabets."""
 
 
-@dataclass(frozen=True)
+def read_only(self, name: str, *value: object) -> None:
+    """`__setattr__` and `__delattr__` of the immutable value types.
+
+    Their `__init__` sets each field once through `object.__setattr__`; equality
+    compares the field tuple and the hash is `hash` of it.
+    """
+    raise AttributeError(f"cannot assign to or delete {type(self).__name__}.{name}")
+
+
 class Alphabet:
     """Ordered finite symbol set; must contain '0' and '1', never '_'."""
 
-    symbols: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.symbols:
+    def __init__(self, symbols: tuple[str, ...]) -> None:
+        if not symbols:
             raise ValueError("alphabet must be nonempty")
-        if len(set(self.symbols)) != len(self.symbols):
-            raise ValueError(f"duplicate symbols in alphabet {self.symbols!r}")
-        for sym in self.symbols:
+        if len(set(symbols)) != len(symbols):
+            raise ValueError(f"duplicate symbols in alphabet {symbols!r}")
+        for sym in symbols:
             if not (isinstance(sym, str) and len(sym) == 1):
                 raise ValueError(f"alphabet symbols must be single characters, got {sym!r}")
-        if BLANK in self.symbols:
+        if BLANK in symbols:
             raise ValueError("the blank marker '_' cannot be an alphabet symbol")
         for required in ("0", "1"):
-            if required not in self.symbols:
+            if required not in symbols:
                 raise ValueError(f"alphabet must include {required!r}")
+        object.__setattr__(self, "symbols", symbols)
+
+    __setattr__ = __delattr__ = read_only
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.symbols == other.symbols
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.symbols,))
 
     @classmethod
     def of(cls, symbols: str | Iterable[str]) -> "Alphabet":
@@ -79,7 +95,6 @@ def _check_same_alphabet(a: "PartialString", b: "PartialString") -> None:
         raise AlphabetMismatch(f"mixed alphabets: {a.alphabet!r} vs {b.alphabet!r}")
 
 
-@dataclass(frozen=True)
 class PartialString:
     """Finite partial map position -> symbol, positions >= 1.
 
@@ -88,21 +103,30 @@ class PartialString:
     L characters.
     """
 
-    alphabet: Alphabet
-    entries: tuple[tuple[int, str], ...]
-
-    def __post_init__(self) -> None:
+    def __init__(self, alphabet: Alphabet, entries: tuple[tuple[int, str], ...]) -> None:
         last = 0
-        symbols = self.alphabet.symbols
-        for pos, sym in self.entries:
+        symbols = alphabet.symbols
+        for pos, sym in entries:
             if not isinstance(pos, int) or pos < 1:
                 raise ValueError(f"positions must be integers >= 1, got {pos!r}")
             if pos <= last:
                 raise ValueError(f"repeated position {pos}" if pos == last
                                  else "entries must be sorted by strictly increasing position")
             if sym not in symbols:
-                raise ValueError(f"symbol {sym!r} not in {self.alphabet!r}")
+                raise ValueError(f"symbol {sym!r} not in {alphabet!r}")
             last = pos
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "entries", entries)
+
+    __setattr__ = __delattr__ = read_only
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.alphabet, self.entries) == (other.alphabet, other.entries)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet, self.entries))
 
     @classmethod
     def of(cls, alphabet: Alphabet, entries: Mapping[int, str] | Iterable[tuple[int, str]]) -> "PartialString":

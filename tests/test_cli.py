@@ -207,9 +207,10 @@ def test_benchmark_traced_names_exist():
 
 
 def test_cli_import_leaves_multiprocessing_unloaded():
-    """Importing the CLI does not load multiprocessing."""
+    """Importing the CLI loads none of the modules that slow every command's start-up."""
     src = str(Path(strtool.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, strtool.cli; print('multiprocessing' in sys.modules)"
+    heavy = ("multiprocessing", "dataclasses", "inspect", "hashlib")
+    code = f"import sys, strtool.cli; print([m for m in {heavy!r} if m in sys.modules])"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import itertools
 import json
@@ -21,6 +20,7 @@ from strtool.languages import (
 from strtool.logogram import (
     Analysis,
     DecisionProblem,
+    LogogramResult,
     ProblemIndex,
     auto_positions,
     cover_of,
@@ -370,7 +370,9 @@ class TestExpansionIdentity:
         analysis.logogram = result
         assert verify_logogram_expansion(analysis)
         dropped = min(result.reduced, key=lambda g: (g.size, g.render()))
-        analysis.logogram = dataclasses.replace(result, reduced=result.reduced - {dropped})
+        analysis.logogram = LogogramResult(result.full, result.reduced - {dropped}, result.full_count,
+                                           result.candidate_space_size, result.positions, result.restricted,
+                                           result.elapsed)
         assert not verify_logogram_expansion(analysis)
 
 

@@ -177,13 +177,13 @@ class TestEchelons:
 
     def test_builds_only_base_and_target(self, monkeypatch):
         built = []
-        real_post_init = FiniteLanguage.__post_init__
+        real_init = FiniteLanguage.__init__
 
-        def counting_post_init(language):
+        def counting_init(language, *args):
             built.append(language)
-            real_post_init(language)
+            real_init(language, *args)
 
-        monkeypatch.setattr(FiniteLanguage, "__post_init__", counting_post_init)
+        monkeypatch.setattr(FiniteLanguage, "__init__", counting_init)
         problem = enumerate_echelon(EchelonSpec(2, 2))
         assert len(built) == 2
         assert built[0] is problem.base and built[1] is problem.target

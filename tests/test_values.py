@@ -1,0 +1,46 @@
+"""The immutable value types: field equality, hash of the field tuple, no assignment or deletion."""
+
+import pytest
+
+from strtool.independence import WIZARD, EventFamily, RegionRow, StringVerdict, WizardFinding
+from strtool.languages import FiniteLanguage
+from strtool.logogram import DecisionProblem
+from strtool.sat import CnfInstance, EchelonSpec
+from strtool.strings import BINARY, TERNARY, Alphabet, PartialString
+
+
+def lang(*words: str) -> FiniteLanguage:
+    return FiniteLanguage(BINARY, frozenset(words))
+
+
+VALUES = {
+    "Alphabet": (lambda: Alphabet(("0", "1", "2")), ("symbols",)),
+    "PartialString": (lambda: PartialString(TERNARY, ((1, "0"), (3, "2"))), ("alphabet", "entries")),
+    "FiniteLanguage": (lambda: lang("01", "1"), ("alphabet", "words")),
+    "DecisionProblem": (lambda: DecisionProblem(lang("00", "01", "1"), lang("01")), ("base", "target", "labels")),
+    "CnfInstance": (lambda: CnfInstance(2, 2, (frozenset({1, -2}), frozenset({2}))), ("n", "m", "clauses")),
+    "EchelonSpec": (lambda: EchelonSpec(3, 2), ("n", "m")),
+    "StringVerdict": (lambda: StringVerdict(PartialString(BINARY, ((2, "1"),)), WIZARD, (1, 3)),
+                      ("string", "kind", "containing_regions")),
+    "WizardFinding": (lambda: WizardFinding("_1", 3, True, False, True),
+                      ("string", "witnesses", "union_holds", "proper", "witness_inside_wizard")),
+    "EventFamily": (lambda: EventFamily(lang("0", "1", "01"), (lang("0"), lang("0", "01"))), ("universe", "events")),
+    "RegionRow": (lambda: RegionRow(1, True, True, False, False, False, 2, 3),
+                  ("index", "disjoint", "disjoint_unfiltered", "low_entangles_high", "high_entangles_low",
+                   "vacuous", "low_size", "high_size")),
+}
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_value_type(name):
+    make, fields = VALUES[name]
+    a, b = make(), make()
+    assert a is not b and a == b and not a != b
+    values = tuple(getattr(a, f) for f in fields)
+    assert hash(a) == hash(b) == hash(values)
+    for f in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, f, None)
+        with pytest.raises(AttributeError):
+            delattr(a, f)
+    assert tuple(getattr(a, f) for f in fields) == values
