@@ -36,6 +36,8 @@ COMMANDS = (
     ("verify", "--suite", "sat", "--n", "2", "--m", "5", "--threads", "1"),
     ("logogram", "--n", "5", "--m", "2", "--reduced", "--no-cache"),
     ("verify", "--suite", "sat", "--n", "5", "--m", "2"),
+    ("verify", "--suite", "logogram", "--samples", "400", "--seed", "7"),
+    ("verify", "--suite", "closure", "--samples", "400", "--seed", "7"),
 )
 # The text renderer reads the same report objects as the JSON one.
 TEXT_COMMANDS = (

@@ -67,6 +67,7 @@ from .independence import (
     wizard_cover_report,
 )
 from .sat import (
+    DEFAULT_WORD_BUDGET,
     EchelonSpec,
     consistent_selection_count,
     effective_size,
@@ -269,10 +270,10 @@ def suite_logogram(samples: int, seed: int) -> list[CheckResult]:
     return checks
 
 
-def suite_sat(n: int, m: int, budget: int) -> list[CheckResult]:
+def suite_sat(n: int, m: int, budget: int, word_budget: int) -> list[CheckResult]:
     checks: list[CheckResult] = []
     spec = EchelonSpec(n, m)
-    problem = enumerate_echelon(spec)
+    problem = enumerate_echelon(spec, budget=word_budget)
     analysis = Analysis(problem, budget=budget)
     result = analysis.logogram
 
@@ -358,7 +359,7 @@ def suite_sat(n: int, m: int, budget: int) -> list[CheckResult]:
     return checks
 
 
-def suite_wizards(n: int, m: int, budget: int) -> list[CheckResult]:
+def suite_wizards(n: int, m: int, budget: int, word_budget: int) -> list[CheckResult]:
     checks: list[CheckResult] = []
     start = time.perf_counter()
     toy = wizard_cover_report(Analysis(toy_wizard_problem()))
@@ -373,7 +374,7 @@ def suite_wizards(n: int, m: int, budget: int) -> list[CheckResult]:
     ), start)
 
     start = time.perf_counter()
-    problem = enumerate_echelon(EchelonSpec(n, m))
+    problem = enumerate_echelon(EchelonSpec(n, m), budget=word_budget)
     echelon_report = wizard_cover_report(Analysis(problem, budget=budget))
     timed(checks, CheckResult(
         name="wizard-cover-echelon",
@@ -383,10 +384,10 @@ def suite_wizards(n: int, m: int, budget: int) -> list[CheckResult]:
     return checks
 
 
-def suite_regions(n: int, m: int, ignore_bewitched: bool, budget: int) -> list[CheckResult]:
+def suite_regions(n: int, m: int, ignore_bewitched: bool, budget: int, word_budget: int) -> list[CheckResult]:
     checks: list[CheckResult] = []
     start = time.perf_counter()
-    problem = enumerate_echelon(EchelonSpec(n, m))
+    problem = enumerate_echelon(EchelonSpec(n, m), budget=word_budget)
     report = region_relations(Analysis(problem, budget=budget), ignore_bewitched)
     timed(checks, CheckResult(
         name="region-relations",
@@ -458,12 +459,12 @@ def run_suite(cfg: dict) -> VerificationReport:
     if suite in ("logogram", "all"):
         checks.extend(suite_logogram(max(10, cfg["samples"] // 4), cfg["seed"]))
     if suite in ("sat", "all"):
-        checks.extend(suite_sat(cfg["n"], cfg["m"], cfg["budget"]))
+        checks.extend(suite_sat(cfg["n"], cfg["m"], cfg["budget"], cfg["word_budget"]))
     if suite in ("wizards", "all"):
-        checks.extend(suite_wizards(cfg["n"], cfg["m"], cfg["budget"]))
+        checks.extend(suite_wizards(cfg["n"], cfg["m"], cfg["budget"], cfg["word_budget"]))
     if suite in ("regions", "all"):
         ignore = True if suite == "all" else cfg["ignore_bewitched"]
-        checks.extend(suite_regions(cfg["n"], cfg["m"], ignore, cfg["budget"]))
+        checks.extend(suite_regions(cfg["n"], cfg["m"], ignore, cfg["budget"], cfg["word_budget"]))
     if suite in ("events", "all"):
         checks.extend(suite_events(cfg["samples"], cfg["seed"]))
     return VerificationReport(config=cfg, checks=checks)
@@ -576,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--budget", type=int, default=DEFAULT_CANDIDATE_BUDGET,
                        help="candidate-space cap for logogram enumeration")
-        p.add_argument("--word-budget", type=int, default=2_000_000,
+        p.add_argument("--word-budget", type=int, default=DEFAULT_WORD_BUDGET,
                        help="word cap for echelon enumeration")
         p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
         p.add_argument("--format", choices=("text", "json"), default="text")

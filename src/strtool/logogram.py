@@ -454,7 +454,8 @@ def log_rel_naive(problem: DecisionProblem, candidate_positions=None, budget: in
     """Position-by-position reference enumerator: no index, no restriction, no pruning.
 
     Tests every candidate over the given positions against every base word.
-    Returns (full, reduced) string sets.
+    Returns (full, reduced) string sets.  The reduced set comes from
+    `reduce_strings`, which shares no code with the kernel's minimal keys.
     """
     if not problem.base.words:
         raise ValueError("base language is empty")

@@ -7,6 +7,10 @@ compatibility relation, and support join (least common extension), meet
 (agreeing restriction), set join, antichain reduction, and a consistency
 test that produces a witnessing word.
 
+Antichain reduction (`reduce_strings`) is bit-parallel over the members kept
+so far: it holds one bitset per position and one per (position, symbol)
+entry, and never compares two members directly.
+
 Text forms:
   * positional: one character per position up to the string's size, with
     '_' marking undefined positions ("1_2"); words contain no '_'.
@@ -177,10 +181,6 @@ class PartialString:
         return tuple(pos for pos, _ in self.entries)
 
     @property
-    def is_bottom(self) -> bool:
-        return not self.entries
-
-    @property
     def is_word(self) -> bool:
         return all(pos == i + 1 for i, (pos, _) in enumerate(self.entries))
 
@@ -291,13 +291,54 @@ def join_sets(H: frozenset[PartialString], K: frozenset[PartialString]) -> froze
 
 
 def reduce_strings(H: Iterable[PartialString]) -> frozenset[PartialString]:
-    """Minimal elements of H under extension (members not properly extending another member)."""
-    members = sorted(set(H), key=lambda g: (len(g.entries), g.entries))
-    minimal: list[PartialString] = []
+    """Minimal elements of H under extension (members not properly extending another member).
+
+    H is read once.  Members are taken in rounds of equal entry count, fewest
+    first; no member properly extends one with as many entries, so a round is
+    tested only against the members kept in earlier rounds.  Those are held
+    as bitsets over their indices: `at[pos]` marks the kept members defined
+    at pos, `has[(pos, sym)]` those with that entry.  A kept m is not below g
+    iff m has an entry where g is undefined or holds another symbol, so g is
+    kept iff the OR of `at[pos]` over the positions outside g's domain and of
+    `at[pos] & ~has[(pos, sym)]` over g's entries covers every kept index.
+    The first OR is shared by every string of a round with g's domain, and
+    the second term is tabulated once per round, so a test costs one
+    big-integer OR per entry of g.
+    """
+    members = set(H)
+    alphabet = _common_alphabet(members)
+    rounds: dict[int, list[PartialString]] = {}
     for g in members:
-        if not any(m < g for m in minimal):
-            minimal.append(g)
-    return frozenset(minimal)
+        rounds.setdefault(len(g.entries), []).append(g)
+    kept: list[PartialString] = []
+    at: dict[int, int] = {}
+    has: dict[tuple[int, str], int] = {}
+    for count in sorted(rounds):
+        everyone = (1 << len(kept)) - 1
+        other = {(pos, sym): defined & ~has.get((pos, sym), 0)
+                 for pos, defined in at.items() for sym in alphabet.symbols}
+        outside: dict[tuple[int, ...], int] = {}
+        survivors = []
+        for g in rounds[count]:
+            domain = g.domain
+            blocked = outside.get(domain)
+            if blocked is None:
+                blocked = 0
+                for pos, defined in at.items():
+                    if pos not in domain:
+                        blocked |= defined
+                outside[domain] = blocked
+            for entry in g.entries:
+                blocked |= other.get(entry, 0)
+            if blocked == everyone:
+                survivors.append(g)
+        for g in survivors:
+            bit = 1 << len(kept)
+            kept.append(g)
+            for entry in g.entries:
+                at[entry[0]] = at.get(entry[0], 0) | bit
+                has[entry] = has.get(entry, 0) | bit
+    return frozenset(kept)
 
 
 def pairwise_compatible(H: Iterable[PartialString]) -> bool:

@@ -141,6 +141,12 @@ class TestVerifyCommand:
         assert code == 1
         assert report["pass"] is False
 
+    @pytest.mark.parametrize("suite", ["sat", "regions", "wizards"])
+    def test_word_budget_caps_echelon_enumeration(self, capsys, suite):
+        code = main(["verify", "--suite", suite, "--n", "2", "--m", "2", "--word-budget", "10"])
+        assert code == 2
+        assert "echelon (2,2) enumeration: 81 exceeds budget 10" in capsys.readouterr().err
+
     def test_threads_is_accepted_and_has_no_effect(self, capsys):
         reports = []
         for threads in ("2", "1"):

@@ -205,6 +205,42 @@ class TestSetOperations:
         assert reduce_strings(antichain) == frozenset(antichain)
         assert reduce_strings({PartialString.bottom(TERNARY), ps("1")}) == frozenset({PartialString.bottom(TERNARY)})
 
+    @given(st.lists(strings(), max_size=12))
+    def test_reduce_matches_definition(self, H):
+        expected = frozenset(g for g in set(H) if not any(m < g for m in H))
+        assert reduce_strings(iter(H)) == expected
+
+    def test_reduce_reads_a_one_shot_generator_with_duplicates(self):
+        H = [ps("1"), ps("1"), ps("12"), ps("_2"), ps("_2"), ps("_22")]
+        assert reduce_strings(g for g in H) == frozenset({ps("1"), ps("_2")})
+
+    def test_reduce_sparse_positions(self):
+        H = [ps("1:1"), ps("1:1,1000:2"), ps("1000:1"), ps("2:1,3:1"), ps("2:1,1000:1")]
+        assert reduce_strings(H) == frozenset({ps("1:1"), ps("1000:1"), ps("2:1,3:1")})
+
+    def test_reduce_wide_alphabet(self):
+        wide = Alphabet.of("01ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijkl")
+        symbols = wide.symbols
+        H = [PartialString.of(wide, {1: symbols[i], 2 + i % 3: symbols[-1 - i]}) for i in range(40)]
+        H += [PartialString.of(wide, {1: s}) for s in symbols[::7]]
+        H += [PartialString.of(wide, {1: symbols[5], 9: s}) for s in symbols]
+        expected = frozenset(g for g in H if not any(m < g for m in H))
+        assert len(expected) < len(set(H))
+        assert reduce_strings(H) == expected
+
+    def test_reduce_bottom_and_empty(self):
+        bottom = PartialString.bottom(TERNARY)
+        assert reduce_strings([bottom]) == frozenset({bottom})
+        assert reduce_strings([ps("12"), bottom, ps("_1")]) == frozenset({bottom})
+        assert reduce_strings([]) == frozenset()
+        assert reduce_strings(iter(())) == frozenset()
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_reduce_mixed_alphabets_raise_in_any_order(self, order):
+        members = [PartialString.bottom(TERNARY), ps("12"), ps("1", BINARY)]
+        with pytest.raises(AlphabetMismatch):
+            reduce_strings(members[i] for i in order)
+
     @given(string_sets)
     def test_reduce_idempotent(self, H):
         once = reduce_strings(H)
