@@ -19,9 +19,10 @@ qualifying set, and only the keys that are reported are decoded into
 strings.  The index keeps, per positions tuple, the digit-0 masks, one key
 per word and the keys some base word extends, so each region walk builds
 only its bad-word bitset.  A deliberately plain enumerator (`log_rel_naive`)
-re-derives the same sets by scanning every candidate against every word with
-no index, no restriction and no pruning; it is the correctness oracle for
-the engine.
+re-derives the same sets with no index, no restriction and no pruning: one
+pass per domain projects the base words defined on it and keeps the
+projections whose words all lie in the target's closure, about words x
+2^npos projections in all; it is the correctness oracle for the engine.
 
 An `Analysis` wraps one problem and computes its index, logogram, member
 cylinders and masks, region masks (from the labels) and region logograms
@@ -44,7 +45,7 @@ import json
 import os
 import sys
 import time
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
@@ -451,42 +452,43 @@ def _logogram_over(
 
 
 def log_rel_naive(problem: DecisionProblem, candidate_positions=None, budget: int = 4 ** 9):
-    """Position-by-position reference enumerator: no index, no restriction, no pruning.
+    """Domain-by-domain reference enumerator: no index, no restriction, no pruning.
 
-    Tests every candidate over the given positions against every base word.
-    Returns (full, reduced) string sets.  The reduced set comes from
-    `reduce_strings`, which shares no code with the kernel's minimal keys.
+    A string over a domain (a subset of the positions) qualifies iff some base
+    word defined on the whole domain projects onto it and every such word lies
+    in the target's closure.  So each of those words is projected once per
+    domain, a flag per projection records whether all its words were in the
+    closure, and the projections whose flag stayed true are the qualifying
+    strings: about words x 2^len(positions) projections in all.  Returns
+    (full, reduced) string sets.  The reduced set comes from `reduce_strings`,
+    which shares no code with the kernel's minimal keys.
     """
     if not problem.base.words:
         raise ValueError("base language is empty")
     alphabet = problem.base.alphabet
     words = sorted(problem.base.words, key=lambda w: (len(w), w))
-    positions = tuple(sorted(set(candidate_positions))) if candidate_positions is not None \
-        else tuple(range(1, max(len(w) for w in words) + 1))
+    if candidate_positions is None:
+        positions = tuple(range(1, len(words[-1]) + 1))
+    else:
+        positions = tuple(sorted(set(candidate_positions)))
+        if positions and positions[0] < 1:
+            raise ValueError("candidate positions must be >= 1")
     space = (len(alphabet.symbols) + 1) ** len(positions)
     if space > budget:
         raise BudgetExceeded("naive candidate space too large", space, budget)
-    target_words = cylindrify(problem.target, problem.base).words
-    flags = [w in target_words for w in words]
+    closure = cylindrify(problem.target, problem.base).words
 
     full: list[PartialString] = []
     for r in range(len(positions) + 1):
         for domain in itertools.combinations(positions, r):
-            rows = []
-            for w, ok in zip(words, flags):
-                proj = tuple(w[p - 1] for p in domain) if all(p <= len(w) for p in domain) else None
-                rows.append((proj, ok))
-            for codes in itertools.product(alphabet.symbols, repeat=r):
-                hit = False
-                good = True
-                for proj, ok in rows:
-                    if proj == codes:
-                        hit = True
-                        if not ok:
-                            good = False
-                            break
-                if hit and good:
-                    full.append(PartialString(alphabet, tuple(zip(domain, codes))))
+            # one symbol (r == 1) or a tuple of them; zip pairs either with the domain
+            project = itemgetter(*(p - 1 for p in domain)) if domain else lambda w: ()
+            qualifies = {}
+            for w in words[bisect_left(words, domain[-1], key=len) if domain else 0:]:
+                codes = project(w)
+                qualifies[codes] = qualifies.get(codes, True) and w in closure
+            full.extend(PartialString(alphabet, tuple(zip(domain, codes)))
+                        for codes, ok in qualifies.items() if ok)
     full_set = frozenset(full)
     return full_set, reduce_strings(full_set)
 

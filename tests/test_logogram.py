@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from strtool.languages import (
     BINARY,
@@ -205,6 +206,24 @@ def brute_qualifying(problem, positions):
     return out
 
 
+def digits_to_strings(problem, positions, digit_tuples):
+    symbols = problem.alphabet.symbols
+    return frozenset(
+        PartialString(problem.alphabet, tuple((p, symbols[d - 1]) for p, d in zip(positions, t) if d))
+        for t in digit_tuples
+    )
+
+
+@st.composite
+def naive_cases(draw):
+    """Binary or ternary problems with mixed lengths and the empty word, and default or explicit positions."""
+    alphabet = draw(st.sampled_from((BINARY, TERNARY)))
+    words = draw(st.sets(st.text(alphabet=alphabet.symbols, max_size=4), min_size=1, max_size=12))
+    target = draw(st.sets(st.sampled_from(sorted(words))))
+    positions = draw(st.none() | st.sets(st.integers(1, 6), max_size=5 if alphabet is BINARY else 4))
+    return DecisionProblem(lang(words, alphabet), lang(target, alphabet)), positions
+
+
 def chain_walk_cases():
     """Seeded random problems with all or explicit positions, then fixed edge cases."""
     rng = random.Random(23)
@@ -232,17 +251,13 @@ class TestChainWalk:
     @pytest.mark.parametrize("problem,positions", list(chain_walk_cases()))
     def test_against_brute_force_scan(self, problem, positions):
         base = len(problem.alphabet.symbols) + 1
-        symbols = problem.alphabet.symbols
         qualifying = brute_qualifying(problem, positions)
         idx = ProblemIndex(problem.base)
         bad_mask = idx.all_mask & ~idx.target_mask(problem.target)
         keys = set_bits(idx.candidate_space(positions).qualifying(bad_mask))
         assert keys == sorted(sum(d * base ** j for j, d in enumerate(t)) for t in qualifying)
         result = log_rel(problem, positions, keep_full=True)
-        assert result.full == {
-            PartialString(problem.alphabet, tuple((p, symbols[d - 1]) for p, d in zip(positions, t) if d))
-            for t in qualifying
-        }
+        assert result.full == digits_to_strings(problem, positions, qualifying)
         assert result.full_count == len(qualifying)
         assert result.reduced == reduce_strings(result.full)
 
@@ -304,6 +319,40 @@ class TestNaiveOracle:
         problem = DecisionProblem(sigma_exact(BINARY, 3), lang(["111"]))
         with pytest.raises(BudgetExceeded):
             log_rel_naive(problem, budget=10)
+
+    @given(naive_cases())
+    def test_matches_definition(self, case):
+        problem, positions = case
+        scanned = tuple(sorted(positions)) if positions is not None \
+            else tuple(range(1, max(map(len, problem.base.words)) + 1))
+        qualifying = digits_to_strings(problem, scanned, brute_qualifying(problem, scanned))
+        assert log_rel_naive(problem, positions) == (qualifying, reduce_strings(qualifying))
+
+    def test_empty_positions(self):
+        bottom = PartialString.bottom(BINARY)
+        inside = DecisionProblem(lang(["", "01", "1"]), lang(["", "1"]))
+        assert log_rel_naive(inside, ()) == ({bottom}, {bottom})
+        outside = DecisionProblem(lang(["", "01", "1"]), lang(["01"]))
+        assert log_rel_naive(outside, ()) == (frozenset(), frozenset())
+
+    @pytest.mark.parametrize("positions", [(0,), (-1, 2)])
+    def test_rejects_positions_below_one(self, positions):
+        problem = DecisionProblem(lang(["01", "1"]), lang(["1"]))
+        with pytest.raises(ValueError, match="candidate positions must be >= 1"):
+            log_rel_naive(problem, positions)
+
+    def test_builds_no_engine_tables(self, monkeypatch):
+        spec = EchelonSpec(2, 2)
+        cases = [(random_problem(random.Random(12), TERNARY, max_len=4), None),
+                 (enumerate_echelon(spec), spec.body_positions)]
+        expected = [log_rel_naive(problem, positions) for problem, positions in cases]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle must not use the engine")
+
+        for name in ("ProblemIndex", "CandidateSpace", "_word_keys"):
+            monkeypatch.setattr(logogram, name, forbidden)
+        assert [log_rel_naive(problem, positions) for problem, positions in cases] == expected
 
 
 class TestLogAbs:
