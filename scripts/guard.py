@@ -8,7 +8,10 @@ outputs to show that a change leaves every report byte-identical:
     python3 scripts/guard.py > after.txt     # in the new one
     diff before.txt after.txt
 
-strtool is imported from the `src` directory next to this script.
+strtool is imported from the `src` directory next to this script.  The
+cache commands run twice each, cold then warm, in one fresh temporary
+directory with a relative --cache-dir, so the first run writes the cache file,
+the second reads it, and the echoed cache_dir is the same on every machine.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -44,18 +48,24 @@ TEXT_COMMANDS = (
     ("verify", "--suite", "all"),
     ("logogram", "--n", "3", "--m", "2", "--no-cache"),
 )
+CACHE_COMMANDS = (
+    ("logogram", "--n", "3", "--m", "2", "--cache-dir", "cache"),  # the full set is stored
+    ("logogram", "--n", "2", "--m", "2", "--reduced", "--cache-dir", "cache"),
+)
 
 
 def main() -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    runs = [(c, "json") for c in COMMANDS] + [(c, "text") for c in TEXT_COMMANDS]
-    for command, fmt in runs:
-        argv = [*command, "--format", fmt]
-        proc = subprocess.run([sys.executable, "-m", "strtool", *argv], env=env,
-                              stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
-        digest = hashlib.sha256(proc.stdout).hexdigest()[:16]
-        print(proc.returncode, digest, " ".join(argv), flush=True)
+    with tempfile.TemporaryDirectory() as scratch:
+        runs = [(c, "json", None) for c in COMMANDS] + [(c, "text", None) for c in TEXT_COMMANDS]
+        runs += [(c, "json", scratch) for c in CACHE_COMMANDS for _cold_then_warm in range(2)]
+        for command, fmt, cwd in runs:
+            argv = [*command, "--format", fmt]
+            proc = subprocess.run([sys.executable, "-m", "strtool", *argv], env=env, cwd=cwd,
+                                  stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+            digest = hashlib.sha256(proc.stdout).hexdigest()[:16]
+            print(proc.returncode, digest, " ".join(argv), flush=True)
     return 0
 
 

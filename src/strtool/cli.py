@@ -83,11 +83,10 @@ SUITES = ("closure", "logogram", "sat", "wizards", "regions", "events", "all")
 
 
 class CheckResult:
-    def __init__(self, name: str, holds: bool, partial: bool = False, counts: dict | None = None,
+    def __init__(self, name: str, holds: bool, counts: dict | None = None,
                  counterexample: object = None, details: object = None, elapsed: float = 0.0) -> None:
         self.name = name
         self.holds = holds
-        self.partial = partial
         self.counts = {} if counts is None else counts
         self.counterexample = counterexample
         self.details = details
@@ -97,7 +96,7 @@ class CheckResult:
         return {
             "name": self.name,
             "holds": self.holds,
-            "partial": self.partial,
+            "partial": False,  # schema 1 carries the field; no check is ever partial
             "counts": self.counts,
             "counterexample": self.counterexample,
             "details": self.details,
@@ -112,7 +111,7 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.holds and not c.partial for c in self.checks)
+        return all(c.holds for c in self.checks)
 
     def to_json(self) -> dict:
         out = {
@@ -129,7 +128,7 @@ class VerificationReport:
     def to_text(self) -> str:
         lines = []
         for c in self.checks:
-            status = "PASS" if c.holds and not c.partial else ("PARTIAL" if c.holds else "FAIL")
+            status = "PASS" if c.holds else "FAIL"
             counts = ", ".join(f"{k}: {v}" for k, v in sorted(c.counts.items()))
             lines.append(f"{status} {c.name}" + (f" ({counts})" if counts else ""))
             if c.counterexample is not None:
@@ -338,7 +337,6 @@ def suite_sat(n: int, m: int, budget: int, word_budget: int) -> list[CheckResult
     timed(checks, CheckResult(
         name="sat-complete",
         holds=complete.holds,
-        partial=complete.partial,
         counts={"subsets": complete.subsets_checked},
         counterexample=complete.counterexample,
     ), start)
@@ -499,7 +497,7 @@ def cmd_logogram(args: argparse.Namespace) -> tuple[VerificationReport, int]:
     cached = False
     result = None
     if not args.no_cache:
-        result = load_logogram_cache(problem, args.cache_dir, positions, fingerprint)
+        result = load_logogram_cache(problem.alphabet, args.cache_dir, positions, fingerprint)
         cached = result is not None
     if result is None:
         result = log_rel(
@@ -510,7 +508,7 @@ def cmd_logogram(args: argparse.Namespace) -> tuple[VerificationReport, int]:
             index=index,
         )
         if not args.no_cache:
-            save_logogram_cache(result, problem, args.cache_dir, fingerprint)
+            save_logogram_cache(result, args.cache_dir, fingerprint)
 
     payload = {
         "fingerprint": fingerprint,

@@ -104,24 +104,10 @@ class StringVerdict:
 
 
 class IndependenceVerdict:
-    def __init__(self, property: str, holds: bool, subsets_checked: int, partial: bool = False,
-                 counterexample: dict | None = None) -> None:
-        self.property = property
+    def __init__(self, holds: bool, subsets_checked: int, counterexample: dict | None = None) -> None:
         self.holds = holds
         self.subsets_checked = subsets_checked
-        self.partial = partial
         self.counterexample = counterexample
-
-    def to_json(self) -> dict:
-        out = {
-            "property": self.property,
-            "holds": self.holds,
-            "partial": self.partial,
-            "subsets_checked": self.subsets_checked,
-        }
-        if self.counterexample is not None:
-            out["counterexample"] = self.counterexample
-        return out
 
 
 def classify_all(analysis: Analysis) -> list[StringVerdict]:
@@ -164,7 +150,6 @@ def internal_independence(analysis: Analysis) -> IndependenceVerdict:
         bwd = not (cyls[j] & ~cyls[i])
         if fwd or bwd:
             return IndependenceVerdict(
-                property="Internal",
                 holds=False,
                 subsets_checked=checked,
                 counterexample={
@@ -172,7 +157,7 @@ def internal_independence(analysis: Analysis) -> IndependenceVerdict:
                     "reason": "relative cylinders are comparable",
                 },
             )
-    return IndependenceVerdict(property="Internal", holds=True, subsets_checked=checked)
+    return IndependenceVerdict(holds=True, subsets_checked=checked)
 
 
 def strong_independence(analysis: Analysis) -> IndependenceVerdict:
@@ -181,7 +166,6 @@ def strong_independence(analysis: Analysis) -> IndependenceVerdict:
     for i, g in enumerate(analysis.members):
         if (1 << i) not in singles:
             return IndependenceVerdict(
-                property="Strong",
                 holds=False,
                 subsets_checked=i + 1,
                 counterexample={
@@ -189,7 +173,7 @@ def strong_independence(analysis: Analysis) -> IndependenceVerdict:
                     "reason": "no base word includes this string alone",
                 },
             )
-    return IndependenceVerdict(property="Strong", holds=True, subsets_checked=len(analysis.members))
+    return IndependenceVerdict(holds=True, subsets_checked=len(analysis.members))
 
 
 def construct_separator(fs, spec: EchelonSpec) -> str:
@@ -284,7 +268,7 @@ def complete_independence(analysis: Analysis) -> IndependenceVerdict:
             if K2 & (low - 1) == K & (low - 1):
                 work.append((K2, compat2, dom2, j))
 
-    verdict = IndependenceVerdict(property="Complete", holds=not failing, subsets_checked=checked)
+    verdict = IndependenceVerdict(holds=not failing, subsets_checked=checked)
     if failing:
         verdict.counterexample = {
             "strings": _smallest_generator(members, compatible, domain, below, failing),

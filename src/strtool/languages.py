@@ -64,10 +64,6 @@ class FiniteLanguage:
     def of(cls, alphabet: Alphabet, words: Iterable[str]) -> "FiniteLanguage":
         return cls(alphabet, frozenset(words))
 
-    @classmethod
-    def empty(cls, alphabet: Alphabet) -> "FiniteLanguage":
-        return cls(alphabet, frozenset())
-
     def __contains__(self, word: object) -> bool:
         return word in self.words
 

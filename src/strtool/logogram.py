@@ -18,11 +18,14 @@ qualifies: one more set of shifts.  full_count is the popcount of the
 qualifying set, and only the keys that are reported are decoded into
 strings.  The index keeps, per positions tuple, the digit-0 masks, one key
 per word and the keys some base word extends, so each region walk builds
-only its bad-word bitset.  A deliberately plain enumerator (`log_rel_naive`)
-re-derives the same sets with no index, no restriction and no pruning: one
-pass per domain projects the base words defined on it and keeps the
-projections whose words all lie in the target's closure, about words x
-2^npos projections in all; it is the correctness oracle for the engine.
+only its bad-word bitset.  `log_rel` is the one entry into the kernel: the
+absolute logogram (`log_abs`, on which LogExp is built) is the logogram
+relative to a full capped slice, over every position.  A deliberately plain
+enumerator (`log_rel_naive`) re-derives the same sets with no index, no
+restriction and no pruning: one pass per domain projects the base words
+defined on it and keeps the projections whose words all lie in the target's
+closure, about words x 2^npos projections in all; it is the correctness
+oracle for the engine.
 
 An `Analysis` wraps one problem and computes its index, logogram, member
 cylinders and masks, region masks (from the labels) and region logograms
@@ -31,11 +34,13 @@ once, on first use; the checks in `strtool.independence` take one.
 Cache files: "logogram-<fingerprint>.txt" with a JSON header line followed
 by one rendered string per line, reduced members flagged "R ", remaining
 members flagged ". ".  The header carries a sha256 of itself (without the
-digest) and the body lines; a missing or mismatched digest, a fingerprint or
-version mismatch, or a body that disagrees with the header's reduced_count
-(or full_count, when the full set is stored), invalidates the file and the
-caller recomputes.  Files are written to a temporary name and renamed into
-place, so a reader never sees a partial write.
+digest) and the body lines; a missing or mismatched digest, a header field
+that is missing or of the wrong type, a fingerprint or version mismatch, or
+a body that disagrees with the header's reduced_count (or full_count, when
+the full set is stored), invalidates the file and the caller recomputes.
+Both cache functions take the fingerprint the caller computed.  Files are
+written to a temporary name and renamed into place, so a reader never sees a
+partial write.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from pathlib import Path
 
 from . import __version__
 from .languages import BudgetExceeded, FiniteLanguage, cylindrify, expand_in, is_full_slice
-from .strings import AlphabetMismatch, PartialString, read_only, reduce_strings
+from .strings import Alphabet, AlphabetMismatch, PartialString, read_only, reduce_strings
 
 DEFAULT_CANDIDATE_BUDGET = 4 ** 12
 FULL_KEEP_LIMIT = 50_000
@@ -382,44 +387,8 @@ def log_rel(
     positions only.
     """
     start = time.perf_counter()
-    if not problem.base.words:
-        raise ValueError("base language is empty")
     idx = index if index is not None else ProblemIndex(problem.base)
     positions, restricted = _candidate_positions(idx, candidate_positions, restrict)
-    target_mask = idx.target_mask(problem.target)
-    return _logogram_over(idx, positions, restricted, target_mask, budget=budget, keep_full=keep_full, started=start)
-
-
-def log_abs(
-    F: FiniteLanguage,
-    universe: FiniteLanguage,
-    *,
-    budget: int = DEFAULT_CANDIDATE_BUDGET,
-    keep_full: bool | None = None,
-) -> LogogramResult:
-    """Absolute logogram of F evaluated inside a full capped slice."""
-    if not is_full_slice(universe, universe.max_len):
-        raise ValueError("universe must be a full length-capped slice")
-    if not F.issubset(universe):
-        raise ValueError("F must be contained in the universe")
-    start = time.perf_counter()
-    idx = ProblemIndex(universe)
-    positions = tuple(range(1, idx.max_len + 1))
-    target_mask = idx.word_mask(cylindrify(F, universe).words)
-    return _logogram_over(idx, positions, False, target_mask, budget=budget, keep_full=keep_full, started=start)
-
-
-def _logogram_over(
-    idx: ProblemIndex,
-    positions: tuple[int, ...],
-    restricted: bool,
-    target_mask: int,
-    *,
-    budget: int,
-    keep_full: bool | None,
-    started: float | None = None,
-) -> LogogramResult:
-    start = started if started is not None else time.perf_counter()
     symbols = idx.alphabet.symbols
     base = len(symbols) + 1
     space = base ** len(positions)
@@ -427,7 +396,7 @@ def _logogram_over(
         raise BudgetExceeded("candidate space too large", space, budget)
 
     tables = idx.candidate_space(positions)
-    qualifying = tables.qualifying(idx.all_mask & ~target_mask)
+    qualifying = tables.qualifying(idx.all_mask & ~idx.target_mask(problem.target))
 
     def to_string(key: int) -> PartialString:
         entries = []
@@ -449,6 +418,19 @@ def _logogram_over(
         restricted=restricted,
         elapsed=time.perf_counter() - start,
     )
+
+
+def log_abs(
+    F: FiniteLanguage,
+    universe: FiniteLanguage,
+    *,
+    budget: int = DEFAULT_CANDIDATE_BUDGET,
+    keep_full: bool | None = None,
+) -> LogogramResult:
+    """Absolute logogram of F evaluated inside a full capped slice: its logogram relative to the slice."""
+    if not is_full_slice(universe, universe.max_len):
+        raise ValueError("universe must be a full length-capped slice")
+    return log_rel(DecisionProblem(universe, F), restrict="never", budget=budget, keep_full=keep_full)
 
 
 def log_rel_naive(problem: DecisionProblem, candidate_positions=None, budget: int = 4 ** 9):
@@ -509,16 +491,6 @@ class LogExpReport:
         self.holds = holds
         self.collective_sample = collective_sample
         self.union_strict = union_strict
-
-    def to_json(self) -> dict:
-        return {
-            "extensive": self.extensive,
-            "idempotent": self.idempotent,
-            "monotone": self.monotone,
-            "holds": self.holds,
-            "union_strict": self.union_strict,
-            "collective_sample": self.collective_sample,
-        }
 
 
 def logexp_closure_check(
@@ -612,15 +584,8 @@ def _cache_digest(header: dict, body: list[str]) -> str:
     return sha256(text.encode()).hexdigest()
 
 
-def save_logogram_cache(
-    result: LogogramResult,
-    problem: DecisionProblem,
-    cache_dir: str | Path,
-    fingerprint: str | None = None,
-) -> Path:
-    """Write the result's cache file; fingerprint, when given, is problem_fingerprint(problem, result.positions)."""
-    if fingerprint is None:
-        fingerprint = problem_fingerprint(problem, result.positions)
+def save_logogram_cache(result: LogogramResult, cache_dir: str | Path, fingerprint: str) -> Path:
+    """Write the result's cache file; fingerprint is problem_fingerprint(problem, result.positions)."""
     header = {
         "schema": 1,
         "problem": fingerprint,
@@ -632,8 +597,7 @@ def save_logogram_cache(
         "full_stored": result.full is not None,
         "reduced_count": len(result.reduced),
     }
-    reduced_sorted = sorted(result.reduced, key=lambda g: (g.size, g.render()))
-    body = ["R " + g.render() for g in reduced_sorted]
+    body = ["R " + g.render() for g in result.sorted_reduced()]
     if result.full is not None:
         extras = sorted(result.full - result.reduced, key=lambda g: (g.size, g.render()))
         body.extend(". " + g.render() for g in extras)
@@ -650,19 +614,24 @@ def save_logogram_cache(
     return path
 
 
+# The type of every header field but the digest; a header without exactly these fields is a miss.
+_HEADER_TYPES = {
+    "schema": int, "problem": str, "tool": str, "positions": list, "restricted": bool,
+    "candidate_space_size": int, "full_count": int, "full_stored": bool, "reduced_count": int,
+}
+
+
 def load_logogram_cache(
-    problem: DecisionProblem,
+    alphabet: Alphabet,
     cache_dir: str | Path,
     positions: tuple[int, ...],
-    fingerprint: str | None = None,
+    fingerprint: str,
 ) -> LogogramResult | None:
     """Reload a cached logogram; any mismatch or corruption returns None so the caller recomputes.
 
-    fingerprint, when given, is problem_fingerprint(problem, positions).
+    fingerprint is problem_fingerprint(problem, positions).
     """
     start = time.perf_counter()
-    if fingerprint is None:
-        fingerprint = problem_fingerprint(problem, positions)
     path = cache_file(cache_dir, fingerprint)
     if not path.is_file():
         return None
@@ -671,32 +640,33 @@ def load_logogram_cache(
         header = json.loads(lines[0])
         if not isinstance(header, dict) or header.pop("sha256", None) != _cache_digest(header, lines[1:]):
             return None
-        if header.get("schema") != 1 or header.get("problem") != fingerprint or header.get("tool") != __version__:
+        if {key: type(value) for key, value in header.items()} != _HEADER_TYPES:
             return None
-        if tuple(header.get("positions", ())) != positions:
+        if (header["schema"], header["problem"], header["tool"], tuple(header["positions"])) \
+                != (1, fingerprint, __version__, positions):
             return None
         reduced: set[PartialString] = set()
         extras: set[PartialString] = set()
         for line in lines[1:]:
             if line.startswith("R "):
-                reduced.add(PartialString.parse(problem.alphabet, line[2:]))
+                reduced.add(PartialString.parse(alphabet, line[2:]))
             elif line.startswith(". "):
-                extras.add(PartialString.parse(problem.alphabet, line[2:]))
+                extras.add(PartialString.parse(alphabet, line[2:]))
             elif line.strip():
                 return None
-        if len(reduced) != header.get("reduced_count"):
+        if len(reduced) != header["reduced_count"]:
             return None
-        full = frozenset(reduced | extras) if header.get("full_stored") else None
-        if header.get("full_stored") and len(full) != header.get("full_count"):
+        full = frozenset(reduced | extras) if header["full_stored"] else None
+        if full is not None and len(full) != header["full_count"]:
             return None
         return LogogramResult(
             full=full,
             reduced=frozenset(reduced),
-            full_count=header.get("full_count", len(reduced)),
-            candidate_space_size=header.get("candidate_space_size", 0),
+            full_count=header["full_count"],
+            candidate_space_size=header["candidate_space_size"],
             positions=positions,
-            restricted=bool(header.get("restricted")),
+            restricted=header["restricted"],
             elapsed=time.perf_counter() - start,
         )
-    except (ValueError, KeyError, IndexError, json.JSONDecodeError):
+    except (ValueError, IndexError):  # undecodable text or JSON, an empty file, an unparsable string
         return None

@@ -247,9 +247,6 @@ def word_includes(word: str, g: PartialString) -> bool:
     return all(pos <= n and word[pos - 1] == sym for pos, sym in g.entries)
 
 
-StringSet = frozenset  # of PartialString over one alphabet
-
-
 def _common_alphabet(H: Iterable[PartialString], K: Iterable[PartialString] = ()) -> Alphabet | None:
     alphabet: Alphabet | None = None
     for g in itertools.chain(H, K):

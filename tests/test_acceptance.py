@@ -149,8 +149,6 @@ def test_criterion_4_sat_structure(batteries):
         complete = complete_independence(analysis)
         if not complete.holds:
             problems.append(f"({n},{m}): complete independence fails: {complete.counterexample}")
-        if complete.partial:
-            problems.append(f"({n},{m}): expected an exact complete-independence verdict")
 
         if not irreducible(analysis):
             problems.append(f"({n},{m}): reduced logogram not irreducible")

@@ -40,7 +40,7 @@ from strtool.logogram import (
 from strtool.cli import random_problem
 from strtool import logogram
 from strtool.sat import EchelonSpec, consistent_selection_count, enumerate_echelon
-from strtool.strings import Alphabet, PartialString, reduce_strings, word_includes
+from strtool.strings import Alphabet, AlphabetMismatch, PartialString, reduce_strings, word_includes
 
 
 def ps(text, alphabet=BINARY):
@@ -355,6 +355,14 @@ class TestNaiveOracle:
         assert [log_rel_naive(problem, positions) for problem, positions in cases] == expected
 
 
+@st.composite
+def full_slice_cases(draw):
+    """A binary or ternary full slice with cap 0-3, and a random subset F of it."""
+    universe = sigma_upto(draw(st.sampled_from((BINARY, TERNARY))), draw(st.integers(0, 3)))
+    F = draw(st.sets(st.sampled_from(sorted(universe.words))))
+    return lang(F, universe.alphabet), universe
+
+
 class TestLogAbs:
     def test_single_prefix(self):
         universe = sigma_upto(BINARY, 2)
@@ -375,6 +383,29 @@ class TestLogAbs:
     def test_requires_full_slice(self):
         with pytest.raises(ValueError):
             log_abs(lang(["1"]), lang(["1", "10"]))
+
+    @given(full_slice_cases())
+    def test_matches_plain_judge(self, case):
+        F, universe = case
+        result = log_abs(F, universe, keep_full=True)
+        full, reduced = log_rel_naive(DecisionProblem(universe, F))
+        assert (result.full, result.reduced) == (full, reduced)
+        assert result.positions == tuple(range(1, universe.max_len + 1))
+        assert not result.restricted
+        assert result.full_count == len(full)
+
+    def test_budget_below_candidate_space(self):
+        with pytest.raises(BudgetExceeded) as err:
+            log_abs(lang(["1"]), sigma_upto(BINARY, 2), budget=8)
+        assert err.value.size == 3 ** 2
+
+    def test_target_outside_universe(self):
+        with pytest.raises(ValueError, match="subset"):
+            log_abs(lang(["111"]), sigma_upto(BINARY, 2))
+
+    def test_mixed_alphabets(self):
+        with pytest.raises(AlphabetMismatch):
+            log_abs(lang(["1"], TERNARY), sigma_upto(BINARY, 2))
 
 
 class TestLogExpClosure:
@@ -443,11 +474,19 @@ class TestCover:
 
 
 class TestCache:
+    @staticmethod
+    def save(result, problem, cache_dir):
+        return save_logogram_cache(result, cache_dir, problem_fingerprint(problem, result.positions))
+
+    @staticmethod
+    def load(problem, cache_dir, positions):
+        return load_logogram_cache(problem.alphabet, cache_dir, positions, problem_fingerprint(problem, positions))
+
     def test_roundtrip(self, tmp_path):
         problem = DecisionProblem(sigma_exact(BINARY, 2), lang(["10", "11"]))
         result = log_rel(problem, keep_full=True)
-        save_logogram_cache(result, problem, tmp_path)
-        loaded = load_logogram_cache(problem, tmp_path, result.positions)
+        self.save(result, problem, tmp_path)
+        loaded = self.load(problem, tmp_path, result.positions)
         assert loaded is not None
         assert loaded.reduced == result.reduced
         assert loaded.full == result.full
@@ -467,49 +506,60 @@ class TestCache:
     def test_mismatched_fingerprint_forces_recompute(self, tmp_path):
         problem = DecisionProblem(sigma_exact(BINARY, 2), lang(["10", "11"]))
         result = log_rel(problem)
-        path = save_logogram_cache(result, problem, tmp_path)
+        path = self.save(result, problem, tmp_path)
         self.rewrite_header(path, lambda header: header.update(problem="0" * 24))
-        assert load_logogram_cache(problem, tmp_path, result.positions) is None
+        assert self.load(problem, tmp_path, result.positions) is None
 
     def test_corrupted_body_forces_recompute(self, tmp_path):
         problem = DecisionProblem(sigma_exact(BINARY, 2), lang(["10", "11"]))
         result = log_rel(problem)
-        path = save_logogram_cache(result, problem, tmp_path)
+        path = self.save(result, problem, tmp_path)
         path.write_text(path.read_text() + "garbage line\n")
-        assert load_logogram_cache(problem, tmp_path, result.positions) is None
+        assert self.load(problem, tmp_path, result.positions) is None
 
-    def test_header_without_reduced_count_forces_recompute(self, tmp_path):
+    @pytest.mark.parametrize("key", ["schema", "problem", "tool", "positions", "restricted",
+                                     "candidate_space_size", "full_count", "full_stored", "reduced_count"])
+    def test_header_missing_key_forces_recompute(self, tmp_path, key):
         problem = DecisionProblem(sigma_exact(BINARY, 2), lang(["10", "11"]))
-        result = log_rel(problem)
-        path = save_logogram_cache(result, problem, tmp_path)
-        self.rewrite_header(path, lambda header: header.pop("reduced_count"))
-        assert load_logogram_cache(problem, tmp_path, result.positions) is None
+        result = log_rel(problem, keep_full=False)  # with the full set stored, its size would catch full_count
+        path = self.save(result, problem, tmp_path)
+        self.rewrite_header(path, lambda header: header.pop(key))
+        assert self.load(problem, tmp_path, result.positions) is None
+
+    @pytest.mark.parametrize("key, value", [("positions", 5), ("restricted", 0), ("full_count", "3"),
+                                            ("candidate_space_size", 9.0), ("full_stored", None)])
+    def test_header_field_of_wrong_type_forces_recompute(self, tmp_path, key, value):
+        problem = DecisionProblem(sigma_exact(BINARY, 2), lang(["10", "11"]))
+        result = log_rel(problem, keep_full=False)
+        path = self.save(result, problem, tmp_path)
+        self.rewrite_header(path, lambda header: header.update({key: value}))
+        assert self.load(problem, tmp_path, result.positions) is None
 
     def test_header_without_digest_forces_recompute(self, tmp_path):
         problem = DecisionProblem(sigma_exact(BINARY, 2), lang(["10", "11"]))
         result = log_rel(problem)
-        path = save_logogram_cache(result, problem, tmp_path)
+        path = self.save(result, problem, tmp_path)
         lines = path.read_text().splitlines()
         header = json.loads(lines[0])
         header.pop("sha256")
         lines[0] = json.dumps(header, sort_keys=True)
         path.write_text("\n".join(lines) + "\n")
-        assert load_logogram_cache(problem, tmp_path, result.positions) is None
+        assert self.load(problem, tmp_path, result.positions) is None
 
     @pytest.mark.parametrize("header", ["[1]", "0", "null"])
     def test_non_object_header_forces_recompute(self, tmp_path, header):
         problem = DecisionProblem(sigma_exact(BINARY, 2), lang(["10", "11"]))
         result = log_rel(problem)
-        path = save_logogram_cache(result, problem, tmp_path)
+        path = self.save(result, problem, tmp_path)
         path.write_text(header + "\n" + "".join(path.read_text().splitlines(keepends=True)[1:]))
-        assert load_logogram_cache(problem, tmp_path, result.positions) is None
+        assert self.load(problem, tmp_path, result.positions) is None
 
     @pytest.mark.parametrize("n, m, keep_full", [(2, 2, False), (2, 1, True)])
     def test_truncated_or_flipped_file_is_never_a_wrong_hit(self, tmp_path, n, m, keep_full):
         spec = EchelonSpec(n, m)
         problem = enumerate_echelon(spec)
         cold = log_rel(problem, candidate_positions=spec.body_positions, keep_full=keep_full)
-        path = save_logogram_cache(cold, problem, tmp_path)
+        path = self.save(cold, problem, tmp_path)
         assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temporary file left behind
         data = path.read_bytes()
         damaged = [data[:cut] for cut in range(len(data))]
@@ -521,7 +571,7 @@ class TestCache:
 
         for blob in damaged:
             path.write_bytes(blob)
-            loaded = load_logogram_cache(problem, tmp_path, cold.positions)
+            loaded = self.load(problem, tmp_path, cold.positions)
             assert loaded is None or seen(loaded) == seen(cold), blob
 
     def test_fingerprint_is_stable(self):
