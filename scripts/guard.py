@@ -28,6 +28,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 COMMANDS = (
     ("verify", "--suite", "all"),
     ("verify", "--suite", "all", "--samples", "60", "--seed", "11"),
+    ("verify", "--suite", "all", "--n", "3", "--m", "2"),  # every echelon suite on one shared Analysis
     ("verify", "--suite", "sat", "--n", "3", "--m", "3", "--threads", "1"),
     ("verify", "--suite", "regions", "--n", "4", "--m", "2", "--ignore-bewitched", "--threads", "1"),
     ("verify", "--suite", "wizards", "--n", "4", "--m", "2", "--threads", "1"),

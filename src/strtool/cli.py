@@ -15,11 +15,13 @@ collection is emitted in sorted order.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import random
 import sys
 import time
+from collections.abc import Iterator
 from pathlib import Path
 
 from . import __version__
@@ -84,13 +86,13 @@ SUITES = ("closure", "logogram", "sat", "wizards", "regions", "events", "all")
 
 class CheckResult:
     def __init__(self, name: str, holds: bool, counts: dict | None = None,
-                 counterexample: object = None, details: object = None, elapsed: float = 0.0) -> None:
+                 counterexample: object = None, details: object = None) -> None:
         self.name = name
         self.holds = holds
         self.counts = {} if counts is None else counts
         self.counterexample = counterexample
         self.details = details
-        self.elapsed = elapsed
+        self.elapsed = 0.0  # seconds since the previous check, set by run_suite
 
     def to_json(self) -> dict:
         return {
@@ -145,11 +147,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def timed(checks: list[CheckResult], check: CheckResult, started: float) -> None:
-    check.elapsed = time.perf_counter() - started
-    checks.append(check)
-
-
 # --- shared fixtures ---
 
 def toy_wizard_problem() -> DecisionProblem:
@@ -181,19 +178,17 @@ def constituents_by_intersection(family: EventFamily) -> list[FiniteLanguage]:
 
 
 # --- suites ---
+# Each suite yields its checks in report order; run_suite times them.
 
-def suite_closure(samples: int, seed: int) -> list[CheckResult]:
-    checks: list[CheckResult] = []
-    start = time.perf_counter()
+def suite_closure(samples: int, seed: int) -> Iterator[CheckResult]:
     law = check_expansion_laws(samples, seed)
-    timed(checks, CheckResult(
+    yield CheckResult(
         name="closure-laws",
         holds=law.holds,
         counts={"samples": law.samples, "seed": law.seed, **law.checks},
         counterexample=law.failures[0] if law.failures else None,
-    ), start)
+    )
 
-    start = time.perf_counter()
     rng = random.Random(seed + 1)
     universe = sigma_upto(BINARY, 2)
     rounds = max(20, min(100, samples // 10))
@@ -208,32 +203,30 @@ def suite_closure(samples: int, seed: int) -> list[CheckResult]:
         partner=frozenset({PartialString.parse(BINARY, "1")}),
     )
     ok = ok and known.holds
-    timed(checks, CheckResult(
+    yield CheckResult(
         name="logexp-closure",
         holds=ok and bool(known.union_strict),
         counts={"string_sets": rounds + 1, "union_strict_found": int(bool(known.union_strict))},
         details={"collective_sample": known.collective_sample},
-    ), start)
-    return checks
+    )
 
 
 def _oracle_agrees(problem: DecisionProblem, naive_budget: int) -> bool:
     naive_full, naive_reduced = log_rel_naive(problem, budget=naive_budget)
-    plain = log_rel(problem, restrict="never", keep_full=True)
+    index = ProblemIndex(problem.base)
+    plain = log_rel(problem, restrict="never", keep_full=True, index=index)
     if plain.full != naive_full or plain.reduced != naive_reduced:
         return False
-    auto = log_rel(problem, restrict="auto", keep_full=True)
+    auto = log_rel(problem, restrict="auto", keep_full=True, index=index)
     if auto.reduced != naive_reduced:
         return False
     return expand_in(auto.reduced, problem.base) == expand_in(naive_reduced, problem.base)
 
 
-def suite_logogram(samples: int, seed: int) -> list[CheckResult]:
-    checks: list[CheckResult] = []
+def suite_logogram(samples: int, seed: int) -> Iterator[CheckResult]:
     rng = random.Random(seed)
     alphabets = (BINARY, TERNARY)
 
-    start = time.perf_counter()
     mismatches = 0
     problems = 0
     for i in range(samples):
@@ -246,13 +239,12 @@ def suite_logogram(samples: int, seed: int) -> list[CheckResult]:
         problems += 1
         if not _oracle_agrees(problem, naive_budget=4 ** 9):
             mismatches += 1
-    timed(checks, CheckResult(
+    yield CheckResult(
         name="logogram-oracle",
         holds=mismatches == 0,
         counts={"problems": problems, "mismatches": mismatches, "seed": seed},
-    ), start)
+    )
 
-    start = time.perf_counter()
     failures = 0
     for i in range(samples):
         problem = random_problem(rng, alphabets[i % 2], max_len=rng.randint(2, 5))
@@ -261,42 +253,33 @@ def suite_logogram(samples: int, seed: int) -> list[CheckResult]:
     for n, m in ((1, 1), (2, 1), (1, 2), (2, 2)):
         if not verify_logogram_expansion(enumerate_echelon(EchelonSpec(n, m))):
             failures += 1
-    timed(checks, CheckResult(
+    yield CheckResult(
         name="expansion-identity",
         holds=failures == 0,
         counts={"problems": samples + 4, "failures": failures, "seed": seed},
-    ), start)
-    return checks
+    )
 
 
-def suite_sat(n: int, m: int, budget: int, word_budget: int) -> list[CheckResult]:
-    checks: list[CheckResult] = []
-    spec = EchelonSpec(n, m)
-    problem = enumerate_echelon(spec, budget=word_budget)
-    analysis = Analysis(problem, budget=budget)
+def suite_sat(spec: EchelonSpec, analysis: Analysis) -> Iterator[CheckResult]:
     result = analysis.logogram
-
-    start = time.perf_counter()
-    oracle = consistent_selection_count(n, m)
-    timed(checks, CheckResult(
+    oracle = consistent_selection_count(spec.n, spec.m)
+    yield CheckResult(
         name="sat-count-oracle",
         holds=len(result.reduced) == oracle,
         counts={"reduced": len(result.reduced), "oracle": oracle},
-    ), start)
+    )
 
-    start = time.perf_counter()
     shape = sat_shape_report(spec, result)
-    timed(checks, CheckResult(
+    yield CheckResult(
         name="sat-shape",
         holds=shape.holds,
         counts={"members": shape.members, "findings": len(shape.findings)},
         details=shape.to_json()["findings"] or None,
-    ), start)
+    )
 
-    start = time.perf_counter()
     verdicts = classify_all(analysis)
     wizard_count = sum(1 for v in verdicts if v.kind == WIZARD)
-    timed(checks, CheckResult(
+    yield CheckResult(
         name="sat-no-wizards",
         holds=wizard_count == 0,
         counts={
@@ -305,63 +288,54 @@ def suite_sat(n: int, m: int, budget: int, word_budget: int) -> list[CheckResult
             "improper": sum(1 for v in verdicts if v.kind == "ImproperWitness"),
         },
         details={"per_string": [v.to_json() for v in verdicts]},
-    ), start)
+    )
 
-    start = time.perf_counter()
     inner = internal_independence(analysis)
-    timed(checks, CheckResult(
+    yield CheckResult(
         name="sat-internal",
         holds=inner.holds,
         counts={"pairs": inner.subsets_checked},
         counterexample=inner.counterexample,
-    ), start)
+    )
 
-    start = time.perf_counter()
     strong = strong_independence(analysis)
-    timed(checks, CheckResult(
+    yield CheckResult(
         name="sat-strong",
         holds=strong.holds,
         counts={"members": strong.subsets_checked},
         counterexample=strong.counterexample,
-    ), start)
+    )
 
-    start = time.perf_counter()
-    timed(checks, CheckResult(
+    yield CheckResult(
         name="independence-implication",
         holds=(not strong.holds) or inner.holds,
         counts={"strong": int(strong.holds), "internal": int(inner.holds)},
-    ), start)
+    )
 
-    start = time.perf_counter()
     complete = complete_independence(analysis)
-    timed(checks, CheckResult(
+    yield CheckResult(
         name="sat-complete",
         holds=complete.holds,
         counts={"subsets": complete.subsets_checked},
         counterexample=complete.counterexample,
-    ), start)
+    )
 
-    start = time.perf_counter()
-    timed(checks, CheckResult(
+    yield CheckResult(
         name="sat-irreducible",
         holds=irreducible(analysis),
         counts={"members": len(result.reduced)},
-    ), start)
+    )
 
-    start = time.perf_counter()
-    timed(checks, CheckResult(
+    yield CheckResult(
         name="sat-expansion-identity",
         holds=verify_logogram_expansion(analysis),
-        counts={"base": len(problem.base), "target": len(problem.target)},
-    ), start)
-    return checks
+        counts={"base": len(analysis.problem.base), "target": len(analysis.problem.target)},
+    )
 
 
-def suite_wizards(n: int, m: int, budget: int, word_budget: int) -> list[CheckResult]:
-    checks: list[CheckResult] = []
-    start = time.perf_counter()
+def suite_wizards(spec: EchelonSpec, analysis: Analysis) -> Iterator[CheckResult]:
     toy = wizard_cover_report(Analysis(toy_wizard_problem()))
-    timed(checks, CheckResult(
+    yield CheckResult(
         name="wizard-cover-toy",
         holds=toy.holds,
         counts={
@@ -369,44 +343,35 @@ def suite_wizards(n: int, m: int, budget: int, word_budget: int) -> list[CheckRe
             "proper_inclusions": sum(1 for f in toy.findings if f.proper),
         },
         details=toy.to_json()["findings"],
-    ), start)
+    )
 
-    start = time.perf_counter()
-    problem = enumerate_echelon(EchelonSpec(n, m), budget=word_budget)
-    echelon_report = wizard_cover_report(Analysis(problem, budget=budget))
-    timed(checks, CheckResult(
+    echelon_report = wizard_cover_report(analysis)
+    yield CheckResult(
         name="wizard-cover-echelon",
         holds=echelon_report.holds,
-        counts={"n": n, "m": m, "wizards": echelon_report.wizard_count},
-    ), start)
-    return checks
+        counts={"n": spec.n, "m": spec.m, "wizards": echelon_report.wizard_count},
+    )
 
 
-def suite_regions(n: int, m: int, ignore_bewitched: bool, budget: int, word_budget: int) -> list[CheckResult]:
-    checks: list[CheckResult] = []
-    start = time.perf_counter()
-    problem = enumerate_echelon(EchelonSpec(n, m), budget=word_budget)
-    report = region_relations(Analysis(problem, budget=budget), ignore_bewitched)
-    timed(checks, CheckResult(
+def suite_regions(spec: EchelonSpec, analysis: Analysis, ignore_bewitched: bool) -> Iterator[CheckResult]:
+    report = region_relations(analysis, ignore_bewitched)
+    yield CheckResult(
         name="region-relations",
         holds=report.holds,
         counts={
-            "n": n,
-            "m": m,
+            "n": spec.n,
+            "m": spec.m,
             "rows": len(report.rows),
             "vacuous": sum(1 for r in report.rows if r.vacuous),
             "ignore_bewitched": int(ignore_bewitched),
         },
         details=report.to_json()["rows"],
-    ), start)
-    return checks
+    )
 
 
-def suite_events(samples: int, seed: int) -> list[CheckResult]:
-    checks: list[CheckResult] = []
+def suite_events(samples: int, seed: int) -> Iterator[CheckResult]:
     universe = sigma_exact(BINARY, 2)
 
-    start = time.perf_counter()
     one = EventFamily(universe, (FiniteLanguage.of(BINARY, ["00"]),))
     disjoint = EventFamily(universe, (FiniteLanguage.of(BINARY, ["00"]), FiniteLanguage.of(BINARY, ["01"])))
     venn = EventFamily(universe, (FiniteLanguage.of(BINARY, ["00", "01"]), FiniteLanguage.of(BINARY, ["01", "10"])))
@@ -418,13 +383,12 @@ def suite_events(samples: int, seed: int) -> list[CheckResult]:
         and len(atomic_constituents(venn)) == 4
         and len(atomic_constituents(twin)) == 2
     )
-    timed(checks, CheckResult(
+    yield CheckResult(
         name="events-examples",
         holds=examples_ok,
         counts={"families": 4},
-    ), start)
+    )
 
-    start = time.perf_counter()
     rng = random.Random(seed)
     mismatches = 0
     rounds = max(10, min(100, samples))
@@ -441,30 +405,38 @@ def suite_events(samples: int, seed: int) -> list[CheckResult]:
         slow = constituents_by_intersection(family)
         if {frozenset(c.words) for c in fast} != {frozenset(c.words) for c in slow}:
             mismatches += 1
-    timed(checks, CheckResult(
+    yield CheckResult(
         name="events-constituents",
         holds=mismatches == 0,
         counts={"families": rounds, "mismatches": mismatches, "seed": seed},
-    ), start)
-    return checks
+    )
 
 
 def run_suite(cfg: dict) -> VerificationReport:
+    """Run the chosen suites in report order; the echelon suites share one Analysis."""
     suite = cfg["suite"]
-    checks: list[CheckResult] = []
+    started = time.perf_counter()
+    suites = []
+    if suite in ("sat", "wizards", "regions", "all"):
+        spec = EchelonSpec(cfg["n"], cfg["m"])
+        analysis = Analysis(enumerate_echelon(spec, budget=cfg["word_budget"]), budget=cfg["budget"])
     if suite in ("closure", "all"):
-        checks.extend(suite_closure(cfg["samples"], cfg["seed"]))
+        suites.append(suite_closure(cfg["samples"], cfg["seed"]))
     if suite in ("logogram", "all"):
-        checks.extend(suite_logogram(max(10, cfg["samples"] // 4), cfg["seed"]))
+        suites.append(suite_logogram(max(10, cfg["samples"] // 4), cfg["seed"]))
     if suite in ("sat", "all"):
-        checks.extend(suite_sat(cfg["n"], cfg["m"], cfg["budget"], cfg["word_budget"]))
+        suites.append(suite_sat(spec, analysis))
     if suite in ("wizards", "all"):
-        checks.extend(suite_wizards(cfg["n"], cfg["m"], cfg["budget"], cfg["word_budget"]))
+        suites.append(suite_wizards(spec, analysis))
     if suite in ("regions", "all"):
-        ignore = True if suite == "all" else cfg["ignore_bewitched"]
-        checks.extend(suite_regions(cfg["n"], cfg["m"], ignore, cfg["budget"], cfg["word_budget"]))
+        suites.append(suite_regions(spec, analysis, True if suite == "all" else cfg["ignore_bewitched"]))
     if suite in ("events", "all"):
-        checks.extend(suite_events(cfg["samples"], cfg["seed"]))
+        suites.append(suite_events(cfg["samples"], cfg["seed"]))
+    checks = []
+    for check in itertools.chain(*suites):
+        now = time.perf_counter()
+        check.elapsed, started = now - started, now
+        checks.append(check)
     return VerificationReport(config=cfg, checks=checks)
 
 
@@ -478,7 +450,10 @@ def default_cache_dir() -> Path:
 
 
 def cmd_logogram(args: argparse.Namespace) -> tuple[VerificationReport, int]:
-    if args.n is not None and args.m is not None:
+    given = [pair for pair in ((args.n, args.m), (args.base_file, args.target_file)) if pair != (None, None)]
+    if len(given) != 1 or None in given[0]:
+        raise ValueError("need exactly one of --n/--m or --base-file/--target-file")
+    if args.n is not None:
         spec = EchelonSpec(args.n, args.m)
         space = 4 ** (args.n * args.m)
         if space > args.budget:
@@ -486,12 +461,10 @@ def cmd_logogram(args: argparse.Namespace) -> tuple[VerificationReport, int]:
         problem = enumerate_echelon(spec, budget=args.word_budget)
         positions = spec.body_positions
         index = None
-    elif args.base_file and args.target_file:
+    else:
         problem = DecisionProblem(base=load_language(args.base_file), target=load_language(args.target_file))
         index = ProblemIndex(problem.base)
         positions = auto_positions(index)
-    else:
-        raise ValueError("need either --n/--m or --base-file/--target-file")
 
     fingerprint = problem_fingerprint(problem, positions)
     cached = False
@@ -533,8 +506,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple[VerificationReport, int]:
 def cmd_classify(args: argparse.Namespace) -> tuple[VerificationReport, int]:
     cfg = _config_echo(args)
     if args.formula is not None:
-        if args.n is None:
-            raise ValueError("--formula requires --n")
+        if args.n is None or args.m is not None or args.string is not None:
+            raise ValueError("--formula takes --n and neither --m nor --string")
         inst = parse_formula(args.formula, args.n)
         payload = {
             "n": inst.n,

@@ -565,41 +565,36 @@ def region_relations(analysis: Analysis, ignore_bewitched: bool) -> RegionRelati
     set entanglement presupposes occupied sides.  Unfiltered disjointness
     is always recorded alongside.
     """
-    idx = analysis.index
     region_masks = analysis.region_masks
     raw_logograms = analysis.region_logograms
-
-    def proper_only(members) -> frozenset[PartialString]:
-        kept = []
-        for g in members:
-            cyl = idx.cylinder_mask(g)
-            containing = sum(1 for rm in region_masks if not (cyl & ~rm))
-            if containing < 2:
-                kept.append(g)
-        return frozenset(kept)
-
-    filtered = [proper_only(H) if ignore_bewitched else H for H in raw_logograms]
-
-    def expansion_mask(members) -> int:
+    cylinders = {g: analysis.index.cylinder_mask(g) for g in frozenset().union(*raw_logograms)}
+    if ignore_bewitched:  # keep the strings whose cylinders sit in fewer than two regions
+        proper = {g for g, cyl in cylinders.items() if sum(1 for rm in region_masks if not (cyl & ~rm)) < 2}
+        filtered = [H & proper for H in raw_logograms]
+    else:
+        filtered = raw_logograms
+    expanded = []
+    for H in filtered:
         mask = 0
-        for g in members:
-            mask |= idx.cylinder_mask(g)
-        return mask
+        for g in H:
+            mask |= cylinders[g]
+        expanded.append(mask)
 
     report = RegionRelationsReport(ignore_bewitched=ignore_bewitched, holds=True)
     low: frozenset[PartialString] = frozenset()
     low_raw: frozenset[PartialString] = frozenset()
+    exp_low = 0
     for i in range(1, len(raw_logograms)):
         low = low | filtered[i - 1]
         low_raw = low_raw | raw_logograms[i - 1]
-        high = filtered[i]
+        exp_low |= expanded[i - 1]
+        high, exp_high = filtered[i], expanded[i]
         disjoint = not (low & high)
         disjoint_unfiltered = not (low_raw & raw_logograms[i])
         vacuous = not low or not high
         if vacuous:
             fwd = bwd = False
         else:
-            exp_low, exp_high = expansion_mask(low), expansion_mask(high)
             fwd = not (exp_low & ~exp_high)
             bwd = not (exp_high & ~exp_low)
         row = RegionRow(

@@ -358,6 +358,8 @@ def auto_positions(index: ProblemIndex) -> tuple[int, ...]:
 
 
 def _candidate_positions(index: ProblemIndex, candidate_positions, restrict: str):
+    if restrict not in ("auto", "never"):
+        raise ValueError(f"restrict must be 'auto' or 'never', not {restrict!r}")
     full_range = tuple(range(1, index.max_len + 1))
     if candidate_positions is not None:
         positions = tuple(sorted(set(candidate_positions)))

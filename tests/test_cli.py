@@ -3,13 +3,16 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import strtool
+from strtool import cli
 from strtool.cli import main
 from strtool.logogram import ProblemIndex
+from strtool.sat import EchelonSpec, enumerate_echelon
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -116,6 +119,22 @@ class TestLogogramCommand:
     def test_missing_arguments(self, capsys):
         assert main(["logogram"]) == 2
 
+    @pytest.mark.parametrize("inputs", [
+        ["--n", "1", "--m", "1", "--base-file", "E", "--target-file", "F"],
+        ["--n", "1", "--base-file", "E", "--target-file", "F"],
+        ["--n", "1", "--m", "1", "--target-file", "F"],
+        ["--n", "1"],
+        ["--base-file", "E"],
+    ], ids=["both", "n-with-files", "echelon-with-target", "n-alone", "base-alone"])
+    def test_conflicting_or_partial_inputs_are_usage_errors(self, capsys, tmp_path, inputs):
+        for name in ("E", "F"):
+            (tmp_path / name).write_text("alphabet=01\n00\n01\n")
+        argv = [str(tmp_path / a) if a in ("E", "F") else a for a in inputs]
+        assert main(["logogram", *argv, "--no-cache"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "need exactly one of --n/--m or --base-file/--target-file" in captured.err
+
 
 class TestVerifyCommand:
     def test_sat_suite_reports_wizards(self, capsys):
@@ -160,6 +179,46 @@ class TestVerifyCommand:
             main(["verify", "--suite", "nonsense"])
         assert err.value.code == 2
 
+    def test_all_suites_share_one_echelon_enumeration_and_index(self, capsys, monkeypatch):
+        real_enumerate, real_init = cli.enumerate_echelon, ProblemIndex.__init__
+        enumerated, indexed = [], []
+
+        def counting_enumerate(spec, *args, **kwargs):
+            enumerated.append(spec)
+            return real_enumerate(spec, *args, **kwargs)
+
+        def counting_init(self, base):
+            indexed.append(len(base))
+            real_init(self, base)
+
+        monkeypatch.setattr(cli, "enumerate_echelon", counting_enumerate)
+        monkeypatch.setattr(ProblemIndex, "__init__", counting_init)
+        code, report = run_json(capsys, "verify", "--suite", "all", "--n", "3", "--m", "2", "--samples", "20")
+        assert code == 0 and report["pass"] is True
+        assert enumerated.count(EchelonSpec(3, 2)) == 1
+        assert indexed.count(3 ** 6) == 1
+
+    def test_run_suite_times_every_check(self):
+        cfg = cli._config_echo(cli.build_parser().parse_args(["verify", "--suite", "all", "--samples", "20"]))
+        started = time.perf_counter()
+        report = cli.run_suite(cfg)
+        wall = time.perf_counter() - started
+        assert len(report.checks) == 18
+        assert all(c.elapsed >= 0 for c in report.checks)
+        assert 0 < sum(c.elapsed for c in report.checks) <= wall
+
+    def test_oracle_check_builds_one_index_per_problem(self, monkeypatch):
+        real_init = ProblemIndex.__init__
+        built = []
+
+        def counting_init(self, base):
+            built.append(base)
+            real_init(self, base)
+
+        monkeypatch.setattr(ProblemIndex, "__init__", counting_init)
+        assert cli._oracle_agrees(enumerate_echelon(EchelonSpec(2, 1)), naive_budget=4 ** 9)
+        assert len(built) == 1
+
     def test_report_schema(self, capsys):
         code, report = run_json(capsys, "verify", "--suite", "events", "--samples", "20", "--seed", "1")
         assert code == 0
@@ -194,6 +253,15 @@ class TestClassifyCommand:
     def test_repeated_sparse_position_is_usage_error(self, capsys):
         assert main(["classify", "--n", "1", "--m", "1", "--string", "5:1,5:2"]) == 2
         assert "repeated position 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [
+        ["--m", "1", "--string", "____1"], ["--m", "1"], ["--string", "____1"],
+    ], ids=["m-and-string", "m", "string"])
+    def test_formula_with_echelon_inputs_is_usage_error(self, capsys, extra):
+        assert main(["classify", "--formula", "1;-1", "--n", "1", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--formula takes --n and neither --m nor --string" in captured.err
 
     def test_sparse_rendering_accepted(self, capsys):
         code, report = run_json(capsys, "classify", "--n", "1", "--m", "1", "--string", "5:2")

@@ -487,3 +487,19 @@ class TestRegionRelations:
     def test_requires_regions(self):
         with pytest.raises(ValueError):
             region_relations(Analysis(entangled_problem()), True)
+
+    @pytest.mark.parametrize("ignore_bewitched", [False, True])
+    @pytest.mark.parametrize("n, m, distinct", [(3, 2, 30), (4, 2, 56)])
+    def test_one_cylinder_per_distinct_region_member(self, monkeypatch, n, m, distinct, ignore_bewitched):
+        analysis = Analysis(enumerate_echelon(EchelonSpec(n, m)))
+        assert len(frozenset().union(*analysis.region_logograms)) == distinct
+        real = logogram.ProblemIndex.cylinder_mask
+        made = []
+
+        def counting_cylinder_mask(self, g):
+            made.append(g)
+            return real(self, g)
+
+        monkeypatch.setattr(logogram.ProblemIndex, "cylinder_mask", counting_cylinder_mask)
+        region_relations(analysis, ignore_bewitched)
+        assert len(made) == len(set(made)) == distinct

@@ -180,6 +180,11 @@ class TestLogRel:
         assert expand_in(auto.full, E) == expand_in(plain.full, E)
         assert auto.full < plain.full
 
+    def test_unknown_restrict_is_rejected(self):
+        U = sigma_exact(BINARY, 2)
+        with pytest.raises(ValueError, match="restrict"):
+            log_rel(DecisionProblem(U, U), restrict="bogus")
+
     def test_walks_leave_no_reference_cycles(self):
         problem = enumerate_echelon(EchelonSpec(2, 2))
         gc.collect()
