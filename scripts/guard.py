@@ -31,6 +31,7 @@ COMMANDS = (
     ("verify", "--suite", "all", "--n", "3", "--m", "2"),  # every echelon suite on one shared Analysis
     ("verify", "--suite", "sat", "--n", "3", "--m", "3", "--threads", "1"),
     ("verify", "--suite", "regions", "--n", "4", "--m", "2", "--ignore-bewitched", "--threads", "1"),
+    ("verify", "--suite", "regions", "--n", "3", "--m", "2"),  # unfiltered rows: exits 1
     ("verify", "--suite", "wizards", "--n", "4", "--m", "2", "--threads", "1"),
     ("logogram", "--n", "3", "--m", "3", "--reduced", "--no-cache", "--threads", "1"),
     ("logogram", "--n", "3", "--m", "2", "--no-cache", "--threads", "1"),

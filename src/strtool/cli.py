@@ -429,7 +429,7 @@ def run_suite(cfg: dict) -> VerificationReport:
     if suite in ("wizards", "all"):
         suites.append(suite_wizards(spec, analysis))
     if suite in ("regions", "all"):
-        suites.append(suite_regions(spec, analysis, True if suite == "all" else cfg["ignore_bewitched"]))
+        suites.append(suite_regions(spec, analysis, cfg["ignore_bewitched"]))
     if suite in ("events", "all"):
         suites.append(suite_events(cfg["samples"], cfg["seed"]))
     checks = []
@@ -498,6 +498,10 @@ def cmd_logogram(args: argparse.Namespace) -> tuple[VerificationReport, int]:
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[VerificationReport, int]:
+    if args.suite == "all":
+        args.ignore_bewitched = True  # all checks the region relations on proper witnesses only
+    elif args.ignore_bewitched and args.suite != "regions":
+        raise ValueError(f"--ignore-bewitched applies to --suite regions, not --suite {args.suite}")
     cfg = _config_echo(args)
     report = run_suite(cfg)
     return report, 0 if report.passed else 1

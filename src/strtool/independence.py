@@ -29,9 +29,10 @@ makes each closed set once; it looks each one up among the words' member
 masks as it is made.
 """
 
-from __future__ import annotations
-
+# Annotations are evaluated at import (no `from __future__ import annotations`):
+# NamedTuple would otherwise compile each record field's type from a string.
 import itertools
+from typing import NamedTuple
 
 from .languages import BudgetExceeded, FiniteLanguage, expand_in
 from .logogram import Analysis, LogogramResult, ProblemIndex
@@ -41,6 +42,7 @@ from .strings import PartialString, join_all, read_only
 PROPER_WITNESS = "ProperWitness"
 IMPROPER_WITNESS = "ImproperWitness"
 WIZARD = "Wizard"
+MAX_EVENTS = 16  # atomic_constituents enumerates at most 2**MAX_EVENTS sign patterns
 
 
 class NotInReducedLogogram(ValueError):
@@ -78,22 +80,10 @@ def entangles_sets(H, K, E: FiniteLanguage) -> bool:
     return not (exp_h & ~exp_k)
 
 
-class StringVerdict:
-    def __init__(self, string: PartialString, kind: str, containing_regions: tuple[int, ...]) -> None:
-        object.__setattr__(self, "string", string)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "containing_regions", containing_regions)  # 1-based region indices
-
-    __setattr__ = __delattr__ = read_only
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.string, self.kind, self.containing_regions) == (
-                other.string, other.kind, other.containing_regions)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.string, self.kind, self.containing_regions))
+class StringVerdict(NamedTuple):
+    string: PartialString
+    kind: str
+    containing_regions: tuple[int, ...]  # 1-based region indices
 
     def to_json(self) -> dict:
         return {
@@ -103,11 +93,10 @@ class StringVerdict:
         }
 
 
-class IndependenceVerdict:
-    def __init__(self, holds: bool, subsets_checked: int, counterexample: dict | None = None) -> None:
-        self.holds = holds
-        self.subsets_checked = subsets_checked
-        self.counterexample = counterexample
+class IndependenceVerdict(NamedTuple):
+    holds: bool
+    subsets_checked: int
+    counterexample: dict | None = None
 
 
 def classify_all(analysis: Analysis) -> list[StringVerdict]:
@@ -268,13 +257,11 @@ def complete_independence(analysis: Analysis) -> IndependenceVerdict:
             if K2 & (low - 1) == K & (low - 1):
                 work.append((K2, compat2, dom2, j))
 
-    verdict = IndependenceVerdict(holds=not failing, subsets_checked=checked)
-    if failing:
-        verdict.counterexample = {
-            "strings": _smallest_generator(members, compatible, domain, below, failing),
-            "reason": "no base word includes exactly this compatible subset",
-        }
-    return verdict
+    counterexample = {
+        "strings": _smallest_generator(members, compatible, domain, below, failing),
+        "reason": "no base word includes exactly this compatible subset",
+    } if failing else None
+    return IndependenceVerdict(holds=not failing, subsets_checked=checked, counterexample=counterexample)
 
 
 def _smallest_generator(members, compatible, domain, below, failing: set[int]) -> list[str]:
@@ -325,43 +312,21 @@ def irreducible(analysis: Analysis) -> bool:
     return all(prefix[i] | suffix[i + 1] != analysis.target_mask for i in range(len(cyls)))
 
 
-class WizardFinding:
-    def __init__(self, string: str, witnesses: int, union_holds: bool, proper: bool,
-                 witness_inside_wizard: bool) -> None:
-        object.__setattr__(self, "string", string)
-        object.__setattr__(self, "witnesses", witnesses)
-        object.__setattr__(self, "union_holds", union_holds)
-        object.__setattr__(self, "proper", proper)
-        object.__setattr__(self, "witness_inside_wizard", witness_inside_wizard)
-
-    __setattr__ = __delattr__ = read_only
-
-    def _key(self) -> tuple:
-        return (self.string, self.witnesses, self.union_holds, self.proper, self.witness_inside_wizard)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+class WizardFinding(NamedTuple):
+    string: str
+    witnesses: int
+    union_holds: bool
+    proper: bool
+    witness_inside_wizard: bool
 
     def to_json(self) -> dict:
-        return {
-            "string": self.string,
-            "witnesses": self.witnesses,
-            "union_holds": self.union_holds,
-            "proper": self.proper,
-            "witness_inside_wizard": self.witness_inside_wizard,
-        }
+        return self._asdict()
 
 
-class WizardCoverReport:
-    def __init__(self, holds: bool, wizard_count: int, findings: list[WizardFinding] | None = None) -> None:
-        self.holds = holds
-        self.wizard_count = wizard_count
-        self.findings = [] if findings is None else findings
+class WizardCoverReport(NamedTuple):
+    holds: bool
+    wizard_count: int
+    findings: tuple[WizardFinding, ...] = ()
 
     def to_json(self) -> dict:
         return {
@@ -374,45 +339,43 @@ class WizardCoverReport:
 def wizard_cover_report(analysis: Analysis) -> WizardCoverReport:
     """For each wizard, check its cylinder against the union of intersecting witness cylinders.
 
-    Witnesses are drawn from the union of the region reduced logograms.
-    Records whether the union inclusion is proper and whether any witness
-    cylinder sits inside the wizard's cylinder.
+    Witnesses are drawn from the union of the region reduced logograms, which
+    are walked only when there is a wizard.  Records whether the union
+    inclusion is proper and whether any witness cylinder sits inside the
+    wizard's cylinder.
     """
     verdicts = classify_all(analysis)
     wizards = [(v.string, cyl) for v, cyl in zip(verdicts, analysis.cylinders) if v.kind == WIZARD]
-    report = WizardCoverReport(holds=True, wizard_count=len(wizards))
-    if not wizards:
-        return report
-    pool_cyls = [analysis.index.cylinder_mask(g) for g in frozenset().union(*analysis.region_logograms)]
+    pool_cyls = []
+    if wizards:
+        pool_cyls = [analysis.index.cylinder_mask(g) for g in frozenset().union(*analysis.region_logograms)]
+    findings = []
     for g, cyl in wizards:
         assoc = [c for c in pool_cyls if c & cyl]
         union = 0
         for c in assoc:
             union |= c
         union_holds = not (cyl & ~union)
-        finding = WizardFinding(
+        findings.append(WizardFinding(
             string=g.render(),
             witnesses=len(assoc),
             union_holds=union_holds,
             proper=union_holds and union != cyl,
             witness_inside_wizard=any(not (c & ~cyl) for c in assoc),
-        )
-        report.findings.append(finding)
-        report.holds = report.holds and union_holds
-    return report
+        ))
+    return WizardCoverReport(holds=all(f.union_holds for f in findings), wizard_count=len(wizards),
+                             findings=tuple(findings))
 
 
-class ShapeFinding:
-    def __init__(self, string: str, problems: tuple[str, ...]) -> None:
-        self.string = string
-        self.problems = problems
+class ShapeFinding(NamedTuple):
+    string: str
+    problems: tuple[str, ...]
 
 
-class ShapeReport:
-    def __init__(self, holds: bool, members: int, findings: list[ShapeFinding] | None = None) -> None:
-        self.holds = holds
-        self.members = members
-        self.findings = [] if findings is None else findings
+class ShapeReport(NamedTuple):
+    holds: bool
+    members: int
+    findings: tuple[ShapeFinding, ...] = ()
 
     def to_json(self) -> dict:
         return {
@@ -430,7 +393,7 @@ def sat_shape_report(spec: EchelonSpec, logogram: LogogramResult) -> ShapeReport
     signs across clauses.  Violations become findings, not errors.
     """
     start = spec.n + spec.m + 2
-    report = ShapeReport(holds=True, members=len(logogram.reduced))
+    findings = []
     for g in logogram.sorted_reduced():
         problems: list[str] = []
         per_clause: dict[int, int] = {}
@@ -450,9 +413,8 @@ def sat_shape_report(spec: EchelonSpec, logogram: LogogramResult) -> ShapeReport
             if per_clause.get(clause, 0) != 1:
                 problems.append(f"clause {clause} has {per_clause.get(clause, 0)} prescriptions")
         if problems:
-            report.holds = False
-            report.findings.append(ShapeFinding(g.render(), tuple(problems)))
-    return report
+            findings.append(ShapeFinding(g.render(), tuple(problems)))
+    return ShapeReport(holds=not findings, members=len(logogram.reduced), findings=tuple(findings))
 
 
 class EventFamily:
@@ -474,15 +436,15 @@ class EventFamily:
         return hash((self.universe, self.events))
 
 
-def atomic_constituents(family: EventFamily, bit_budget: int = 16) -> list[FiniteLanguage]:
+def atomic_constituents(family: EventFamily) -> list[FiniteLanguage]:
     """Nonvoid signed intersections of the events, one per realized sign pattern.
 
     Pattern k assigns event j positively iff bit j of k is set; output is
     ordered by pattern index.
     """
     m = len(family.events)
-    if m > bit_budget:
-        raise BudgetExceeded("too many events for constituent enumeration", 2 ** m, 2 ** bit_budget)
+    if m > MAX_EVENTS:
+        raise BudgetExceeded("too many events for constituent enumeration", 2 ** m, 2 ** MAX_EVENTS)
     buckets: dict[int, set[str]] = {}
     for w in family.universe.words:
         pattern = 0
@@ -496,55 +458,31 @@ def atomic_constituents(family: EventFamily, bit_budget: int = 16) -> list[Finit
     ]
 
 
-def completely_independent_events(family: EventFamily, bit_budget: int = 16) -> bool:
+def completely_independent_events(family: EventFamily) -> bool:
     """True iff the events realize all 2**m sign patterns."""
-    return len(atomic_constituents(family, bit_budget)) == 2 ** len(family.events)
+    return len(atomic_constituents(family)) == 2 ** len(family.events)
 
 
-class RegionRow:
-    def __init__(self, index: int, disjoint: bool, disjoint_unfiltered: bool, low_entangles_high: bool,
-                 high_entangles_low: bool, vacuous: bool, low_size: int, high_size: int) -> None:
-        object.__setattr__(self, "index", index)  # compares regions 1..index against region index+1
-        object.__setattr__(self, "disjoint", disjoint)
-        object.__setattr__(self, "disjoint_unfiltered", disjoint_unfiltered)
-        object.__setattr__(self, "low_entangles_high", low_entangles_high)
-        object.__setattr__(self, "high_entangles_low", high_entangles_low)
-        object.__setattr__(self, "vacuous", vacuous)
-        object.__setattr__(self, "low_size", low_size)
-        object.__setattr__(self, "high_size", high_size)
-
-    __setattr__ = __delattr__ = read_only
-
-    def _key(self) -> tuple:
-        return (self.index, self.disjoint, self.disjoint_unfiltered, self.low_entangles_high,
-                self.high_entangles_low, self.vacuous, self.low_size, self.high_size)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+class RegionRow(NamedTuple):
+    index: int  # compares regions 1..index against region index+1
+    disjoint: bool
+    disjoint_unfiltered: bool
+    low_entangles_high: bool
+    high_entangles_low: bool
+    vacuous: bool
+    low_size: int
+    high_size: int
 
     def to_json(self) -> dict:
-        return {
-            "i": self.index,
-            "disjoint": self.disjoint,
-            "disjoint_unfiltered": self.disjoint_unfiltered,
-            "low_entangles_high": self.low_entangles_high,
-            "high_entangles_low": self.high_entangles_low,
-            "vacuous": self.vacuous,
-            "low_size": self.low_size,
-            "high_size": self.high_size,
-        }
+        out = self._asdict()
+        out["i"] = out.pop("index")
+        return out
 
 
-class RegionRelationsReport:
-    def __init__(self, ignore_bewitched: bool, holds: bool, rows: list[RegionRow] | None = None) -> None:
-        self.ignore_bewitched = ignore_bewitched
-        self.holds = holds
-        self.rows = [] if rows is None else rows
+class RegionRelationsReport(NamedTuple):
+    ignore_bewitched: bool
+    holds: bool
+    rows: tuple[RegionRow, ...] = ()
 
     def to_json(self) -> dict:
         return {
@@ -580,7 +518,7 @@ def region_relations(analysis: Analysis, ignore_bewitched: bool) -> RegionRelati
             mask |= cylinders[g]
         expanded.append(mask)
 
-    report = RegionRelationsReport(ignore_bewitched=ignore_bewitched, holds=True)
+    rows = []
     low: frozenset[PartialString] = frozenset()
     low_raw: frozenset[PartialString] = frozenset()
     exp_low = 0
@@ -597,7 +535,7 @@ def region_relations(analysis: Analysis, ignore_bewitched: bool) -> RegionRelati
         else:
             fwd = not (exp_low & ~exp_high)
             bwd = not (exp_high & ~exp_low)
-        row = RegionRow(
+        rows.append(RegionRow(
             index=i,
             disjoint=disjoint,
             disjoint_unfiltered=disjoint_unfiltered,
@@ -606,7 +544,6 @@ def region_relations(analysis: Analysis, ignore_bewitched: bool) -> RegionRelati
             vacuous=vacuous,
             low_size=len(low),
             high_size=len(high),
-        )
-        report.rows.append(row)
-        report.holds = report.holds and disjoint and not fwd and not bwd
-    return report
+        ))
+    holds = all(r.disjoint and not r.low_entangles_high and not r.high_entangles_low for r in rows)
+    return RegionRelationsReport(ignore_bewitched=ignore_bewitched, holds=holds, rows=tuple(rows))

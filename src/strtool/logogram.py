@@ -43,8 +43,8 @@ written to a temporary name and renamed into place, so a reader never sees a
 partial write.
 """
 
-from __future__ import annotations
-
+# Annotations are evaluated at import (no `from __future__ import annotations`):
+# NamedTuple would otherwise compile each record field's type from a string.
 import itertools
 import json
 import os
@@ -54,6 +54,7 @@ from bisect import bisect_left, bisect_right
 from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .languages import BudgetExceeded, FiniteLanguage, cylindrify, expand_in, is_full_slice
@@ -337,16 +338,14 @@ class Analysis:
         ]
 
 
-class LogogramResult:
-    def __init__(self, full: frozenset[PartialString] | None, reduced: frozenset[PartialString], full_count: int,
-                 candidate_space_size: int, positions: tuple[int, ...], restricted: bool, elapsed: float) -> None:
-        self.full = full
-        self.reduced = reduced
-        self.full_count = full_count
-        self.candidate_space_size = candidate_space_size
-        self.positions = positions
-        self.restricted = restricted
-        self.elapsed = elapsed
+class LogogramResult(NamedTuple):
+    full: frozenset[PartialString] | None
+    reduced: frozenset[PartialString]
+    full_count: int
+    candidate_space_size: int
+    positions: tuple[int, ...]
+    restricted: bool
+    elapsed: float
 
     def sorted_reduced(self) -> list[PartialString]:
         return sorted(self.reduced, key=lambda g: (g.size, g.render()))
@@ -477,30 +476,26 @@ def log_rel_naive(problem: DecisionProblem, candidate_positions=None, budget: in
     return full_set, reduce_strings(full_set)
 
 
-def logexp(H: frozenset[PartialString], universe: FiniteLanguage, *, budget: int = DEFAULT_CANDIDATE_BUDGET) -> frozenset[PartialString]:
+def logexp(H: frozenset[PartialString], universe: FiniteLanguage) -> frozenset[PartialString]:
     """The closure carrying H to the full absolute logogram of its expansion."""
-    result = log_abs(expand_in(H, universe), universe, budget=budget, keep_full=True)
+    result = log_abs(expand_in(H, universe), universe, keep_full=True)
     assert result.full is not None
     return result.full
 
 
-class LogExpReport:
-    def __init__(self, extensive: bool, idempotent: bool, monotone: bool, holds: bool,
-                 collective_sample: str | None = None, union_strict: bool | None = None) -> None:
-        self.extensive = extensive
-        self.idempotent = idempotent
-        self.monotone = monotone
-        self.holds = holds
-        self.collective_sample = collective_sample
-        self.union_strict = union_strict
+class LogExpReport(NamedTuple):
+    extensive: bool
+    idempotent: bool
+    monotone: bool
+    holds: bool
+    collective_sample: str | None = None
+    union_strict: bool | None = None
 
 
 def logexp_closure_check(
     H: frozenset[PartialString],
     universe: FiniteLanguage,
     partner: frozenset[PartialString] | None = None,
-    *,
-    budget: int = DEFAULT_CANDIDATE_BUDGET,
 ) -> LogExpReport:
     """Check the closure laws of LogExp on one string set.
 
@@ -510,23 +505,23 @@ def logexp_closure_check(
     closures and a collective string is reported when the inclusion is
     proper.
     """
-    le_h = logexp(H, universe, budget=budget)
+    le_h = logexp(H, universe)
     extensive = H <= le_h
-    idempotent = logexp(le_h, universe, budget=budget) == le_h
+    idempotent = logexp(le_h, universe) == le_h
     sorted_words = sorted(universe.words, key=lambda w: (len(w), w), reverse=True)
     extra = PartialString.from_word(universe.alphabet, sorted_words[0]) if sorted_words else None
     bigger = H | {extra} if extra is not None else H
-    monotone = le_h <= logexp(bigger, universe, budget=budget)
-    report = LogExpReport(extensive=extensive, idempotent=idempotent, monotone=monotone,
-                          holds=extensive and idempotent and monotone)
+    monotone = le_h <= logexp(bigger, universe)
+    union_strict = collective_sample = None
     if partner is not None:
-        le_union = logexp(H | partner, universe, budget=budget)
-        le_parts = le_h | logexp(partner, universe, budget=budget)
-        report.union_strict = le_parts < le_union
-        if report.union_strict:
-            sample = min(le_union - le_parts, key=lambda g: (g.size, g.render()))
-            report.collective_sample = sample.render()
-    return report
+        le_union = logexp(H | partner, universe)
+        le_parts = le_h | logexp(partner, universe)
+        union_strict = le_parts < le_union
+        if union_strict:
+            collective_sample = min(le_union - le_parts, key=lambda g: (g.size, g.render())).render()
+    return LogExpReport(extensive=extensive, idempotent=idempotent, monotone=monotone,
+                        holds=extensive and idempotent and monotone,
+                        collective_sample=collective_sample, union_strict=union_strict)
 
 
 def verify_logogram_expansion(analysis: Analysis | DecisionProblem) -> bool:

@@ -207,6 +207,26 @@ class TestVerifyCommand:
         assert all(c.elapsed >= 0 for c in report.checks)
         assert 0 < sum(c.elapsed for c in report.checks) <= wall
 
+    def test_all_filters_bewitched_strings_and_says_so(self, capsys):
+        code, report = run_json(capsys, "verify", "--suite", "all", "--samples", "20")
+        assert code == 0 and report["config"]["ignore_bewitched"] is True
+        regions = next(c for c in report["checks"] if c["name"] == "region-relations")
+        assert regions["counts"]["ignore_bewitched"] == 1
+
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_run_suite_reads_ignore_bewitched_from_config(self, flag):
+        cfg = cli._config_echo(cli.build_parser().parse_args(["verify", "--suite", "all", "--samples", "20"]))
+        cfg["ignore_bewitched"] = flag
+        regions = next(c for c in cli.run_suite(cfg).checks if c.name == "region-relations")
+        assert regions.counts["ignore_bewitched"] == int(flag)
+
+    @pytest.mark.parametrize("suite", ["closure", "logogram", "sat", "wizards", "events"])
+    def test_ignore_bewitched_outside_regions_is_usage_error(self, capsys, suite):
+        assert main(["verify", "--suite", suite, "--ignore-bewitched"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--ignore-bewitched applies to --suite regions, not --suite {suite}" in captured.err
+
     def test_oracle_check_builds_one_index_per_problem(self, monkeypatch):
         real_init = ProblemIndex.__init__
         built = []

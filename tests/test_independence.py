@@ -167,7 +167,7 @@ class TestWizardCover:
             problem, result, analysis = echelon_with_result(n, m)
             report = wizard_cover_report(analysis)
             assert report.wizard_count == 0
-            assert report.holds and report.findings == []
+            assert report.holds and report.findings == ()
 
     def test_requires_regions(self):
         with pytest.raises(ValueError):
@@ -398,7 +398,7 @@ class TestShape:
         for n, m in ((1, 1), (2, 1), (2, 2)):
             problem, result, analysis = echelon_with_result(n, m)
             report = sat_shape_report(EchelonSpec(n, m), result)
-            assert report.holds and report.findings == []
+            assert report.holds and report.findings == ()
 
     def test_reduced_equals_selection_oracle_strings(self):
         for n, m in ((1, 1), (2, 1), (1, 2), (2, 2)):

@@ -1,10 +1,21 @@
-"""The immutable value types: field equality, hash of the field tuple, no assignment or deletion."""
+"""The immutable value types and report records: field equality, hash of the field tuple, no assignment or deletion."""
 
 import pytest
 
-from strtool.independence import WIZARD, EventFamily, RegionRow, StringVerdict, WizardFinding
+from strtool.independence import (
+    WIZARD,
+    EventFamily,
+    IndependenceVerdict,
+    RegionRelationsReport,
+    RegionRow,
+    ShapeFinding,
+    ShapeReport,
+    StringVerdict,
+    WizardCoverReport,
+    WizardFinding,
+)
 from strtool.languages import FiniteLanguage
-from strtool.logogram import DecisionProblem
+from strtool.logogram import DecisionProblem, LogExpReport, LogogramResult
 from strtool.sat import CnfInstance, EchelonSpec
 from strtool.strings import BINARY, TERNARY, Alphabet, PartialString
 
@@ -28,6 +39,21 @@ VALUES = {
     "RegionRow": (lambda: RegionRow(1, True, True, False, False, False, 2, 3),
                   ("index", "disjoint", "disjoint_unfiltered", "low_entangles_high", "high_entangles_low",
                    "vacuous", "low_size", "high_size")),
+    "IndependenceVerdict": (lambda: IndependenceVerdict(True, 6), ("holds", "subsets_checked", "counterexample")),
+    "WizardCoverReport": (lambda: WizardCoverReport(True, 1, (WizardFinding("_1", 3, True, False, True),)),
+                          ("holds", "wizard_count", "findings")),
+    "ShapeFinding": (lambda: ShapeFinding("1_", ("clause 2 has 0 prescriptions",)), ("string", "problems")),
+    "ShapeReport": (lambda: ShapeReport(False, 4, (ShapeFinding("1_", ("clause 2 has 0 prescriptions",)),)),
+                    ("holds", "members", "findings")),
+    "RegionRelationsReport": (lambda: RegionRelationsReport(True, True, (RegionRow(1, True, True, False, False,
+                                                                                   False, 2, 3),)),
+                              ("ignore_bewitched", "holds", "rows")),
+    "LogogramResult": (lambda: LogogramResult(None, frozenset({PartialString(BINARY, ((2, "1"),))}), 3, 9, (1, 2),
+                                              False, 0.5),
+                       ("full", "reduced", "full_count", "candidate_space_size", "positions", "restricted",
+                        "elapsed")),
+    "LogExpReport": (lambda: LogExpReport(True, True, True, True, "_0", True),
+                     ("extensive", "idempotent", "monotone", "holds", "collective_sample", "union_strict")),
 }
 
 
