@@ -53,6 +53,7 @@ from .logogram import (
     verify_logogram_expansion,
 )
 from .independence import (
+    Counterexample,
     EventFamily,
     NotInReducedLogogram,
     WIZARD,
@@ -95,12 +96,13 @@ class CheckResult:
         self.elapsed = 0.0  # seconds since the previous check, set by run_suite
 
     def to_json(self) -> dict:
+        cx = self.counterexample  # a Counterexample record or a law failure's text
         return {
             "name": self.name,
             "holds": self.holds,
             "partial": False,  # schema 1 carries the field; no check is ever partial
             "counts": self.counts,
-            "counterexample": self.counterexample,
+            "counterexample": cx.to_json() if isinstance(cx, Counterexample) else cx,
             "details": self.details,
         }
 
@@ -134,7 +136,7 @@ class VerificationReport:
             counts = ", ".join(f"{k}: {v}" for k, v in sorted(c.counts.items()))
             lines.append(f"{status} {c.name}" + (f" ({counts})" if counts else ""))
             if c.counterexample is not None:
-                lines.append(f"  counterexample: {json.dumps(c.counterexample, sort_keys=True)}")
+                lines.append(f"  counterexample: {json.dumps(c.to_json()['counterexample'], sort_keys=True)}")
         if self.result is not None:
             for k, v in sorted(self.result.items()):
                 if isinstance(v, list):

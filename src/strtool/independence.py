@@ -93,10 +93,18 @@ class StringVerdict(NamedTuple):
         }
 
 
+class Counterexample(NamedTuple):
+    strings: tuple[str, ...]  # member renders
+    reason: str
+
+    def to_json(self) -> dict:
+        return {"strings": list(self.strings), "reason": self.reason}
+
+
 class IndependenceVerdict(NamedTuple):
     holds: bool
     subsets_checked: int
-    counterexample: dict | None = None
+    counterexample: Counterexample | None = None
 
 
 def classify_all(analysis: Analysis) -> list[StringVerdict]:
@@ -141,10 +149,8 @@ def internal_independence(analysis: Analysis) -> IndependenceVerdict:
             return IndependenceVerdict(
                 holds=False,
                 subsets_checked=checked,
-                counterexample={
-                    "strings": [members[i].render(), members[j].render()],
-                    "reason": "relative cylinders are comparable",
-                },
+                counterexample=Counterexample((members[i].render(), members[j].render()),
+                                              "relative cylinders are comparable"),
             )
     return IndependenceVerdict(holds=True, subsets_checked=checked)
 
@@ -157,10 +163,7 @@ def strong_independence(analysis: Analysis) -> IndependenceVerdict:
             return IndependenceVerdict(
                 holds=False,
                 subsets_checked=i + 1,
-                counterexample={
-                    "strings": [g.render()],
-                    "reason": "no base word includes this string alone",
-                },
+                counterexample=Counterexample((g.render(),), "no base word includes this string alone"),
             )
     return IndependenceVerdict(holds=True, subsets_checked=len(analysis.members))
 
@@ -257,14 +260,14 @@ def complete_independence(analysis: Analysis) -> IndependenceVerdict:
             if K2 & (low - 1) == K & (low - 1):
                 work.append((K2, compat2, dom2, j))
 
-    counterexample = {
-        "strings": _smallest_generator(members, compatible, domain, below, failing),
-        "reason": "no base word includes exactly this compatible subset",
-    } if failing else None
+    counterexample = Counterexample(
+        _smallest_generator(members, compatible, domain, below, failing),
+        "no base word includes exactly this compatible subset",
+    ) if failing else None
     return IndependenceVerdict(holds=not failing, subsets_checked=checked, counterexample=counterexample)
 
 
-def _smallest_generator(members, compatible, domain, below, failing: set[int]) -> list[str]:
+def _smallest_generator(members, compatible, domain, below, failing: set[int]) -> tuple[str, ...]:
     """Renders of the smallest compatible subset C, by (size, renders), whose closed set is failing.
 
     C lies inside its own closed set, so only subsets of some failing set
@@ -287,7 +290,7 @@ def _smallest_generator(members, compatible, domain, below, failing: set[int]) -
 
         extend([], 0, (1 << len(members)) - 1, 0)
         if found:
-            return list(min(found))
+            return min(found)
 
 
 def completeness_of_subset(H, analysis: Analysis) -> bool:

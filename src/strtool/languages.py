@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from operator import itemgetter
+from bisect import bisect_left
+from operator import itemgetter, not_
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -41,14 +42,22 @@ class BudgetExceeded(RuntimeError):
 
 
 class FiniteLanguage:
-    def __init__(self, alphabet: Alphabet, words: frozenset[str]) -> None:
-        if not set("".join(words)) <= set(alphabet.symbols):
+    def __init__(self, alphabet: Alphabet, words: frozenset[str], _parent: "FiniteLanguage | None" = None) -> None:
+        """A language over alphabet; `_parent` is for `_sub` alone and replaces the symbol scan by words <= its words."""
+        if _parent is not None:
+            if not words <= _parent.words:
+                raise ValueError("a sublanguage's words must be words of its parent")
+        elif not set("".join(words)) <= set(alphabet.symbols):
             for w in words:  # one pass over all symbols above; this loop only names the offender
                 for c in w:
                     if c not in alphabet:
                         raise ValueError(f"word {w!r} uses symbol {c!r} outside {alphabet!r}")
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "words", words)
+
+    def _sub(self, words: frozenset[str]) -> "FiniteLanguage":
+        """The sublanguage of self with these words, checked by one lookup per word instead of a symbol scan."""
+        return FiniteLanguage(self.alphabet, words, self)
 
     __setattr__ = __delattr__ = read_only
 
@@ -90,11 +99,11 @@ class FiniteLanguage:
 
     def intersection(self, other: "FiniteLanguage") -> "FiniteLanguage":
         self._check(other)
-        return FiniteLanguage(self.alphabet, self.words & other.words)
+        return self._sub(self.words & other.words)
 
     def difference(self, other: "FiniteLanguage") -> "FiniteLanguage":
         self._check(other)
-        return FiniteLanguage(self.alphabet, self.words - other.words)
+        return self._sub(self.words - other.words)
 
     def issubset(self, other: "FiniteLanguage") -> bool:
         self._check(other)
@@ -129,31 +138,58 @@ def expand_in(H: Iterable[PartialString], L: FiniteLanguage) -> FiniteLanguage:
     """Words of L that include at least one member of H.
 
     Members are grouped by domain (their tuple of positions) into sets of
-    symbol projections, so each word is projected once per distinct domain
-    and looked up, instead of being tested against every member.
+    symbol projections.  L's words are listed by length, and each domain
+    scans the suffix of words long enough to carry it, one C-level
+    projection and lookup per word; a word that matches leaves the list the
+    later domains scan.  About |L| x (distinct domains) steps, plus one step
+    per member and a sort of L by length.
     """
-    members = list(H)
-    for g in members:
+    projections: dict[tuple[int, ...], set] = {}
+    bottom = False
+    for g in H:
         if g.alphabet != L.alphabet:
             raise AlphabetMismatch(f"string alphabet {g.alphabet!r} differs from language {L.alphabet!r}")
-    projections: dict[tuple[int, ...], set] = {}
-    for g in members:
         if not g.entries:
-            return L  # the empty string is included in every word
-        entries = dict((pos - 1, sym) for pos, sym in g.entries)
-        projections.setdefault(tuple(entries), set()).add(itemgetter(*entries)(entries))
-    rest = set(L.words)
+            bottom = True
+            continue
+        domain, symbols = zip(*g.entries)
+        # itemgetter of one index returns the symbol itself, of several a tuple
+        projections.setdefault(domain, set()).add(symbols if len(symbols) > 1 else symbols[0])
+    if bottom:
+        return L  # the empty string is included in every word
+    rest = sorted(L.words, key=len)
+    hits: list[str] = []
     for domain, projs in projections.items():
-        need, project = domain[-1] + 1, itemgetter(*domain)
-        rest -= {w for w in rest if len(w) >= need and project(w) in projs}
-    return FiniteLanguage(L.alphabet, L.words - rest)
+        start = bisect_left(rest, domain[-1], key=len)
+        tail = rest[start:]
+        found = list(map(projs.__contains__, map(itemgetter(*[p - 1 for p in domain]), tail)))
+        if any(found):
+            hits.extend(itertools.compress(tail, found))
+            rest[start:] = itertools.compress(tail, map(not_, found))
+    return L._sub(frozenset(hits))
 
 
 def cylindrify(A: FiniteLanguage, L: FiniteLanguage) -> FiniteLanguage:
-    """Words of L having some word of A as a prefix."""
+    """Words of L having some word of A as a prefix.
+
+    One pass per distinct length k of A's words: each remaining word's first
+    k symbols are sliced and looked up among A's words of length k, and a
+    word that matches leaves the list.  About |L| x (distinct lengths of A)
+    steps, each a C-level slice and lookup.
+    """
     A._check(L)
-    prefixes = sorted(A.words, key=len)
-    return FiniteLanguage(L.alphabet, frozenset(w for w in L.words if any(w.startswith(p) for p in prefixes)))
+    by_len: dict[int, set[str]] = {}
+    for a in A.words:
+        by_len.setdefault(len(a), set()).add(a)
+    rest = list(L.words)
+    hits: list[str] = []
+    for k in sorted(by_len):
+        # a word shorter than k slices to itself, shorter than every word of length k
+        found = list(map(by_len[k].__contains__, map(itemgetter(slice(k)), rest)))
+        if any(found):
+            hits.extend(itertools.compress(rest, found))
+            rest = list(itertools.compress(rest, map(not_, found)))
+    return L._sub(frozenset(hits))
 
 
 def is_cylinder_in(A: FiniteLanguage, E: FiniteLanguage) -> bool:

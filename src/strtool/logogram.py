@@ -27,6 +27,16 @@ defined on it and keeps the projections whose words all lie in the target's
 closure, about words x 2^npos projections in all; it is the correctness
 oracle for the engine.
 
+Decoding a key is table-driven.  The positions are split, lowest digits
+first, into chunks of as many positions as keep a chunk's values within
+DECODE_CHUNK_KEYS (5 positions for a binary alphabet, 4 for a ternary
+one), and each chunk has a table from its value to the tuple of entries it
+stands for.  A key then costs one divmod and one tuple concatenation per
+chunk instead of one divmod per position, and every string is still built
+by the validating `PartialString` constructor.  The tables are built on
+the first decode and kept with the positions tuple's other tables, so the
+region walks reuse them.
+
 An `Analysis` wraps one problem and computes its index, logogram, member
 cylinders and masks, region masks (from the labels) and region logograms
 once, on first use; the checks in `strtool.independence` take one.
@@ -54,7 +64,7 @@ from bisect import bisect_left, bisect_right
 from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from . import __version__
 from .languages import BudgetExceeded, FiniteLanguage, cylindrify, expand_in, is_full_slice
@@ -62,6 +72,7 @@ from .strings import Alphabet, AlphabetMismatch, PartialString, read_only, reduc
 
 DEFAULT_CANDIDATE_BUDGET = 4 ** 12
 FULL_KEEP_LIMIT = 50_000
+DECODE_CHUNK_KEYS = 256  # entries per decode table; a 4,096-entry table decoded no faster
 
 
 class DecisionProblem:
@@ -166,8 +177,7 @@ class ProblemIndex:
         return mask
 
     def mask_language(self, mask: int) -> FiniteLanguage:
-        bits = bin(mask)[:1:-1]  # bits[k] is bit k of the mask
-        return FiniteLanguage.of(self.alphabet, (w for w, b in zip(self.words, bits) if b == "1"))
+        return self.language._sub(frozenset(itertools.compress(self.words, _bit_flags(mask))))
 
     def target_mask(self, target: FiniteLanguage) -> int:
         """Mask of the prefix closure of the target within the base (the target itself when prefix-free)."""
@@ -186,8 +196,9 @@ class CandidateSpace:
     """
 
     def __init__(self, index: ProblemIndex, positions: tuple[int, ...]):
-        symbols = index.alphabet.symbols
-        self.base = base = len(symbols) + 1
+        self.alphabet = index.alphabet
+        self.positions = positions
+        self.base = base = len(index.alphabet.symbols) + 1
         self.size = size = base ** len(positions)
         self.steps = [base ** j for j in range(len(positions))]
         self.keys = _word_keys(index, positions, base)
@@ -204,7 +215,7 @@ class CandidateSpace:
     def bitset(self, word_mask: int) -> int:
         """The keys of the words in word_mask (bit k for index.words[k])."""
         row = bytearray((self.size + 7) >> 3)
-        for key in itertools.compress(self.keys, bin(word_mask)[:1:-1].encode().translate(_BIT_BYTES)):
+        for key in itertools.compress(self.keys, _bit_flags(word_mask)):
             row[key >> 3] |= 1 << (key & 7)
         return int.from_bytes(row, "little")
 
@@ -221,6 +232,37 @@ class CandidateSpace:
             bits |= above & zero
         return bits
 
+    @cached_property
+    def decode_tables(self) -> list[tuple[int, list[tuple[tuple[int, str], ...]]]]:
+        """(radix, table) per chunk of positions, lowest digits first: table[v] holds the entries of chunk value v.
+
+        A chunk takes as many positions as keep radix = base**len(chunk) at most
+        DECODE_CHUNK_KEYS (one position when a single digit needs more).
+        """
+        width = 1
+        while self.base ** (width + 1) <= DECODE_CHUNK_KEYS:
+            width += 1
+        tables = []
+        for start in range(0, len(self.positions), width):
+            table: list[tuple[tuple[int, str], ...]] = [()]
+            for p in self.positions[start:start + width]:
+                # p's digit is the next-higher one: value = digit * len(table) + low value
+                table = [low + entry for entry in [(), *(((p, s),) for s in self.alphabet.symbols)] for low in table]
+            tables.append((len(table), table))
+        return tables
+
+    def decode(self, keys: Iterable[int]) -> list[PartialString]:
+        """The strings of these keys: one divmod and one tuple concatenation per chunk of positions."""
+        alphabet, tables = self.alphabet, self.decode_tables
+        out = []
+        for key in keys:
+            entries = ()
+            for radix, table in tables:
+                key, value = divmod(key, radix)
+                entries += table[value]
+            out.append(PartialString(alphabet, entries))
+        return out
+
     def minimal(self, bits: int) -> int:
         """The keys in bits none of whose one-entry deletions is in bits."""
         covered = 0
@@ -232,6 +274,11 @@ class CandidateSpace:
 
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bit_flags(mask: int) -> bytes:
+    """Byte k is bit k of a nonnegative integer (0 or 1), for itertools.compress."""
+    return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
 
 
 def _word_keys(index: ProblemIndex, positions: tuple[int, ...], base: int) -> memoryview:
@@ -249,7 +296,7 @@ def _word_keys(index: ProblemIndex, positions: tuple[int, ...], base: int) -> me
         for d, sym in enumerate(index.alphabet.symbols, 1):
             mask = index.pos_masks[p - 1].get(sym)
             if mask:
-                bits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+                bits = _bit_flags(mask)
                 fields = bytearray(width)
                 fields[:8 * len(bits):8] = bits
                 packed += int.from_bytes(fields, "little") * (d * base ** j)
@@ -390,29 +437,18 @@ def log_rel(
     start = time.perf_counter()
     idx = index if index is not None else ProblemIndex(problem.base)
     positions, restricted = _candidate_positions(idx, candidate_positions, restrict)
-    symbols = idx.alphabet.symbols
-    base = len(symbols) + 1
-    space = base ** len(positions)
+    space = (len(idx.alphabet.symbols) + 1) ** len(positions)
     if space > budget:
         raise BudgetExceeded("candidate space too large", space, budget)
 
     tables = idx.candidate_space(positions)
     qualifying = tables.qualifying(idx.all_mask & ~idx.target_mask(problem.target))
-
-    def to_string(key: int) -> PartialString:
-        entries = []
-        for p in positions:
-            key, d = divmod(key, base)
-            if d:
-                entries.append((p, symbols[d - 1]))
-        return PartialString(idx.alphabet, tuple(entries))
-
     full_count = qualifying.bit_count()
     if keep_full is None:
         keep_full = full_count <= FULL_KEEP_LIMIT
     return LogogramResult(
-        full=frozenset(map(to_string, set_bits(qualifying))) if keep_full else None,
-        reduced=frozenset(map(to_string, set_bits(tables.minimal(qualifying)))),
+        full=frozenset(tables.decode(set_bits(qualifying))) if keep_full else None,
+        reduced=frozenset(tables.decode(set_bits(tables.minimal(qualifying)))),
         full_count=full_count,
         candidate_space_size=space,
         positions=positions,
@@ -429,9 +465,13 @@ def log_abs(
     keep_full: bool | None = None,
 ) -> LogogramResult:
     """Absolute logogram of F evaluated inside a full capped slice: its logogram relative to the slice."""
+    _check_full_slice(universe)
+    return log_rel(DecisionProblem(universe, F), restrict="never", budget=budget, keep_full=keep_full)
+
+
+def _check_full_slice(universe: FiniteLanguage) -> None:
     if not is_full_slice(universe, universe.max_len):
         raise ValueError("universe must be a full length-capped slice")
-    return log_rel(DecisionProblem(universe, F), restrict="never", budget=budget, keep_full=keep_full)
 
 
 def log_rel_naive(problem: DecisionProblem, candidate_positions=None, budget: int = 4 ** 9):
@@ -478,9 +518,14 @@ def log_rel_naive(problem: DecisionProblem, candidate_positions=None, budget: in
 
 def logexp(H: frozenset[PartialString], universe: FiniteLanguage) -> frozenset[PartialString]:
     """The closure carrying H to the full absolute logogram of its expansion."""
-    result = log_abs(expand_in(H, universe), universe, keep_full=True)
-    assert result.full is not None
-    return result.full
+    _check_full_slice(universe)
+    return _logexp(H, universe, ProblemIndex(universe))
+
+
+def _logexp(H: frozenset[PartialString], universe: FiniteLanguage, index: ProblemIndex) -> frozenset[PartialString]:
+    """LogExp of H in a universe already checked to be a full slice, walked over its given index."""
+    problem = DecisionProblem(universe, expand_in(H, universe))
+    return log_rel(problem, restrict="never", keep_full=True, index=index).full
 
 
 class LogExpReport(NamedTuple):
@@ -503,19 +548,21 @@ def logexp_closure_check(
     plus one extra word-string from the universe.  With a partner set, the
     union LogExp(H | partner) is compared against the union of the separate
     closures and a collective string is reported when the inclusion is
-    proper.
+    proper.  One index of the universe serves every LogExp of the check.
     """
-    le_h = logexp(H, universe)
+    _check_full_slice(universe)
+    index = ProblemIndex(universe)
+    le_h = _logexp(H, universe, index)
     extensive = H <= le_h
-    idempotent = logexp(le_h, universe) == le_h
+    idempotent = _logexp(le_h, universe, index) == le_h
     sorted_words = sorted(universe.words, key=lambda w: (len(w), w), reverse=True)
     extra = PartialString.from_word(universe.alphabet, sorted_words[0]) if sorted_words else None
     bigger = H | {extra} if extra is not None else H
-    monotone = le_h <= logexp(bigger, universe)
+    monotone = le_h <= _logexp(bigger, universe, index)
     union_strict = collective_sample = None
     if partner is not None:
-        le_union = logexp(H | partner, universe)
-        le_parts = le_h | logexp(partner, universe)
+        le_union = _logexp(H | partner, universe, index)
+        le_parts = le_h | _logexp(partner, universe, index)
         union_strict = le_parts < le_union
         if union_strict:
             collective_sample = min(le_union - le_parts, key=lambda g: (g.size, g.render())).render()

@@ -210,11 +210,8 @@ def enumerate_echelon(spec: EchelonSpec, budget: int = DEFAULT_WORD_BUDGET) -> D
     for _ in range(spec.m):
         labelled = [(word + body, mask & block) for word, mask in labelled for body, block in blocks]
     labels = {word: mask for word, mask in labelled if mask}
-    return DecisionProblem(
-        base=FiniteLanguage.of(SAT_ALPHABET, (word for word, _ in labelled)),
-        target=FiniteLanguage.of(SAT_ALPHABET, labels),
-        labels=labels,
-    )
+    base = FiniteLanguage.of(SAT_ALPHABET, (word for word, _ in labelled))
+    return DecisionProblem(base=base, target=base._sub(frozenset(labels)), labels=labels)
 
 
 def effective_size(inst: CnfInstance) -> int:

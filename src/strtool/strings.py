@@ -21,8 +21,9 @@ Text forms:
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 BLANK = "_"
 EMPTY_TOKEN = "-"
@@ -166,7 +167,7 @@ class PartialString:
                     raise ValueError(f"bad sparse entry {part!r} in {text!r}")
                 entries.append((pos, sym))
             return cls.of(alphabet, entries)
-        return cls.of(alphabet, ((i + 1, c) for i, c in enumerate(text) if c != BLANK))
+        return cls(alphabet, tuple((i + 1, c) for i, c in enumerate(text) if c != BLANK))
 
     @cached_property
     def as_dict(self) -> dict[int, str]:
@@ -178,7 +179,7 @@ class PartialString:
 
     @property
     def domain(self) -> tuple[int, ...]:
-        return tuple(pos for pos, _ in self.entries)
+        return tuple(dict(self.entries))
 
     @property
     def is_word(self) -> bool:

@@ -11,6 +11,7 @@ import pytest
 import strtool
 from strtool import cli
 from strtool.cli import main
+from strtool.independence import Counterexample
 from strtool.logogram import ProblemIndex
 from strtool.sat import EchelonSpec, enumerate_echelon
 
@@ -247,6 +248,20 @@ class TestVerifyCommand:
         assert report["config"]["seed"] == 1
         for check in report["checks"]:
             assert set(check) == {"name", "holds", "partial", "counts", "counterexample", "details"}
+
+    def test_counterexample_record_renders_as_a_json_object(self):
+        cx = Counterexample(("1_", "_2"), "relative cylinders are comparable")
+        report = cli.VerificationReport({}, [cli.CheckResult("sat-internal", False, counterexample=cx),
+                                             cli.CheckResult("closure-laws", False, counterexample="union: sample 3")])
+        rendered = {"strings": ["1_", "_2"], "reason": "relative cylinders are comparable"}
+        assert [c["counterexample"] for c in report.to_json()["checks"]] == [rendered, "union: sample 3"]
+        assert report.to_text().splitlines() == [
+            "FAIL sat-internal",
+            f"  counterexample: {json.dumps(rendered, sort_keys=True)}",
+            "FAIL closure-laws",
+            '  counterexample: "union: sample 3"',
+            "overall: FAIL",
+        ]
 
 
 class TestClassifyCommand:

@@ -203,7 +203,7 @@ class TestStrong:
     def test_entangled_problem_fails(self):
         verdict = strong_independence(Analysis(entangled_problem()))
         assert not verdict.holds
-        assert verdict.counterexample["strings"] == ["1"]
+        assert verdict.counterexample.strings == ("1",)
 
     def test_implies_internal_on_test_zoo(self):
         problems = [entangled_problem(), toy_wizard_problem()]
@@ -292,7 +292,7 @@ class TestComplete:
         verdict = complete_independence(Analysis(entangled_problem()))
         assert not verdict.holds
         # no word contains position-1 "1" without also containing position-3 "1"
-        assert verdict.counterexample["strings"] == ["1"]
+        assert verdict.counterexample.strings == ("1",)
 
     def test_subset_count_matches_brute_force(self):
         for (n, m), expected in (((2, 1), 8), ((2, 2), 44)):
@@ -331,7 +331,8 @@ class TestComplete:
             verdict = complete_independence(analysis)
             holds, counterexample, closed_count = complete_oracle(analysis)
             assert verdict.holds == holds, (sorted(base.words), sorted(target.words))
-            assert (verdict.counterexample or {}).get("strings") == counterexample
+            cx = verdict.counterexample
+            assert (None if cx is None else list(cx.strings)) == counterexample
             assert verdict.subsets_checked == closed_count, (sorted(base.words), sorted(target.words))
             if not holds:
                 failing_sizes.append(len(counterexample))

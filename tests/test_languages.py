@@ -60,7 +60,8 @@ class TestExpandIn:
 
     def test_agrees_with_word_includes_scan(self):
         rng = random.Random(5)
-        seen = {"empty": 0, "shared domain": 0, "past a word's end": 0}
+        seen = {"empty": 0, "shared domain": 0, "past a word's end": 0, "single entry": 0, "no members": 0,
+                "empty word": 0}
         for i in range(600):
             alphabet = (BINARY, TERNARY)[i % 2]
             L = random_language(rng, alphabet, cap=6, max_words=30)
@@ -74,6 +75,9 @@ class TestExpandIn:
             seen["empty"] += () in domains
             seen["shared domain"] += len(set(domains)) < len(domains)
             seen["past a word's end"] += any(g.size > len(w) for g in H for w in L.words)
+            seen["single entry"] += any(len(g.entries) == 1 for g in H)
+            seen["no members"] += not H
+            seen["empty word"] += "" in L.words
             expected = {w for w in L.words if any(word_includes(w, g) for g in H)}
             assert expand_in(H, L).words == expected
         assert min(seen.values()) > 20, seen
@@ -91,6 +95,27 @@ class TestCylindrify:
         cyl = cylindrify(A, L)
         assert cylindrify(cyl, L) == cyl
         assert cylindrify(A.union(B), L) == cyl.union(cylindrify(B, L))
+
+    def test_agrees_with_startswith_scan(self):
+        rng = random.Random(6)
+        seen = {"no prefixes": 0, "empty prefix": 0, "mixed prefix lengths": 0, "prefix outside L": 0,
+                "empty word": 0}
+        for i in range(600):
+            alphabet = (BINARY, TERNARY)[i % 2]
+            L = random_language(rng, alphabet, cap=6, max_words=30)
+            A = {w for w in L.words | random_language(rng, alphabet, cap=4, max_words=3).words
+                 if w and rng.random() < 0.4}
+            draw = rng.random()
+            A = lang(set() if draw < 0.1 else A | {""} if draw < 0.2 else A, alphabet)
+            seen["no prefixes"] += not A.words
+            seen["empty prefix"] += "" in A.words
+            seen["mixed prefix lengths"] += len({len(a) for a in A.words}) > 1
+            seen["prefix outside L"] += not A.issubset(L)
+            seen["empty word"] += "" in L.words
+            expected = {w for w in L.words if any(w.startswith(a) for a in A.words)}
+            result = cylindrify(A, L)
+            assert result.words == expected and result.alphabet == alphabet
+        assert min(seen.values()) > 20, seen
 
     def test_is_cylinder_in(self):
         E = lang(["1", "10"])

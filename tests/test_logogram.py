@@ -303,6 +303,58 @@ class TestKernel:
         assert len(builds) == 1
 
 
+def reference_decode(alphabet, positions, key):
+    """Digit by digit: digit j of the key (base len(symbols) + 1) is the symbol code at positions[j], 0 = undefined."""
+    base = len(alphabet.symbols) + 1
+    entries = []
+    for p in positions:
+        key, d = divmod(key, base)
+        if d:
+            entries.append((p, alphabet.symbols[d - 1]))
+    return PartialString(alphabet, tuple(entries))
+
+
+class TestDecode:
+    """CandidateSpace.decode, chunk by chunk, against the digit-by-digit reference decoder."""
+
+    @pytest.mark.parametrize("alphabet", [BINARY, TERNARY], ids=["binary", "ternary"])
+    def test_random_positions_and_keys(self, alphabet):
+        rng = random.Random(16 + len(alphabet))
+        most = 11 if alphabet is BINARY else 9  # three decode chunks: 5 binary or 4 ternary positions each
+        chunk_counts = set()
+        past_max_len = 0
+        for _ in range(40):
+            words = {"".join(rng.choice(alphabet.symbols) for _ in range(rng.randint(0, 6))) for _ in range(12)}
+            index = ProblemIndex(lang(words, alphabet))
+            pool = range(1, index.max_len + 6)
+            positions = tuple(sorted(rng.sample(pool, rng.randint(0, min(most, len(pool))))))
+            space = index.candidate_space(positions)
+            keys = [0, space.size - 1, *(rng.randrange(space.size) for _ in range(200))]
+            assert space.decode(keys) == [reference_decode(alphabet, positions, k) for k in keys]
+            chunk_counts.add(len(space.decode_tables))
+            past_max_len += any(p > index.max_len for p in positions)
+        assert chunk_counts >= {0, 1, 2, 3} and past_max_len > 10
+
+    @pytest.mark.parametrize("restrict", ["auto", "never"])
+    def test_log_rel_strings_in_both_restrict_modes(self, restrict):
+        rng = random.Random(61)
+        restricted = 0
+        for i in range(40):
+            alphabet = (BINARY, TERNARY)[i % 2]
+            problem = random_problem(rng, alphabet, max_len=rng.randint(1, 5))
+            if i % 4 < 2:  # a shared prefix, which restrict="auto" drops from the positions
+                base = lang({"01" + w for w in problem.base.words}, alphabet)
+                problem = DecisionProblem(base, lang({"01" + w for w in problem.target.words}, alphabet))
+            index = ProblemIndex(problem.base)
+            result = log_rel(problem, restrict=restrict, keep_full=True, index=index)
+            space = index.candidate_space(result.positions)
+            keys = set_bits(space.qualifying(index.all_mask & ~index.target_mask(problem.target)))
+            assert result.full == frozenset(reference_decode(alphabet, result.positions, k) for k in keys)
+            assert result.reduced == reduce_strings(result.full)
+            restricted += result.restricted
+        assert (restricted > 10) == (restrict == "auto")
+
+
 class TestNaiveOracle:
     def test_agrees_on_seeded_problems(self):
         rng = random.Random(11)
@@ -421,6 +473,24 @@ class TestLogExpClosure:
             H = random_string_set(rng, BINARY, 2)
             report = logexp_closure_check(H, universe)
             assert report.extensive and report.idempotent and report.monotone
+
+    def test_one_index_per_check(self, monkeypatch):
+        built = []
+        init = ProblemIndex.__init__
+
+        def counting_init(self, base):
+            built.append(base)
+            init(self, base)
+
+        monkeypatch.setattr(ProblemIndex, "__init__", counting_init)
+        universe = sigma_upto(BINARY, 2)
+        assert logexp_closure_check(frozenset({ps("0")}), universe).holds
+        assert built == [universe]
+        assert logexp_closure_check(frozenset({ps("0")}), universe, partner=frozenset({ps("1")})).union_strict
+        assert built == [universe, universe]
+        with pytest.raises(ValueError, match="full length-capped slice"):
+            logexp_closure_check(frozenset({ps("0")}), lang(["1", "10"]))
+        assert len(built) == 2
 
     def test_collective_string_found(self):
         universe = sigma_upto(BINARY, 2)

@@ -4,6 +4,7 @@ import pytest
 
 from strtool.independence import (
     WIZARD,
+    Counterexample,
     EventFamily,
     IndependenceVerdict,
     RegionRelationsReport,
@@ -40,6 +41,10 @@ VALUES = {
                   ("index", "disjoint", "disjoint_unfiltered", "low_entangles_high", "high_entangles_low",
                    "vacuous", "low_size", "high_size")),
     "IndependenceVerdict": (lambda: IndependenceVerdict(True, 6), ("holds", "subsets_checked", "counterexample")),
+    "IndependenceVerdict-failing": (lambda: IndependenceVerdict(False, 3, Counterexample(("1",), "x")),
+                                    ("holds", "subsets_checked", "counterexample")),
+    "Counterexample": (lambda: Counterexample(("1_", "_2"), "relative cylinders are comparable"),
+                       ("strings", "reason")),
     "WizardCoverReport": (lambda: WizardCoverReport(True, 1, (WizardFinding("_1", 3, True, False, True),)),
                           ("holds", "wizard_count", "findings")),
     "ShapeFinding": (lambda: ShapeFinding("1_", ("clause 2 has 0 prescriptions",)), ("string", "problems")),
