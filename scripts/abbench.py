@@ -14,8 +14,8 @@ than the parent's interquartile range.
     python3 scripts/abbench.py ../parent . --workload closure-oracle --pairs 10 --seed 300
 
 The benchmark writes its scratch files into each checkout's own
-`.bench_work/` and `.bench_out/`; this script writes nothing but its
-`--out` file, when given one.
+`.bench_work/` and `.bench_out/`; this script writes no file, and its
+printed lines are the record of every run.
 """
 
 from __future__ import annotations
@@ -77,7 +77,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", action="append", help="a workload of BENCHMARK.json (repeatable; default all)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair; pair i uses seed + i")
-    parser.add_argument("--out", type=Path, help="also write every run's result to this JSON file")
     args = parser.parse_args(argv)
     spec = json.loads(SPEC.read_text())
     known = [w["name"] for w in spec["workloads"]]
@@ -103,8 +102,6 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{workload} seed {seed} {side}: {json.dumps(values)} failed {pair[side]['failed']}",
                       flush=True)
             runs.append(pair)
-        if args.out:
-            args.out.write_text(json.dumps(record, indent=1))
     print()
     for workload, runs in record.items():
         print("\n".join(summarize(workload, runs, spec["end_to_end"])))

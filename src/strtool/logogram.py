@@ -466,12 +466,24 @@ def log_abs(
 ) -> LogogramResult:
     """Absolute logogram of F evaluated inside a full capped slice: its logogram relative to the slice."""
     _check_full_slice(universe)
-    return log_rel(DecisionProblem(universe, F), restrict="never", budget=budget, keep_full=keep_full)
+    return _log_in_slice(F, universe, budget=budget, keep_full=keep_full)
 
 
 def _check_full_slice(universe: FiniteLanguage) -> None:
     if not is_full_slice(universe, universe.max_len):
         raise ValueError("universe must be a full length-capped slice")
+
+
+def _log_in_slice(
+    F: FiniteLanguage,
+    universe: FiniteLanguage,
+    index: ProblemIndex | None = None,
+    *,
+    budget: int = DEFAULT_CANDIDATE_BUDGET,
+    keep_full: bool | None = None,
+) -> LogogramResult:
+    """`log_abs` in a universe already checked to be a full slice, walked over index when given."""
+    return log_rel(DecisionProblem(universe, F), restrict="never", budget=budget, keep_full=keep_full, index=index)
 
 
 def log_rel_naive(problem: DecisionProblem, candidate_positions=None, budget: int = 4 ** 9):
@@ -524,8 +536,7 @@ def logexp(H: frozenset[PartialString], universe: FiniteLanguage) -> frozenset[P
 
 def _logexp(H: frozenset[PartialString], universe: FiniteLanguage, index: ProblemIndex) -> frozenset[PartialString]:
     """LogExp of H in a universe already checked to be a full slice, walked over its given index."""
-    problem = DecisionProblem(universe, expand_in(H, universe))
-    return log_rel(problem, restrict="never", keep_full=True, index=index).full
+    return _log_in_slice(expand_in(H, universe), universe, index, keep_full=True).full
 
 
 class LogExpReport(NamedTuple):
