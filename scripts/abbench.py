@@ -8,7 +8,12 @@ both sides alike.  A line is printed per run as it finishes; then, for each
 workload and end-to-end metric, each side's median and quartiles, the
 number of pairs the change won (ties count for neither side), and whether
 the change wins at least nine tenths of the pairs with a median gain larger
-than the parent's interquartile range.
+than the parent's interquartile range.  Each metric's line also gives how
+much worse the change's median is than the parent's, as a fraction of the
+parent's median, next to the metric's `bound` in BENCHMARK.json, which is
+read as a fraction of the parent's median too; the metric is "unresolved"
+when the parent's interquartile range is wider than that bound, and
+otherwise "within bound" or "past bound".
 
     git worktree add ../parent HEAD~1
     python3 scripts/abbench.py ../parent . --workload closure-oracle --pairs 10 --seed 300
@@ -49,7 +54,7 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def summarize(workload: str, runs: list[dict], metrics: list[dict]) -> list[str]:
-    """One line per end-to-end metric: both sides' quartiles, the change's wins and the claim rule."""
+    """One line per end-to-end metric: both sides' quartiles, the change's wins, the claim rule and the bound."""
     lines = []
     failed = {side: sum(r[side]["failed"] for r in runs) for side in SIDES}
     attempted = {side: sum(r[side]["attempted"] for r in runs) for side in SIDES}
@@ -62,10 +67,15 @@ def summarize(workload: str, runs: list[dict], metrics: list[dict]) -> list[str]
         (p1, pm, p3), (c1, cm, c3) = quartiles(values["parent"]), quartiles(values["change"])
         gain = (cm - pm) if higher else (pm - cm)
         claim = wins >= 0.9 * len(runs) and gain > p3 - p1
+        worse, bound = -gain / pm, metric["bound"]
+        if p3 - p1 > bound * pm:
+            status = "unresolved"
+        else:
+            status = "past bound" if worse > bound else "within bound"
         lines.append(
             f"  {name:12} parent {pm:.4g} [{p1:.4g}, {p3:.4g}]  change {cm:.4g} [{c1:.4g}, {c3:.4g}]"
             f"  change wins {wins}/{len(runs)}  median gain {gain:+.4g} vs parent IQR {p3 - p1:.4g}"
-            f"  {'gain holds' if claim else 'no claim'}"
+            f"  {'gain holds' if claim else 'no claim'}  worse by {worse:+.1%} vs bound {bound:.0%}: {status}"
         )
     return lines
 

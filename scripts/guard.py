@@ -44,6 +44,7 @@ COMMANDS = (
     ("verify", "--suite", "sat", "--n", "5", "--m", "2"),
     ("verify", "--suite", "logogram", "--samples", "400", "--seed", "7"),
     ("verify", "--suite", "closure", "--samples", "400", "--seed", "7"),
+    ("verify", "--suite", "regions", "--n", "3", "--m", "3", "--ignore-bewitched"),  # 8 region walks on (3,3)
 )
 # The text renderer reads the same report objects as the JSON one.
 TEXT_COMMANDS = (

@@ -5,9 +5,10 @@ check takes one `Analysis` (see `strtool.logogram`), which computes the
 index, the reduced logogram, its cylinders and member masks, and the region
 logograms once and shares them between checks.  A reduced-logogram string
 is classified by how its relative cylinder sits inside the solution
-regions: inside exactly one region it is a proper witness, inside two or
-more an improper witness (pseudowizard), inside the target but no single
-region a wizard.
+regions' closures within the base (the regions themselves on a prefix-free
+base): inside exactly one it is a proper witness, inside two or more an
+improper witness (pseudowizard), inside none a wizard, since every cylinder
+lies inside the target's closure, the union of the region closures.
 
 Three problem-level properties are checked, each strictly stronger than
 the last on finite problems:
@@ -108,11 +109,8 @@ class IndependenceVerdict(NamedTuple):
 
 
 def classify_all(analysis: Analysis) -> list[StringVerdict]:
-    """Classify every reduced-logogram string against the solution regions."""
+    """Classify every reduced-logogram string against the solution regions' closure masks."""
     region_masks = analysis.region_masks
-    target_words = 0  # the regions cover the target exactly
-    for rm in region_masks:
-        target_words |= rm
     verdicts = []
     for g, cyl in zip(analysis.members, analysis.cylinders):
         containing = tuple(i + 1 for i, rm in enumerate(region_masks) if not (cyl & ~rm))
@@ -121,10 +119,6 @@ def classify_all(analysis: Analysis) -> list[StringVerdict]:
         elif containing:
             kind = IMPROPER_WITNESS
         else:
-            if cyl & ~target_words:
-                raise ValueError(
-                    f"cylinder of {g.render()!r} leaves the target; regions cannot classify it"
-                )
             kind = WIZARD
         verdicts.append(StringVerdict(g, kind, containing))
     return verdicts
@@ -500,11 +494,11 @@ def region_relations(analysis: Analysis, ignore_bewitched: bool) -> RegionRelati
 
     For each i, the union of the first i region reduced logograms is
     compared with region i+1's.  With ignore_bewitched, strings whose
-    cylinders sit in two or more regions (improper witnesses) are removed
-    from both sides before the checks; rows where a side then comes out
-    empty are flagged vacuous and carry no entanglement either way, since
-    set entanglement presupposes occupied sides.  Unfiltered disjointness
-    is always recorded alongside.
+    cylinders sit in two or more region masks (improper witnesses, as
+    `classify_all` finds them) are removed from both sides before the
+    checks; rows where a side then comes out empty are flagged vacuous and
+    carry no entanglement either way, since set entanglement presupposes
+    occupied sides.  Unfiltered disjointness is always recorded alongside.
     """
     region_masks = analysis.region_masks
     raw_logograms = analysis.region_logograms

@@ -42,12 +42,8 @@ class BudgetExceeded(RuntimeError):
 
 
 class FiniteLanguage:
-    def __init__(self, alphabet: Alphabet, words: frozenset[str], _parent: "FiniteLanguage | None" = None) -> None:
-        """A language over alphabet; `_parent` is for `_sub` alone and replaces the symbol scan by words <= its words."""
-        if _parent is not None:
-            if not words <= _parent.words:
-                raise ValueError("a sublanguage's words must be words of its parent")
-        elif not set("".join(words)) <= set(alphabet.symbols):
+    def __init__(self, alphabet: Alphabet, words: frozenset[str]) -> None:
+        if not set("".join(words)) <= set(alphabet.symbols):
             for w in words:  # one pass over all symbols above; this loop only names the offender
                 for c in w:
                     if c not in alphabet:
@@ -56,8 +52,11 @@ class FiniteLanguage:
         object.__setattr__(self, "words", words)
 
     def _sub(self, words: frozenset[str]) -> "FiniteLanguage":
-        """The sublanguage of self with these words, checked by one lookup per word instead of a symbol scan."""
-        return FiniteLanguage(self.alphabet, words, self)
+        """The sublanguage of self with these words, which every caller takes from self's own words: no check."""
+        sub = object.__new__(FiniteLanguage)
+        object.__setattr__(sub, "alphabet", self.alphabet)
+        object.__setattr__(sub, "words", words)
+        return sub
 
     __setattr__ = __delattr__ = read_only
 

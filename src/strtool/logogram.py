@@ -18,14 +18,17 @@ qualifies: one more set of shifts.  full_count is the popcount of the
 qualifying set, and only the keys that are reported are decoded into
 strings.  The index keeps, per positions tuple, the digit-0 masks, one key
 per word and the keys some base word extends, so each region walk builds
-only its bad-word bitset.  `log_rel` is the one entry into the kernel: the
-absolute logogram (`log_abs`, on which LogExp is built) is the logogram
-relative to a full capped slice, over every position.  A deliberately plain
-enumerator (`log_rel_naive`) re-derives the same sets with no index, no
-restriction and no pruning: one pass per domain projects the base words
-defined on it and keeps the projections whose words all lie in the target's
-closure, about words x 2^npos projections in all; it is the correctness
-oracle for the engine.
+only its bad-word bitset.  A target reaches the kernel as its closure
+mask: the base words having a prefix among its words, which on a
+prefix-free base are its words themselves (`ProblemIndex.closure_mask`).
+`log_rel` is the one entry into the kernel: the absolute logogram
+(`log_abs`, on which LogExp is built) is the logogram relative to a full
+capped slice, over every position.  A deliberately plain enumerator
+(`log_rel_naive`) re-derives the same sets with no index, no restriction
+and no pruning: one pass per domain projects the base words defined on it
+and keeps the projections whose words all lie in the target's closure,
+about words x 2^npos projections in all; it is the correctness oracle for
+the engine.
 
 Decoding a key is table-driven.  The positions are split, lowest digits
 first, into chunks of as many positions as keep a chunk's values within
@@ -37,9 +40,13 @@ by the validating `PartialString` constructor.  The tables are built on
 the first decode and kept with the positions tuple's other tables, so the
 region walks reuse them.
 
-An `Analysis` wraps one problem and computes its index, logogram, member
-cylinders and masks, region masks (from the labels) and region logograms
-once, on first use; the checks in `strtool.independence` take one.
+An `Analysis` wraps one problem and computes its index, target closure
+mask, logogram, member cylinders and masks, region masks and region
+logograms once, on first use; the checks in `strtool.independence` take
+one.  Each region walk passes the region's closure mask straight to
+`log_rel`, and the classification of members reads the same masks, so a
+member lies in a region exactly when that region's reduced logogram
+holds it.
 
 Cache files: "logogram-<fingerprint>.txt" with a JSON header line followed
 by one rendered string per line, reduced members flagged "R ", remaining
@@ -179,11 +186,11 @@ class ProblemIndex:
     def mask_language(self, mask: int) -> FiniteLanguage:
         return self.language._sub(frozenset(itertools.compress(self.words, _bit_flags(mask))))
 
-    def target_mask(self, target: FiniteLanguage) -> int:
-        """Mask of the prefix closure of the target within the base (the target itself when prefix-free)."""
+    def closure_mask(self, mask: int) -> int:
+        """The base words having a prefix among mask's words: mask itself when the base is prefix-free."""
         if self.prefix_free:
-            return self.word_mask(target.words)
-        return self.word_mask(cylindrify(target, self.language).words)
+            return mask
+        return self.word_mask(cylindrify(self.mask_language(mask), self.language).words)
 
 
 class CandidateSpace:
@@ -320,7 +327,7 @@ class Analysis:
 
     Members are the reduced logogram sorted by (size, render); bit i of a
     member mask stands for members[i], and bit k of a cylinder, target or
-    region mask for index.words[k].
+    region closure mask for index.words[k].
     """
 
     def __init__(self, problem: DecisionProblem, *, budget: int = DEFAULT_CANDIDATE_BUDGET):
@@ -333,7 +340,7 @@ class Analysis:
 
     @cached_property
     def logogram(self) -> "LogogramResult":
-        return log_rel(self.problem, index=self.index, budget=self.budget)
+        return log_rel(self.problem, index=self.index, budget=self.budget, closure=self.target_mask)
 
     @cached_property
     def members(self) -> list[PartialString]:
@@ -345,14 +352,15 @@ class Analysis:
 
     @cached_property
     def target_mask(self) -> int:
-        return self.index.target_mask(self.problem.target)
+        """The target's closure within the base."""
+        return self.index.closure_mask(self.index.word_mask(self.problem.target.words))
 
     @cached_property
     def region_masks(self) -> list[int]:
-        """Mask j holds the words whose label has bit j set.
+        """Mask j is the closure within the base of region j, the words whose label has bit j set.
 
         The labels are written out as binary digits, last word first, so one region's digits,
-        a strided slice, read as its mask; 64 regions at a time bound the string's memory.
+        a strided slice, read as its words' mask; 64 regions at a time bound the string's memory.
         """
         labels = self.problem.labels
         if labels is None:
@@ -364,7 +372,7 @@ class Analysis:
             width = min(64, count - low)
             digits = "".join([format(label >> low & (1 << width) - 1, f"0{width}b") for label in order])
             masks.extend(int(digits[width - 1 - j::width], 2) for j in range(width))
-        return masks
+        return list(map(self.index.closure_mask, masks))
 
     @cached_property
     def member_masks(self) -> dict[str, int]:
@@ -377,10 +385,9 @@ class Analysis:
 
     @cached_property
     def region_logograms(self) -> list[frozenset[PartialString]]:
-        """The reduced logogram of each region within the base, one walk per region."""
+        """The reduced logogram of each region within the base, one walk per region closure."""
         return [
-            log_rel(DecisionProblem(self.problem.base, self.index.mask_language(mask)), index=self.index,
-                    budget=self.budget, keep_full=False).reduced
+            log_rel(self.problem, index=self.index, budget=self.budget, keep_full=False, closure=mask).reduced
             for mask in self.region_masks
         ]
 
@@ -425,6 +432,7 @@ def log_rel(
     keep_full: bool | None = None,
     restrict: str = "auto",
     index: ProblemIndex | None = None,
+    closure: int | None = None,
 ) -> LogogramResult:
     """Relative logogram of problem.target within problem.base, with minimal elements.
 
@@ -433,6 +441,9 @@ def log_rel(
     relative cylinder and never appear on minimal members, so the reduced
     set is unaffected; the full set is then reported over the restricted
     positions only.
+
+    A caller holding the target's closure mask (`ProblemIndex.closure_mask`) passes it as
+    closure, and problem.target is then not read.
     """
     start = time.perf_counter()
     idx = index if index is not None else ProblemIndex(problem.base)
@@ -442,7 +453,9 @@ def log_rel(
         raise BudgetExceeded("candidate space too large", space, budget)
 
     tables = idx.candidate_space(positions)
-    qualifying = tables.qualifying(idx.all_mask & ~idx.target_mask(problem.target))
+    if closure is None:
+        closure = idx.closure_mask(idx.word_mask(problem.target.words))
+    qualifying = tables.qualifying(idx.all_mask & ~closure)
     full_count = qualifying.bit_count()
     if keep_full is None:
         keep_full = full_count <= FULL_KEEP_LIMIT
@@ -463,27 +476,16 @@ def log_abs(
     *,
     budget: int = DEFAULT_CANDIDATE_BUDGET,
     keep_full: bool | None = None,
+    index: ProblemIndex | None = None,
 ) -> LogogramResult:
-    """Absolute logogram of F evaluated inside a full capped slice: its logogram relative to the slice."""
+    """Absolute logogram of F inside a full capped slice (its logogram relative to the slice), over index when given."""
     _check_full_slice(universe)
-    return _log_in_slice(F, universe, budget=budget, keep_full=keep_full)
+    return log_rel(DecisionProblem(universe, F), restrict="never", budget=budget, keep_full=keep_full, index=index)
 
 
 def _check_full_slice(universe: FiniteLanguage) -> None:
     if not is_full_slice(universe, universe.max_len):
         raise ValueError("universe must be a full length-capped slice")
-
-
-def _log_in_slice(
-    F: FiniteLanguage,
-    universe: FiniteLanguage,
-    index: ProblemIndex | None = None,
-    *,
-    budget: int = DEFAULT_CANDIDATE_BUDGET,
-    keep_full: bool | None = None,
-) -> LogogramResult:
-    """`log_abs` in a universe already checked to be a full slice, walked over index when given."""
-    return log_rel(DecisionProblem(universe, F), restrict="never", budget=budget, keep_full=keep_full, index=index)
 
 
 def log_rel_naive(problem: DecisionProblem, candidate_positions=None, budget: int = 4 ** 9):
@@ -528,15 +530,10 @@ def log_rel_naive(problem: DecisionProblem, candidate_positions=None, budget: in
     return full_set, reduce_strings(full_set)
 
 
-def logexp(H: frozenset[PartialString], universe: FiniteLanguage) -> frozenset[PartialString]:
-    """The closure carrying H to the full absolute logogram of its expansion."""
-    _check_full_slice(universe)
-    return _logexp(H, universe, ProblemIndex(universe))
-
-
-def _logexp(H: frozenset[PartialString], universe: FiniteLanguage, index: ProblemIndex) -> frozenset[PartialString]:
-    """LogExp of H in a universe already checked to be a full slice, walked over its given index."""
-    return _log_in_slice(expand_in(H, universe), universe, index, keep_full=True).full
+def logexp(H: frozenset[PartialString], universe: FiniteLanguage,
+           index: ProblemIndex | None = None) -> frozenset[PartialString]:
+    """The closure carrying H to the full absolute logogram of its expansion, over the slice's index when given."""
+    return log_abs(expand_in(H, universe), universe, keep_full=True, index=index).full
 
 
 class LogExpReport(NamedTuple):
@@ -563,17 +560,17 @@ def logexp_closure_check(
     """
     _check_full_slice(universe)
     index = ProblemIndex(universe)
-    le_h = _logexp(H, universe, index)
+    le_h = logexp(H, universe, index)
     extensive = H <= le_h
-    idempotent = _logexp(le_h, universe, index) == le_h
+    idempotent = logexp(le_h, universe, index) == le_h
     sorted_words = sorted(universe.words, key=lambda w: (len(w), w), reverse=True)
     extra = PartialString.from_word(universe.alphabet, sorted_words[0]) if sorted_words else None
     bigger = H | {extra} if extra is not None else H
-    monotone = le_h <= _logexp(bigger, universe, index)
+    monotone = le_h <= logexp(bigger, universe, index)
     union_strict = collective_sample = None
     if partner is not None:
-        le_union = _logexp(H | partner, universe, index)
-        le_parts = le_h | _logexp(partner, universe, index)
+        le_union = logexp(H | partner, universe, index)
+        le_parts = le_h | logexp(partner, universe, index)
         union_strict = le_parts < le_union
         if union_strict:
             collective_sample = min(le_union - le_parts, key=lambda g: (g.size, g.render())).render()

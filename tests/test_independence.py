@@ -27,8 +27,8 @@ from strtool.independence import (
     wizard_cover_report,
 )
 from strtool import logogram
-from strtool.languages import BINARY, TERNARY, FiniteLanguage, sigma_exact
-from strtool.logogram import Analysis, DecisionProblem
+from strtool.languages import BINARY, TERNARY, FiniteLanguage, cylindrify, sigma_exact
+from strtool.logogram import Analysis, DecisionProblem, log_rel, log_rel_naive
 from strtool.sat import EchelonSpec, enumerate_echelon, selection_strings, string_entries
 from strtool.strings import PartialString, join_all, word_includes
 
@@ -56,29 +56,87 @@ def entangled_problem():
 
 class TestAnalysis:
     def test_checks_share_one_index_and_one_walk_per_logogram(self, monkeypatch):
-        indexes, walks = [], []
-        real_index, real_log_rel = logogram.ProblemIndex, logogram.log_rel
+        indexes, walks, problems = [], [], []
+        real_index, real_log_rel, real_problem_init = logogram.ProblemIndex, logogram.log_rel, DecisionProblem.__init__
 
         class CountingIndex(real_index):
             def __init__(self, base):
                 indexes.append(base)
                 super().__init__(base)
 
-        def counting_log_rel(problem, *args, **kwargs):
-            walks.append(problem.target)
-            return real_log_rel(problem, *args, **kwargs)
+        def counting_log_rel(problem, *args, closure=None, **kwargs):
+            walks.append(closure)
+            return real_log_rel(problem, *args, closure=closure, **kwargs)
 
+        def counting_problem_init(problem, *args, **kwargs):
+            problems.append(problem)
+            real_problem_init(problem, *args, **kwargs)
+
+        toy = toy_wizard_problem()
         monkeypatch.setattr(logogram, "ProblemIndex", CountingIndex)
         monkeypatch.setattr(logogram, "log_rel", counting_log_rel)
-        toy = toy_wizard_problem()
+        monkeypatch.setattr(DecisionProblem, "__init__", counting_problem_init)
         analysis = Analysis(toy)
         classify_all(analysis)
         assert wizard_cover_report(analysis).wizard_count == 2
         region_relations(analysis, ignore_bewitched=False)
         assert len(indexes) == 1
+        assert problems == []  # the region walks build no region problem
         regions = [lang(w for w, label in toy.labels.items() if label >> j & 1)
                    for j in range(max(toy.labels.values()).bit_length())]
-        assert walks == [toy.target, *regions]  # the problem's walk, then one per region
+        closures = [analysis.index.word_mask(cylindrify(F, toy.base).words) for F in (toy.target, *regions)]
+        assert walks == closures  # the problem's walk, then one per region, each fed its closure mask
+
+
+def labelled_problems(count, seed):
+    """Seeded labelled problems over binary and ternary alphabets, with nonzero labels over 1-4 regions.
+
+    Half the bases have one word length, so they are prefix-free; the others mix lengths
+    and often hold the empty word.
+    """
+    rng = random.Random(seed)
+    for i in range(count):
+        alphabet = (BINARY, TERNARY)[i % 2]
+        top = 4 if alphabet is BINARY else 3
+        n, mixed = rng.randint(1, top), i % 4 >= 2
+        words = {"".join(rng.choice(alphabet.symbols) for _ in range(rng.randint(0, top) if mixed else n))
+                 for _ in range(rng.randint(1, 14))}
+        target = [w for w in sorted(words) if rng.random() < 0.6] or [min(words)]
+        regions = rng.randint(1, 4)
+        labels = {w: rng.randrange(1, 1 << regions) for w in target}
+        yield DecisionProblem(lang(words, alphabet), lang(target, alphabet), labels)
+
+
+class TestRegionWalks:
+    """Region walks fed their closure masks, against walks of region problems and the naive oracle."""
+
+    def test_agree_with_region_problems_and_definition_level_classes(self):
+        prefix_free = not_prefix_free = 0
+        kinds = dict.fromkeys((PROPER_WITNESS, IMPROPER_WITNESS, WIZARD), 0)
+        for problem in labelled_problems(320, seed=5):
+            base, analysis = problem.base, Analysis(problem)
+            if any(a != b and b.startswith(a) for a in base.words for b in base.words):
+                not_prefix_free += 1
+            else:
+                prefix_free += 1
+            regions = [lang([w for w, label in problem.labels.items() if label >> j & 1], base.alphabet)
+                       for j in range(max(problem.labels.values()).bit_length())]
+            for j, region in enumerate(regions):
+                region_problem = DecisionProblem(base, region)
+                reduced = log_rel(region_problem).reduced
+                assert analysis.region_logograms[j] == reduced == log_rel_naive(region_problem)[1]
+            closures = [cylindrify(region, base).words for region in regions]
+            for verdict in classify_all(analysis):
+                cylinder = {w for w in base.words if word_includes(w, verdict.string)}
+                containing = tuple(j + 1 for j, closure in enumerate(closures) if cylinder <= closure)
+                kind = PROPER_WITNESS if len(containing) == 1 else IMPROPER_WITNESS if containing else WIZARD
+                assert (verdict.kind, verdict.containing_regions) == (kind, containing)
+                # a member lies in a region exactly when that region's reduced logogram holds it
+                assert containing == tuple(j + 1 for j, H in enumerate(analysis.region_logograms)
+                                           if verdict.string in H)
+                kinds[kind] += 1
+        assert prefix_free > 20 and not_prefix_free > 20
+        assert min(kinds.values()) > 20, kinds
 
 
 class TestEntanglement:
@@ -134,6 +192,13 @@ class TestClassify:
         verdict = classify(ps("1"), Analysis(toy))
         assert verdict.kind == WIZARD
         assert verdict.containing_regions == ()
+
+    def test_non_prefix_free_base_classifies_against_region_closures(self):
+        base = lang(["0", "1", "01"])
+        analysis = Analysis(DecisionProblem(base, lang(["0"]), {"0": 1}))
+        verdicts = classify_all(analysis)
+        assert sorted(v.string.render() for v in verdicts) == ["0", "_1"]
+        assert all(v.kind == PROPER_WITNESS and v.containing_regions == (1,) for v in verdicts)
 
     def test_partitions_reduced_logogram(self):
         problem, result, analysis = echelon_with_result(2, 2)

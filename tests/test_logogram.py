@@ -116,6 +116,21 @@ class TestProblemIndex:
             assert idx.mask_language(mask).words == frozenset(subset)
             assert idx.mask_language(idx.all_mask).words == L.words
 
+    def test_closure_mask_agrees_with_startswith_scan(self):
+        rng = random.Random(17)
+        prefix_free = 0
+        for i in range(300):
+            alphabet = (BINARY, TERNARY)[i % 2]
+            L = random_language(rng, alphabet, cap=5, max_words=30)
+            if not L.words:
+                continue
+            idx = ProblemIndex(L)
+            subset = [w for w in idx.words if rng.random() < 0.4]
+            closure = [w for w in idx.words if any(w.startswith(a) for a in subset)]
+            assert idx.closure_mask(idx.word_mask(subset)) == idx.word_mask(closure)
+            prefix_free += idx.prefix_free
+        assert 20 < prefix_free < 280
+
 
 class TestLogRel:
     def test_two_word_target(self):
@@ -258,7 +273,7 @@ class TestChainWalk:
         base = len(problem.alphabet.symbols) + 1
         qualifying = brute_qualifying(problem, positions)
         idx = ProblemIndex(problem.base)
-        bad_mask = idx.all_mask & ~idx.target_mask(problem.target)
+        bad_mask = idx.all_mask & ~idx.word_mask(cylindrify(problem.target, problem.base).words)
         keys = set_bits(idx.candidate_space(positions).qualifying(bad_mask))
         assert keys == sorted(sum(d * base ** j for j, d in enumerate(t)) for t in qualifying)
         result = log_rel(problem, positions, keep_full=True)
@@ -348,7 +363,8 @@ class TestDecode:
             index = ProblemIndex(problem.base)
             result = log_rel(problem, restrict=restrict, keep_full=True, index=index)
             space = index.candidate_space(result.positions)
-            keys = set_bits(space.qualifying(index.all_mask & ~index.target_mask(problem.target)))
+            closure = index.word_mask(cylindrify(problem.target, problem.base).words)
+            keys = set_bits(space.qualifying(index.all_mask & ~closure))
             assert result.full == frozenset(reference_decode(alphabet, result.positions, k) for k in keys)
             assert result.reduced == reduce_strings(result.full)
             restricted += result.restricted

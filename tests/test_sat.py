@@ -176,17 +176,22 @@ class TestEchelons:
         assert analysis.region_masks == [analysis.index.word_mask(r) for r in regions]
 
     def test_builds_only_base_and_target(self, monkeypatch):
-        built = []
-        real_init = FiniteLanguage.__init__
+        scanned, subs = [], []  # languages built by the symbol-scanning constructor, and sublanguages
+        real_init, real_sub = FiniteLanguage.__init__, FiniteLanguage._sub
 
         def counting_init(language, *args):
-            built.append(language)
+            scanned.append(language)
             real_init(language, *args)
 
+        def counting_sub(language, words):
+            subs.append(real_sub(language, words))
+            return subs[-1]
+
         monkeypatch.setattr(FiniteLanguage, "__init__", counting_init)
+        monkeypatch.setattr(FiniteLanguage, "_sub", counting_sub)
         problem = enumerate_echelon(EchelonSpec(2, 2))
-        assert len(built) == 2
-        assert built[0] is problem.base and built[1] is problem.target
+        assert len(scanned) == 1 and scanned[0] is problem.base
+        assert len(subs) == 1 and subs[0] is problem.target  # the target is built without a symbol scan
 
     def test_prefix_free(self):
         for spec in (EchelonSpec(1, 1), EchelonSpec(2, 1), EchelonSpec(2, 2)):
