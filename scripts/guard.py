@@ -45,6 +45,8 @@ COMMANDS = (
     ("verify", "--suite", "logogram", "--samples", "400", "--seed", "7"),
     ("verify", "--suite", "closure", "--samples", "400", "--seed", "7"),
     ("verify", "--suite", "regions", "--n", "3", "--m", "3", "--ignore-bewitched"),  # 8 region walks on (3,3)
+    ("verify", "--suite", "wizards", "--n", "3", "--m", "3"),  # clause-product containment on (3,3)
+    ("classify", "--n", "3", "--m", "2", "--string", "________2_2"),  # an improper witness in regions 1 and 5
 )
 # The text renderer reads the same report objects as the JSON one.
 TEXT_COMMANDS = (

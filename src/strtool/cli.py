@@ -414,6 +414,18 @@ def suite_events(samples: int, seed: int) -> Iterator[CheckResult]:
     )
 
 
+def admitted_echelon(spec: EchelonSpec, budget: int, word_budget: int) -> DecisionProblem:
+    """The echelon, enumerated only once its 4**(n*m) body candidates fit the candidate budget.
+
+    Every walk of an echelon ranges over its body positions, so a larger
+    space is refused here, before enumeration, instead of after it.
+    """
+    space = 4 ** (spec.n * spec.m)
+    if space > budget:
+        raise BudgetExceeded(f"echelon ({spec.n},{spec.m}) candidates", space, budget)
+    return enumerate_echelon(spec, budget=word_budget)
+
+
 def run_suite(cfg: dict) -> VerificationReport:
     """Run the chosen suites in report order; the echelon suites share one Analysis."""
     suite = cfg["suite"]
@@ -421,7 +433,7 @@ def run_suite(cfg: dict) -> VerificationReport:
     suites = []
     if suite in ("sat", "wizards", "regions", "all"):
         spec = EchelonSpec(cfg["n"], cfg["m"])
-        analysis = Analysis(enumerate_echelon(spec, budget=cfg["word_budget"]), budget=cfg["budget"])
+        analysis = Analysis(admitted_echelon(spec, cfg["budget"], cfg["word_budget"]), budget=cfg["budget"])
     if suite in ("closure", "all"):
         suites.append(suite_closure(cfg["samples"], cfg["seed"]))
     if suite in ("logogram", "all"):
@@ -457,10 +469,7 @@ def cmd_logogram(args: argparse.Namespace) -> tuple[VerificationReport, int]:
         raise ValueError("need exactly one of --n/--m or --base-file/--target-file")
     if args.n is not None:
         spec = EchelonSpec(args.n, args.m)
-        space = 4 ** (args.n * args.m)
-        if space > args.budget:
-            raise BudgetExceeded(f"echelon ({args.n},{args.m}) candidates", space, args.budget)
-        problem = enumerate_echelon(spec, budget=args.word_budget)
+        problem = admitted_echelon(spec, args.budget, args.word_budget)
         positions = spec.body_positions
         index = None
     else:
@@ -526,7 +535,7 @@ def cmd_classify(args: argparse.Namespace) -> tuple[VerificationReport, int]:
     if args.string is None or args.n is None or args.m is None:
         raise ValueError("need --string with --n/--m, or --formula with --n")
     spec = EchelonSpec(args.n, args.m)
-    problem = enumerate_echelon(spec, budget=args.word_budget)
+    problem = admitted_echelon(spec, args.budget, args.word_budget)
     g = PartialString.parse(problem.alphabet, args.string)
     try:
         verdict = classify(g, Analysis(problem, budget=args.budget))

@@ -36,7 +36,7 @@ import itertools
 from typing import NamedTuple
 
 from .languages import BudgetExceeded, FiniteLanguage, expand_in
-from .logogram import Analysis, LogogramResult, ProblemIndex
+from .logogram import Analysis, LogogramResult, ProblemIndex, set_bits
 from .sat import SAT_ALPHABET, EchelonSpec
 from .strings import PartialString, join_all, read_only
 
@@ -109,11 +109,10 @@ class IndependenceVerdict(NamedTuple):
 
 
 def classify_all(analysis: Analysis) -> list[StringVerdict]:
-    """Classify every reduced-logogram string against the solution regions' closure masks."""
-    region_masks = analysis.region_masks
+    """Classify every reduced-logogram string by the solution regions holding its cylinder."""
     verdicts = []
     for g, cyl in zip(analysis.members, analysis.cylinders):
-        containing = tuple(i + 1 for i, rm in enumerate(region_masks) if not (cyl & ~rm))
+        containing = tuple(j + 1 for j in set_bits(analysis.regions_holding(g, cyl)))
         if len(containing) == 1:
             kind = PROPER_WITNESS
         elif containing:
@@ -494,17 +493,17 @@ def region_relations(analysis: Analysis, ignore_bewitched: bool) -> RegionRelati
 
     For each i, the union of the first i region reduced logograms is
     compared with region i+1's.  With ignore_bewitched, strings whose
-    cylinders sit in two or more region masks (improper witnesses, as
-    `classify_all` finds them) are removed from both sides before the
-    checks; rows where a side then comes out empty are flagged vacuous and
-    carry no entanglement either way, since set entanglement presupposes
-    occupied sides.  Unfiltered disjointness is always recorded alongside.
+    cylinders sit in two or more regions (improper witnesses, as
+    `classify_all` finds them through `Analysis.regions_holding`) are
+    removed from both sides before the checks; rows where a side then comes
+    out empty are flagged vacuous and carry no entanglement either way,
+    since set entanglement presupposes occupied sides.  Unfiltered
+    disjointness is always recorded alongside.
     """
-    region_masks = analysis.region_masks
     raw_logograms = analysis.region_logograms
     cylinders = {g: analysis.index.cylinder_mask(g) for g in frozenset().union(*raw_logograms)}
     if ignore_bewitched:  # keep the strings whose cylinders sit in fewer than two regions
-        proper = {g for g, cyl in cylinders.items() if sum(1 for rm in region_masks if not (cyl & ~rm)) < 2}
+        proper = {g for g, cyl in cylinders.items() if analysis.regions_holding(g, cyl).bit_count() < 2}
         filtered = [H & proper for H in raw_logograms]
     else:
         filtered = raw_logograms

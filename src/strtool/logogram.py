@@ -43,10 +43,19 @@ region walks reuse them.
 An `Analysis` wraps one problem and computes its index, target closure
 mask, logogram, member cylinders and masks, region masks and region
 logograms once, on first use; the checks in `strtool.independence` take
-one.  Each region walk passes the region's closure mask straight to
-`log_rel`, and the classification of members reads the same masks, so a
-member lies in a region exactly when that region's reduced logogram
-holds it.
+one.  A word's member mask comes from position-chunk tables: the member
+positions are cut into chunks of at most DECODE_CHUNK_KEYS possible
+substrings, each chunk maps a word's substring there to the members that
+agree with it, and a word costs one lookup and one AND per chunk.  Which
+regions hold a string's cylinder is answered by one method,
+`Analysis.regions_holding`.  A problem with labels answers it word by
+word, against each region's closure mask, the labels transposed.  An
+echelon's regions are a clause product (`ClauseProduct`), and there the
+answer is the AND over clauses of the OR of the masks of the literals the
+string fixes: no region mask is built.  A region walk that needs a mask
+gets it from the index's position masks, m ANDs of ORs of position masks
+per region.  Either way a member lies in a region exactly when that
+region's reduced logogram holds it.
 
 Cache files: "logogram-<fingerprint>.txt" with a JSON header line followed
 by one rendered string per line, reduced members flagged "R ", remaining
@@ -69,7 +78,7 @@ import sys
 import time
 from bisect import bisect_left, bisect_right
 from functools import cached_property
-from operator import itemgetter
+from operator import and_, itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -82,37 +91,66 @@ FULL_KEEP_LIMIT = 50_000
 DECODE_CHUNK_KEYS = 256  # entries per decode table; a 4,096-entry table decoded no faster
 
 
+class ClauseProduct(NamedTuple):
+    """Solution regions that are a product of clauses over word positions, as on a CNF echelon.
+
+    A clause is a tuple of literals (position, symbol, mask): a word holding symbol at
+    position makes that literal true under the regions whose bits are set in mask.  A word
+    lies in region j iff each clause has a literal true under j among the word's symbols.
+    The base must hold every word that fills the clause positions with any symbols (an
+    echelon's body is the full product), so a string lies in region j, all of its cylinder,
+    iff each clause has such a literal among the string's own entries.
+    """
+    regions: int
+    clauses: tuple[tuple[tuple[int, str, int], ...], ...]
+
+
 class DecisionProblem:
     """A base language E, a target F inside it, and optional solution regions covering F.
 
-    Regions are labels: bit j of labels[w] means that target word w lies in region j, so
-    there are max(labels.values()).bit_length() regions.  Every target word carries a nonzero
-    label and no other word carries one; a region language is built only where one is walked.
+    Regions come in one of two forms.  Labels are per word: bit j of labels[w] means that
+    target word w lies in region j, so there are max(labels.values()).bit_length() regions;
+    every target word carries a nonzero label and no other word carries one (problems built
+    word by word, such as the toy wizard problem).  A `ClauseProduct` states the regions of an
+    echelon without a per-word table; its target is the words some region holds, which the
+    enumerator guarantees and which is not re-checked here.
     """
 
-    def __init__(self, base: FiniteLanguage, target: FiniteLanguage, labels: dict[str, int] | None = None) -> None:
+    def __init__(self, base: FiniteLanguage, target: FiniteLanguage, labels: dict[str, int] | None = None,
+                 clauses: ClauseProduct | None = None) -> None:
         if base.alphabet != target.alphabet:
             raise AlphabetMismatch("base and target use different alphabets")
         if not target.issubset(base):
             raise ValueError("target must be a subset of the base language")
         if labels is not None:
+            if clauses is not None:
+                raise ValueError("give regions as labels or as clauses, not both")
             if not labels.keys() <= target.words:
                 raise ValueError("every region must be a subset of the target")
             if labels.keys() != target.words or not all(labels.values()):
                 raise ValueError("regions must cover the target exactly")
+        if clauses is not None:
+            top = 1 << clauses.regions
+            for clause in clauses.clauses:
+                for pos, sym, mask in clause:
+                    if pos < 1 or sym not in base.alphabet.symbols or not 0 < mask < top:
+                        raise ValueError(f"bad literal {(pos, sym, mask)} for {clauses.regions} regions")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "clauses", clauses)
 
     __setattr__ = __delattr__ = read_only
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return (self.base, self.target, self.labels) == (other.base, other.target, other.labels)
+            return (self.base, self.target, self.labels, self.clauses) == \
+                (other.base, other.target, other.labels, other.clauses)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.base, self.target, self.labels))
+        labels = None if self.labels is None else frozenset(self.labels.items())
+        return hash((self.base, self.target, labels, self.clauses))
 
     @property
     def alphabet(self):
@@ -246,9 +284,7 @@ class CandidateSpace:
         A chunk takes as many positions as keep radix = base**len(chunk) at most
         DECODE_CHUNK_KEYS (one position when a single digit needs more).
         """
-        width = 1
-        while self.base ** (width + 1) <= DECODE_CHUNK_KEYS:
-            width += 1
+        width = _chunk_width(self.base)
         tables = []
         for start in range(0, len(self.positions), width):
             table: list[tuple[tuple[int, str], ...]] = [()]
@@ -278,6 +314,14 @@ class CandidateSpace:
             for shift in range(step, self.base * step, step):
                 covered |= below << shift
         return bits & ~covered
+
+
+def _chunk_width(radix: int) -> int:
+    """Positions per table chunk: the most that keep radix**width within DECODE_CHUNK_KEYS, at least one."""
+    width = 1
+    while radix ** (width + 1) <= DECODE_CHUNK_KEYS:
+        width += 1
+    return width
 
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
@@ -355,33 +399,94 @@ class Analysis:
         """The target's closure within the base."""
         return self.index.closure_mask(self.index.word_mask(self.problem.target.words))
 
+    def regions_holding(self, g: PartialString, cylinder: int) -> int:
+        """Bit j is set iff region j's closure within the base holds all of g's (nonempty) cylinder.
+
+        On a clause product it is the AND over clauses of the OR of the masks of the literals
+        g fixes (`ClauseProduct`), and no region mask is built; with labels, the test of
+        the cylinder against each region mask.
+        """
+        product = self.problem.clauses
+        if product is None:
+            return sum(1 << j for j, rm in enumerate(self.region_masks) if not cylinder & ~rm)
+        fixed = dict(g.entries)
+        held = (1 << product.regions) - 1
+        for clause in product.clauses:
+            some = 0
+            for pos, sym, mask in clause:
+                if fixed.get(pos) == sym:
+                    some |= mask
+            held &= some
+        return held
+
     @cached_property
     def region_masks(self) -> list[int]:
-        """Mask j is the closure within the base of region j, the words whose label has bit j set.
+        """Mask j is the closure within the base of region j.
 
-        The labels are written out as binary digits, last word first, so one region's digits,
-        a strided slice, read as its words' mask; 64 regions at a time bound the string's memory.
+        On a clause product region j is the AND over clauses of the OR of the position masks
+        of the clause's literals true under j.  With labels it holds the words whose label has
+        bit j set: the labels are written out as binary digits, last word first, so one
+        region's digits, a strided slice, read as its words' mask; 64 regions at a time bound
+        the string's memory.
         """
+        product, index = self.problem.clauses, self.index
+        if product is not None:
+            masks = []
+            for j in range(product.regions):
+                mask = index.all_mask
+                for clause in product.clauses:
+                    some = 0
+                    for pos, sym, lit in clause:
+                        if lit >> j & 1:
+                            some |= index.pos_masks[pos - 1].get(sym, 0)
+                    mask &= some
+                masks.append(mask)
+            return list(map(index.closure_mask, masks))
         labels = self.problem.labels
         if labels is None:
             raise ValueError("problem has no solution regions")
         count = max(labels.values(), default=0).bit_length()
-        order = [labels.get(w, 0) for w in reversed(self.index.words)]
+        order = [labels.get(w, 0) for w in reversed(index.words)]
         masks = []
         for low in range(0, count, 64):
             width = min(64, count - low)
             digits = "".join([format(label >> low & (1 << width) - 1, f"0{width}b") for label in order])
             masks.extend(int(digits[width - 1 - j::width], 2) for j in range(width))
-        return list(map(self.index.closure_mask, masks))
+        return list(map(index.closure_mask, masks))
 
     @cached_property
     def member_masks(self) -> dict[str, int]:
-        """For each base word, the mask of the members it includes: the cylinders transposed."""
-        masks = [0] * len(self.index.words)
-        for i, cyl in enumerate(self.cylinders):
-            for k in set_bits(cyl):
-                masks[k] |= 1 << i
-        return dict(zip(self.index.words, masks))
+        """For each base word, the mask of the members it includes.
+
+        A word includes a member iff they agree at every position the member defines.  The
+        positions from the first to the last that some member defines are cut into chunks of
+        as many positions as keep a chunk's substrings (one symbol or the word's end per
+        position) within DECODE_CHUNK_KEYS; each chunk has a table from a word's substring
+        there to the members agreeing with it, so a word costs one lookup and one AND per chunk.
+        """
+        members, words = self.members, self.index.words
+        full = (1 << len(members)) - 1
+        at_pos: dict[int, int] = {}  # the members defined at a position
+        with_sym: dict[tuple[int, str], int] = {}  # those holding a symbol there
+        for i, g in enumerate(members):
+            for pos, sym in g.entries:
+                at_pos[pos] = at_pos.get(pos, 0) | 1 << i
+                with_sym[pos, sym] = with_sym.get((pos, sym), 0) | 1 << i
+        masks = [full] * len(words)
+        width = _chunk_width(len(self.index.alphabet.symbols) + 1)
+        for low in range(min(at_pos, default=1) - 1, max(at_pos, default=0), width):
+            cut = itemgetter(slice(low, low + width))  # the substring over positions low+1..low+width
+            table = {}
+            for piece in set(map(cut, words)):
+                clash = 0
+                for pos in range(low + 1, low + width + 1):
+                    held = at_pos.get(pos, 0)
+                    if held:
+                        k = pos - low - 1
+                        clash |= held & ~with_sym.get((pos, piece[k]), 0) if k < len(piece) else held
+                table[piece] = full & ~clash
+            masks = list(map(and_, masks, map(table.__getitem__, map(cut, words))))
+        return dict(zip(words, masks))
 
     @cached_property
     def region_logograms(self) -> list[frozenset[PartialString]]:

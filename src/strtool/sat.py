@@ -7,14 +7,17 @@ one block per clause; code 0 means the variable is absent from the clause,
 word position (n + m + 2) + (j - 1) * n + i.  All encoded words form a
 prefix-free language, one echelon per (n, m).
 
-Labelling: bit j of an assignment mask stands for solutions(n)[j].  Each
-of the 3**n clause blocks has one mask, the assignments making that clause
-true; a word's satisfying assignments are the AND of its m block masks, so
-`enumerate_echelon` labels words without decoding them.  The nonzero masks
-are the problem's region labels: the target is the labelled words, and
-region j (the formulas satisfied by assignment j) is the words whose label
-has bit j set.  `decode` and `satisfies` are the per-formula forms of the
-same facts.
+Regions: bit j of an assignment mask stands for solutions(n)[j], and
+region j is the formulas that assignment j satisfies.  Each body position
+holds a literal, with the mask of the assignments making it true (code 0,
+an absent variable, holds none); a clause is true under the OR of its
+literals' masks, and a formula under the AND over its clauses.  So an
+echelon's regions are a clause product (`ClauseProduct`): m clauses of n
+positions, each code with its literal mask.  `enumerate_echelon` ANDs one
+mask per clause block to find the satisfiable words, the target, without
+decoding a word, and keeps no per-word label; which regions hold a string
+is then answered from the clauses alone.  `decode` and `satisfies` are the
+per-formula forms of the same facts.
 
 Literals are nonzero signed integers (DIMACS style): +i for the plain
 variable, -i for its negation.  The CLI formula grammar separates clauses
@@ -27,7 +30,7 @@ import itertools
 import math
 
 from .languages import BudgetExceeded, FiniteLanguage
-from .logogram import DecisionProblem
+from .logogram import ClauseProduct, DecisionProblem
 from .strings import TERNARY, Alphabet, PartialString, read_only
 
 SAT_ALPHABET: Alphabet = TERNARY
@@ -178,14 +181,20 @@ def decode(word: str) -> CnfInstance:
     return CnfInstance(n, m, tuple(clauses))
 
 
-def _clause_masks(n: int) -> list[tuple[str, int]]:
-    """Every clause block of n codes with its assignment mask: bit j set when solutions(n)[j] makes it true."""
+def _literal_masks(n: int) -> list[dict[str, int]]:
+    """Per variable, each code's assignment mask: bit j set when solutions(n)[j] makes that literal true."""
     ys = solutions(n)
     full = (1 << len(ys)) - 1
-    literal = []  # per variable: code -> mask of the assignments making that literal true
+    literal = []
     for i in range(n):
         plain = sum(1 << j for j, y in enumerate(ys) if y[i])
         literal.append({"0": 0, "1": plain, "2": full ^ plain})
+    return literal
+
+
+def _clause_masks(n: int) -> list[tuple[str, int]]:
+    """Every clause block of n codes with its assignment mask: bit j set when solutions(n)[j] makes it true."""
+    literal = _literal_masks(n)
     blocks = []
     for codes in itertools.product(SAT_ALPHABET.symbols, repeat=n):
         mask = 0
@@ -196,22 +205,35 @@ def _clause_masks(n: int) -> list[tuple[str, int]]:
 
 
 def enumerate_echelon(spec: EchelonSpec, budget: int = DEFAULT_WORD_BUDGET) -> DecisionProblem:
-    """The full echelon: all encoded words, the satisfiable ones, and their region labels.
+    """The full echelon: all encoded words, the satisfiable ones, and its regions as a clause product.
 
-    A word's label is the AND of its clause blocks' masks (`_clause_masks`):
-    bit j is set when assignment j satisfies the formula.  The target is the
-    words with a nonzero label, and only they are labelled.
+    A word's satisfying assignments are the AND of its clause blocks' masks
+    (`_clause_masks`), and the target is the words where that is nonzero.
+    Only the masks of the first m - 1 blocks are kept, a 3**n-th of the
+    words; the last block decides just whether a word is satisfiable.  The
+    problem's `ClauseProduct` lists, per clause, its n body positions with
+    each literal code's mask, from which `Analysis` answers region
+    questions without a per-word label.
     """
     count = 3 ** (spec.n * spec.m)
     if count > budget:
         raise BudgetExceeded(f"echelon ({spec.n},{spec.m}) enumeration", count, budget)
     blocks = _clause_masks(spec.n)
-    labelled = [(spec.prefix, (1 << 2 ** spec.n) - 1)]
-    for _ in range(spec.m):
-        labelled = [(word + body, mask & block) for word, mask in labelled for body, block in blocks]
-    labels = {word: mask for word, mask in labelled if mask}
-    base = FiniteLanguage.of(SAT_ALPHABET, (word for word, _ in labelled))
-    return DecisionProblem(base=base, target=base._sub(frozenset(labels)), labels=labels)
+    words, masks = [spec.prefix], [(1 << 2 ** spec.n) - 1]
+    for _ in range(spec.m - 1):
+        words = [word + body for word in words for body, _ in blocks]
+        masks = [mask & block for mask in masks for _, block in blocks]
+    words = [word + body for word in words for body, _ in blocks]
+    satisfiable = [mask & block != 0 for mask in masks for _, block in blocks]
+    base = FiniteLanguage.of(SAT_ALPHABET, words)
+    literal = _literal_masks(spec.n)
+    clauses = tuple(
+        tuple((spec.position(c, i + 1), code, mask)
+              for i in range(spec.n) for code, mask in literal[i].items() if mask)
+        for c in range(1, spec.m + 1)
+    )
+    return DecisionProblem(base=base, target=base._sub(frozenset(itertools.compress(words, satisfiable))),
+                           clauses=ClauseProduct(2 ** spec.n, clauses))
 
 
 def effective_size(inst: CnfInstance) -> int:

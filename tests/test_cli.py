@@ -167,6 +167,15 @@ class TestVerifyCommand:
         assert code == 2
         assert "echelon (2,2) enumeration: 81 exceeds budget 10" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("suite", ["sat", "wizards", "regions"])
+    def test_candidate_budget_refused_before_enumeration(self, monkeypatch, capsys, suite):
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerated an echelon the candidate budget refuses")
+
+        monkeypatch.setattr(cli, "enumerate_echelon", refuse)
+        assert main(["verify", "--suite", suite, "--n", "13", "--m", "1"]) == 2
+        assert "echelon (13,1) candidates: 67108864 exceeds budget 16777216" in capsys.readouterr().err
+
     def test_threads_is_accepted_and_has_no_effect(self, capsys):
         reports = []
         for threads in ("2", "1"):

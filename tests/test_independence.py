@@ -29,7 +29,15 @@ from strtool.independence import (
 from strtool import logogram
 from strtool.languages import BINARY, TERNARY, FiniteLanguage, cylindrify, sigma_exact
 from strtool.logogram import Analysis, DecisionProblem, log_rel, log_rel_naive
-from strtool.sat import EchelonSpec, enumerate_echelon, selection_strings, string_entries
+from strtool.sat import (
+    EchelonSpec,
+    decode,
+    enumerate_echelon,
+    satisfies,
+    selection_strings,
+    solutions,
+    string_entries,
+)
 from strtool.strings import PartialString, join_all, word_includes
 
 
@@ -105,6 +113,39 @@ def labelled_problems(count, seed):
         regions = rng.randint(1, 4)
         labels = {w: rng.randrange(1, 1 << regions) for w in target}
         yield DecisionProblem(lang(words, alphabet), lang(target, alphabet), labels)
+
+
+class TestClassificationByDefinition:
+    """The regions holding each member's cylinder, found by scanning base words: no index and no Analysis."""
+
+    @pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3), (4, 1)])
+    def test_echelon_members(self, n, m):
+        problem, _, analysis = echelon_with_result(n, m)
+        ys = solutions(n)
+        satisfied = {w: [satisfies(decode(w), y) for y in ys] for w in problem.base.words}
+        for verdict in classify_all(analysis):
+            cylinder = [w for w in problem.base.words if word_includes(w, verdict.string)]
+            containing = tuple(j + 1 for j in range(len(ys)) if all(satisfied[w][j] for w in cylinder))
+            assert verdict.containing_regions == containing, verdict.string.render()
+
+    def test_labelled_random_problems(self):
+        rng = random.Random(18)
+        kinds = dict.fromkeys((PROPER_WITNESS, IMPROPER_WITNESS, WIZARD), 0)
+        for i in range(200):
+            drawn = random_problem(rng, (BINARY, TERNARY)[i % 2], max_len=rng.randint(1, 4))
+            regions = rng.randint(1, 5)
+            labels = {w: rng.randrange(1, 1 << regions) for w in sorted(drawn.target.words)}
+            problem = DecisionProblem(drawn.base, drawn.target, labels)
+            # region j's closure within the base: the base words with a prefix labelled j
+            closures = [{w for w in problem.base.words
+                         if any(labels.get(w[:k], 0) >> j & 1 for k in range(len(w) + 1))}
+                        for j in range(max(labels.values(), default=0).bit_length())]
+            for verdict in classify_all(Analysis(problem)):
+                cylinder = {w for w in problem.base.words if word_includes(w, verdict.string)}
+                containing = tuple(j + 1 for j, closure in enumerate(closures) if cylinder <= closure)
+                assert verdict.containing_regions == containing
+                kinds[verdict.kind] += 1
+        assert kinds[PROPER_WITNESS] > 20 and kinds[IMPROPER_WITNESS] > 20, kinds
 
 
 class TestRegionWalks:

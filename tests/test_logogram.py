@@ -20,6 +20,7 @@ from strtool.languages import (
 )
 from strtool.logogram import (
     Analysis,
+    ClauseProduct,
     DecisionProblem,
     LogogramResult,
     ProblemIndex,
@@ -72,6 +73,16 @@ class TestDecisionProblem:
             DecisionProblem(base=E, target=E, labels={"1": 2})  # the target word "0" is unlabelled
         DecisionProblem(base=E, target=E, labels={"0": 1, "1": 2})
 
+    def test_clause_regions_validated(self):
+        E = sigma_exact(BINARY, 2)
+        product = ClauseProduct(2, (((1, "1", 2), (2, "0", 1)),))
+        assert DecisionProblem(E, E, clauses=product).clauses == product
+        with pytest.raises(ValueError, match="not both"):
+            DecisionProblem(E, E, labels=dict.fromkeys(E.words, 1), clauses=product)
+        for literal in ((0, "1", 1), (1, "2", 1), (1, "1", 0), (1, "1", 4)):  # position, symbol, mask
+            with pytest.raises(ValueError, match="bad literal"):
+                DecisionProblem(E, E, clauses=ClauseProduct(2, ((literal,),)))
+
     def test_region_masks_transpose_labels(self):
         rng = random.Random(4)
         E = sigma_exact(BINARY, 8)
@@ -81,6 +92,35 @@ class TestDecisionProblem:
             analysis = Analysis(DecisionProblem(E, lang(labels), labels))
             regions = [[w for w, label in labels.items() if label >> j & 1] for j in range(count)]
             assert analysis.region_masks == [analysis.index.word_mask(r) for r in regions]
+
+
+def cylinder_transpose(analysis):
+    """Member masks by transposing the cylinders bit by bit (oracle for `Analysis.member_masks`)."""
+    masks = [0] * len(analysis.index.words)
+    for i, cyl in enumerate(analysis.cylinders):
+        for k in set_bits(cyl):
+            masks[k] |= 1 << i
+    return dict(zip(analysis.index.words, masks))
+
+
+class TestMemberMasks:
+    """Member masks from position-chunk tables (5 binary or 4 ternary positions a chunk) against the transpose."""
+
+    def test_random_problems(self):
+        """Mixed lengths, the empty word and ⊥ members included."""
+        rng = random.Random(12)
+        bottoms = 0
+        for i in range(300):
+            problem = random_problem(rng, (BINARY, TERNARY)[i % 2], max_len=rng.randint(1, 10 - i % 2))
+            analysis = Analysis(problem)
+            assert analysis.member_masks == cylinder_transpose(analysis)
+            bottoms += any(not g.entries for g in analysis.members)
+        assert bottoms > 20
+
+    @pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 10) for m in range(1, 10) if n * m <= 9])
+    def test_echelons(self, n, m):
+        analysis = Analysis(enumerate_echelon(EchelonSpec(n, m)))
+        assert analysis.member_masks == cylinder_transpose(analysis)
 
 
 class TestProblemIndex:

@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+from strtool.cli import main
+from strtool.independence import classify_all
 from strtool.languages import BudgetExceeded, FiniteLanguage
-from strtool.logogram import Analysis, ProblemIndex
+from strtool.logogram import Analysis, DecisionProblem, ProblemIndex
 from strtool.sat import (
     CnfInstance,
     EchelonSpec,
@@ -58,11 +60,41 @@ def label_by_assignment(spec: EchelonSpec):
     return frozenset(words), frozenset(sat_words), [frozenset(ws) for ws in region_words]
 
 
+def label_by_literals(spec: EchelonSpec) -> dict[str, int]:
+    """Per-literal labelling: decode every word and AND over its clauses the OR of its literals' assignment sets.
+
+    Bit j of a label stands for solutions(n)[j]; only the nonzero labels are kept.  It is
+    the oracle where `label_by_assignment`, words x 2**n `satisfies` calls, costs too much
+    (16 s on (9,1)), and it is checked against that oracle up to n = 7.
+    """
+    ys = solutions(spec.n)
+    full = (1 << len(ys)) - 1
+    true_under = {}
+    for i in range(1, spec.n + 1):
+        plain = sum(1 << j for j, y in enumerate(ys) if y[i - 1])
+        true_under[i], true_under[-i] = plain, full ^ plain
+    labels = {}
+    for body in itertools.product("012", repeat=spec.n * spec.m):
+        word = spec.prefix + "".join(body)
+        label = full
+        for clause in decode(word).clauses:
+            some = 0
+            for lit in clause:
+                some |= true_under[lit]
+            label &= some
+        if label:
+            labels[word] = label
+    return labels
+
+
+# Every echelon of at most 3**9 words; (4,2) is among them.
+SMALL_ECHELONS = [(n, m) for n in range(1, 10) for m in range(1, 10) if n * m <= 9]
+
+
 def regions_of(problem):
-    """The region word sets a problem's labels stand for: region j holds the words whose label has bit j."""
-    labels = problem.labels
-    return [frozenset(w for w, l in labels.items() if l >> j & 1)
-            for j in range(max(labels.values()).bit_length())]
+    """The region word sets of a problem, read from its `Analysis` region masks (judged by `label_by_assignment`)."""
+    analysis = Analysis(problem)
+    return [analysis.index.mask_language(mask).words for mask in analysis.region_masks]
 
 
 class TestInstance:
@@ -164,7 +196,7 @@ class TestEchelons:
             y = solutions(2)[j]
             assert region == {w for w in problem.base.words if satisfies(decode(w), y)}
 
-    @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (1, 2), (3, 1), (2, 2), (3, 2), (2, 3), (4, 1)])
+    @pytest.mark.parametrize("n,m", [(n, m) for n, m in SMALL_ECHELONS if n <= 7])
     def test_labelling_matches_per_assignment_oracle(self, n, m):
         spec = EchelonSpec(n, m)
         problem = enumerate_echelon(spec)
@@ -174,6 +206,8 @@ class TestEchelons:
         assert regions_of(problem) == regions
         analysis = Analysis(problem)
         assert analysis.region_masks == [analysis.index.word_mask(r) for r in regions]
+        labels = label_by_literals(spec)
+        assert [frozenset(w for w, label in labels.items() if label >> j & 1) for j in range(2 ** n)] == regions
 
     def test_builds_only_base_and_target(self, monkeypatch):
         scanned, subs = [], []  # languages built by the symbol-scanning constructor, and sublanguages
@@ -213,6 +247,34 @@ class TestEchelons:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             enumerate_echelon(EchelonSpec(4, 4))
+
+
+class TestClauseProduct:
+    """An echelon's factored region artefacts against the word-level ones of its labelled twin."""
+
+    @pytest.mark.parametrize("n,m", SMALL_ECHELONS)
+    def test_factored_artefacts_match_word_level(self, n, m):
+        spec = EchelonSpec(n, m)
+        problem = enumerate_echelon(spec)
+        labels = label_by_literals(spec)
+        assert problem.labels is None and problem.target.words == labels.keys()
+        factored = Analysis(problem)
+        word_level = Analysis(DecisionProblem(problem.base, problem.target, labels))
+        assert factored.region_masks == word_level.region_masks
+        strings = set(factored.members).union(*factored.region_logograms)
+        for g in strings:
+            cyl = factored.index.cylinder_mask(g)
+            assert factored.regions_holding(g, cyl) == word_level.regions_holding(g, cyl), g.render()
+        assert classify_all(factored) == classify_all(word_level)
+
+    @pytest.mark.parametrize("suite", ["sat", "wizards"])
+    def test_echelon_suites_build_no_region_mask(self, monkeypatch, capsys, suite):
+        built = []
+        real = Analysis.region_masks.func
+        monkeypatch.setattr(Analysis, "region_masks", property(lambda self: built.append(self) or real(self)))
+        assert main(["verify", "--suite", suite, "--n", "3", "--m", "2"]) == 0
+        assert all(analysis.problem.clauses is None for analysis in built)  # no echelon region mask
+        assert bool(built) == (suite == "wizards")  # the toy wizard problem's labels are transposed
 
 
 class TestEffectiveSize:

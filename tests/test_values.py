@@ -2,6 +2,7 @@
 
 import pytest
 
+from strtool.cli import toy_wizard_problem
 from strtool.independence import (
     WIZARD,
     Counterexample,
@@ -17,7 +18,7 @@ from strtool.independence import (
 )
 from strtool.languages import FiniteLanguage
 from strtool.logogram import DecisionProblem, LogExpReport, LogogramResult
-from strtool.sat import CnfInstance, EchelonSpec
+from strtool.sat import CnfInstance, EchelonSpec, enumerate_echelon
 from strtool.strings import BINARY, TERNARY, Alphabet, PartialString
 
 
@@ -29,7 +30,9 @@ VALUES = {
     "Alphabet": (lambda: Alphabet(("0", "1", "2")), ("symbols",)),
     "PartialString": (lambda: PartialString(TERNARY, ((1, "0"), (3, "2"))), ("alphabet", "entries")),
     "FiniteLanguage": (lambda: lang("01", "1"), ("alphabet", "words")),
-    "DecisionProblem": (lambda: DecisionProblem(lang("00", "01", "1"), lang("01")), ("base", "target", "labels")),
+    "DecisionProblem": (lambda: DecisionProblem(lang("00", "01", "1"), lang("01")),
+                        ("base", "target", "labels", "clauses")),
+    "DecisionProblem-echelon": (lambda: enumerate_echelon(EchelonSpec(1, 1)), ("base", "target", "labels", "clauses")),
     "CnfInstance": (lambda: CnfInstance(2, 2, (frozenset({1, -2}), frozenset({2}))), ("n", "m", "clauses")),
     "EchelonSpec": (lambda: EchelonSpec(3, 2), ("n", "m")),
     "StringVerdict": (lambda: StringVerdict(PartialString(BINARY, ((2, "1"),)), WIZARD, (1, 3)),
@@ -75,3 +78,14 @@ def test_value_type(name):
         with pytest.raises(AttributeError):
             delattr(a, f)
     assert tuple(getattr(a, f) for f in fields) == values
+
+
+def test_labelled_problem_hashes_by_value():
+    """hash(values) is no reference here: the labels are a dict.  Equal problems hash equal."""
+    a, b = toy_wizard_problem(), toy_wizard_problem()
+    assert a is not b and a == b and hash(a) == hash(b)
+    relabelled = DecisionProblem(a.base, a.target, {"01": 1, "10": 2, "11": 6})
+    assert relabelled != a and len({a, b, relabelled}) == 2
+    for f in ("base", "target", "labels", "clauses", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, f, None)
