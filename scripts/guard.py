@@ -56,6 +56,7 @@ TEXT_COMMANDS = (
 CACHE_COMMANDS = (
     ("logogram", "--n", "3", "--m", "2", "--cache-dir", "cache"),  # the full set is stored
     ("logogram", "--n", "2", "--m", "2", "--reduced", "--cache-dir", "cache"),
+    ("logogram", "--n", "3", "--m", "3", "--reduced", "--cache-dir", "cache"),  # the hit perfbench times
 )
 
 

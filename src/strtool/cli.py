@@ -44,6 +44,7 @@ from .logogram import (
     DecisionProblem,
     ProblemIndex,
     auto_positions,
+    echelon_fingerprint,
     load_logogram_cache,
     log_rel,
     log_rel_naive,
@@ -71,7 +72,9 @@ from .independence import (
 )
 from .sat import (
     DEFAULT_WORD_BUDGET,
+    SAT_ALPHABET,
     EchelonSpec,
+    check_word_budget,
     consistent_selection_count,
     effective_size,
     enumerate_echelon,
@@ -414,8 +417,8 @@ def suite_events(samples: int, seed: int) -> Iterator[CheckResult]:
     )
 
 
-def admitted_echelon(spec: EchelonSpec, budget: int, word_budget: int) -> DecisionProblem:
-    """The echelon, enumerated only once its 4**(n*m) body candidates fit the candidate budget.
+def admit_echelon(spec: EchelonSpec, budget: int, word_budget: int) -> None:
+    """Refuse the echelon unless its 4**(n*m) body candidates fit budget and its 3**(n*m) words word_budget.
 
     Every walk of an echelon ranges over its body positions, so a larger
     space is refused here, before enumeration, instead of after it.
@@ -423,6 +426,12 @@ def admitted_echelon(spec: EchelonSpec, budget: int, word_budget: int) -> Decisi
     space = 4 ** (spec.n * spec.m)
     if space > budget:
         raise BudgetExceeded(f"echelon ({spec.n},{spec.m}) candidates", space, budget)
+    check_word_budget(spec, word_budget)
+
+
+def admitted_echelon(spec: EchelonSpec, budget: int, word_budget: int) -> DecisionProblem:
+    """The echelon, enumerated only once `admit_echelon` accepts it."""
+    admit_echelon(spec, budget, word_budget)
     return enumerate_echelon(spec, budget=word_budget)
 
 
@@ -468,22 +477,25 @@ def cmd_logogram(args: argparse.Namespace) -> tuple[VerificationReport, int]:
     if len(given) != 1 or None in given[0]:
         raise ValueError("need exactly one of --n/--m or --base-file/--target-file")
     if args.n is not None:
+        # keyed by its spec: the words are enumerated only on a cache miss
         spec = EchelonSpec(args.n, args.m)
-        problem = admitted_echelon(spec, args.budget, args.word_budget)
-        positions = spec.body_positions
-        index = None
+        admit_echelon(spec, args.budget, args.word_budget)
+        alphabet, positions, problem, index = SAT_ALPHABET, spec.body_positions, None, None
+        fingerprint = echelon_fingerprint(alphabet, spec.n, spec.m, positions)
     else:
         problem = DecisionProblem(base=load_language(args.base_file), target=load_language(args.target_file))
         index = ProblemIndex(problem.base)
-        positions = auto_positions(index)
+        alphabet, positions = problem.alphabet, auto_positions(index)
+        fingerprint = problem_fingerprint(problem, positions)
 
-    fingerprint = problem_fingerprint(problem, positions)
     cached = False
     result = None
     if not args.no_cache:
-        result = load_logogram_cache(problem.alphabet, args.cache_dir, positions, fingerprint)
+        result = load_logogram_cache(alphabet, args.cache_dir, positions, fingerprint)
         cached = result is not None
     if result is None:
+        if problem is None:
+            problem = enumerate_echelon(spec, budget=args.word_budget)
         result = log_rel(
             problem,
             candidate_positions=positions,

@@ -35,10 +35,11 @@ first, into chunks of as many positions as keep a chunk's values within
 DECODE_CHUNK_KEYS (5 positions for a binary alphabet, 4 for a ternary
 one), and each chunk has a table from its value to the tuple of entries it
 stands for.  A key then costs one divmod and one tuple concatenation per
-chunk instead of one divmod per position, and every string is still built
-by the validating `PartialString` constructor.  The tables are built on
-the first decode and kept with the positions tuple's other tables, so the
-region walks reuse them.
+chunk instead of one divmod per position.  The tables hold only sorted,
+in-alphabet entries, so the strings are built without the validating
+`PartialString` constructor (`PartialString._unchecked`).  The tables are
+built on the first decode and kept with the positions tuple's other
+tables, so the region walks reuse them.
 
 An `Analysis` wraps one problem and computes its index, target closure
 mask, logogram, member cylinders and masks, region masks and region
@@ -64,9 +65,14 @@ digest) and the body lines; a missing or mismatched digest, a header field
 that is missing or of the wrong type, a fingerprint or version mismatch, or
 a body that disagrees with the header's reduced_count (or full_count, when
 the full set is stored), invalidates the file and the caller recomputes.
-Both cache functions take the fingerprint the caller computed.  Files are
-written to a temporary name and renamed into place, so a reader never sees a
-partial write.
+Both cache functions take the fingerprint the caller computed, which names
+the problem in one of two ways.  An echelon is keyed by its spec
+(`echelon_fingerprint`: alphabet, n, m and positions), so a warm hit
+enumerates and hashes no word; a problem read from files is keyed by its
+content (`problem_fingerprint`: every base and target word).  The two
+preimages begin differently, so the two kinds of key never share one.
+Files are written to a temporary name and renamed into place, so a reader
+never sees a partial write.
 """
 
 # Annotations are evaluated at import (no `from __future__ import annotations`):
@@ -295,15 +301,19 @@ class CandidateSpace:
         return tables
 
     def decode(self, keys: Iterable[int]) -> list[PartialString]:
-        """The strings of these keys: one divmod and one tuple concatenation per chunk of positions."""
-        alphabet, tables = self.alphabet, self.decode_tables
+        """The strings of these keys: one divmod and one tuple concatenation per chunk of positions.
+
+        The tables hold only in-alphabet entries at increasing positions, so the strings are
+        built unchecked.
+        """
+        alphabet, tables, make = self.alphabet, self.decode_tables, PartialString._unchecked
         out = []
         for key in keys:
             entries = ()
             for radix, table in tables:
                 key, value = divmod(key, radix)
                 entries += table[value]
-            out.append(PartialString(alphabet, entries))
+            out.append(make(alphabet, entries))
         return out
 
     def minimal(self, bits: int) -> int:
@@ -729,6 +739,15 @@ def problem_fingerprint(problem: DecisionProblem, positions: tuple[int, ...]) ->
     return h.hexdigest()[:24]
 
 
+def echelon_fingerprint(alphabet: Alphabet, n: int, m: int, positions: tuple[int, ...]) -> str:
+    """The cache key of the (n, m) echelon over these positions, from its spec alone: no word is read."""
+    from hashlib import sha256  # imported on use, as in problem_fingerprint
+
+    preimage = f"echelon\x00alphabet={''.join(alphabet.symbols)}\x00n={n}\x00m={m}" \
+        f"\x00positions={','.join(map(str, positions))}"
+    return sha256(preimage.encode()).hexdigest()[:24]
+
+
 def cache_file(cache_dir: str | Path, fingerprint: str) -> Path:
     return Path(cache_dir) / f"logogram-{fingerprint}.txt"
 
@@ -742,7 +761,7 @@ def _cache_digest(header: dict, body: list[str]) -> str:
 
 
 def save_logogram_cache(result: LogogramResult, cache_dir: str | Path, fingerprint: str) -> Path:
-    """Write the result's cache file; fingerprint is problem_fingerprint(problem, result.positions)."""
+    """Write the result's cache file under fingerprint, the problem's key over result.positions."""
     header = {
         "schema": 1,
         "problem": fingerprint,
@@ -786,7 +805,8 @@ def load_logogram_cache(
 ) -> LogogramResult | None:
     """Reload a cached logogram; any mismatch or corruption returns None so the caller recomputes.
 
-    fingerprint is problem_fingerprint(problem, positions).
+    fingerprint is the problem's key over positions (`echelon_fingerprint` or
+    `problem_fingerprint`), and the header must carry it.
     """
     start = time.perf_counter()
     path = cache_file(cache_dir, fingerprint)

@@ -15,7 +15,8 @@ literals' masks, and a formula under the AND over its clauses.  So an
 echelon's regions are a clause product (`ClauseProduct`): m clauses of n
 positions, each code with its literal mask.  `enumerate_echelon` ANDs one
 mask per clause block to find the satisfiable words, the target, without
-decoding a word, and keeps no per-word label; which regions hold a string
+decoding a word (the last block only as the product of the codes that miss
+the others' AND), and keeps no per-word label; which regions hold a string
 is then answered from the clauses alone.  `decode` and `satisfies` are the
 per-formula forms of the same facts.
 
@@ -192,16 +193,33 @@ def _literal_masks(n: int) -> list[dict[str, int]]:
     return literal
 
 
-def _clause_masks(n: int) -> list[tuple[str, int]]:
-    """Every clause block of n codes with its assignment mask: bit j set when solutions(n)[j] makes it true."""
-    literal = _literal_masks(n)
-    blocks = []
-    for codes in itertools.product(SAT_ALPHABET.symbols, repeat=n):
-        mask = 0
-        for i, code in enumerate(codes):
-            mask |= literal[i][code]
-        blocks.append(("".join(codes), mask))
-    return blocks
+def _clause_masks(literal: list[dict[str, int]]) -> list[int]:
+    """Every clause block's assignment mask, in the product order of its n codes (variable 1 most significant)."""
+    masks = [0]
+    for lit in literal:
+        masks = [mask | lit[code] for mask in masks for code in SAT_ALPHABET.symbols]
+    return masks
+
+
+def _unsatisfied_blocks(literal: list[dict[str, int]], mask: int) -> list[int]:
+    """Product-order indices of the clause blocks true under no assignment in mask.
+
+    A block misses mask iff each of its codes does, so these are the product,
+    over the variables, of the codes whose literal mask misses mask (code 0,
+    an absent variable, always among them).
+    """
+    radix, indices = len(SAT_ALPHABET.symbols), [0]
+    for lit in literal:
+        missing = [d for d, code in enumerate(SAT_ALPHABET.symbols) if not lit[code] & mask]
+        indices = [radix * index + d for index in indices for d in missing]
+    return indices
+
+
+def check_word_budget(spec: EchelonSpec, budget: int) -> None:
+    """Refuse an echelon of more than budget words, 3**(n*m), before building any."""
+    count = 3 ** (spec.n * spec.m)
+    if count > budget:
+        raise BudgetExceeded(f"echelon ({spec.n},{spec.m}) enumeration", count, budget)
 
 
 def enumerate_echelon(spec: EchelonSpec, budget: int = DEFAULT_WORD_BUDGET) -> DecisionProblem:
@@ -209,24 +227,32 @@ def enumerate_echelon(spec: EchelonSpec, budget: int = DEFAULT_WORD_BUDGET) -> D
 
     A word's satisfying assignments are the AND of its clause blocks' masks
     (`_clause_masks`), and the target is the words where that is nonzero.
-    Only the masks of the first m - 1 blocks are kept, a 3**n-th of the
-    words; the last block decides just whether a word is satisfiable.  The
-    problem's `ClauseProduct` lists, per clause, its n body positions with
-    each literal code's mask, from which `Analysis` answers region
-    questions without a per-word label.
+    Masks are kept only for the first m - 1 blocks, one per prefix of
+    those blocks.  The last block decides just whether a word is
+    satisfiable: under a prefix's mask the unsatisfiable last blocks are a
+    product of codes (`_unsatisfied_blocks`), so those words' flags are
+    cleared and no last-block mask is built.  The problem's `ClauseProduct`
+    lists, per clause, its n body positions with each literal code's mask,
+    from which `Analysis` answers region questions without a per-word label.
     """
-    count = 3 ** (spec.n * spec.m)
-    if count > budget:
-        raise BudgetExceeded(f"echelon ({spec.n},{spec.m}) enumeration", count, budget)
-    blocks = _clause_masks(spec.n)
+    check_word_budget(spec, budget)
+    literal = _literal_masks(spec.n)
+    bodies = ["".join(codes) for codes in itertools.product(SAT_ALPHABET.symbols, repeat=spec.n)]
+    blocks = _clause_masks(literal) if spec.m > 1 else []
     words, masks = [spec.prefix], [(1 << 2 ** spec.n) - 1]
     for _ in range(spec.m - 1):
-        words = [word + body for word in words for body, _ in blocks]
-        masks = [mask & block for mask in masks for _, block in blocks]
-    words = [word + body for word in words for body, _ in blocks]
-    satisfiable = [mask & block != 0 for mask in masks for _, block in blocks]
+        words = [word + body for word in words for body in bodies]
+        masks = [mask & block for mask in masks for block in blocks]
+    words = [word + body for word in words for body in bodies]
+    satisfiable = bytearray(b"\x01") * len(words)
+    unsatisfied: dict[int, list[int]] = {}  # per distinct prefix mask
+    for offset, mask in zip(range(0, len(words), len(bodies)), masks):
+        indices = unsatisfied.get(mask)
+        if indices is None:
+            indices = unsatisfied[mask] = _unsatisfied_blocks(literal, mask)
+        for index in indices:
+            satisfiable[offset + index] = 0
     base = FiniteLanguage.of(SAT_ALPHABET, words)
-    literal = _literal_masks(spec.n)
     clauses = tuple(
         tuple((spec.position(c, i + 1), code, mask)
               for i in range(spec.n) for code, mask in literal[i].items() if mask)

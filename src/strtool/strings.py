@@ -123,6 +123,14 @@ class PartialString:
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "entries", entries)
 
+    @classmethod
+    def _unchecked(cls, alphabet: Alphabet, entries: tuple[tuple[int, str], ...]) -> "PartialString":
+        """The string of these entries, which every caller takes sorted and in-alphabet from its own tables: no check."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "alphabet", alphabet)
+        object.__setattr__(g, "entries", entries)
+        return g
+
     __setattr__ = __delattr__ = read_only
 
     def __eq__(self, other: object) -> bool:

@@ -9,10 +9,11 @@ from pathlib import Path
 import pytest
 
 import strtool
-from strtool import cli
+from strtool import cli, logogram
 from strtool.cli import main
 from strtool.independence import Counterexample
-from strtool.logogram import ProblemIndex
+from strtool.languages import FiniteLanguage, load_language
+from strtool.logogram import DecisionProblem, ProblemIndex, auto_positions, problem_fingerprint
 from strtool.sat import EchelonSpec, enumerate_echelon
 
 
@@ -135,6 +136,55 @@ class TestLogogramCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "need exactly one of --n/--m or --base-file/--target-file" in captured.err
+
+
+class TestEchelonCacheKey:
+    """An echelon's cache file is named by its spec, so a warm hit reads no word."""
+
+    ARGV = ("logogram", "--n", "2", "--m", "2", "--reduced")
+
+    def test_warm_hit_enumerates_and_hashes_nothing(self, capsys, tmp_path, monkeypatch):
+        code, cold = run_json(capsys, *self.ARGV, "--cache-dir", str(tmp_path))
+        assert code == 0 and cold["result"]["cached"] is False
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a warm echelon hit built its problem")
+
+        monkeypatch.setattr(cli, "enumerate_echelon", refuse)
+        monkeypatch.setattr(cli, "problem_fingerprint", refuse)
+        monkeypatch.setattr(logogram, "problem_fingerprint", refuse)
+        monkeypatch.setattr(FiniteLanguage, "__init__", refuse)
+        monkeypatch.setattr(FiniteLanguage, "_sub", refuse)
+        monkeypatch.setattr(ProblemIndex, "__init__", refuse)
+        code, warm = run_json(capsys, *self.ARGV, "--cache-dir", str(tmp_path))
+        assert code == 0 and warm["result"]["cached"] is True
+        assert warm["result"] == {**cold["result"], "cached": True}
+        assert (tmp_path / f"logogram-{warm['result']['fingerprint']}.txt").is_file()
+
+    @pytest.mark.parametrize("flag, value, refusal", [
+        ("--budget", "255", "budget error: echelon (2,2) candidates: 256 exceeds budget 255"),
+        ("--word-budget", "80", "budget error: echelon (2,2) enumeration: 81 exceeds budget 80"),
+    ], ids=["candidates", "words"])
+    def test_budgets_refuse_before_a_cache_hit(self, capsys, tmp_path, flag, value, refusal):
+        assert main([*self.ARGV, "--cache-dir", str(tmp_path)]) == 0
+        assert len(list(tmp_path.glob("logogram-*.txt"))) == 1
+        capsys.readouterr()
+        assert main([*self.ARGV, "--cache-dir", str(tmp_path), flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == refusal + "\n"
+
+    def test_problem_files_keep_the_content_key(self, capsys, tmp_path):
+        base = tmp_path / "base.lang"
+        base.write_text("alphabet=01\n00\n01\n10\n11\n")
+        target = tmp_path / "target.lang"
+        target.write_text("alphabet=01\n10\n11\n")
+        code, report = run_json(capsys, "logogram", "--base-file", str(base), "--target-file", str(target),
+                                "--cache-dir", str(tmp_path / "cache"))
+        assert code == 0
+        problem = DecisionProblem(base=load_language(str(base)), target=load_language(str(target)))
+        key = problem_fingerprint(problem, auto_positions(ProblemIndex(problem.base)))
+        assert report["result"]["fingerprint"] == key
+        assert [p.name for p in (tmp_path / "cache").iterdir()] == [f"logogram-{key}.txt"]
 
 
 class TestVerifyCommand:

@@ -27,6 +27,8 @@ from strtool.logogram import (
     auto_positions,
     cover_of,
     _cache_digest,
+    cache_file,
+    echelon_fingerprint,
     load_logogram_cache,
     log_abs,
     log_rel,
@@ -410,6 +412,21 @@ class TestDecode:
             restricted += result.restricted
         assert (restricted > 10) == (restrict == "auto")
 
+    def test_decoded_strings_equal_validated_strings(self):
+        """decode builds its strings unchecked; each equals the validating constructor's, field for field."""
+        rng = random.Random(23)
+        problems = [random_problem(rng, (BINARY, TERNARY)[i % 2], max_len=rng.randint(1, 5)) for i in range(30)]
+        problems.append(enumerate_echelon(EchelonSpec(3, 2)))
+        decoded = 0
+        for problem in problems:
+            result = log_rel(problem, keep_full=True)
+            for g in result.full | result.reduced:
+                checked = PartialString(g.alphabet, g.entries)
+                assert type(g) is PartialString and vars(g) == vars(checked)
+                assert g == checked and hash(g) == hash(checked)
+                decoded += 1
+        assert decoded > 1000
+
 
 class TestNaiveOracle:
     def test_agrees_on_seeded_problems(self):
@@ -715,3 +732,24 @@ class TestCache:
         a = problem_fingerprint(DecisionProblem(E, lang(["10"])), (1, 2))
         b = problem_fingerprint(DecisionProblem(E, lang(["11"])), (1, 2))
         assert a != b
+
+    def test_echelon_key_depends_on_spec_and_positions(self):
+        keys = {echelon_fingerprint(TERNARY, n, m, EchelonSpec(n, m).body_positions)
+                for n, m in ((1, 1), (1, 2), (2, 1), (2, 2), (3, 2), (2, 3))}
+        assert len(keys) == 6
+        body = EchelonSpec(2, 2).body_positions
+        assert echelon_fingerprint(TERNARY, 2, 2, body) != echelon_fingerprint(TERNARY, 2, 2, body[1:])
+        assert echelon_fingerprint(TERNARY, 2, 2, body) != echelon_fingerprint(BINARY, 2, 2, body)
+        assert all(len(key) == 24 and set(key) <= set("0123456789abcdef") for key in keys)
+
+    def test_file_of_another_spec_under_this_key_is_a_miss(self, tmp_path):
+        # (2,1) and (1,2) have the same body positions, so only the header's key tells them apart
+        other, spec = EchelonSpec(2, 1), EchelonSpec(1, 2)
+        assert other.body_positions == spec.body_positions
+        positions = spec.body_positions
+        result = log_rel(enumerate_echelon(other), candidate_positions=positions)
+        own_key, key = (echelon_fingerprint(TERNARY, s.n, s.m, positions) for s in (other, spec))
+        path = save_logogram_cache(result, tmp_path, own_key)
+        assert load_logogram_cache(TERNARY, tmp_path, positions, own_key) is not None  # a valid file
+        path.rename(cache_file(tmp_path, key))
+        assert load_logogram_cache(TERNARY, tmp_path, positions, key) is None
