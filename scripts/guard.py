@@ -47,6 +47,7 @@ COMMANDS = (
     ("verify", "--suite", "regions", "--n", "3", "--m", "3", "--ignore-bewitched"),  # 8 region walks on (3,3)
     ("verify", "--suite", "wizards", "--n", "3", "--m", "3"),  # clause-product containment on (3,3)
     ("classify", "--n", "3", "--m", "2", "--string", "________2_2"),  # an improper witness in regions 1 and 5
+    ("verify", "--suite", "sat", "--n", "2", "--m", "6", "--threads", "1"),  # 3^12 words: the word-scale checks
 )
 # The text renderer reads the same report objects as the JSON one.
 TEXT_COMMANDS = (

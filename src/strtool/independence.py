@@ -20,6 +20,13 @@ the last on finite problems:
     exactly that subset's join and nothing else from the reduced logogram
     beyond strings the join subsumes.
 
+Internal independence tests few pairs.  If member i's cylinder lies inside
+member j's, every word of it includes j, its first word among them; so
+only the members in that one witness word's member mask are tested against
+i, and the verdict, the pair count and the counterexample are those of the
+all-pairs scan in `itertools.combinations` order.  The member masks only
+prune pairs; every verdict still comes from the cylinders.
+
 Complete independence is decided exactly, without enumerating subsets.  A
 word including a compatible subset C includes join(C), hence every member
 below the join; so C is separated iff some word's member mask equals that
@@ -131,21 +138,36 @@ def classify(g: PartialString, analysis: Analysis) -> StringVerdict:
 
 
 def internal_independence(analysis: Analysis) -> IndependenceVerdict:
-    """Pairwise cylinder incomparability across the reduced logogram."""
+    """Pairwise cylinder incomparability across the reduced logogram.
+
+    The counterexample is the first pair (i, j), i < j, in `itertools.combinations`
+    order whose cylinders are comparable either way, and subsets_checked is its
+    rank (all k(k-1)/2 pairs when none is).  Member i is tested only against the
+    members including the first word of its cylinder (every member when the
+    cylinder is empty); the lowest such j whose cylinder holds cylinder i gives
+    i's smallest comparable pair, and the smallest over all i is the first one.
+    """
     members, cyls = analysis.members, analysis.cylinders
-    checked = 0
-    for i, j in itertools.combinations(range(len(members)), 2):
-        checked += 1
-        fwd = not (cyls[i] & ~cyls[j])
-        bwd = not (cyls[j] & ~cyls[i])
-        if fwd or bwd:
-            return IndependenceVerdict(
-                holds=False,
-                subsets_checked=checked,
-                counterexample=Counterexample((members[i].render(), members[j].render()),
-                                              "relative cylinders are comparable"),
-            )
-    return IndependenceVerdict(holds=True, subsets_checked=checked)
+    k = len(members)
+    masks, words = analysis.member_masks, analysis.index.words
+    first = None
+    for i, cyl in enumerate(cyls):
+        witnesses = masks[words[(cyl & -cyl).bit_length() - 1]] if cyl else (1 << k) - 1
+        for j in set_bits(witnesses & ~(1 << i)):
+            if not (cyl & ~cyls[j]):
+                pair = (min(i, j), max(i, j))
+                if first is None or pair < first:
+                    first = pair
+                break
+    if first is None:
+        return IndependenceVerdict(holds=True, subsets_checked=k * (k - 1) // 2)
+    i, j = first
+    return IndependenceVerdict(
+        holds=False,
+        subsets_checked=i * (2 * k - i - 1) // 2 + (j - i),
+        counterexample=Counterexample((members[i].render(), members[j].render()),
+                                      "relative cylinders are comparable"),
+    )
 
 
 def strong_independence(analysis: Analysis) -> IndependenceVerdict:

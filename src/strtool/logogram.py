@@ -5,13 +5,16 @@ strings whose presence in an E-word guarantees membership in the prefix
 closure of F within E; the reduced logogram keeps its minimal elements.
 
 Engine layout: E is indexed once into per-(position, symbol) bitmasks over
-the word list, so a candidate's relative cylinder is an AND of masks.
-Candidates are integer keys (digit j of a key is the symbol code at the j-th
-candidate position, 0 = undefined), and the logogram is computed over bitsets
-of the whole candidate space, bit k standing for key k.  A candidate
-qualifies iff some base word extends it and no bad word (outside the
-target's closure) does; "some word of S extends it" is an OR-transform of
-S's word keys down the restriction order, one position at a time.  Every
+the word list, so a candidate's relative cylinder is an AND of masks.  The
+list is sorted by length, each length group is joined into one text, and a
+position's column is a strided slice of each group's text: the index makes
+no Python step per word.  Candidates are integer keys (digit j of a key is
+the symbol code at the j-th candidate position, 0 = undefined), and the
+logogram is computed over bitsets of the whole candidate space, bit k
+standing for key k.  A candidate qualifies iff some base word extends it
+and no bad word (outside the target's closure) does; "some word of S
+extends it" is an OR-transform of S's word keys down the restriction
+order, one position at a time.  Every
 string between a qualifying string and a qualifying extension of it
 qualifies too, so a key is minimal iff none of its one-entry deletions
 qualifies: one more set of shifts.  full_count is the popcount of the
@@ -47,7 +50,13 @@ logograms once, on first use; the checks in `strtool.independence` take
 one.  A word's member mask comes from position-chunk tables: the member
 positions are cut into chunks of at most DECODE_CHUNK_KEYS possible
 substrings, each chunk maps a word's substring there to the members that
-agree with it, and a word costs one lookup and one AND per chunk.  Which
+agree with it, and a word costs one lookup and one AND per chunk.  The
+member masks serve three checks: strong and complete independence read
+them directly, internal independence takes its candidate pairs from them,
+and the expansion identity (`verify_logogram_expansion`) is one compare of
+the words with a nonzero member mask against the target's closure mask.
+They are built from the members and the word strings, not from the
+index's position masks, so that compare is a check on the kernel.  Which
 regions hold a string's cylinder is answered by one method,
 `Analysis.regions_holding`.  A problem with labels answers it word by
 word, against each region's closure mask, the labels transposed.  An
@@ -170,6 +179,11 @@ class ProblemIndex:
     `ordinal` maps each word to its k.  The words longer than position i
     form a suffix of the list, so each position's masks come from one
     column string of that suffix, one translate to binary digits per symbol.
+    Each length group of the list is joined into one text once, and the
+    column at position i is the strided slices text[i::length] of the
+    groups longer than i, in list order: no Python step per word.  A base
+    whose words all have one length is prefix-free at once, since distinct
+    words of equal length never prefix one another.
     """
 
     def __init__(self, base: FiniteLanguage):
@@ -183,17 +197,26 @@ class ProblemIndex:
         self.all_mask = (1 << len(self.words)) - 1
         self.max_len = len(self.words[-1])
         self.row_bytes = (len(self.words) + 7) >> 3
+        groups = []  # (length, start, joined text) per length group, shortest first
+        start = 0
+        while start < len(self.words):
+            length = len(self.words[start])
+            end = bisect_right(self.words, length, lo=start, key=len)
+            groups.append((length, start, "".join(self.words[start:end])))
+            start = end
         zeros = dict.fromkeys(map(ord, self.alphabet.symbols), "0")
         tables = {c: str.maketrans({**zeros, ord(c): "1"}) for c in self.alphabet.symbols}
         self.pos_masks: list[dict[str, int]] = []
+        first = 0  # groups[first:] hold the words longer than i, a suffix of the list
         for i in range(self.max_len):
-            start = bisect_right(self.words, i, key=len)  # the words longer than i form a suffix
-            column = "".join(map(itemgetter(i), self.words[start:]))
+            while groups[first][0] <= i:
+                first += 1
+            column = "".join([text[i::length] for length, _, text in groups[first:]])
             self.pos_masks.append({
-                c: int(column.translate(table)[::-1], 2) << start
+                c: int(column.translate(table)[::-1], 2) << groups[first][1]
                 for c, table in tables.items() if c in column
             })
-        self.prefix_free = not any(
+        self.prefix_free = len(groups) == 1 or not any(
             by_lex[i + 1].startswith(by_lex[i]) for i in range(len(by_lex) - 1)
         )
         lo, hi = by_lex[0], by_lex[-1]
@@ -335,6 +358,7 @@ def _chunk_width(radix: int) -> int:
 
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+_DIGIT_BYTES = bytes.maketrans(b"\0\1", b"01")
 
 
 def _bit_flags(mask: int) -> bytes:
@@ -483,18 +507,20 @@ class Analysis:
                 at_pos[pos] = at_pos.get(pos, 0) | 1 << i
                 with_sym[pos, sym] = with_sym.get((pos, sym), 0) | 1 << i
         masks = [full] * len(words)
-        width = _chunk_width(len(self.index.alphabet.symbols) + 1)
+        symbols = self.index.alphabet.symbols
+        width = _chunk_width(len(symbols) + 1)
         for low in range(min(at_pos, default=1) - 1, max(at_pos, default=0), width):
             cut = itemgetter(slice(low, low + width))  # the substring over positions low+1..low+width
+            # per position some member defines: its offset in the piece, the members agreeing
+            # with each symbol there, and those agreeing with a word that ends before it
+            checks = [(pos - low - 1, {s: full & ~(held & ~with_sym.get((pos, s), 0)) for s in symbols}, full & ~held)
+                      for pos in range(low + 1, low + width + 1) if (held := at_pos.get(pos))]
             table = {}
             for piece in set(map(cut, words)):
-                clash = 0
-                for pos in range(low + 1, low + width + 1):
-                    held = at_pos.get(pos, 0)
-                    if held:
-                        k = pos - low - 1
-                        clash |= held & ~with_sym.get((pos, piece[k]), 0) if k < len(piece) else held
-                table[piece] = full & ~clash
+                agreeing = full
+                for k, by_symbol, past_end in checks:
+                    agreeing &= by_symbol[piece[k]] if k < len(piece) else past_end
+                table[piece] = agreeing
             masks = list(map(and_, masks, map(table.__getitem__, map(cut, words))))
         return dict(zip(words, masks))
 
@@ -697,18 +723,22 @@ def logexp_closure_check(
 def verify_logogram_expansion(analysis: Analysis | DecisionProblem) -> bool:
     """True iff expanding the logogram (full and reduced) inside E recovers the prefix closure of F.
 
-    The expansions are recomputed by scanning the base words, independently
-    of the index masks the engine used.  The full set is scanned only when
-    it is stored; otherwise its expansion is the reduced set's, since every
-    member of the full set extends a reduced one.
+    The expansions are recomputed from the base words, independently of the
+    index masks the engine used.  The reduced set's expansion is the words
+    whose member mask (`Analysis.member_masks`, built from the members and
+    the word strings) is nonzero, read as one mask in index order and
+    compared with the target's closure mask.  The full set is scanned by
+    `expand_in` only when it is stored; otherwise its expansion is the
+    reduced set's, since every member of the full set extends a reduced one.
     """
     if isinstance(analysis, DecisionProblem):
         analysis = Analysis(analysis)
     problem, result = analysis.problem, analysis.logogram
-    target = analysis.index.mask_language(analysis.target_mask)
-    if result.full is not None and expand_in(result.full, problem.base) != target:
+    if result.full is not None and \
+            expand_in(result.full, problem.base) != analysis.index.mask_language(analysis.target_mask):
         return False
-    return expand_in(result.reduced, problem.base) == target
+    included = bytes(map(bool, analysis.member_masks.values()))  # byte k: word k includes a member
+    return int(included[::-1].translate(_DIGIT_BYTES), 2) == analysis.target_mask
 
 
 def cover_of(

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -295,6 +296,97 @@ class TestInternal:
         verdict = internal_independence(Analysis(entangled_problem()))
         assert not verdict.holds
         assert verdict.counterexample is not None
+
+    def test_counterexample_found_from_the_larger_index(self):
+        # members "1" {101, 111}, "_0" {000, 101}, "__0" {000}: only the last cylinder lies in another
+        base = lang(["000", "011", "101", "111"])
+        analysis = Analysis(DecisionProblem(base, lang(["000", "101", "111"])))
+        assert [g.render() for g in analysis.members] == ["1", "_0", "__0"]
+        verdict = internal_independence(analysis)
+        assert not verdict.holds and verdict.subsets_checked == 3
+        assert verdict.counterexample.strings == ("_0", "__0")
+
+
+def all_pairs_internal(analysis):
+    """Internal independence by testing every pair of cylinders, both ways, in combinations order."""
+    members, cyls = analysis.members, analysis.cylinders
+    checked = 0
+    for i, j in itertools.combinations(range(len(members)), 2):
+        checked += 1
+        if not (cyls[i] & ~cyls[j]) or not (cyls[j] & ~cyls[i]):
+            return False, checked, [members[i].render(), members[j].render()]
+    return True, checked, None
+
+
+def internal_by_word_scans(words, members):
+    """Internal independence by the definition: no member entangles another, scanning the base words.
+
+    f entangles g relative to E when every E-word including f also includes g.
+    """
+    including = [{w for w in words if word_includes(w, g)} for g in members]
+    checked = 0
+    for i, j in itertools.combinations(range(len(members)), 2):
+        checked += 1
+        if including[i] <= including[j] or including[j] <= including[i]:
+            return False, checked, [members[i].render(), members[j].render()]
+    return True, checked, None
+
+
+def strong_by_word_scans(words, members):
+    """Strong independence by the definition: each member has a base word including it and no other member."""
+    for i, g in enumerate(members):
+        others = members[:i] + members[i + 1:]
+        if not any(word_includes(w, g) and not any(word_includes(w, h) for h in others) for w in words):
+            return False, i + 1, [g.render()]
+    return True, len(members), None
+
+
+def verdict_triple(verdict):
+    cx = verdict.counterexample
+    return verdict.holds, verdict.subsets_checked, None if cx is None else list(cx.strings)
+
+
+def independence_problems(count, seed):
+    """Seeded labelled `random_problem`s, binary and ternary, with nonzero labels over 1-5 regions.
+
+    random_problem's words mix lengths from 0 up to the cap, so the empty word is often in
+    the base; a target holding it has the whole base as its closure, and its reduced
+    logogram is the empty string ⊥ alone.  Every other pair of problems drops the empty
+    word from the target, so that most problems have two or more members.
+    """
+    rng = random.Random(seed)
+    for i in range(count):
+        alphabet = (BINARY, TERNARY)[i % 2]
+        drawn = random_problem(rng, alphabet, max_len=rng.randint(2, 4), max_words=rng.randint(4, 16))
+        target = drawn.target if i % 4 < 2 else lang(drawn.target.words - {""}, alphabet)
+        regions = rng.randint(1, 5)
+        labels = {w: rng.randrange(1, 1 << regions) for w in sorted(target.words)}
+        yield DecisionProblem(drawn.base, target, labels)
+
+
+class TestIndependenceByDefinition:
+    """Internal and strong independence against word-scan judges: no index and no Analysis."""
+
+    def test_agree_on_random_problems(self):
+        outcomes = dict.fromkeys(itertools.product(("internal", "strong"), (False, True)), 0)
+        bottom = 0
+        for problem in independence_problems(2000, seed=20261019):
+            words = sorted(problem.base.words, key=lambda w: (len(w), w))
+            members = sorted(log_rel_naive(problem)[1], key=lambda g: (g.size, g.render()))
+            analysis = Analysis(problem)
+            assert analysis.members == members
+            internal = verdict_triple(internal_independence(analysis))
+            assert internal == internal_by_word_scans(words, members) == all_pairs_internal(analysis), \
+                (sorted(problem.base.words), sorted(problem.target.words))
+            strong = verdict_triple(strong_independence(analysis))
+            assert strong == strong_by_word_scans(words, members), \
+                (sorted(problem.base.words), sorted(problem.target.words))
+            if len(members) > 1:  # with fewer members both properties hold vacuously
+                outcomes["internal", internal[0]] += 1
+                outcomes["strong", strong[0]] += 1
+            bottom += members == [PartialString.bottom(problem.alphabet)]
+        assert min(outcomes.values()) > 20, outcomes
+        assert bottom > 20
 
 
 class TestStrong:

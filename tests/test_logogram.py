@@ -1,7 +1,9 @@
 import gc
 import itertools
 import json
+import os
 import random
+import string
 
 import pytest
 from hypothesis import given, strategies as st
@@ -157,6 +159,32 @@ class TestProblemIndex:
             assert idx.word_mask(subset) == mask
             assert idx.mask_language(mask).words == frozenset(subset)
             assert idx.mask_language(idx.all_mask).words == L.words
+
+    def test_columns_and_prefix_facts_agree_with_per_word_scan(self):
+        wide = Alphabet(tuple("01" + string.ascii_letters[:38]))  # 40 symbols
+        rng = random.Random(23)
+        single_length = with_empty = 0
+        for i in range(300):
+            alphabet = (BINARY, TERNARY, wide)[i % 3]
+            if i % 2:  # one word length
+                length = rng.randint(1, 6)
+                words = {"".join(rng.choices(alphabet.symbols, k=length)) for _ in range(rng.randint(1, 30))}
+            else:  # lengths 0..cap
+                words = random_language(rng, alphabet, cap=rng.randint(1, 6), max_words=30).words or {""}
+            idx = ProblemIndex(lang(words, alphabet))
+            assert idx.words == tuple(sorted(words, key=lambda w: (len(w), w)))
+            for pos in range(1, idx.max_len + 1):
+                expected = {}
+                for k, w in enumerate(idx.words):
+                    if len(w) >= pos:
+                        expected[w[pos - 1]] = expected.get(w[pos - 1], 0) | 1 << k
+                assert idx.pos_masks[pos - 1] == expected
+            assert idx.prefix_free == (not any(a != b and b.startswith(a) for a in words for b in words))
+            shared = len(os.path.commonprefix(sorted(words))) if len(words) > 1 else 0
+            assert idx.shared_prefix_len == shared
+            single_length += len({len(w) for w in words}) == 1
+            with_empty += "" in words
+        assert single_length > 150 and with_empty > 20
 
     def test_closure_mask_agrees_with_startswith_scan(self):
         rng = random.Random(17)
@@ -590,6 +618,24 @@ class TestExpansionIdentity:
             problem = random_problem(rng, (BINARY, TERNARY)[i % 2], max_len=rng.randint(1, 5))
             assert verify_logogram_expansion(problem)
 
+    def test_member_mask_expansion_is_expand_in_and_the_closure(self):
+        rng = random.Random(41)
+        not_prefix_free = empty_target = bottom = 0
+        for i in range(400):
+            alphabet = (BINARY, TERNARY)[i % 2]
+            problem = random_problem(rng, alphabet, max_len=rng.randint(1, 5))
+            if i % 10 == 3:
+                problem = DecisionProblem(problem.base, lang([], alphabet))
+            analysis = Analysis(problem)
+            expansion = {w for w, members in analysis.member_masks.items() if members}
+            assert expansion == expand_in(analysis.logogram.reduced, problem.base).words \
+                == cylindrify(problem.target, problem.base).words
+            assert verify_logogram_expansion(analysis)
+            not_prefix_free += not analysis.index.prefix_free
+            empty_target += not problem.target.words
+            bottom += PartialString.bottom(alphabet) in analysis.logogram.reduced
+        assert min(not_prefix_free, empty_target, bottom) > 20
+
     def test_reduced_set_decides_when_full_set_is_not_stored(self):
         problem = enumerate_echelon(EchelonSpec(2, 2))
         analysis = Analysis(problem)
@@ -598,10 +644,12 @@ class TestExpansionIdentity:
         analysis.logogram = result
         assert verify_logogram_expansion(analysis)
         dropped = min(result.reduced, key=lambda g: (g.size, g.render()))
-        analysis.logogram = LogogramResult(result.full, result.reduced - {dropped}, result.full_count,
-                                           result.candidate_space_size, result.positions, result.restricted,
-                                           result.elapsed)
-        assert not verify_logogram_expansion(analysis)
+        # a fresh Analysis: the first one keeps the members and member masks of the whole set
+        short = Analysis(problem)
+        short.logogram = LogogramResult(result.full, result.reduced - {dropped}, result.full_count,
+                                        result.candidate_space_size, result.positions, result.restricted,
+                                        result.elapsed)
+        assert not verify_logogram_expansion(short)
 
 
 class TestCover:
