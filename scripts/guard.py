@@ -48,6 +48,7 @@ COMMANDS = (
     ("verify", "--suite", "wizards", "--n", "3", "--m", "3"),  # clause-product containment on (3,3)
     ("classify", "--n", "3", "--m", "2", "--string", "________2_2"),  # an improper witness in regions 1 and 5
     ("verify", "--suite", "sat", "--n", "2", "--m", "6", "--threads", "1"),  # 3^12 words: the word-scale checks
+    ("verify", "--suite", "sat", "--n", "3", "--m", "4", "--threads", "1"),  # 172,438 closed sets in the walk
 )
 # The text renderer reads the same report objects as the JSON one.
 TEXT_COMMANDS = (

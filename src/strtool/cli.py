@@ -618,16 +618,17 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         report, code = args.func(args)
+        text = json.dumps(report.to_json(), indent=2, sort_keys=True) if args.format == "json" else report.to_text()
     except BudgetExceeded as exc:
         print(f"budget error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # the report is rendered whole before any of it is printed
+        print(f"memory error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.format == "json":
-        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
-    else:
-        print(report.to_text())
+    print(text)
     print(f"elapsed: {time.perf_counter() - started:.2f}s", file=sys.stderr)
     return code
 

@@ -34,7 +34,9 @@ closed set J(C).  The check walks the nonempty closed sets (10,934 on the
 (3,3) echelon, against 566,442 compatible subsets) by prefix-preserving
 closure extension, the canonical-parent scheme of LCM enumeration, which
 makes each closed set once; it looks each one up among the words' member
-masks as it is made.
+masks as it is made.  An extension that failed the canonicity test stays
+skipped below that node until the member that made it fail is added
+(FCbO's failure inheritance), so most failing extensions cost no closure.
 """
 
 # Annotations are evaluated at import (no `from __future__ import annotations`):
@@ -221,10 +223,20 @@ def complete_independence(analysis: Analysis) -> IndependenceVerdict:
     J(K + j) is kept iff it holds the same members below j as K.  Closed
     sets are closed under intersection, so every one besides the root has
     exactly one such parent and is made exactly once, with two bitset ANDs
-    per step and no record of the sets already made.  subsets_checked
-    counts the nonempty closed sets: the root counts only when it is
-    nonempty, which happens when ⊥ is a member.  The counterexample is the
-    smallest failing C by (size, member renders).
+    per step and no record of the sets already made.
+
+    Failed tests are inherited, as in Outrata and Vychodil's FCbO (2012):
+    when J(K + j) adds a member below j, let x be the lowest one.  Closures
+    are monotone, so j fails again at every descendant K' of K that lacks
+    x, since J(K' + j) holds J(K + j).  Each node passes down a `skip`
+    bitset of the j it knows to fail, with lost[x] holding those whose
+    witness is x; a child drops lost[y] from skip for every member y it
+    adds, and computes no closure for a skipped j.  On (3,3) that is 24,590
+    closures for 10,934 closed sets.
+
+    subsets_checked counts the nonempty closed sets: the root counts only
+    when it is nonempty, which happens when ⊥ is a member.  The
+    counterexample is the smallest failing C by (size, member renders).
     """
     members = analysis.members
     full = (1 << len(members)) - 1
@@ -245,65 +257,93 @@ def complete_independence(analysis: Analysis) -> IndependenceVerdict:
     domain = [sum(1 << p for p, _ in g.entries) for g in members]  # positions as bits
     inside: dict[int, int] = {}  # domain bits -> members whose domain lies inside
 
-    def below(compat: int, dom: int) -> int:
+    def inside_of(dom: int) -> int:
+        """Members whose domain lies inside dom, computed once per domain."""
+        outside = 0
+        for p, held in at_pos.items():
+            if not dom >> p & 1:
+                outside |= held
+        inner = inside[dom] = full & ~outside
+        return inner
+
+    def closure(compat: int, dom: int) -> int:
         """Members below the join with this compatible set and domain."""
-        if dom not in inside:
-            outside = 0
-            for p, held in at_pos.items():
-                if not dom >> p & 1:
-                    outside |= held
-            inside[dom] = full & ~outside
-        return compat & inside[dom]
+        return compat & (inside.get(dom) or inside_of(dom))
 
     passing = set(analysis.member_masks.values())
     failing: set[int] = set()
     checked = 0
-    work = [(below(full, 0), full, 0, -1)]  # the root: the members with an empty domain
+    # (closed set, compatible members, domain, core, skip, lost): skip holds the members
+    # known to fail the test here, and lost[x] those of them whose witness is member x
+    work = [(closure(full, 0), full, 0, -1, 0, [0] * len(members))]  # the root: the empty-domain members
     while work:
-        K, compat, dom, core = work.pop()
+        K, compat, dom, core, skip, lost = work.pop()
         if K:  # every child is nonempty; the root is when ⊥ is a member
             checked += 1
             if K not in passing:
                 failing.add(K)
-        rest = (compat & ~K) >> (core + 1) << (core + 1)  # the members j > core outside K
+        rest = (compat & ~K & ~skip) >> (core + 1) << (core + 1)  # the members j > core outside K
+        shared = True  # lost is still the parent's list
+        # Highest j first, so a child is pushed knowing every failure above it, where all its
+        # candidates lie.  A child may share this node's lost list, which then gains only
+        # failures below the child's core: they name no candidate of its subtree.
         while rest:
-            low = rest & -rest
-            rest ^= low
-            j = low.bit_length() - 1
+            j = rest.bit_length() - 1
+            bit = 1 << j
+            rest ^= bit
             compat2, dom2 = compat & compatible[j], dom | domain[j]
-            K2 = below(compat2, dom2)
-            if K2 & (low - 1) == K & (low - 1):
-                work.append((K2, compat2, dom2, j))
+            K2 = compat2 & (inside.get(dom2) or inside_of(dom2))
+            added = K2 & ~K
+            missed = added & (bit - 1)
+            if missed:  # not canonical: x, the lowest member below j that the closure adds
+                skip |= bit
+                if shared:
+                    lost, shared = lost.copy(), False
+                lost[(missed & -missed).bit_length() - 1] |= bit
+            else:
+                kept = skip
+                while added and kept:  # a failure stays known only while its witness stays outside
+                    y = added & -added
+                    added ^= y
+                    kept &= ~lost[y.bit_length() - 1]
+                work.append((K2, compat2, dom2, j, kept, lost))
 
     counterexample = Counterexample(
-        _smallest_generator(members, compatible, domain, below, failing),
+        _smallest_generator(members, compatible, domain, closure, failing),
         "no base word includes exactly this compatible subset",
     ) if failing else None
     return IndependenceVerdict(holds=not failing, subsets_checked=checked, counterexample=counterexample)
 
 
-def _smallest_generator(members, compatible, domain, below, failing: set[int]) -> tuple[str, ...]:
+def _smallest_generator(members, compatible, domain, closure, failing: set[int]) -> tuple[str, ...]:
     """Renders of the smallest compatible subset C, by (size, renders), whose closed set is failing.
 
     C lies inside its own closed set, so only subsets of some failing set
     are walked, one size at a time; each failing set generates itself, so
-    the search ends by the size of the smallest one.
+    the search ends by the size of the smallest one.  Bit f of holding[j]
+    stands for the f-th failing set holding member j, and the search
+    carries the AND of its chosen members' bitsets: nonzero iff some
+    failing set holds them all.
     """
     renders = [g.render() for g in members]
+    holding = [0] * len(members)
+    for f, K in enumerate(failing):
+        for i in set_bits(K):
+            holding[i] |= 1 << f
     for size in itertools.count(1):
         found = []
 
-        def extend(chosen: list[int], mask: int, compat: int, dom: int) -> None:
+        def extend(chosen: list[int], cover: int, compat: int, dom: int) -> None:
             if len(chosen) == size:
-                if below(compat, dom) in failing:
+                if closure(compat, dom) in failing:
                     found.append(tuple(renders[i] for i in chosen))
                 return
             for j in range(chosen[-1] + 1 if chosen else 0, len(members)):
-                bigger = mask | 1 << j
-                if compat >> j & 1 and any(bigger & K == bigger for K in failing):
-                    extend(chosen + [j], bigger, compat & compatible[j], dom | domain[j])
+                within = cover & holding[j]
+                if within and compat >> j & 1:
+                    extend(chosen + [j], within, compat & compatible[j], dom | domain[j])
 
-        extend([], 0, (1 << len(members)) - 1, 0)
+        extend([], (1 << len(failing)) - 1, (1 << len(members)) - 1, 0)
         if found:
             return min(found)
 

@@ -196,7 +196,6 @@ class ProblemIndex:
         self.ordinal = {w: k for k, w in enumerate(self.words)}
         self.all_mask = (1 << len(self.words)) - 1
         self.max_len = len(self.words[-1])
-        self.row_bytes = (len(self.words) + 7) >> 3
         groups = []  # (length, start, joined text) per length group, shortest first
         start = 0
         while start < len(self.words):
@@ -234,11 +233,15 @@ class ProblemIndex:
         return space
 
     def word_mask(self, words) -> int:
-        row = bytearray(self.row_bytes)
-        for w in words:
-            k = self.ordinal[w]
-            row[k >> 3] |= 1 << (k & 7)
-        return int.from_bytes(row, "little")
+        """The mask of these base words, read in one membership pass over the base, in C.
+
+        Raises KeyError for a word outside the base.
+        """
+        words = frozenset(words)  # the same object when it already is one
+        mask = int(bytes(map(words.__contains__, reversed(self.words))).translate(_DIGIT_BYTES), 2)
+        if mask.bit_count() != len(words):
+            raise KeyError(next(w for w in words if w not in self.ordinal))
+        return mask
 
     def cylinder_mask(self, g: PartialString) -> int:
         mask = self.all_mask
@@ -405,12 +408,16 @@ class Analysis:
 
     Members are the reduced logogram sorted by (size, render); bit i of a
     member mask stands for members[i], and bit k of a cylinder, target or
-    region closure mask for index.words[k].
+    region closure mask for index.words[k].  No attribute can be assigned or
+    deleted, so the artefacts derived from the problem and its logogram
+    (members, cylinders, member masks) can never describe another one.
     """
 
     def __init__(self, problem: DecisionProblem, *, budget: int = DEFAULT_CANDIDATE_BUDGET):
-        self.problem = problem
-        self.budget = budget
+        object.__setattr__(self, "problem", problem)
+        object.__setattr__(self, "budget", budget)
+
+    __setattr__ = __delattr__ = read_only
 
     @cached_property
     def index(self) -> ProblemIndex:

@@ -107,6 +107,38 @@ class TestLogogramCommand:
     def test_budget_error_is_exit_2(self, capsys):
         assert main(["logogram", "--n", "4", "--m", "4"]) == 2
 
+    def test_memory_error_is_exit_2_without_a_report(self, monkeypatch, capsys):
+        def exhausted(cfg):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "run_suite", exhausted)
+        assert main(["verify", "--suite", "sat", "--n", "2", "--m", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "memory error: out of memory\n"
+
+    def test_memory_limit_in_a_child_is_exit_2_without_a_report(self):
+        """A 120 MB address-space limit, set in the child alone, stops (2,6)'s battery, which peaks near 210 MB.
+
+        Importing strtool fits under 40 MB on Linux x86-64 with CPython 3.11; where the
+        interpreter cannot even start under the limit, the test is skipped rather than failed.
+        """
+        resource = pytest.importorskip("resource")
+        limit = 120 * 2 ** 20
+        src = str(Path(strtool.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+        def run(*args):
+            return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120,
+                                  preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+
+        if run("-c", "import strtool.cli").returncode != 0:
+            pytest.skip("this interpreter cannot start and import strtool under a 120 MB address-space limit")
+        proc = run("-m", "strtool", "verify", "--suite", "sat", "--n", "2", "--m", "6", "--threads", "1")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("memory error:") and "Traceback" not in proc.stderr
+
     def test_problem_files(self, capsys, tmp_path):
         base = tmp_path / "base.lang"
         base.write_text("alphabet=01\n00\n01\n10\n11\n")

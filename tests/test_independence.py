@@ -27,7 +27,7 @@ from strtool.independence import (
     strong_independence,
     wizard_cover_report,
 )
-from strtool import logogram
+from strtool import independence, logogram
 from strtool.languages import BINARY, TERNARY, FiniteLanguage, cylindrify, sigma_exact
 from strtool.logogram import Analysis, DecisionProblem, log_rel, log_rel_naive
 from strtool.sat import (
@@ -474,6 +474,20 @@ def complete_oracle(analysis):
     return worst is None, None if worst is None else list(worst[1]), len(distinct)
 
 
+def two_sat_fragment():
+    """The (3,3) echelon's 2-SAT sub-base, the words whose clause blocks hold at most two literals; the target is its satisfiable words."""
+    spec = EchelonSpec(3, 3)
+    echelon = enumerate_echelon(spec)
+    start = len(spec.prefix)
+
+    def narrow(word):
+        return all(spec.n - word.count("0", i, i + spec.n) <= 2 for i in range(start, len(word), spec.n))
+
+    alphabet = echelon.base.alphabet
+    return DecisionProblem(FiniteLanguage.of(alphabet, filter(narrow, echelon.base.words)),
+                           FiniteLanguage.of(alphabet, filter(narrow, echelon.target.words)))
+
+
 class TestComplete:
     def test_small_echelons_exhaustive(self):
         for n, m in ((1, 1), (2, 1), (1, 2), (2, 2)):
@@ -536,6 +550,64 @@ class TestComplete:
                 failing_sizes.append(len(counterexample))
         assert 200 < len(failing_sizes) < 1800  # both verdicts are well represented
         assert sum(size > 1 for size in failing_sizes) > 20  # and not only singleton failures
+
+    def test_two_sat_fragment_fails(self):
+        analysis = Analysis(two_sat_fragment())
+        assert (len(analysis.problem.base.words), len(analysis.members)) == (6859, 126)
+        verdict = complete_independence(analysis)
+        assert not verdict.holds and verdict.subsets_checked == 10934  # SAT's closed sets
+        assert len({mask for mask in analysis.member_masks.values() if mask}) == 3294
+        assert verdict.counterexample.strings == ("________1__1__1", "________1__1___1", "________1__1____1")
+
+    def test_counterexample_search_extends_only_subsets_inside_a_failing_set(self, monkeypatch):
+        # the search reads compatible[j] once per extension; searching sizes 1..s it extends,
+        # for each size, every pairwise-compatible subset of at most that size some failing closed set holds
+        reads = []
+        real = independence._smallest_generator
+
+        class Counted(list):
+            def __getitem__(self, j):
+                reads[-1] += 1
+                return list.__getitem__(self, j)
+
+        def counting(members, compatible, *rest):
+            reads.append(0)
+            return real(members, Counted(compatible), *rest)
+
+        monkeypatch.setattr(independence, "_smallest_generator", counting)
+        # members 1, _1, __1; no word realizes {1, __1} or {_1, __1}, and no failing set holds both 1 and _1:
+        # size 1 extends the three members, size 2 extends them again and the two failing pairs
+        base = lang(["000", "100", "010", "001", "110", "111"])
+        verdict = complete_independence(Analysis(DecisionProblem(base, lang(base.words - {"000"}))))
+        assert verdict.counterexample.strings == ("1", "__1")
+        assert reads == [3 + 3 + 2]
+        rng = random.Random(20261019)
+        pruned = checked = 0
+        while checked < 150:
+            alphabet = rng.choice((BINARY, TERNARY))
+            pool = sorted(sigma_exact(alphabet, rng.randint(2, 4)).words)
+            base = lang(rng.sample(pool, rng.randint(1, min(len(pool), 24))), alphabet)
+            target = lang([w for w in sorted(base.words) if rng.random() < 0.5], alphabet)
+            analysis = Analysis(DecisionProblem(base, target))
+            reads.clear()
+            verdict = complete_independence(analysis)
+            if verdict.holds:
+                continue
+            members = analysis.members
+            masks = {sum(1 << i for i, g in enumerate(members) if word_includes(w, g)) for w in base.words}
+            closed = {closed_set(members, subset) for subset in compatible_subsets(members)}
+            failing = [K for K in closed if sum(1 << i for i in K) not in masks]
+            size = len(verdict.counterexample.strings)
+            held = [0] * (size + 1)  # held[t]: the compatible t-subsets some failing set holds
+            every = [0] * (size + 1)
+            for subset in compatible_subsets(members):
+                if len(subset) <= size:
+                    every[len(subset)] += 1
+                    held[len(subset)] += any(K.issuperset(subset) for K in failing)
+            assert reads == [sum(sum(held[1:t + 1]) for t in range(1, size + 1))]
+            pruned += held != every
+            checked += 1
+        assert pruned > 20  # the pruning shows: some compatible subsets lie in no failing set
 
     def test_separator_realises_every_closed_set(self):
         for n, m in ((2, 2), (3, 2), (2, 3)):

@@ -24,7 +24,6 @@ from strtool.logogram import (
     Analysis,
     ClauseProduct,
     DecisionProblem,
-    LogogramResult,
     ProblemIndex,
     auto_positions,
     cover_of,
@@ -200,6 +199,31 @@ class TestProblemIndex:
             assert idx.closure_mask(idx.word_mask(subset)) == idx.word_mask(closure)
             prefix_free += idx.prefix_free
         assert 20 < prefix_free < 280
+
+    def test_word_mask_agrees_with_per_word_bits_on_every_share_of_the_base(self):
+        rng = random.Random(31)
+        prefix_free = empty = whole = 0
+        for i in range(400):
+            alphabet = (BINARY, TERNARY)[i % 2]
+            L = random_language(rng, alphabet, cap=5, max_words=40)
+            if not L.words:
+                continue
+            idx = ProblemIndex(L)
+            share = rng.choice((0.0, 0.05, 0.3, 1.0))
+            subset = frozenset(w for w in idx.words if rng.random() < share)
+            expected = sum(1 << idx.ordinal[w] for w in subset)
+            assert idx.word_mask(subset) == idx.word_mask(sorted(subset)) == expected
+            closure = [w for w in idx.words if any(w.startswith(a) for a in subset)]
+            assert idx.closure_mask(expected) == sum(1 << idx.ordinal[w] for w in closure)
+            assert Analysis(DecisionProblem(L, lang(subset, alphabet))).target_mask == idx.closure_mask(expected)
+            prefix_free += idx.prefix_free
+            empty += not subset
+            whole += len(subset) == len(idx.words)
+        assert 10 < prefix_free < 350 and min(empty, whole) > 50
+        idx = ProblemIndex(sigma_exact(BINARY, 5))
+        for foreign in ({"2"}, {"00000", "00001", "00010", "2"}):
+            with pytest.raises(KeyError):
+                idx.word_mask(foreign)
 
 
 class TestLogRel:
@@ -638,18 +662,28 @@ class TestExpansionIdentity:
 
     def test_reduced_set_decides_when_full_set_is_not_stored(self):
         problem = enumerate_echelon(EchelonSpec(2, 2))
-        analysis = Analysis(problem)
         result = log_rel(problem, keep_full=False)
         assert result.full is None
-        analysis.logogram = result
-        assert verify_logogram_expansion(analysis)
         dropped = min(result.reduced, key=lambda g: (g.size, g.render()))
-        # a fresh Analysis: the first one keeps the members and member masks of the whole set
-        short = Analysis(problem)
-        short.logogram = LogogramResult(result.full, result.reduced - {dropped}, result.full_count,
-                                        result.candidate_space_size, result.positions, result.restricted,
-                                        result.elapsed)
-        assert not verify_logogram_expansion(short)
+        short = result._replace(reduced=result.reduced - {dropped})
+        for given, holds in ((result, True), (short, False)):
+
+            class Given(Analysis):  # every artefact is derived from this logogram
+                logogram = given
+
+            assert verify_logogram_expansion(Given(problem)) == holds
+
+    def test_analysis_attributes_cannot_be_assigned(self):
+        problem = enumerate_echelon(EchelonSpec(2, 2))
+        analysis = Analysis(problem)
+        members = analysis.members
+        with pytest.raises(AttributeError):
+            analysis.logogram = log_rel(problem, keep_full=False)
+        with pytest.raises(AttributeError):
+            analysis.problem = enumerate_echelon(EchelonSpec(2, 1))
+        with pytest.raises(AttributeError):
+            del analysis.members
+        assert analysis.members is members and analysis.logogram.full is not None
 
 
 class TestCover:
