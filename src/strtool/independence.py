@@ -30,13 +30,12 @@ prune pairs; every verdict still comes from the cylinders.
 Complete independence is decided exactly, without enumerating subsets.  A
 word including a compatible subset C includes join(C), hence every member
 below the join; so C is separated iff some word's member mask equals that
-closed set J(C).  The check walks the nonempty closed sets (10,934 on the
-(3,3) echelon, against 566,442 compatible subsets) by prefix-preserving
-closure extension, the canonical-parent scheme of LCM enumeration, which
-makes each closed set once; it looks each one up among the words' member
-masks as it is made.  An extension that failed the canonicity test stays
-skipped below that node until the member that made it fail is added
-(FCbO's failure inheritance), so most failing extensions cost no closure.
+closed set J(C).  The closed sets (10,934 on the (3,3) echelon, against
+566,442 compatible subsets) are the nonempty sets of members below some
+string over the members' positions, so each is an AND of one choice per
+position: the members undefined there, or those agreeing with one symbol
+there.  The check builds that AND-product a chunk of positions at a time
+and keeps only the products that no word's member mask realizes.
 """
 
 # Annotations are evaluated at import (no `from __future__ import annotations`):
@@ -45,7 +44,7 @@ import itertools
 from typing import NamedTuple
 
 from .languages import BudgetExceeded, FiniteLanguage, expand_in
-from .logogram import Analysis, LogogramResult, ProblemIndex, set_bits
+from .logogram import Analysis, LogogramResult, ProblemIndex, _chunk_width, set_bits
 from .sat import SAT_ALPHABET, EchelonSpec
 from .strings import PartialString, join_all, read_only
 
@@ -151,10 +150,10 @@ def internal_independence(analysis: Analysis) -> IndependenceVerdict:
     """
     members, cyls = analysis.members, analysis.cylinders
     k = len(members)
-    masks, words = analysis.member_masks, analysis.index.words
+    masks = analysis.member_masks
     first = None
     for i, cyl in enumerate(cyls):
-        witnesses = masks[words[(cyl & -cyl).bit_length() - 1]] if cyl else (1 << k) - 1
+        witnesses = masks[(cyl & -cyl).bit_length() - 1] if cyl else (1 << k) - 1
         for j in set_bits(witnesses & ~(1 << i)):
             if not (cyl & ~cyls[j]):
                 pair = (min(i, j), max(i, j))
@@ -174,7 +173,7 @@ def internal_independence(analysis: Analysis) -> IndependenceVerdict:
 
 def strong_independence(analysis: Analysis) -> IndependenceVerdict:
     """Every reduced-logogram string has a base word including it and nothing else from the set."""
-    singles = {mask for mask in analysis.member_masks.values() if mask and not (mask & (mask - 1))}
+    singles = {mask for mask in analysis.member_masks if mask and not (mask & (mask - 1))}
     for i, g in enumerate(analysis.members):
         if (1 << i) not in singles:
             return IndependenceVerdict(
@@ -217,102 +216,87 @@ def complete_independence(analysis: Analysis) -> IndependenceVerdict:
     subsume) iff its member mask equals J(C).  The property therefore holds
     iff every distinct closed set J(C) is some base word's member mask.
 
-    The walk starts from the root J(∅), the members with an empty domain,
-    and makes a closed set K by adding member `core` to its parent.  K is
-    extended only by compatible members j > core outside K, and the child
-    J(K + j) is kept iff it holds the same members below j as K.  Closed
-    sets are closed under intersection, so every one besides the root has
-    exactly one such parent and is made exactly once, with two bitset ANDs
-    per step and no record of the sets already made.
+    The closed sets are the nonempty sets down(s) of the members below some
+    string s over the members' positions: J(C) = down(join(C)), and a
+    nonempty down(s) is J of itself, since its join lies below s.  So
+    they are the nonzero ANDs of one entry of `Analysis.position_choices`
+    per position, its undefined entry or a symbol's: every closed set is an
+    intersection of attribute extents (Ganter and Wille, *Formal Concept
+    Analysis*, 1999).  `_unrealized_closed_sets` makes the ones no word
+    realizes.
 
-    Failed tests are inherited, as in Outrata and Vychodil's FCbO (2012):
-    when J(K + j) adds a member below j, let x be the lowest one.  Closures
-    are monotone, so j fails again at every descendant K' of K that lacks
-    x, since J(K' + j) holds J(K + j).  Each node passes down a `skip`
-    bitset of the j it knows to fail, with lost[x] holding those whose
-    witness is x; a child drops lost[y] from skip for every member y it
-    adds, and computes no closure for a skipped j.  On (3,3) that is 24,590
-    closures for 10,934 closed sets.
-
-    subsets_checked counts the nonempty closed sets: the root counts only
-    when it is nonempty, which happens when ⊥ is a member.  The
+    subsets_checked counts the distinct closed sets, len(realized) - (0 in
+    realized) + len(failing), where realized holds the words' member masks.
+    That is exact because every nonzero realized mask is a closed set: a
+    word w includes a member iff the member lies below w restricted to the
+    members' positions (undefined past w's end), so w's mask is down of
+    that string.  The root J(∅), the members with an empty domain, counts
+    only when it is nonempty, which happens when ⊥ is a member.  The
     counterexample is the smallest failing C by (size, member renders).
     """
     members = analysis.members
+    realized = set(analysis.member_masks)
+    failing = _unrealized_closed_sets(analysis, realized)
+    checked = len(realized) - (0 in realized) + len(failing)
+    if not failing:
+        return IndependenceVerdict(holds=True, subsets_checked=checked)
+    choices = analysis.position_choices
     full = (1 << len(members)) - 1
-    # at_pos[p]: the members defined at position p; with_sym[p, s]: those holding symbol s there
-    at_pos: dict[int, int] = {}
-    with_sym: dict[tuple[int, str], int] = {}
-    for i, g in enumerate(members):
-        for p, sym in g.entries:
-            at_pos[p] = at_pos.get(p, 0) | 1 << i
-            with_sym[p, sym] = with_sym.get((p, sym), 0) | 1 << i
-    # compatible[i]: the members that can be joined to member i (no position holds another symbol)
+    # compatible[i]: the members that can be joined to member i, agreeing with each of its entries
     compatible = []
     for g in members:
-        clash = 0
+        agreeing = full
         for p, sym in g.entries:
-            clash |= at_pos[p] & ~with_sym[p, sym]
-        compatible.append(full & ~clash)
+            agreeing &= choices[p][1][sym]
+        compatible.append(agreeing)
     domain = [sum(1 << p for p, _ in g.entries) for g in members]  # positions as bits
     inside: dict[int, int] = {}  # domain bits -> members whose domain lies inside
 
     def inside_of(dom: int) -> int:
         """Members whose domain lies inside dom, computed once per domain."""
-        outside = 0
-        for p, held in at_pos.items():
+        inner = full
+        for p, (undefined, _) in choices.items():
             if not dom >> p & 1:
-                outside |= held
-        inner = inside[dom] = full & ~outside
+                inner &= undefined
+        inside[dom] = inner
         return inner
 
     def closure(compat: int, dom: int) -> int:
         """Members below the join with this compatible set and domain."""
         return compat & (inside.get(dom) or inside_of(dom))
 
-    passing = set(analysis.member_masks.values())
-    failing: set[int] = set()
-    checked = 0
-    # (closed set, compatible members, domain, core, skip, lost): skip holds the members
-    # known to fail the test here, and lost[x] those of them whose witness is member x
-    work = [(closure(full, 0), full, 0, -1, 0, [0] * len(members))]  # the root: the empty-domain members
-    while work:
-        K, compat, dom, core, skip, lost = work.pop()
-        if K:  # every child is nonempty; the root is when ⊥ is a member
-            checked += 1
-            if K not in passing:
-                failing.add(K)
-        rest = (compat & ~K & ~skip) >> (core + 1) << (core + 1)  # the members j > core outside K
-        shared = True  # lost is still the parent's list
-        # Highest j first, so a child is pushed knowing every failure above it, where all its
-        # candidates lie.  A child may share this node's lost list, which then gains only
-        # failures below the child's core: they name no candidate of its subtree.
-        while rest:
-            j = rest.bit_length() - 1
-            bit = 1 << j
-            rest ^= bit
-            compat2, dom2 = compat & compatible[j], dom | domain[j]
-            K2 = compat2 & (inside.get(dom2) or inside_of(dom2))
-            added = K2 & ~K
-            missed = added & (bit - 1)
-            if missed:  # not canonical: x, the lowest member below j that the closure adds
-                skip |= bit
-                if shared:
-                    lost, shared = lost.copy(), False
-                lost[(missed & -missed).bit_length() - 1] |= bit
-            else:
-                kept = skip
-                while added and kept:  # a failure stays known only while its witness stays outside
-                    y = added & -added
-                    added ^= y
-                    kept &= ~lost[y.bit_length() - 1]
-                work.append((K2, compat2, dom2, j, kept, lost))
-
-    counterexample = Counterexample(
+    return IndependenceVerdict(holds=False, subsets_checked=checked, counterexample=Counterexample(
         _smallest_generator(members, compatible, domain, closure, failing),
         "no base word includes exactly this compatible subset",
-    ) if failing else None
-    return IndependenceVerdict(holds=not failing, subsets_checked=checked, counterexample=counterexample)
+    ))
+
+
+def _unrealized_closed_sets(analysis: Analysis, realized: set[int]) -> set[int]:
+    """The closed sets (nonempty member sets down(s), see `complete_independence`) outside realized.
+
+    The member positions are cut into chunks of `_chunk_width(symbols + 1)`
+    positions, the remainder chunk first, and each chunk's table holds the
+    distinct ANDs of one choice per position.  Every chunk but the last is
+    folded into the set of distinct nonzero products; the last is streamed
+    against it, so only the products outside realized are kept.
+    """
+    choices = analysis.position_choices
+    full = (1 << len(analysis.members)) - 1
+    positions = list(choices)
+    width = _chunk_width(len(analysis.index.alphabet.symbols) + 1)
+    first = len(positions) % width or width  # the remainder chunk; one empty chunk when no position
+    tables = []
+    for chunk in [positions[:first], *(positions[i:i + width] for i in range(first, len(positions), width))]:
+        table = {full}
+        for p in chunk:
+            undefined, by_symbol = choices[p]
+            table = {k & t for k in table for t in {undefined, *by_symbol.values()}}
+        tables.append(table)
+    *head, last = tables
+    closed = {full}
+    for table in head:
+        closed = {y for k in closed for t in table if (y := k & t)}
+    return {y for k in closed for t in last if (y := k & t) and y not in realized}
 
 
 def _smallest_generator(members, compatible, domain, closure, failing: set[int]) -> tuple[str, ...]:

@@ -51,6 +51,9 @@ one.  A word's member mask comes from position-chunk tables: the member
 positions are cut into chunks of at most DECODE_CHUNK_KEYS possible
 substrings, each chunk maps a word's substring there to the members that
 agree with it, and a word costs one lookup and one AND per chunk.  The
+tables read `Analysis.position_choices`, per member position the members
+undefined there and those agreeing with each symbol, which complete
+independence also ANDs to make the closed member sets.  The
 member masks serve three checks: strong and complete independence read
 them directly, internal independence takes its candidate pairs from them,
 and the expansion identity (`verify_logogram_expansion`) is one compare of
@@ -176,7 +179,9 @@ class ProblemIndex:
     """Per-(position, symbol) bitmask index over the words of a base language.
 
     Bit k of every mask stands for words[k] (sorted by length, then text);
-    `ordinal` maps each word to its k.  The words longer than position i
+    `ordinal` maps each word to its k, and is built only when first read
+    (no check needs it; a word outside the base names it in `word_mask`'s
+    error).  The words longer than position i
     form a suffix of the list, so each position's masks come from one
     column string of that suffix, one translate to binary digits per symbol.
     Each length group of the list is joined into one text once, and the
@@ -193,7 +198,6 @@ class ProblemIndex:
         self.alphabet = base.alphabet
         by_lex = sorted(base.words)
         self.words = tuple(sorted(by_lex, key=len))  # stable: by length, then text
-        self.ordinal = {w: k for k, w in enumerate(self.words)}
         self.all_mask = (1 << len(self.words)) - 1
         self.max_len = len(self.words[-1])
         groups = []  # (length, start, joined text) per length group, shortest first
@@ -224,6 +228,10 @@ class ProblemIndex:
             shared += 1
         self.shared_prefix_len = shared if len(self.words) > 1 else 0
         self._spaces: dict[tuple[int, ...], CandidateSpace] = {}
+
+    @cached_property
+    def ordinal(self) -> dict[str, int]:
+        return {w: k for k, w in enumerate(self.words)}
 
     def candidate_space(self, positions: tuple[int, ...]) -> "CandidateSpace":
         """The key tables over these candidate positions, built on first use and kept."""
@@ -496,16 +504,15 @@ class Analysis:
         return list(map(index.closure_mask, masks))
 
     @cached_property
-    def member_masks(self) -> dict[str, int]:
-        """For each base word, the mask of the members it includes.
+    def position_choices(self) -> dict[int, tuple[int, dict[str, int]]]:
+        """Per position some member defines, in increasing order: the members undefined there,
+        and for each symbol the members agreeing with it there (those holding it or undefined).
 
-        A word includes a member iff they agree at every position the member defines.  The
-        positions from the first to the last that some member defines are cut into chunks of
-        as many positions as keep a chunk's substrings (one symbol or the word's end per
-        position) within DECODE_CHUNK_KEYS; each chunk has a table from a word's substring
-        there to the members agreeing with it, so a word costs one lookup and one AND per chunk.
+        The members below a string over these positions are the AND of one entry per position:
+        the undefined entry where the string is undefined, the symbol's entry where it holds
+        that symbol.
         """
-        members, words = self.members, self.index.words
+        members = self.members
         full = (1 << len(members)) - 1
         at_pos: dict[int, int] = {}  # the members defined at a position
         with_sym: dict[tuple[int, str], int] = {}  # those holding a symbol there
@@ -513,23 +520,38 @@ class Analysis:
             for pos, sym in g.entries:
                 at_pos[pos] = at_pos.get(pos, 0) | 1 << i
                 with_sym[pos, sym] = with_sym.get((pos, sym), 0) | 1 << i
-        masks = [full] * len(words)
         symbols = self.index.alphabet.symbols
-        width = _chunk_width(len(symbols) + 1)
-        for low in range(min(at_pos, default=1) - 1, max(at_pos, default=0), width):
+        return {pos: (full & ~held, {s: full & ~(held & ~with_sym.get((pos, s), 0)) for s in symbols})
+                for pos, held in sorted(at_pos.items())}
+
+    @cached_property
+    def member_masks(self) -> list[int]:
+        """For each base word in index order, the mask of the members it includes.
+
+        A word includes a member iff they agree at every position the member defines, so its
+        mask is the AND of `position_choices` read at its symbols (the undefined entry past its
+        end).  The positions from the first to the last that some member defines are cut into
+        chunks of as many positions as keep a chunk's substrings (one symbol or the word's end
+        per position) within DECODE_CHUNK_KEYS; each chunk has a table from a word's substring
+        there to the members agreeing with it, so a word costs one lookup and one AND per chunk.
+        """
+        choices, words = self.position_choices, self.index.words
+        full = (1 << len(self.members)) - 1
+        masks = [full] * len(words)
+        width = _chunk_width(len(self.index.alphabet.symbols) + 1)
+        for low in range(min(choices, default=1) - 1, max(choices, default=0), width):
             cut = itemgetter(slice(low, low + width))  # the substring over positions low+1..low+width
-            # per position some member defines: its offset in the piece, the members agreeing
-            # with each symbol there, and those agreeing with a word that ends before it
-            checks = [(pos - low - 1, {s: full & ~(held & ~with_sym.get((pos, s), 0)) for s in symbols}, full & ~held)
-                      for pos in range(low + 1, low + width + 1) if (held := at_pos.get(pos))]
+            # per position some member defines: its offset in the piece and its choices
+            checks = [(pos - low - 1, *choice) for pos in range(low + 1, low + width + 1)
+                      if (choice := choices.get(pos))]
             table = {}
             for piece in set(map(cut, words)):
                 agreeing = full
-                for k, by_symbol, past_end in checks:
+                for k, past_end, by_symbol in checks:
                     agreeing &= by_symbol[piece[k]] if k < len(piece) else past_end
                 table[piece] = agreeing
             masks = list(map(and_, masks, map(table.__getitem__, map(cut, words))))
-        return dict(zip(words, masks))
+        return masks
 
     @cached_property
     def region_logograms(self) -> list[frozenset[PartialString]]:
@@ -744,7 +766,7 @@ def verify_logogram_expansion(analysis: Analysis | DecisionProblem) -> bool:
     if result.full is not None and \
             expand_in(result.full, problem.base) != analysis.index.mask_language(analysis.target_mask):
         return False
-    included = bytes(map(bool, analysis.member_masks.values()))  # byte k: word k includes a member
+    included = bytes(map(bool, analysis.member_masks))  # byte k: word k includes a member
     return int(included[::-1].translate(_DIGIT_BYTES), 2) == analysis.target_mask
 
 

@@ -1,5 +1,7 @@
 import itertools
 import random
+import string
+from math import prod
 
 import pytest
 
@@ -39,7 +41,7 @@ from strtool.sat import (
     solutions,
     string_entries,
 )
-from strtool.strings import PartialString, join_all, word_includes
+from strtool.strings import Alphabet, PartialString, join_all, word_includes
 
 
 def ps(text, alphabet=BINARY):
@@ -556,7 +558,7 @@ class TestComplete:
         assert (len(analysis.problem.base.words), len(analysis.members)) == (6859, 126)
         verdict = complete_independence(analysis)
         assert not verdict.holds and verdict.subsets_checked == 10934  # SAT's closed sets
-        assert len({mask for mask in analysis.member_masks.values() if mask}) == 3294
+        assert len({mask for mask in analysis.member_masks if mask}) == 3294
         assert verdict.counterexample.strings == ("________1__1__1", "________1__1___1", "________1__1____1")
 
     def test_counterexample_search_extends_only_subsets_inside_a_failing_set(self, monkeypatch):
@@ -628,7 +630,119 @@ class TestComplete:
             for K in closed:
                 word = construct_separator((join_all([members[i] for i in K]),), spec)
                 assert word in problem.base.words
-                assert analysis.member_masks[word] == sum(1 << i for i in K)
+                assert analysis.member_masks[analysis.index.ordinal[word]] == sum(1 << i for i in K)
+
+
+def judge_closed_set_product(analysis):
+    """Judge the AND-product family against J(C) over every compatible subset; returns (family, realized).
+
+    Checks that every word's member mask (read by `word_includes`) is a closed set or
+    empty, that the product with nothing realized is the whole family, that with the
+    words' masks realized it is the family's failing sets, and the verdict's count.
+    """
+    members = analysis.members
+    family = {sum(1 << i for i in closed_set(members, subset)) for subset in compatible_subsets(members)}
+    realized = {sum(1 << i for i, g in enumerate(members) if word_includes(w, g)) for w in analysis.problem.base.words}
+    assert realized - {0} <= family
+    assert independence._unrealized_closed_sets(analysis, set()) == family
+    assert independence._unrealized_closed_sets(analysis, realized) == family - realized
+    assert complete_independence(analysis).subsets_checked == len(family)
+    return family, realized
+
+
+def one_entry_members_problem(rng, alphabet, held):
+    """A problem whose members are exactly the one-entry strings of held ({position: symbols}).
+
+    The base is a background word b holding no held symbol, one position longer than the
+    last held one, with every word one symbol away from b, up to 40 words two symbols
+    away, and the empty word and a prefix of b (mixed lengths).  The target is the words
+    holding some held symbol at its position.
+    """
+    length = max(held) + 1
+    b = "".join(rng.choice([s for s in alphabet.symbols if s not in held.get(p, ())]) for p in range(1, length + 1))
+
+    def change(word, i):
+        return word[:i] + rng.choice([s for s in alphabet.symbols if s != b[i]]) + word[i + 1:]
+
+    words = {b, "", b[:rng.randrange(1, length)]}
+    words |= {b[:i] + s + b[i + 1:] for i in range(length) for s in alphabet.symbols}
+    words |= {change(change(b, i), j) for i, j in (rng.sample(range(length), 2) for _ in range(40))}
+    target = [w for w in words if any(p <= len(w) and w[p - 1] in symbols for p, symbols in held.items())]
+    return DecisionProblem(lang(words, alphabet), lang(target, alphabet))
+
+
+class TestClosedSetProduct:
+    """The closed sets as an AND-product of per-position choices, judged at the definition.
+
+    A chunk holds 5 binary, 4 ternary or 1 forty-symbol position; the remainder chunk
+    comes first and the last chunk is streamed.
+    """
+
+    def test_random_problems(self):
+        rng = random.Random(2026102201)
+        failing = holding = empty_word = bottom = mixed = 0
+        for trial in range(2000):
+            alphabet = BINARY if trial % 2 else TERNARY
+            if trial % 4 < 2:  # fixed word length
+                pool = sorted(sigma_exact(alphabet, rng.randint(2, 4)).words)
+                base = lang(rng.sample(pool, rng.randint(1, min(len(pool), 24))), alphabet)
+                problem = DecisionProblem(base, lang([w for w in sorted(base.words) if rng.random() < 0.5], alphabet))
+            else:  # mixed word lengths, often with the empty word
+                problem = random_problem(rng, alphabet, max_len=4, max_words=24)
+                mixed += len({len(w) for w in problem.base.words}) > 1
+            analysis = Analysis(problem)
+            family, realized = judge_closed_set_product(analysis)
+            failing += not family <= realized
+            holding += family <= realized
+            empty_word += "" in problem.base.words
+            bottom += PartialString.bottom(alphabet) in analysis.members
+        assert min(failing, holding, empty_word, bottom, mixed) > 20, (failing, holding, empty_word, bottom, mixed)
+
+    @pytest.mark.parametrize("alphabet, width", [(BINARY, 5), (TERNARY, 4)])
+    @pytest.mark.parametrize("remainder", [0, 1, 2, 3])
+    def test_member_position_counts_around_the_chunk_width(self, alphabet, width, remainder):
+        rng = random.Random(31 * width + remainder)
+        # one, two and (when the candidate space stays small) three chunks
+        counts = [count for count in (remainder, remainder + width, remainder + 2 * width) if 0 < count <= 2 * width + 1]
+        for count in counts:
+            positions = sorted(rng.sample(range(1, count + 2), count))  # one position skipped
+            doubled = rng.sample(positions, min(2, count)) if len(alphabet.symbols) > 2 else []
+            held = {p: tuple(rng.sample(alphabet.symbols, 2 if p in doubled else 1)) for p in positions}
+            analysis = Analysis(one_entry_members_problem(rng, alphabet, held))
+            assert sorted((g.entries[0] for g in analysis.members)) == sorted((p, s) for p in held for s in held[p])
+            assert len(analysis.position_choices) == count and count % width == remainder
+            family, realized = judge_closed_set_product(analysis)
+            assert len(family) == prod(len(symbols) + 1 for symbols in held.values()) - 1
+            assert count < 3 or not family <= realized  # no word holds three members
+
+    def test_member_defined_only_at_a_late_position(self):
+        rng = random.Random(7)
+        for held in ({9: ("1",)}, {2: ("0",), 13: ("1",)}, {12: ("0",), 13: ("1",), 14: ("1",)}):
+            analysis = Analysis(one_entry_members_problem(rng, BINARY, held))
+            assert list(analysis.position_choices) == sorted(held)
+            family, realized = judge_closed_set_product(analysis)
+            assert (len(family), family <= realized) == (2 ** len(held) - 1, len(held) < 3)
+
+    def test_forty_symbol_alphabet_has_one_position_a_chunk(self):
+        alphabet = Alphabet.of("01" + string.ascii_letters[:38])
+        assert logogram._chunk_width(len(alphabet.symbols) + 1) == 1
+        rng = random.Random(40)
+        for count in (1, 2, 3):
+            held = {p: tuple(rng.sample(alphabet.symbols, rng.randint(1, 3))) for p in sorted(rng.sample(range(1, 4), count))}
+            analysis = Analysis(one_entry_members_problem(rng, alphabet, held))
+            assert sorted((g.entries[0] for g in analysis.members)) == sorted((p, s) for p in held for s in held[p])
+            family, realized = judge_closed_set_product(analysis)
+            assert len(family) == prod(len(symbols) + 1 for symbols in held.values()) - 1
+
+    def test_bottom_member_and_no_members(self):
+        base = lang(["", "0", "01", "11"])
+        analysis = Analysis(DecisionProblem(base, base))
+        assert analysis.members == [PartialString.bottom(BINARY)]
+        assert judge_closed_set_product(analysis) == ({1}, {1})
+        analysis = Analysis(DecisionProblem(base, lang([])))
+        assert analysis.members == []
+        assert judge_closed_set_product(analysis) == (set(), {0})
+        assert complete_independence(analysis) == (True, 0, None)
 
 
 class TestCompletenessAndIrreducibility:
