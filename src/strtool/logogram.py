@@ -6,9 +6,14 @@ closure of F within E; the reduced logogram keeps its minimal elements.
 
 Engine layout: E is indexed once into per-(position, symbol) bitmasks over
 the word list, so a candidate's relative cylinder is an AND of masks.  The
-list is sorted by length, each length group is joined into one text, and a
-position's column is a strided slice of each group's text: the index makes
-no Python step per word.  Candidates are integer keys (digit j of a key is
+list is sorted by length, then text.  When E is a full product, a prefix
+followed by every word of Σ^k (an echelon is one), word k is the prefix and
+the base-|Σ| digits of k, and the index is digit arithmetic: a position's
+masks are periodic bit patterns, and the word keys and the keys some word
+extends (below) are built by replicating blocks, without reading a word.
+Otherwise each length group is joined into one text, and a position's
+column is a strided slice of each group's text: the index makes no Python
+step per word.  Candidates are integer keys (digit j of a key is
 the symbol code at the j-th candidate position, 0 = undefined), and the
 logogram is computed over bitsets of the whole candidate space, bit k
 standing for key k.  A candidate qualifies iff some base word extends it
@@ -47,19 +52,23 @@ tables, so the region walks reuse them.
 An `Analysis` wraps one problem and computes its index, target closure
 mask, logogram, member cylinders and masks, region masks and region
 logograms once, on first use; the checks in `strtool.independence` take
-one.  A word's member mask comes from position-chunk tables: the member
-positions are cut into chunks of at most DECODE_CHUNK_KEYS possible
-substrings, each chunk maps a word's substring there to the members that
-agree with it, and a word costs one lookup and one AND per chunk.  The
-tables read `Analysis.position_choices`, per member position the members
-undefined there and those agreeing with each symbol, which complete
-independence also ANDs to make the closed member sets.  The
-member masks serve three checks: strong and complete independence read
-them directly, internal independence takes its candidate pairs from them,
-and the expansion identity (`verify_logogram_expansion`) is one compare of
-the words with a nonzero member mask against the target's closure mask.
-They are built from the members and the word strings, not from the
-index's position masks, so that compare is a check on the kernel.  Which
+one.  A word's member mask comes from position-chunk tables read from
+`Analysis.position_choices`, per member position the members undefined
+there and those agreeing with each symbol, which complete independence
+also ANDs to make the closed member sets.  On a full product the masks in
+index order are an AND-product of per-chunk tables over the free
+positions, started from the members that agree with the prefix and are
+undefined past the end; on any other base the member positions are cut into chunks of
+at most DECODE_CHUNK_KEYS possible substrings, each chunk maps a word's
+substring there to the members that agree with it, and a word costs one
+lookup and one AND per chunk.  The member masks serve three checks: strong
+and complete independence read them directly, internal independence takes
+its candidate pairs from them, and the expansion identity
+(`verify_logogram_expansion`) is one compare of the words with a nonzero
+member mask against the target's closure mask.  They are built from the
+members and the base alone (its word strings, or its product form), never
+from the index's position masks or keys, so that compare is a check on the
+kernel.  Which
 regions hold a string's cylinder is answered by one method,
 `Analysis.regions_holding`.  A problem with labels answers it word by
 word, against each region's closure mask, the labels transposed.  An
@@ -102,7 +111,7 @@ from typing import Iterable, NamedTuple
 
 from . import __version__
 from .languages import BudgetExceeded, FiniteLanguage, cylindrify, expand_in, is_full_slice
-from .strings import Alphabet, AlphabetMismatch, PartialString, read_only, reduce_strings
+from .strings import BLANK, Alphabet, AlphabetMismatch, PartialString, read_only, reduce_strings
 
 DEFAULT_CANDIDATE_BUDGET = 4 ** 12
 FULL_KEEP_LIMIT = 50_000
@@ -181,14 +190,18 @@ class ProblemIndex:
     Bit k of every mask stands for words[k] (sorted by length, then text);
     `ordinal` maps each word to its k, and is built only when first read
     (no check needs it; a word outside the base names it in `word_mask`'s
-    error).  The words longer than position i
-    form a suffix of the list, so each position's masks come from one
-    column string of that suffix, one translate to binary digits per symbol.
-    Each length group of the list is joined into one text once, and the
-    column at position i is the strided slices text[i::length] of the
-    groups longer than i, in list order: no Python step per word.  A base
-    whose words all have one length is prefix-free at once, since distinct
-    words of equal length never prefix one another.
+    error).  A base whose words all have one length is prefix-free at once,
+    since distinct words of equal length never prefix one another.
+
+    A base is a full product when its words have one length L, share a prefix
+    of length s, and number |Σ|^(L − s): it is then exactly prefix·Σ^(L − s), as
+    an echelon is, and `product_prefix` holds the prefix (None otherwise).
+    Index order is then product order in code-point order, so word k is the
+    prefix followed by the base-|Σ| digits of k, and its masks, keys and member
+    masks follow from digit arithmetic without reading a word
+    (`_product_position_masks`, `_product_keys`, `_product_reachable`,
+    `_product_member_masks`).  Every other base is read word by word
+    (`_column_masks`, `_word_keys`, `_word_member_masks`).
     """
 
     def __init__(self, base: FiniteLanguage):
@@ -200,33 +213,21 @@ class ProblemIndex:
         self.words = tuple(sorted(by_lex, key=len))  # stable: by length, then text
         self.all_mask = (1 << len(self.words)) - 1
         self.max_len = len(self.words[-1])
-        groups = []  # (length, start, joined text) per length group, shortest first
-        start = 0
-        while start < len(self.words):
-            length = len(self.words[start])
-            end = bisect_right(self.words, length, lo=start, key=len)
-            groups.append((length, start, "".join(self.words[start:end])))
-            start = end
-        zeros = dict.fromkeys(map(ord, self.alphabet.symbols), "0")
-        tables = {c: str.maketrans({**zeros, ord(c): "1"}) for c in self.alphabet.symbols}
-        self.pos_masks: list[dict[str, int]] = []
-        first = 0  # groups[first:] hold the words longer than i, a suffix of the list
-        for i in range(self.max_len):
-            while groups[first][0] <= i:
-                first += 1
-            column = "".join([text[i::length] for length, _, text in groups[first:]])
-            self.pos_masks.append({
-                c: int(column.translate(table)[::-1], 2) << groups[first][1]
-                for c, table in tables.items() if c in column
-            })
-        self.prefix_free = len(groups) == 1 or not any(
-            by_lex[i + 1].startswith(by_lex[i]) for i in range(len(by_lex) - 1)
-        )
         lo, hi = by_lex[0], by_lex[-1]
         shared = 0
         while shared < len(lo) and lo[shared] == hi[shared]:
             shared += 1
         self.shared_prefix_len = shared if len(self.words) > 1 else 0
+        one_length = len(self.words[0]) == self.max_len
+        self.product_prefix = lo[:shared] if one_length and \
+            len(self.words) == len(self.alphabet.symbols) ** (self.max_len - shared) else None
+        if self.product_prefix is None:
+            self.pos_masks = _column_masks(self.words, self.alphabet)
+        else:
+            self.pos_masks = _product_position_masks(self.alphabet, self.product_prefix, self.max_len)
+        self.prefix_free = one_length or not any(
+            by_lex[i + 1].startswith(by_lex[i]) for i in range(len(by_lex) - 1)
+        )
         self._spaces: dict[tuple[int, ...], CandidateSpace] = {}
 
     @cached_property
@@ -271,6 +272,66 @@ class ProblemIndex:
         return self.word_mask(cylindrify(self.mask_language(mask), self.language).words)
 
 
+def _column_masks(words: tuple[str, ...], alphabet: Alphabet) -> list[dict[str, int]]:
+    """Per position, each symbol's mask over words (sorted by length, then text), read from the words.
+
+    The words longer than position i form a suffix of the list, so each position's masks
+    come from one column string of that suffix, one translate to binary digits per symbol.
+    Each length group of the list is joined into one text once, and the column at position
+    i is the strided slices text[i::length] of the groups longer than i, in list order: no
+    Python step per word.
+    """
+    groups = []  # (length, start, joined text) per length group, shortest first
+    start = 0
+    while start < len(words):
+        length = len(words[start])
+        end = bisect_right(words, length, lo=start, key=len)
+        groups.append((length, start, "".join(words[start:end])))
+        start = end
+    zeros = dict.fromkeys(map(ord, alphabet.symbols), "0")
+    tables = {c: str.maketrans({**zeros, ord(c): "1"}) for c in alphabet.symbols}
+    masks = []
+    first = 0  # groups[first:] hold the words longer than i, a suffix of the list
+    for i in range(len(words[-1])):
+        while groups[first][0] <= i:
+            first += 1
+        column = "".join([text[i::length] for length, _, text in groups[first:]])
+        masks.append({
+            c: int(column.translate(table)[::-1], 2) << groups[first][1]
+            for c, table in tables.items() if c in column
+        })
+    return masks
+
+
+def _periodic(run: int, period: int, total: int) -> int:
+    """Runs of run one-bits starting at bits 0, period, 2·period, ... below bit total, built by doubling."""
+    pattern, width = (1 << run) - 1, period
+    while width < total:
+        pattern |= pattern << width
+        width <<= 1
+    return pattern & ((1 << total) - 1)
+
+
+def _product_position_masks(alphabet: Alphabet, prefix: str, length: int) -> list[dict[str, int]]:
+    """Per position, each symbol's mask over the words of prefix·Σ^(length − len(prefix)) in index order.
+
+    A prefix position holds its symbol in every word.  At a free position p the digit's
+    place value is r = |Σ|^(length − p), so the c-th symbol in code-point order holds runs
+    of r bits starting at bit c·r, one run every |Σ|·r bits: the `_periodic` pattern
+    shifted by c·r.
+    """
+    q = len(alphabet.symbols)
+    total = q ** (length - len(prefix))
+    all_mask = (1 << total) - 1
+    rank = {s: c for c, s in enumerate(sorted(alphabet.symbols))}
+    masks = [{sym: all_mask} for sym in prefix]
+    for p in range(len(prefix) + 1, length + 1):
+        run = q ** (length - p)
+        pattern = _periodic(run, q * run, total)  # whole periods only, so every shifted run stays below bit total
+        masks.append({s: pattern << rank[s] * run for s in alphabet.symbols})
+    return masks
+
+
 class CandidateSpace:
     """Bitsets over the candidate keys of one positions tuple, and the transforms the kernel applies to them.
 
@@ -286,16 +347,14 @@ class CandidateSpace:
         self.base = base = len(index.alphabet.symbols) + 1
         self.size = size = base ** len(positions)
         self.steps = [base ** j for j in range(len(positions))]
-        self.keys = _word_keys(index, positions, base)
         # zero[j]: the keys whose digit j is 0, one run of step bits every base * step bits
-        self.zero = []
-        for step in self.steps:
-            mask, width = (1 << step) - 1, base * step
-            while width < size:
-                mask |= mask << width
-                width <<= 1
-            self.zero.append(mask & ((1 << size) - 1))
-        self.reachable = self.extended(self.bitset(index.all_mask))
+        self.zero = [_periodic(step, base * step, size) for step in self.steps]
+        if index.product_prefix is None:
+            self.keys = _word_keys(index, positions, base)
+            self.reachable = self.extended(self.bitset(index.all_mask))
+        else:
+            self.keys = _product_keys(index, positions, base)
+            self.reachable = _product_reachable(index, positions, base)
 
     def bitset(self, word_mask: int) -> int:
         """The keys of the words in word_mask (bit k for index.words[k])."""
@@ -396,8 +455,52 @@ def _word_keys(index: ProblemIndex, positions: tuple[int, ...], base: int) -> me
                 fields = bytearray(width)
                 fields[:8 * len(bits):8] = bits
                 packed += int.from_bytes(fields, "little") * (d * base ** j)
-    keys = memoryview(packed.to_bytes(width, sys.byteorder)).cast("Q")
+    return _unpacked(packed, len(index.words))
+
+
+def _product_keys(index: ProblemIndex, positions: tuple[int, ...], base: int) -> memoryview:
+    """`_word_keys` of a full-product base, by block replication: no word is read.
+
+    The prefix positions give every key one constant.  Then, last free position first,
+    the keys over positions p..L in index order are |Σ| copies of the keys over p+1..L,
+    copy c plus the digit value of the c-th symbol in code-point order at p (nothing when
+    p is not a candidate position): one all-ones field pattern times a constant per copy.
+    """
+    symbols, prefix = index.alphabet.symbols, index.product_prefix
+    place = {p: base ** j for j, p in enumerate(positions)}
+    code = {s: d for d, s in enumerate(symbols, 1)}
+    packed = sum(code[prefix[p - 1]] * value for p, value in place.items() if p <= len(prefix))
+    count = 1
+    for p in range(index.max_len, len(prefix), -1):
+        packed = int.from_bytes(packed.to_bytes(8 * count, "little") * len(symbols), "little")
+        if p in place:
+            packed += int.from_bytes(b"".join([(code[s] * place[p]).to_bytes(8, "little") * count
+                                               for s in sorted(symbols)]), "little")
+        count *= len(symbols)
+    return _unpacked(packed, count)
+
+
+def _unpacked(packed: int, count: int) -> memoryview:
+    """The count 64-bit fields of packed, field k its bits 64k..64k+63, as unsigned 64-bit integers."""
+    keys = memoryview(packed.to_bytes(8 * count, sys.byteorder)).cast("Q")
     return keys[::-1] if sys.byteorder == "big" else keys
+
+
+def _product_reachable(index: ProblemIndex, positions: tuple[int, ...], base: int) -> int:
+    """The keys some word of a full-product base extends, as a product of allowed digits.
+
+    Per candidate position the digits some word's key holds there, with 0: any digit at a
+    free position, 0 or the prefix symbol's code at a prefix position, only 0 past the end.
+    """
+    symbols, prefix = index.alphabet.symbols, index.product_prefix
+    bits, width = 1, 1  # the allowed keys over the digits below j; width = base ** j
+    for p in positions:
+        if p > index.max_len:
+            break  # every higher digit is 0 too: positions increase
+        digits = range(base) if p > len(prefix) else (0, symbols.index(prefix[p - 1]) + 1)
+        bits = sum(bits << d * width for d in digits)  # disjoint copies, one per digit
+        width *= base
+    return bits
 
 
 def set_bits(bits: int) -> list[int]:
@@ -409,6 +512,9 @@ def set_bits(bits: int) -> list[int]:
         out.append(k)
         k = digits.find("1", k + 1)
     return out
+
+
+ChoiceTable = dict[int, tuple[int, dict[str, int]]]  # `Analysis.position_choices`
 
 
 class Analysis:
@@ -504,7 +610,7 @@ class Analysis:
         return list(map(index.closure_mask, masks))
 
     @cached_property
-    def position_choices(self) -> dict[int, tuple[int, dict[str, int]]]:
+    def position_choices(self) -> ChoiceTable:
         """Per position some member defines, in increasing order: the members undefined there,
         and for each symbol the members agreeing with it there (those holding it or undefined).
 
@@ -530,28 +636,16 @@ class Analysis:
 
         A word includes a member iff they agree at every position the member defines, so its
         mask is the AND of `position_choices` read at its symbols (the undefined entry past its
-        end).  The positions from the first to the last that some member defines are cut into
-        chunks of as many positions as keep a chunk's substrings (one symbol or the word's end
-        per position) within DECODE_CHUNK_KEYS; each chunk has a table from a word's substring
-        there to the members agreeing with it, so a word costs one lookup and one AND per chunk.
+        end).  A full-product base gets them as an AND-product over its free positions
+        (`_product_member_masks`), any other base from its word strings (`_word_member_masks`).
+        Both are exact for any members, minimal or not, and neither reads the index's position
+        masks or keys, only the members and the base, so the expansion identity built on these
+        masks is a check on the kernel.
         """
-        choices, words = self.position_choices, self.index.words
         full = (1 << len(self.members)) - 1
-        masks = [full] * len(words)
-        width = _chunk_width(len(self.index.alphabet.symbols) + 1)
-        for low in range(min(choices, default=1) - 1, max(choices, default=0), width):
-            cut = itemgetter(slice(low, low + width))  # the substring over positions low+1..low+width
-            # per position some member defines: its offset in the piece and its choices
-            checks = [(pos - low - 1, *choice) for pos in range(low + 1, low + width + 1)
-                      if (choice := choices.get(pos))]
-            table = {}
-            for piece in set(map(cut, words)):
-                agreeing = full
-                for k, past_end, by_symbol in checks:
-                    agreeing &= by_symbol[piece[k]] if k < len(piece) else past_end
-                table[piece] = agreeing
-            masks = list(map(and_, masks, map(table.__getitem__, map(cut, words))))
-        return masks
+        if self.index.product_prefix is None:
+            return _word_member_masks(self.position_choices, self.index, full)
+        return _product_member_masks(self.position_choices, self.index, full)
 
     @cached_property
     def region_logograms(self) -> list[frozenset[PartialString]]:
@@ -560,6 +654,63 @@ class Analysis:
             log_rel(self.problem, index=self.index, budget=self.budget, keep_full=False, closure=mask).reduced
             for mask in self.region_masks
         ]
+
+
+def _word_member_masks(choices: ChoiceTable, index: ProblemIndex, full: int) -> list[int]:
+    """Member masks read from the word strings, one per index word.
+
+    The positions from the first to the last that some member defines are cut into chunks
+    of as many positions as keep a chunk's substrings (one symbol or the word's end per
+    position) within DECODE_CHUNK_KEYS; each chunk has a table from a word's substring there
+    to the members agreeing with it, so a word costs one lookup and one AND per chunk.
+    """
+    words = index.words
+    masks = [full] * len(words)
+    width = _chunk_width(len(index.alphabet.symbols) + 1)
+    for low in range(min(choices, default=1) - 1, max(choices, default=0), width):
+        cut = itemgetter(slice(low, low + width))  # the substring over positions low+1..low+width
+        # per position some member defines: its offset in the piece and its choices
+        checks = [(pos - low - 1, *choice) for pos in range(low + 1, low + width + 1)
+                  if (choice := choices.get(pos))]
+        table = {}
+        for piece in set(map(cut, words)):
+            agreeing = full
+            for k, past_end, by_symbol in checks:
+                agreeing &= by_symbol[piece[k]] if k < len(piece) else past_end
+            table[piece] = agreeing
+        masks = list(map(and_, masks, map(table.__getitem__, map(cut, words))))
+    return masks
+
+
+def _product_member_masks(choices: ChoiceTable, index: ProblemIndex, full: int) -> list[int]:
+    """Member masks of a full-product base, one per index word, from the choices alone.
+
+    Every word holds the prefix and ends at L, so the members agreeing with all words at
+    the positions outside the free ones are one fixed mask: those agreeing with the prefix
+    symbol at each prefix position, and those undefined at each position past L.  Word k's
+    free symbols are the digits of k in code-point order, most significant first, so the
+    masks in index order are an AND-product over that fixed mask: the free positions are
+    cut into chunks of at most DECODE_CHUNK_KEYS symbol combinations, each chunk has a
+    table of its combinations' agreeing members in product order, and each chunk
+    multiplies the list out, every mask so far ANDed with every entry of the table.
+    """
+    prefix, length = index.product_prefix, index.max_len
+    ranked = sorted(index.alphabet.symbols)
+    fixed = full
+    for pos, (past_end, by_symbol) in choices.items():
+        if pos <= len(prefix):
+            fixed &= by_symbol[prefix[pos - 1]]
+        elif pos > length:
+            fixed &= past_end
+    masks = [fixed]
+    width = _chunk_width(len(ranked))
+    for low in range(len(prefix), length, width):
+        table = [full]
+        for pos in range(low + 1, min(low + width, length) + 1):
+            by_symbol = choices[pos][1] if pos in choices else dict.fromkeys(ranked, full)
+            table = [agreeing & by_symbol[s] for agreeing in table for s in ranked]
+        masks = [x & y for x in masks for y in table]
+    return masks
 
 
 class LogogramResult(NamedTuple):
@@ -881,15 +1032,16 @@ def load_logogram_cache(
         if (header["schema"], header["problem"], header["tool"], tuple(header["positions"])) \
                 != (1, fingerprint, __version__, positions):
             return None
-        reduced: set[PartialString] = set()
-        extras: set[PartialString] = set()
-        for line in lines[1:]:
-            if line.startswith("R "):
-                reduced.add(PartialString.parse(alphabet, line[2:]))
-            elif line.startswith(". "):
-                extras.add(PartialString.parse(alphabet, line[2:]))
-            elif line.strip():
-                return None
+        flagged = [line for line in lines[1:] if line.strip()]
+        if not all(line.startswith(("R ", ". ")) for line in flagged):
+            return None
+        texts = [line[2:] for line in flagged]
+        if "".join(texts).strip("".join(alphabet.symbols) + BLANK):
+            return None  # not the positional rendering over the alphabet that the cache writes
+        make = PartialString._unchecked  # every character is a symbol or a blank: entries need no check
+        strings = [make(alphabet, tuple([(i, c) for i, c in enumerate(text, 1) if c != BLANK])) for text in texts]
+        reduced = {g for g, line in zip(strings, flagged) if line[0] == "R"}
+        extras = {g for g, line in zip(strings, flagged) if line[0] == "."}
         if len(reduced) != header["reduced_count"]:
             return None
         full = frozenset(reduced | extras) if header["full_stored"] else None
@@ -904,5 +1056,5 @@ def load_logogram_cache(
             restricted=header["restricted"],
             elapsed=time.perf_counter() - start,
         )
-    except (ValueError, IndexError):  # undecodable text or JSON, an empty file, an unparsable string
+    except (ValueError, IndexError):  # undecodable text or JSON, an empty file
         return None

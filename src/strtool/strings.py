@@ -37,7 +37,8 @@ def read_only(self, name: str, *value: object) -> None:
     """`__setattr__` and `__delattr__` of the immutable value types.
 
     Their `__init__` sets each field once through `object.__setattr__`; equality
-    compares the field tuple and the hash is `hash` of it.
+    compares the field tuple and the hash is `hash` of it (`PartialString`
+    hashes its entries alone, which equal strings share).
     """
     raise AttributeError(f"cannot assign to or delete {type(self).__name__}.{name}")
 
@@ -139,7 +140,7 @@ class PartialString:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.alphabet, self.entries))
+        return hash(self.entries)  # equal strings have equal entries; one call, no Alphabet.__hash__
 
     @classmethod
     def of(cls, alphabet: Alphabet, entries: Mapping[int, str] | Iterable[tuple[int, str]]) -> "PartialString":

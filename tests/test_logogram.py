@@ -227,6 +227,122 @@ class TestProblemIndex:
                 idx.word_mask(foreign)
 
 
+def word_level_index(base):
+    """An index of base that takes the word-level path: no product prefix, masks read from the words."""
+    index = ProblemIndex(base)
+    index.product_prefix = None
+    index.pos_masks = logogram._column_masks(index.words, index.alphabet)
+    return index
+
+
+def result_fields(result):
+    return result._replace(elapsed=None)
+
+
+def assert_paths_agree(problem):
+    """The digit-arithmetic path against the word-level one on one full-product base.
+
+    Position masks, keys, reachable keys and member masks are compared on the same index;
+    log_rel runs once on it and once on a word-level index of the same base, over the
+    default positions and, where the space is small, over positions that add the last
+    prefix position and one past the end.
+    """
+    analysis = Analysis(problem)
+    index = analysis.index
+    assert index.product_prefix is not None
+    assert index.pos_masks == logogram._column_masks(index.words, index.alphabet)
+    word_index = word_level_index(problem.base)
+    radix = len(index.alphabet.symbols) + 1
+    free = auto_positions(index)
+    wider = (*range(1, index.shared_prefix_len + 1)[-1:], *free, index.max_len + 1)
+    for positions in [free, wider] if radix ** len(wider) <= 4 ** 8 else [free]:
+        space = index.candidate_space(positions)
+        assert space.keys.tolist() == logogram._word_keys(index, positions, radix).tolist()
+        assert space.reachable == space.extended(space.bitset(index.all_mask))
+        product, words = (log_rel(problem, positions, index=idx) for idx in (index, word_index))
+        assert result_fields(product) == result_fields(words)
+    assert all(len(index.product_prefix) < pos <= index.max_len for pos in analysis.position_choices)
+    full = (1 << len(analysis.members)) - 1
+    assert analysis.member_masks == logogram._word_member_masks(analysis.position_choices, index, full)
+
+
+def random_target(base, seed):
+    rng = random.Random(seed)
+    return FiniteLanguage.of(base.alphabet, [w for w in sorted(base.words) if rng.random() < 0.5])
+
+
+class TestFullProductIndex:
+    """A base that is prefix·Σ^k is indexed by digit arithmetic, and agrees with the word-level path."""
+
+    @pytest.mark.parametrize("n, m", [(n, m) for n in range(1, 10) for m in range(1, 10) if n * m <= 9] + [(2, 6)])
+    def test_echelons(self, n, m):
+        problem = enumerate_echelon(EchelonSpec(n, m))
+        assert ProblemIndex(problem.base).product_prefix == EchelonSpec(n, m).prefix
+        assert_paths_agree(problem)
+
+    @pytest.mark.parametrize("alphabet, length", [(BINARY, k) for k in range(7)] + [(TERNARY, k) for k in range(5)])
+    def test_sigma_exact_slices(self, alphabet, length):
+        base = sigma_exact(alphabet, length)
+        assert ProblemIndex(base).product_prefix == ""
+        for seed in range(3):
+            assert_paths_agree(DecisionProblem(base, random_target(base, seed)))
+
+    @pytest.mark.parametrize("word", ["", "0", "0110", "2102"])
+    def test_one_word_base(self, word):
+        base = lang([word], TERNARY)
+        assert ProblemIndex(base).product_prefix == word
+        for target in ([], [word]):
+            assert_paths_agree(DecisionProblem(base, lang(target, TERNARY)))
+
+    def test_alphabet_order_differs_from_code_points(self):
+        """Key digits follow the alphabet's order (1, 0, 2), index order the code points (0, 1, 2)."""
+        alphabet = Alphabet.of("102")
+        for base in (sigma_exact(alphabet, 4), lang(["21" + w for w in sigma_exact(alphabet, 3).words], alphabet)):
+            index = ProblemIndex(base)
+            assert index.words == tuple(sorted(base.words))
+            positions = auto_positions(index)
+            keys = index.candidate_space(positions).keys[:3]  # words ...0, ...1, ...2
+            assert [key // 4 ** (len(positions) - 1) for key in keys] == [2, 1, 3]  # the last position's digit
+            for seed in range(3):
+                assert_paths_agree(DecisionProblem(base, random_target(base, seed)))
+
+    @pytest.mark.parametrize("alphabet, prefix, free", [(TERNARY, "12", 3), (BINARY, "", 4), (BINARY, "0", 0)])
+    def test_member_masks_are_exact_for_any_members(self, alphabet, prefix, free):
+        """Members with entries at prefix positions, matching or not, and past the end get their cylinders' masks."""
+        base = lang([prefix + w for w in sigma_exact(alphabet, free).words], alphabet)
+        length = len(prefix) + free
+        rng = random.Random(len(prefix) * 10 + free)
+        members = [PartialString.parse(alphabet, "-")]
+        for _ in range(30):
+            picked = sorted(rng.sample(range(1, length + 3), rng.randint(1, min(4, length + 2))))
+            members.append(PartialString(alphabet, tuple((pos, rng.choice(alphabet.symbols)) for pos in picked)))
+        analysis = Analysis(DecisionProblem(base, lang([], alphabet)))
+        assert analysis.index.product_prefix == prefix
+        vars(analysis)["members"] = members  # members other than the logogram's: the builder must not rely on minimality
+        full = (1 << len(members)) - 1
+        assert logogram._product_member_masks(analysis.position_choices, analysis.index, full) \
+            == cylinder_transpose(analysis) \
+            == logogram._word_member_masks(analysis.position_choices, analysis.index, full)
+
+    def test_other_bases_take_the_word_path(self, monkeypatch):
+        product = sigma_exact(TERNARY, 3)
+        bases = [
+            FiniteLanguage.of(TERNARY, product.words - {"120"}),  # a product minus one word
+            FiniteLanguage.of(TERNARY, {"1" + w for w in product.words} - {"1000"} | {"000"}),  # same count, two lengths
+            sigma_upto(BINARY, 3),
+            lang(["0", "10", "11"]),
+        ]
+        for base in bases:
+            assert ProblemIndex(base).product_prefix is None
+        for name in ("_product_position_masks", "_product_keys", "_product_reachable", "_product_member_masks"):
+            monkeypatch.setattr(logogram, name, None)
+        for seed, base in enumerate(bases):
+            problem = DecisionProblem(base, random_target(base, seed))
+            analysis = Analysis(problem)
+            assert analysis.member_masks == cylinder_transpose(analysis)
+            assert analysis.logogram.reduced == log_rel_naive(problem)[1]
+
+
 class TestLogRel:
     def test_two_word_target(self):
         problem = DecisionProblem(sigma_exact(BINARY, 2), lang(["10", "11"]))
@@ -403,8 +519,8 @@ class TestKernel:
 
     def test_region_walks_reuse_the_index_tables(self, monkeypatch):
         builds = []
-        word_keys = logogram._word_keys
-        monkeypatch.setattr(logogram, "_word_keys", lambda *args: builds.append(args) or word_keys(*args))
+        space = logogram.CandidateSpace
+        monkeypatch.setattr(logogram, "CandidateSpace", lambda *args: builds.append(args) or space(*args))
         analysis = Analysis(enumerate_echelon(EchelonSpec(4, 2)))
         positions = analysis.logogram.positions
         tables = analysis.index.candidate_space(positions)
@@ -765,6 +881,39 @@ class TestCache:
         path = self.save(result, problem, tmp_path)
         self.rewrite_header(path, lambda header: header.update({key: value}))
         assert self.load(problem, tmp_path, result.positions) is None
+
+    @staticmethod
+    def rewrite_body(path, edit):
+        """Apply edit to the body line of each string and sign the file again, so only the body is wrong."""
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        header.pop("sha256")
+        lines[1:] = [line[:2] + edit(line[2:]) for line in lines[1:]]
+        header["sha256"] = _cache_digest(header, lines[1:])
+        lines[0] = json.dumps(header, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("foreign", ["2", "a", " ", ":", "sparse"])
+    def test_signed_body_outside_the_alphabet_and_blank_is_a_miss(self, tmp_path, foreign):
+        """Only the positional rendering the cache writes loads: any other character, sparse notation too, is a miss."""
+        problem = DecisionProblem(sigma_exact(BINARY, 2), lang(["10", "11"]))
+        result = log_rel(problem, keep_full=True)
+        path = self.save(result, problem, tmp_path)
+        assert self.load(problem, tmp_path, result.positions) is not None
+        if foreign == "sparse":
+            self.rewrite_body(path, lambda text: ",".join(f"{i}:{c}" for i, c in enumerate(text, 1) if c != "_") or "-")
+        else:
+            self.rewrite_body(path, lambda text: text.replace("0", foreign, 1))
+        assert self.load(problem, tmp_path, result.positions) is None
+
+    def test_signed_blank_padded_body_loads_as_saved(self, tmp_path):
+        spec = EchelonSpec(2, 2)
+        problem = enumerate_echelon(spec)
+        result = log_rel(problem, spec.body_positions, keep_full=True)
+        path = self.save(result, problem, tmp_path)
+        self.rewrite_body(path, lambda text: text + "__")
+        loaded = self.load(problem, tmp_path, result.positions)
+        assert (loaded.full, loaded.reduced) == (result.full, result.reduced)
 
     def test_header_without_digest_forces_recompute(self, tmp_path):
         problem = DecisionProblem(sigma_exact(BINARY, 2), lang(["10", "11"]))

@@ -1,4 +1,7 @@
-"""The immutable value types and report records: field equality, hash of the field tuple, no assignment or deletion."""
+"""The immutable value types and report records: field equality, hash of the field tuple, no assignment or deletion.
+
+`PartialString` hashes its entries alone (equal strings have equal entries), so its hash is one call.
+"""
 
 import pytest
 
@@ -71,7 +74,7 @@ def test_value_type(name):
     a, b = make(), make()
     assert a is not b and a == b and not a != b
     values = tuple(getattr(a, f) for f in fields)
-    assert hash(a) == hash(b) == hash(values)
+    assert hash(a) == hash(b) == (hash(a.entries) if name == "PartialString" else hash(values))
     for f in (*fields, "extra"):
         with pytest.raises(AttributeError):
             setattr(a, f, None)
