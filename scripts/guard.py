@@ -8,10 +8,13 @@ outputs to show that a change leaves every report byte-identical:
     python3 scripts/guard.py > after.txt     # in the new one
     diff before.txt after.txt
 
-strtool is imported from the `src` directory next to this script.  The
-cache commands run twice each, cold then warm, in one fresh temporary
-directory with a relative --cache-dir, so the first run writes the cache file,
-the second reads it, and the echoed cache_dir is the same on every machine.
+strtool is imported from the `src` directory next to this script, which is
+byte-compiled first, so that no command pays for compiling a module whose
+cached bytecode is stale (as every command would under
+PYTHONDONTWRITEBYTECODE).  The cache commands run twice each, cold then warm,
+in one fresh temporary directory with a relative --cache-dir, so the first run
+writes the cache file, the second reads it, and the echoed cache_dir is the
+same on every machine.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ CACHE_COMMANDS = (
 def main() -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-m", "compileall", "-q", str(SRC)], check=True, stdout=subprocess.DEVNULL)
     with tempfile.TemporaryDirectory() as scratch:
         runs = [(c, "json", None) for c in COMMANDS] + [(c, "text", None) for c in TEXT_COMMANDS]
         runs += [(c, "json", scratch) for c in CACHE_COMMANDS for _cold_then_warm in range(2)]

@@ -18,7 +18,9 @@ would under PYTHONDONTWRITEBYTECODE).
 The file is named after the measured code: BENCH_<short sha>.json when src/
 matches HEAD, and BENCH_<short sha>+<src digest>.json when src/ has changes
 not yet committed, the digest being the first 7 hex digits of `src_sha256`
-(a sha256 over every tracked or new file under src/, path and content).
+(a sha256 over every tracked or new file under src/, path and content).  A
+full-mode run adds "-full" before ".json", so it sits beside a quick run of
+the same code.
 """
 
 from __future__ import annotations
@@ -117,7 +119,8 @@ def main(argv: list[str] | None = None) -> int:
     commit = git("rev-parse", "--short", "HEAD") or "unknown"
     modified = bool(git("status", "--porcelain", "--", "src"))
     digest = src_digest()
-    name = f"BENCH_{commit}+{digest[:7]}.json" if modified else f"BENCH_{commit}.json"
+    name = f"BENCH_{commit}+{digest[:7]}" if modified else f"BENCH_{commit}"
+    name += ".json" if args.quick else "-full.json"
 
     subprocess.run([sys.executable, "-m", "compileall", "-q", str(ROOT / "src")], check=True)
     figures, out = launch([sys.executable, *TIER1], env)

@@ -344,7 +344,7 @@ def irreducible(analysis: Analysis) -> bool:
     """True iff removing any one reduced-logogram string breaks completeness."""
     cyls = analysis.cylinders
     if not cyls:
-        return len(analysis.problem.target.words) == 0
+        return analysis.target_mask == 0
     prefix = [0] * (len(cyls) + 1)
     for i, c in enumerate(cyls):
         prefix[i + 1] = prefix[i] | c

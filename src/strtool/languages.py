@@ -5,6 +5,14 @@ are allowed.  Full length-capped slices stand in for the set of all words
 wherever a law quantifies over it: every identity checked here is
 echelon-wise, so a capped slice is an exact test bed, not an approximation.
 
+A language that is all or part of prefix·Σ^k, such as an echelon, its
+satisfiable words or a length-k slice, can be held in product form
+(`ProductLanguage`): a bitmask over the product order of prefix·Σ^k, bit i
+for the prefix followed by the base-|Σ| digits of i in code-point order.
+Its size, subset tests against the same product and `expand_in` are mask
+arithmetic; its word set is built only when something reads it, and then
+equals, and hashes like, a plain language of the same words.
+
 Language file format: one header line "alphabet=<symbols>", then one word
 per line; '#' starts a comment; blank lines are ignored (the empty word is
 not representable in files).
@@ -15,6 +23,7 @@ from __future__ import annotations
 import itertools
 import random
 from bisect import bisect_left
+from functools import cached_property
 from operator import itemgetter, not_
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -41,6 +50,20 @@ class BudgetExceeded(RuntimeError):
         self.budget = budget
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+_DIGIT_BYTES = bytes.maketrans(b"\0\1", b"01")
+
+
+def bit_flags(mask: int) -> bytes:
+    """Byte k is bit k of a nonnegative integer (0 or 1), for itertools.compress."""
+    return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+
+
+def flags_mask(flags: bytes | bytearray) -> int:
+    """The integer whose bit k is byte k of flags (each 0 or 1), read in C: the inverse of `bit_flags`."""
+    return int(flags[::-1].translate(_DIGIT_BYTES), 2)
+
+
 class FiniteLanguage:
     def __init__(self, alphabet: Alphabet, words: frozenset[str]) -> None:
         if not set("".join(words)) <= set(alphabet.symbols):
@@ -61,7 +84,7 @@ class FiniteLanguage:
     __setattr__ = __delattr__ = read_only
 
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
+        if isinstance(other, FiniteLanguage):
             return (self.alphabet, self.words) == (other.alphabet, other.words)
         return NotImplemented
 
@@ -114,9 +137,81 @@ class FiniteLanguage:
         return f"FiniteLanguage({''.join(self.alphabet.symbols)};{{{sample}{extra}}})"
 
 
-def sigma_exact(alphabet: Alphabet, n: int) -> FiniteLanguage:
-    """All words of length exactly n."""
-    return FiniteLanguage.of(alphabet, ("".join(t) for t in itertools.product(alphabet.symbols, repeat=n)))
+class ProductLanguage(FiniteLanguage):
+    """Words of prefix·Σ^free chosen by a bitmask over the product order, held without word strings.
+
+    Word i of the product order is prefix followed by the base-|Σ| digits of i, most
+    significant first, with the symbols ranked in code-point order: sorted by text, as
+    `ProblemIndex` orders a one-length base.  Bit i of mask stands for word i; no mask is
+    the whole product.  `len` is the mask's popcount, and equality and subset tests against a
+    language over the same product compare masks.  `words` is built on first read and is
+    the frozenset a plain language of the same words holds, so the two compare and hash alike.
+    """
+
+    def __init__(self, alphabet: Alphabet, prefix: str, free: int, mask: int | None = None) -> None:
+        if not set(prefix) <= set(alphabet.symbols):
+            raise ValueError(f"prefix {prefix!r} uses a symbol outside {alphabet!r}")
+        if free < 0:
+            raise ValueError("need free >= 0")
+        full = (1 << len(alphabet.symbols) ** free) - 1
+        if mask is None:
+            mask = full
+        elif mask < 0 or mask & ~full:
+            raise ValueError(f"mask has bits outside the {full.bit_length()} words of the product")
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "free", free)
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "is_full", mask == full)
+
+    def masked(self, mask: int) -> "ProductLanguage":
+        """The language over the same product with this mask."""
+        return ProductLanguage(self.alphabet, self.prefix, self.free, mask)
+
+    @property
+    def length(self) -> int:
+        return len(self.prefix) + self.free
+
+    def _same_product(self, other: object) -> bool:
+        return isinstance(other, ProductLanguage) and \
+            (self.alphabet, self.prefix, self.free) == (other.alphabet, other.prefix, other.free)
+
+    def ordered_words(self) -> list[str]:
+        """The words in product order, built four free positions at a time."""
+        symbols = sorted(self.alphabet.symbols)
+        words = [self.prefix]
+        for start in range(0, self.free, 4):
+            tails = ["".join(t) for t in itertools.product(symbols, repeat=min(4, self.free - start))]
+            words = [word + tail for word in words for tail in tails]
+        return words if self.is_full else list(itertools.compress(words, bit_flags(self.mask)))
+
+    @cached_property
+    def words(self) -> frozenset[str]:
+        return frozenset(self.ordered_words())
+
+    def __eq__(self, other: object) -> bool:
+        if self._same_product(other):
+            return self.mask == other.mask
+        return super().__eq__(other)
+
+    __hash__ = FiniteLanguage.__hash__
+
+    def __len__(self) -> int:
+        return self.mask.bit_count()
+
+    @property
+    def max_len(self) -> int:
+        return self.length if self.mask else 0
+
+    def issubset(self, other: FiniteLanguage) -> bool:
+        if self._same_product(other):
+            return not self.mask & ~other.mask
+        return super().issubset(other)
+
+
+def sigma_exact(alphabet: Alphabet, n: int) -> ProductLanguage:
+    """All words of length exactly n, in product form."""
+    return ProductLanguage(alphabet, "", n)
 
 
 def sigma_upto(alphabet: Alphabet, cap: int) -> FiniteLanguage:
@@ -142,6 +237,11 @@ def expand_in(H: Iterable[PartialString], L: FiniteLanguage) -> FiniteLanguage:
     projection and lookup per word; a word that matches leaves the list the
     later domains scan.  About |L| x (distinct domains) steps, plus one step
     per member and a sort of L by length.
+
+    A product-form L is not read word by word: each domain's projections
+    become a table of flags over its free positions' symbol combinations,
+    spread to the whole product order (`_spread`), and the result is L's mask
+    ANDed with the OR of those flags, again in product form.
     """
     projections: dict[tuple[int, ...], set] = {}
     bottom = False
@@ -156,6 +256,8 @@ def expand_in(H: Iterable[PartialString], L: FiniteLanguage) -> FiniteLanguage:
         projections.setdefault(domain, set()).add(symbols if len(symbols) > 1 else symbols[0])
     if bottom:
         return L  # the empty string is included in every word
+    if isinstance(L, ProductLanguage):
+        return L.masked(L.mask & _product_expansion(projections, L))
     rest = sorted(L.words, key=len)
     hits: list[str] = []
     for domain, projs in projections.items():
@@ -166,6 +268,62 @@ def expand_in(H: Iterable[PartialString], L: FiniteLanguage) -> FiniteLanguage:
             hits.extend(itertools.compress(tail, found))
             rest[start:] = itertools.compress(tail, map(not_, found))
     return L._sub(frozenset(hits))
+
+
+def _product_expansion(projections: dict[tuple[int, ...], set], L: ProductLanguage) -> int:
+    """The mask, over L's whole product, of the words whose symbols on some domain form one of its projections.
+
+    Per domain, a projection must match L's prefix at the prefix positions it covers; its
+    symbols at the free positions, as base-|Σ| digits in code-point order, index a flag
+    table over the domain's free positions.  A domain reaching past L's length matches no word.
+    """
+    symbols = sorted(L.alphabet.symbols)
+    rank = {s: d for d, s in enumerate(symbols)}
+    start = len(L.prefix)
+    mask = 0
+    for domain, projs in projections.items():
+        if domain[-1] > L.length:
+            continue
+        fixed = tuple(L.prefix[p - 1] for p in domain if p <= start)  # positions increase: prefix ones first
+        free = [p - start for p in domain if p > start]
+        table = bytearray(len(symbols) ** len(free))
+        for proj in projs:
+            proj = proj if len(domain) > 1 else (proj,)  # one position projects to a bare symbol
+            if proj[:len(fixed)] == fixed:
+                k = 0
+                for s in proj[len(fixed):]:
+                    k = k * len(symbols) + rank[s]
+                table[k] = 1
+        if any(table):
+            mask |= flags_mask(_spread(table, free, L.free, len(symbols)))
+    return mask
+
+
+def _spread(table: bytearray, domain: list[int], free: int, radix: int) -> bytearray:
+    """Flags over the digit tuples of domain (free positions, increasing) spread to all of Σ^free.
+
+    Byte i of the result is table's byte at word i's digits on domain.  Positions are
+    taken last first; the flags then run over the domain digits before p, outermost, and
+    all digits after p, an inner block.  A domain position's digit joins the block as it
+    is; any other position repeats each block radix times, by strided slices when blocks
+    outnumber their bytes.
+    """
+    flags, block = table, 1
+    inside = set(domain)
+    for p in range(free, 0, -1):
+        if p not in inside:
+            grown = bytearray(len(flags) * radix)
+            if block < len(flags) // block:
+                for j in range(block):
+                    column = flags[j::block]
+                    for c in range(radix):
+                        grown[c * block + j::block * radix] = column
+            else:
+                for i in range(0, len(flags), block):
+                    grown[i * radix:(i + block) * radix] = flags[i:i + block] * radix
+            flags = grown
+        block *= radix
+    return flags
 
 
 def cylindrify(A: FiniteLanguage, L: FiniteLanguage) -> FiniteLanguage:

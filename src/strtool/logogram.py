@@ -11,7 +11,9 @@ followed by every word of Σ^k (an echelon is one), word k is the prefix and
 the base-|Σ| digits of k, and the index is digit arithmetic: a position's
 masks are periodic bit patterns, and the word keys and the keys some word
 extends (below) are built by replicating blocks, without reading a word.
-Otherwise each length group is joined into one text, and a position's
+An echelon or a `sigma_exact` slice arrives as a `ProductLanguage`, which
+states its prefix and length, so its index sorts nothing and builds its word
+list only if something reads it.  Otherwise each length group is joined into one text, and a position's
 column is a strided slice of each group's text: the index makes no Python
 step per word.  Candidates are integer keys (digit j of a key is
 the symbol code at the j-th candidate position, 0 = undefined), and the
@@ -29,6 +31,9 @@ per word and the keys some base word extends, so each region walk builds
 only its bad-word bitset.  A target reaches the kernel as its closure
 mask: the base words having a prefix among its words, which on a
 prefix-free base are its words themselves (`ProblemIndex.closure_mask`).
+A target that is a mask over the base's product, as an echelon's
+satisfiable words are, is its own mask; any other target's words are read
+in one membership pass (`ProblemIndex.language_mask`).
 `log_rel` is the one entry into the kernel: the absolute logogram
 (`log_abs`, on which LogExp is built) is the logogram relative to a full
 capped slice, over every position.  A deliberately plain enumerator
@@ -110,7 +115,8 @@ from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from . import __version__
-from .languages import BudgetExceeded, FiniteLanguage, cylindrify, expand_in, is_full_slice
+from .languages import (BudgetExceeded, FiniteLanguage, ProductLanguage, bit_flags, cylindrify, expand_in,
+                        flags_mask, is_full_slice)
 from .strings import BLANK, Alphabet, AlphabetMismatch, PartialString, read_only, reduce_strings
 
 DEFAULT_CANDIDATE_BUDGET = 4 ** 12
@@ -200,35 +206,48 @@ class ProblemIndex:
     prefix followed by the base-|Σ| digits of k, and its masks, keys and member
     masks follow from digit arithmetic without reading a word
     (`_product_position_masks`, `_product_keys`, `_product_reachable`,
-    `_product_member_masks`).  Every other base is read word by word
+    `_product_member_masks`).  A whole `ProductLanguage` (an echelon or a
+    `sigma_exact` slice) states its prefix and length, so it is indexed without
+    a sort, and `words` is built only when read; a base given as words is sorted
+    and tested for the product shape.  Every other base is read word by word
     (`_column_masks`, `_word_keys`, `_word_member_masks`).
     """
 
     def __init__(self, base: FiniteLanguage):
-        if not base.words:
+        if not len(base):
             raise ValueError("cannot index an empty base language")
         self.language = base
         self.alphabet = base.alphabet
-        by_lex = sorted(base.words)
-        self.words = tuple(sorted(by_lex, key=len))  # stable: by length, then text
-        self.all_mask = (1 << len(self.words)) - 1
-        self.max_len = len(self.words[-1])
-        lo, hi = by_lex[0], by_lex[-1]
-        shared = 0
-        while shared < len(lo) and lo[shared] == hi[shared]:
-            shared += 1
-        self.shared_prefix_len = shared if len(self.words) > 1 else 0
-        one_length = len(self.words[0]) == self.max_len
-        self.product_prefix = lo[:shared] if one_length and \
-            len(self.words) == len(self.alphabet.symbols) ** (self.max_len - shared) else None
+        self._spaces: dict[tuple[int, ...], CandidateSpace] = {}
+        if isinstance(base, ProductLanguage) and base.is_full:  # prefix·Σ^free as stated: no word is read
+            self.product_prefix, self.max_len, self.all_mask = base.prefix, base.length, base.mask
+            self.shared_prefix_len = len(base.prefix) if self.all_mask > 1 else 0
+            self.prefix_free = True
+        else:
+            by_lex = sorted(base.words)
+            self.words = tuple(sorted(by_lex, key=len))  # stable: by length, then text
+            self.all_mask = (1 << len(self.words)) - 1
+            self.max_len = len(self.words[-1])
+            lo, hi = by_lex[0], by_lex[-1]
+            shared = 0
+            while shared < len(lo) and lo[shared] == hi[shared]:
+                shared += 1
+            self.shared_prefix_len = shared if len(self.words) > 1 else 0
+            one_length = len(self.words[0]) == self.max_len
+            self.product_prefix = lo[:shared] if one_length and \
+                len(self.words) == len(self.alphabet.symbols) ** (self.max_len - shared) else None
+            self.prefix_free = one_length or not any(
+                by_lex[i + 1].startswith(by_lex[i]) for i in range(len(by_lex) - 1)
+            )
         if self.product_prefix is None:
             self.pos_masks = _column_masks(self.words, self.alphabet)
         else:
             self.pos_masks = _product_position_masks(self.alphabet, self.product_prefix, self.max_len)
-        self.prefix_free = one_length or not any(
-            by_lex[i + 1].startswith(by_lex[i]) for i in range(len(by_lex) - 1)
-        )
-        self._spaces: dict[tuple[int, ...], CandidateSpace] = {}
+
+    @cached_property
+    def words(self) -> tuple[str, ...]:
+        """The words of a whole `ProductLanguage` base in index order, built on first read (others set it at once)."""
+        return tuple(self.language.ordered_words())
 
     @cached_property
     def ordinal(self) -> dict[str, int]:
@@ -247,10 +266,23 @@ class ProblemIndex:
         Raises KeyError for a word outside the base.
         """
         words = frozenset(words)  # the same object when it already is one
-        mask = int(bytes(map(words.__contains__, reversed(self.words))).translate(_DIGIT_BYTES), 2)
+        mask = flags_mask(bytes(map(words.__contains__, self.words)))
         if mask.bit_count() != len(words):
             raise KeyError(next(w for w in words if w not in self.ordinal))
         return mask
+
+    def language_mask(self, language: FiniteLanguage) -> int:
+        """The mask of a sublanguage of the base.
+
+        A `ProductLanguage` over the product this index was built on carries its mask in
+        index order, so it is returned as it is and no word is read; any other language
+        goes through `word_mask`.
+        """
+        if isinstance(language, ProductLanguage) and self.product_prefix is not None and \
+                (language.alphabet, language.prefix, language.length) == \
+                (self.alphabet, self.product_prefix, self.max_len):
+            return language.mask
+        return self.word_mask(language.words)
 
     def cylinder_mask(self, g: PartialString) -> int:
         mask = self.all_mask
@@ -263,7 +295,10 @@ class ProblemIndex:
         return mask
 
     def mask_language(self, mask: int) -> FiniteLanguage:
-        return self.language._sub(frozenset(itertools.compress(self.words, _bit_flags(mask))))
+        """The base words of mask: in product form over a whole `ProductLanguage` base, read from `words` otherwise."""
+        if isinstance(self.language, ProductLanguage) and self.language.is_full:  # index order is product order
+            return self.language.masked(mask)
+        return self.language._sub(frozenset(itertools.compress(self.words, bit_flags(mask))))
 
     def closure_mask(self, mask: int) -> int:
         """The base words having a prefix among mask's words: mask itself when the base is prefix-free."""
@@ -359,7 +394,7 @@ class CandidateSpace:
     def bitset(self, word_mask: int) -> int:
         """The keys of the words in word_mask (bit k for index.words[k])."""
         row = bytearray((self.size + 7) >> 3)
-        for key in itertools.compress(self.keys, _bit_flags(word_mask)):
+        for key in itertools.compress(self.keys, bit_flags(word_mask)):
             row[key >> 3] |= 1 << (key & 7)
         return int.from_bytes(row, "little")
 
@@ -427,15 +462,6 @@ def _chunk_width(radix: int) -> int:
     return width
 
 
-_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
-_DIGIT_BYTES = bytes.maketrans(b"\0\1", b"01")
-
-
-def _bit_flags(mask: int) -> bytes:
-    """Byte k is bit k of a nonnegative integer (0 or 1), for itertools.compress."""
-    return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
-
-
 def _word_keys(index: ProblemIndex, positions: tuple[int, ...], base: int) -> memoryview:
     """One candidate key per index word, in index order, as unsigned 64-bit integers.
 
@@ -451,7 +477,7 @@ def _word_keys(index: ProblemIndex, positions: tuple[int, ...], base: int) -> me
         for d, sym in enumerate(index.alphabet.symbols, 1):
             mask = index.pos_masks[p - 1].get(sym)
             if mask:
-                bits = _bit_flags(mask)
+                bits = bit_flags(mask)
                 fields = bytearray(width)
                 fields[:8 * len(bits):8] = bits
                 packed += int.from_bytes(fields, "little") * (d * base ** j)
@@ -551,8 +577,8 @@ class Analysis:
 
     @cached_property
     def target_mask(self) -> int:
-        """The target's closure within the base."""
-        return self.index.closure_mask(self.index.word_mask(self.problem.target.words))
+        """The target's closure within the base (the target's own mask when it is a mask over the base)."""
+        return self.index.closure_mask(self.index.language_mask(self.problem.target))
 
     def regions_holding(self, g: PartialString, cylinder: int) -> int:
         """Bit j is set iff region j's closure within the base holds all of g's (nonempty) cylinder.
@@ -775,7 +801,7 @@ def log_rel(
 
     tables = idx.candidate_space(positions)
     if closure is None:
-        closure = idx.closure_mask(idx.word_mask(problem.target.words))
+        closure = idx.closure_mask(idx.language_mask(problem.target))
     qualifying = tables.qualifying(idx.all_mask & ~closure)
     full_count = qualifying.bit_count()
     if keep_full is None:
@@ -903,13 +929,15 @@ def logexp_closure_check(
 def verify_logogram_expansion(analysis: Analysis | DecisionProblem) -> bool:
     """True iff expanding the logogram (full and reduced) inside E recovers the prefix closure of F.
 
-    The expansions are recomputed from the base words, independently of the
-    index masks the engine used.  The reduced set's expansion is the words
-    whose member mask (`Analysis.member_masks`, built from the members and
-    the word strings) is nonzero, read as one mask in index order and
-    compared with the target's closure mask.  The full set is scanned by
-    `expand_in` only when it is stored; otherwise its expansion is the
-    reduced set's, since every member of the full set extends a reduced one.
+    The expansions are recomputed from the base (its words, or its product
+    form), independently of the index masks the engine used.  The reduced
+    set's expansion is the words whose member mask (`Analysis.member_masks`,
+    built from the members and the base) is nonzero, read as one mask in
+    index order and compared with the target's closure mask.  The full set
+    is expanded by `expand_in` only when it is stored (on a product-form
+    base by flag tables over the product, and compared as a mask);
+    otherwise its expansion is the reduced set's, since every member of the
+    full set extends a reduced one.
     """
     if isinstance(analysis, DecisionProblem):
         analysis = Analysis(analysis)
@@ -918,7 +946,7 @@ def verify_logogram_expansion(analysis: Analysis | DecisionProblem) -> bool:
             expand_in(result.full, problem.base) != analysis.index.mask_language(analysis.target_mask):
         return False
     included = bytes(map(bool, analysis.member_masks))  # byte k: word k includes a member
-    return int(included[::-1].translate(_DIGIT_BYTES), 2) == analysis.target_mask
+    return flags_mask(included) == analysis.target_mask
 
 
 def cover_of(

@@ -17,8 +17,12 @@ positions, each code with its literal mask.  `enumerate_echelon` ANDs one
 mask per clause block to find the satisfiable words, the target, without
 decoding a word (the last block only as the product of the codes that miss
 the others' AND), and keeps no per-word label; which regions hold a string
-is then answered from the clauses alone.  `decode` and `satisfies` are the
-per-formula forms of the same facts.
+is then answered from the clauses alone.  An echelon is the product
+prefix·{0,1,2}^(nm), and word k of it (in sorted order) is the prefix
+followed by the base-3 digits of k, so it builds no word string: the base is
+a `ProductLanguage` and the target the same product with a mask, bit k set
+when word k is satisfiable.  `decode` and `satisfies` are the per-formula
+forms of the same facts.
 
 Literals are nonzero signed integers (DIMACS style): +i for the plain
 variable, -i for its negation.  The CLI formula grammar separates clauses
@@ -30,7 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .languages import BudgetExceeded, FiniteLanguage
+from .languages import BudgetExceeded, ProductLanguage, flags_mask
 from .logogram import ClauseProduct, DecisionProblem
 from .strings import TERNARY, Alphabet, PartialString, read_only
 
@@ -225,40 +229,41 @@ def check_word_budget(spec: EchelonSpec, budget: int) -> None:
 def enumerate_echelon(spec: EchelonSpec, budget: int = DEFAULT_WORD_BUDGET) -> DecisionProblem:
     """The full echelon: all encoded words, the satisfiable ones, and its regions as a clause product.
 
-    A word's satisfying assignments are the AND of its clause blocks' masks
-    (`_clause_masks`), and the target is the words where that is nonzero.
-    Masks are kept only for the first m - 1 blocks, one per prefix of
-    those blocks.  The last block decides just whether a word is
-    satisfiable: under a prefix's mask the unsatisfiable last blocks are a
-    product of codes (`_unsatisfied_blocks`), so those words' flags are
-    cleared and no last-block mask is built.  The problem's `ClauseProduct`
-    lists, per clause, its n body positions with each literal code's mask,
-    from which `Analysis` answers region questions without a per-word label.
+    The base is prefix·{0,1,2}^(nm) in product form, and word k is the one
+    whose m clause blocks are the base-3^n digits of k.  A word's satisfying
+    assignments are the AND of its clause blocks' masks (`_clause_masks`), and
+    the target is the words where that is nonzero.  Masks are kept only for
+    the first m - 1 blocks, one per prefix of those blocks.  The last block
+    decides just whether a word is satisfiable: under a prefix's mask the
+    unsatisfiable last blocks are a product of codes (`_unsatisfied_blocks`),
+    so those words' flags are cleared and no last-block mask is built.  The
+    flags, read as one integer in C, are the target's mask over the base; no
+    word string is built.  The problem's `ClauseProduct` lists, per clause,
+    its n body positions with each literal code's mask, from which `Analysis`
+    answers region questions without a per-word label.
     """
     check_word_budget(spec, budget)
     literal = _literal_masks(spec.n)
-    bodies = ["".join(codes) for codes in itertools.product(SAT_ALPHABET.symbols, repeat=spec.n)]
+    width = len(SAT_ALPHABET.symbols) ** spec.n  # clause blocks, in product order
     blocks = _clause_masks(literal) if spec.m > 1 else []
-    words, masks = [spec.prefix], [(1 << 2 ** spec.n) - 1]
+    masks = [(1 << 2 ** spec.n) - 1]
     for _ in range(spec.m - 1):
-        words = [word + body for word in words for body in bodies]
         masks = [mask & block for mask in masks for block in blocks]
-    words = [word + body for word in words for body in bodies]
-    satisfiable = bytearray(b"\x01") * len(words)
+    satisfiable = bytearray(b"\x01") * (len(masks) * width)
     unsatisfied: dict[int, list[int]] = {}  # per distinct prefix mask
-    for offset, mask in zip(range(0, len(words), len(bodies)), masks):
+    for offset, mask in zip(range(0, len(satisfiable), width), masks):
         indices = unsatisfied.get(mask)
         if indices is None:
             indices = unsatisfied[mask] = _unsatisfied_blocks(literal, mask)
         for index in indices:
             satisfiable[offset + index] = 0
-    base = FiniteLanguage.of(SAT_ALPHABET, words)
+    base = ProductLanguage(SAT_ALPHABET, spec.prefix, spec.n * spec.m)
     clauses = tuple(
         tuple((spec.position(c, i + 1), code, mask)
               for i in range(spec.n) for code, mask in literal[i].items() if mask)
         for c in range(1, spec.m + 1)
     )
-    return DecisionProblem(base=base, target=base._sub(frozenset(itertools.compress(words, satisfiable))),
+    return DecisionProblem(base=base, target=base.masked(flags_mask(satisfiable)),
                            clauses=ClauseProduct(2 ** spec.n, clauses))
 
 

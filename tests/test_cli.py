@@ -118,7 +118,7 @@ class TestLogogramCommand:
         assert captured.err == "memory error: out of memory\n"
 
     def test_memory_limit_in_a_child_is_exit_2_without_a_report(self):
-        """A 120 MB address-space limit, set in the child alone, stops (2,6)'s battery, which peaks near 210 MB.
+        """A 120 MB address-space limit, set in the child alone, stops (3,4)'s battery, which peaks near 180 MB.
 
         Importing strtool fits under 40 MB on Linux x86-64 with CPython 3.11; where the
         interpreter cannot even start under the limit, the test is skipped rather than failed.
@@ -134,7 +134,7 @@ class TestLogogramCommand:
 
         if run("-c", "import strtool.cli").returncode != 0:
             pytest.skip("this interpreter cannot start and import strtool under a 120 MB address-space limit")
-        proc = run("-m", "strtool", "verify", "--suite", "sat", "--n", "2", "--m", "6", "--threads", "1")
+        proc = run("-m", "strtool", "verify", "--suite", "sat", "--n", "3", "--m", "4", "--threads", "1")
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("memory error:") and "Traceback" not in proc.stderr

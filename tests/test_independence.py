@@ -777,6 +777,13 @@ class TestCompletenessAndIrreducibility:
     def test_redundant_member_not_irreducible(self):
         assert not irreducible(Analysis(entangled_problem()))
 
+    def test_empty_target_is_vacuously_irreducible(self):
+        base = sigma_exact(BINARY, 2)
+        analysis = Analysis(DecisionProblem(base, base.masked(0)))
+        assert analysis.members == [] and irreducible(analysis)
+        assert "words" not in vars(base)  # the empty target is read as its mask
+        assert irreducible(Analysis(DecisionProblem(base, lang([]))))
+
 
 class TestShape:
     def test_echelon_members_are_one_literal_per_clause(self):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from strtool.languages import (
     BINARY,
     BudgetExceeded,
     FiniteLanguage,
+    ProductLanguage,
     TERNARY,
     check_expansion_laws,
     cylindrify,
@@ -20,7 +22,7 @@ from strtool.languages import (
     sigma_upto,
     strings_of,
 )
-from strtool.strings import AlphabetMismatch, PartialString, word_includes
+from strtool.strings import Alphabet, AlphabetMismatch, PartialString, word_includes
 
 
 def ps(text, alphabet=BINARY):
@@ -80,6 +82,69 @@ class TestExpandIn:
             seen["empty word"] += "" in L.words
             expected = {w for w in L.words if any(word_includes(w, g) for g in H)}
             assert expand_in(H, L).words == expected
+        assert min(seen.values()) > 20, seen
+
+
+def random_product(rng):
+    """A product-form language over a random frame: binary, ternary or ternary ranked 1, 0, 2; whole or masked."""
+    alphabet = rng.choice([BINARY, TERNARY, Alphabet.of("102")])
+    prefix = "".join(rng.choice(alphabet.symbols) for _ in range(rng.randint(0, 2)))
+    whole = ProductLanguage(alphabet, prefix, rng.randint(0, 5))
+    return whole if rng.random() < 0.3 else whole.masked(rng.getrandbits(len(whole)))
+
+
+class TestProductLanguage:
+    """A product-form language against the plain language of its words."""
+
+    def test_agrees_with_the_plain_language_of_its_words(self):
+        rng = random.Random(21)
+        for _ in range(300):
+            L = random_product(rng)
+            assert "words" not in vars(L)
+            whole = ProductLanguage(L.alphabet, L.prefix, L.free)
+            expected = {L.prefix + "".join(t) for t, bit in
+                        zip(itertools.product(sorted(L.alphabet.symbols), repeat=L.free), bin(L.mask)[:1:-1] + "0" * len(whole))
+                        if bit == "1"}
+            plain = lang(expected, L.alphabet)
+            assert len(L) == len(plain) and L.max_len == plain.max_len
+            assert L.ordered_words() == sorted(expected)
+            assert L == plain and plain == L and hash(L) == hash(plain)
+            assert L.issubset(whole) and plain.issubset(whole) and L.issubset(plain) and whole.issubset(plain) == (L == whole)
+            assert L.intersection(whole) == plain and whole.difference(L) == lang(whole.words - expected, L.alphabet)
+            assert cylindrify(lang([L.prefix], L.alphabet), L) == plain
+
+    def test_same_words_over_another_product(self):
+        short, longer = ProductLanguage(BINARY, "0", 1, 0b01), ProductLanguage(BINARY, "00", 0)
+        assert short == longer and hash(short) == hash(longer) and short.issubset(longer)
+        assert short != ProductLanguage(BINARY, "0", 1, 0b10)
+
+    def test_rejects_bad_masks_and_prefixes(self):
+        with pytest.raises(ValueError):
+            ProductLanguage(BINARY, "2", 1)
+        with pytest.raises(ValueError):
+            ProductLanguage(BINARY, "", 2, 1 << 4)
+        with pytest.raises(ValueError):
+            ProductLanguage(BINARY, "", 2).masked(-1)
+
+    def test_expand_in_agrees_with_word_includes_scan(self):
+        """Members over the prefix (matching or not), the free positions and past the end, in product form."""
+        rng = random.Random(22)
+        seen = {"prefix entry": 0, "past the end": 0, "gap in the domain": 0, "no hit": 0}
+        for _ in range(400):
+            L = random_product(rng)
+            H = set(random_string_set(rng, L.alphabet, cap=L.length + 1, max_size=6))
+            for g in list(H):
+                if g.entries and rng.random() < 0.5:  # the same domain, other symbols
+                    H.add(PartialString.of(L.alphabet, [(p, rng.choice(L.alphabet.symbols)) for p, _ in g.entries]))
+            expected = {w for w in L.words if any(word_includes(w, g) for g in H)}
+            expanded = expand_in(H, L)
+            assert isinstance(expanded, ProductLanguage) and expanded == lang(expected, L.alphabet)
+            assert expanded == expand_in(H, lang(L.words, L.alphabet))
+            domains = [[p for p, _ in g.entries] for g in H]
+            seen["prefix entry"] += any(d and d[0] <= len(L.prefix) for d in domains)
+            seen["past the end"] += any(d and d[-1] > L.length for d in domains)
+            seen["gap in the domain"] += any(d and len(d) < d[-1] - d[0] + 1 for d in domains)
+            seen["no hit"] += not expected
         assert min(seen.values()) > 20, seen
 
 

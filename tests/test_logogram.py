@@ -12,6 +12,7 @@ from strtool.languages import (
     BINARY,
     BudgetExceeded,
     FiniteLanguage,
+    ProductLanguage,
     TERNARY,
     cylindrify,
     expand_in,
@@ -57,6 +58,10 @@ def lang(words, alphabet=BINARY):
 
 def renders(strings):
     return sorted(g.render() for g in strings)
+
+
+# Every echelon of at most 3**9 words.
+SMALL_ECHELONS = [(n, m) for n in range(1, 10) for m in range(1, 10) if n * m <= 9]
 
 
 class TestDecisionProblem:
@@ -120,7 +125,7 @@ class TestMemberMasks:
             bottoms += any(not g.entries for g in analysis.members)
         assert bottoms > 20
 
-    @pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 10) for m in range(1, 10) if n * m <= 9])
+    @pytest.mark.parametrize("n,m", SMALL_ECHELONS)
     def test_echelons(self, n, m):
         analysis = Analysis(enumerate_echelon(EchelonSpec(n, m)))
         assert analysis.member_masks == cylinder_transpose(analysis)
@@ -271,10 +276,14 @@ def random_target(base, seed):
     return FiniteLanguage.of(base.alphabet, [w for w in sorted(base.words) if rng.random() < 0.5])
 
 
+def echelon_base(n, m):
+    return enumerate_echelon(EchelonSpec(n, m)).base
+
+
 class TestFullProductIndex:
     """A base that is prefix·Σ^k is indexed by digit arithmetic, and agrees with the word-level path."""
 
-    @pytest.mark.parametrize("n, m", [(n, m) for n in range(1, 10) for m in range(1, 10) if n * m <= 9] + [(2, 6)])
+    @pytest.mark.parametrize("n, m", SMALL_ECHELONS + [(2, 6)])
     def test_echelons(self, n, m):
         problem = enumerate_echelon(EchelonSpec(n, m))
         assert ProblemIndex(problem.base).product_prefix == EchelonSpec(n, m).prefix
@@ -286,6 +295,42 @@ class TestFullProductIndex:
         assert ProblemIndex(base).product_prefix == ""
         for seed in range(3):
             assert_paths_agree(DecisionProblem(base, random_target(base, seed)))
+
+    @pytest.mark.parametrize("make, args", [(echelon_base, nm) for nm in SMALL_ECHELONS + [(2, 6)]]
+                             + [(sigma_exact, (alphabet, k)) for alphabet in (BINARY, TERNARY, Alphabet.of("102"))
+                                for k in range(5)]
+                             + [(ProductLanguage, (TERNARY, "2102", 0)), (ProductLanguage, (BINARY, "0110", 0))])
+    def test_product_form_indexes_as_its_words(self, make, args):
+        """A product-form base is indexed without a sort, exactly as the plain language of its words."""
+        base = make(*args)
+        index = ProblemIndex(base)
+        assert "words" not in vars(index) and "words" not in vars(base)
+        plain = ProblemIndex(FiniteLanguage.of(base.alphabet, base.words))
+        for name in ("product_prefix", "shared_prefix_len", "max_len", "all_mask", "prefix_free", "pos_masks", "words"):
+            assert getattr(index, name) == getattr(plain, name), name
+        rng = random.Random(len(base))
+        target = base.masked(rng.getrandbits(len(base)))
+        product_form, word_form = (Analysis(DecisionProblem(b, t), budget=4 ** 9)
+                                   for b, t in ((base, target), (plain.language, FiniteLanguage.of(base.alphabet, target.words))))
+        assert product_form.target_mask == target.mask == word_form.target_mask
+        if len(auto_positions(index)) <= 9:
+            assert result_fields(product_form.logogram) == result_fields(word_form.logogram)
+            assert product_form.index.mask_language(product_form.target_mask) == target
+
+    def test_masked_product_base_is_indexed_by_its_words(self):
+        """A part of a product is a base given by words, even when those words form a smaller product."""
+        whole = ProductLanguage(TERNARY, "1", 2)
+        for mask in (0b111, 0b111 << 3, 0b101010101, 0b11):  # "10x", "11x", a scatter, two words
+            base = whole.masked(mask)
+            index = ProblemIndex(base)
+            assert index.words == tuple(sorted(base.ordered_words()))
+            assert index.mask_language(index.all_mask) == base
+            assert index.mask_language(1) == lang([index.words[0]], TERNARY)
+            assert index.language_mask(base) == index.all_mask
+            problem = DecisionProblem(base, random_target(base, mask))
+            plain = DecisionProblem(lang(base.words, TERNARY), problem.target)
+            assert result_fields(log_rel(problem)) == result_fields(log_rel(plain))
+            assert log_rel(problem, restrict="never", keep_full=True).reduced == log_rel_naive(problem)[1]
 
     @pytest.mark.parametrize("word", ["", "0", "0110", "2102"])
     def test_one_word_base(self, word):

@@ -1,13 +1,16 @@
+import functools
 import itertools
 import random
 
 import pytest
 
+from strtool import cli
 from strtool.cli import main
 from strtool.independence import classify_all
 from strtool.languages import BudgetExceeded, FiniteLanguage
-from strtool.logogram import Analysis, DecisionProblem, ProblemIndex
+from strtool.logogram import Analysis, DecisionProblem, ProblemIndex, log_rel_naive
 from strtool.sat import (
+    SAT_ALPHABET,
     CnfInstance,
     EchelonSpec,
     consistent_selection_count,
@@ -85,6 +88,30 @@ def label_by_literals(spec: EchelonSpec) -> dict[str, int]:
         if label:
             labels[word] = label
     return labels
+
+
+def word_level_echelon(spec: EchelonSpec) -> tuple[list[str], list[str]]:
+    """The echelon's words and its satisfiable ones, built word by word (judge for the product form).
+
+    Every tuple of m clauses over n variables is encoded by `encode`.  A formula is
+    satisfiable when some assignment satisfies all its clauses, each clause decided by
+    `satisfies` once per assignment that is tried on it.
+    """
+    ys = solutions(spec.n)
+    clauses = [frozenset(i if code == 1 else -i for i, code in enumerate(codes, 1) if code)
+               for codes in itertools.product((0, 1, 2), repeat=spec.n)]
+
+    @functools.cache
+    def holds(clause, y):
+        return satisfies(CnfInstance.of(spec.n, [clause]), y)
+
+    words, satisfiable = [], []
+    for chosen in itertools.product(clauses, repeat=spec.m):
+        word = encode(CnfInstance(spec.n, spec.m, chosen))
+        words.append(word)
+        if any(all(holds(c, y) for c in chosen) for y in ys):
+            satisfiable.append(word)
+    return words, satisfiable
 
 
 # Every echelon of at most 3**9 words; (4,2) is among them.
@@ -209,23 +236,32 @@ class TestEchelons:
         labels = label_by_literals(spec)
         assert [frozenset(w for w, label in labels.items() if label >> j & 1) for j in range(2 ** n)] == regions
 
-    def test_builds_only_base_and_target(self, monkeypatch):
-        scanned, subs = [], []  # languages built by the symbol-scanning constructor, and sublanguages
-        real_init, real_sub = FiniteLanguage.__init__, FiniteLanguage._sub
+    @pytest.mark.parametrize("n,m", [(2, 2), (3, 3)])
+    def test_suites_build_no_word_set(self, monkeypatch, capsys, n, m):
+        """The sat, regions and wizards suites read an echelon's base, target and index as masks only."""
+        problems, indexes = [], []
+        real_admitted, real_init = cli.admitted_echelon, ProblemIndex.__init__
 
-        def counting_init(language, *args):
-            scanned.append(language)
-            real_init(language, *args)
+        def admitted(*args):
+            problems.append(real_admitted(*args))
+            return problems[-1]
 
-        def counting_sub(language, words):
-            subs.append(real_sub(language, words))
-            return subs[-1]
+        def init(index, base):
+            indexes.append(index)
+            real_init(index, base)
 
-        monkeypatch.setattr(FiniteLanguage, "__init__", counting_init)
-        monkeypatch.setattr(FiniteLanguage, "_sub", counting_sub)
-        problem = enumerate_echelon(EchelonSpec(2, 2))
-        assert len(scanned) == 1 and scanned[0] is problem.base
-        assert len(subs) == 1 and subs[0] is problem.target  # the target is built without a symbol scan
+        monkeypatch.setattr(cli, "admitted_echelon", admitted)
+        monkeypatch.setattr(ProblemIndex, "__init__", init)
+        for suite in ("sat", "regions", "wizards"):
+            main(["verify", "--suite", suite, "--n", str(n), "--m", str(m)])
+        capsys.readouterr()
+        assert len(problems) == 3
+        echelon_indexes = [index for index in indexes if any(index.language is p.base for p in problems)]
+        assert len(echelon_indexes) == 3  # the wizards suite's toy problem has its own
+        for problem in problems:
+            assert "words" not in vars(problem.base) and "words" not in vars(problem.target)
+        for index in echelon_indexes:
+            assert "words" not in vars(index) and "ordinal" not in vars(index)
 
     def test_prefix_free(self):
         for spec in (EchelonSpec(1, 1), EchelonSpec(2, 1), EchelonSpec(2, 2)):
@@ -247,6 +283,32 @@ class TestEchelons:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             enumerate_echelon(EchelonSpec(4, 4))
+
+
+class TestProductForm:
+    """The product-form base and the mask target against an echelon built word by word."""
+
+    @pytest.mark.parametrize("n,m", SMALL_ECHELONS + [(2, 6)])
+    def test_reads_out_the_word_level_echelon(self, n, m):
+        spec = EchelonSpec(n, m)
+        problem = enumerate_echelon(spec)
+        words, satisfiable = word_level_echelon(spec)
+        for language, expected in ((problem.base, words), (problem.target, satisfiable)):
+            plain = FiniteLanguage.of(SAT_ALPHABET, expected)
+            assert len(language) == len(plain)
+            assert "words" not in vars(language)  # the size is the mask's popcount
+            assert language.ordered_words() == sorted(expected)  # product order is sorted order
+            assert language == plain and plain == language
+            assert hash(language) == hash(plain)
+        assert problem.target.issubset(problem.base)
+
+    def test_naive_oracle_reads_the_product_form_as_its_words(self):
+        spec = EchelonSpec(3, 2)
+        problem = enumerate_echelon(spec)
+        words, satisfiable = word_level_echelon(spec)
+        plain = DecisionProblem(FiniteLanguage.of(SAT_ALPHABET, words), FiniteLanguage.of(SAT_ALPHABET, satisfiable))
+        assert log_rel_naive(problem, candidate_positions=spec.body_positions) == \
+            log_rel_naive(plain, candidate_positions=spec.body_positions)
 
 
 class TestClauseProduct:
