@@ -1,7 +1,8 @@
 """Performance trajectory: time the Tier-1 suite and the sat battery, and write BENCH_<id>.json.
 
     python3 scripts/trajectory.py --quick   # Tier-1, the 3^9 and 3^12 rungs, the (13,1) refusals
-    python3 scripts/trajectory.py           # the same, plus the 3^14 rungs (2,7) and (7,2)
+    python3 scripts/trajectory.py           # the same, plus the 3^14 rungs (2,7) and (7,2),
+                                            # and the reduced logogram of (7,2)
 
 strtool and the tests are run from the checkout that holds this script.  Every
 command runs, one at a time, as the only child of a small launcher process
@@ -41,8 +42,9 @@ RAISED = ("--budget", "268435456", "--word-budget", "5000000")  # admits the 3^1
 
 QUICK = [("verify", "--suite", "sat", "--n", str(n), "--m", str(m), "--threads", "1")
          for n, m in ((3, 3), (4, 3), (3, 4), (2, 6), (6, 2), (12, 1))]
-SLOW = [("verify", "--suite", "sat", "--n", str(n), "--m", str(m), "--threads", "1", *RAISED)
-        for n, m in ((2, 7), (7, 2))]
+SLOW = [*(("verify", "--suite", "sat", "--n", str(n), "--m", str(m), "--threads", "1", *RAISED)
+          for n, m in ((2, 7), (7, 2))),
+        ("logogram", "--n", "7", "--m", "2", "--reduced", "--no-cache", "--threads", "1", *RAISED)]
 REFUSALS = [("verify", "--suite", suite, "--n", "13", "--m", "1", "--threads", "1")
             for suite in ("sat", "wizards", "regions")]
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")

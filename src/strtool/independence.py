@@ -173,7 +173,7 @@ def internal_independence(analysis: Analysis) -> IndependenceVerdict:
 
 def strong_independence(analysis: Analysis) -> IndependenceVerdict:
     """Every reduced-logogram string has a base word including it and nothing else from the set."""
-    singles = {mask for mask in analysis.member_masks if mask and not (mask & (mask - 1))}
+    singles = analysis.realized_masks & {1 << i for i in range(len(analysis.members))}
     for i, g in enumerate(analysis.members):
         if (1 << i) not in singles:
             return IndependenceVerdict(
@@ -235,7 +235,7 @@ def complete_independence(analysis: Analysis) -> IndependenceVerdict:
     counterexample is the smallest failing C by (size, member renders).
     """
     members = analysis.members
-    realized = set(analysis.member_masks)
+    realized = analysis.realized_masks
     failing = _unrealized_closed_sets(analysis, realized)
     checked = len(realized) - (0 in realized) + len(failing)
     if not failing:
@@ -271,7 +271,7 @@ def complete_independence(analysis: Analysis) -> IndependenceVerdict:
     ))
 
 
-def _unrealized_closed_sets(analysis: Analysis, realized: set[int]) -> set[int]:
+def _unrealized_closed_sets(analysis: Analysis, realized: frozenset[int]) -> set[int]:
     """The closed sets (nonempty member sets down(s), see `complete_independence`) outside realized.
 
     The member positions are cut into chunks of `_chunk_width(symbols + 1)`
@@ -341,17 +341,19 @@ def completeness_of_subset(H, analysis: Analysis) -> bool:
 
 
 def irreducible(analysis: Analysis) -> bool:
-    """True iff removing any one reduced-logogram string breaks completeness."""
+    """True iff removing any one reduced-logogram string breaks completeness.
+
+    Without member i the expansion is the words some other member covers: outside
+    cylinder i those covered at all, inside it those covered at least twice.
+    """
     cyls = analysis.cylinders
     if not cyls:
         return analysis.target_mask == 0
-    prefix = [0] * (len(cyls) + 1)
-    for i, c in enumerate(cyls):
-        prefix[i + 1] = prefix[i] | c
-    suffix = [0] * (len(cyls) + 1)
-    for i in range(len(cyls) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | cyls[i]
-    return all(prefix[i] | suffix[i + 1] != analysis.target_mask for i in range(len(cyls)))
+    once = twice = 0  # the words covered by at least one member, by at least two
+    for c in cyls:
+        twice |= once & c
+        once |= c
+    return all((once & ~c) | (twice & c) != analysis.target_mask for c in cyls)
 
 
 class WizardFinding(NamedTuple):

@@ -50,9 +50,16 @@ one), and each chunk has a table from its value to the tuple of entries it
 stands for.  A key then costs one divmod and one tuple concatenation per
 chunk instead of one divmod per position.  The tables hold only sorted,
 in-alphabet entries, so the strings are built without the validating
-`PartialString` constructor (`PartialString._unchecked`).  The tables are
-built on the first decode and kept with the positions tuple's other
-tables, so the region walks reuse them.
+`PartialString` constructor (`PartialString._unchecked`).  Decoding is a
+pure function of alphabet, positions and key, so each key is decoded once:
+the tables and a memo of the strings decoded so far, by key, are one cache
+entry per (alphabet, positions) (`_decoder`), shared by every index and
+problem over them.  One entry is kept, so the memo holds at most the keys
+decoded over the last positions, never more than their candidate space.
+The region walks, the expansion identity's second solve of a problem and
+LogExp's repeated closures over one slice take their strings from it, and a
+reduced key is always a full key of the same walk.  No index, problem or
+analysis is cached.
 
 An `Analysis` wraps one problem and computes its index, target closure
 mask, logogram, member cylinders and masks, region masks and region
@@ -109,10 +116,10 @@ import os
 import sys
 import time
 from bisect import bisect_left, bisect_right
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import and_, itemgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from . import __version__
 from .languages import (BudgetExceeded, FiniteLanguage, ProductLanguage, bit_flags, cylindrify, expand_in,
@@ -122,6 +129,7 @@ from .strings import BLANK, Alphabet, AlphabetMismatch, PartialString, read_only
 DEFAULT_CANDIDATE_BUDGET = 4 ** 12
 FULL_KEEP_LIMIT = 50_000
 DECODE_CHUNK_KEYS = 256  # entries per decode table; a 4,096-entry table decoded no faster
+SET_BITS_BLOCK = 4 ** 7  # bits per `set_bits` block: a 4^7-key candidate bitset is read as one binary string
 
 
 class ClauseProduct(NamedTuple):
@@ -411,38 +419,22 @@ class CandidateSpace:
             bits |= above & zero
         return bits
 
-    @cached_property
-    def decode_tables(self) -> list[tuple[int, list[tuple[tuple[int, str], ...]]]]:
-        """(radix, table) per chunk of positions, lowest digits first: table[v] holds the entries of chunk value v.
+    def decode(self, keys: list[int]) -> list[PartialString]:
+        """The strings of these keys, each decoded once per alphabet and positions (`_decoder`).
 
-        A chunk takes as many positions as keep radix = base**len(chunk) at most
-        DECODE_CHUNK_KEYS (one position when a single digit needs more).
+        A key not yet in the memo costs one divmod and one tuple concatenation per chunk of
+        positions.  The tables hold only in-alphabet entries at increasing positions, so the
+        strings are built unchecked.
         """
-        width = _chunk_width(self.base)
-        tables = []
-        for start in range(0, len(self.positions), width):
-            table: list[tuple[tuple[int, str], ...]] = [()]
-            for p in self.positions[start:start + width]:
-                # p's digit is the next-higher one: value = digit * len(table) + low value
-                table = [low + entry for entry in [(), *(((p, s),) for s in self.alphabet.symbols)] for low in table]
-            tables.append((len(table), table))
-        return tables
-
-    def decode(self, keys: Iterable[int]) -> list[PartialString]:
-        """The strings of these keys: one divmod and one tuple concatenation per chunk of positions.
-
-        The tables hold only in-alphabet entries at increasing positions, so the strings are
-        built unchecked.
-        """
-        alphabet, tables, make = self.alphabet, self.decode_tables, PartialString._unchecked
-        out = []
-        for key in keys:
-            entries = ()
+        alphabet, make = self.alphabet, PartialString._unchecked
+        tables, memo = _decoder(alphabet, self.positions)
+        for key in itertools.filterfalse(memo.__contains__, keys):
+            value, entries = key, ()
             for radix, table in tables:
-                key, value = divmod(key, radix)
-                entries += table[value]
-            out.append(make(alphabet, entries))
-        return out
+                value, digit = divmod(value, radix)
+                entries += table[digit]
+            memo[key] = make(alphabet, entries)
+        return list(map(memo.__getitem__, keys))
 
     def minimal(self, bits: int) -> int:
         """The keys in bits none of whose one-entry deletions is in bits."""
@@ -452,6 +444,29 @@ class CandidateSpace:
             for shift in range(step, self.base * step, step):
                 covered |= below << shift
         return bits & ~covered
+
+
+DecodeTables = list[tuple[int, list[tuple[tuple[int, str], ...]]]]  # (radix, table) per chunk of positions
+
+
+@lru_cache(maxsize=1)
+def _decoder(alphabet: Alphabet, positions: tuple[int, ...]) -> tuple[DecodeTables, dict[int, PartialString]]:
+    """The decode tables of these positions, and the memo of the strings decoded over them, by key.
+
+    (radix, table) per chunk of positions, lowest digits first: table[v] holds the entries of
+    chunk value v.  A chunk takes as many positions as keep radix = (len(symbols) + 1)**len(chunk)
+    at most DECODE_CHUNK_KEYS (one position when a single digit needs more).
+    """
+    base = len(alphabet.symbols) + 1
+    width = _chunk_width(base)
+    tables = []
+    for start in range(0, len(positions), width):
+        table: list[tuple[tuple[int, str], ...]] = [()]
+        for p in positions[start:start + width]:
+            # p's digit is the next-higher one: value = digit * len(table) + low value
+            table = [low + entry for entry in [(), *(((p, s),) for s in alphabet.symbols)] for low in table]
+        tables.append((len(table), table))
+    return tables, {}
 
 
 def _chunk_width(radix: int) -> int:
@@ -530,7 +545,23 @@ def _product_reachable(index: ProblemIndex, positions: tuple[int, ...], base: in
 
 
 def set_bits(bits: int) -> list[int]:
-    """The indices of the set bits of a nonnegative integer, lowest first."""
+    """The indices of the set bits of a nonnegative integer, lowest first, found in its binary digits.
+
+    An integer past SET_BITS_BLOCK bits is read in blocks of that many bits: its bytes are
+    written out once (1 byte per 8 bits), a zero block is skipped by one compare, and only
+    a nonzero block is written out in binary.  Writing the whole integer in binary would cost
+    2 bytes per bit, twice over for the reversed copy.
+    """
+    if bits >> SET_BITS_BLOCK:
+        size = SET_BITS_BLOCK >> 3
+        data = bits.to_bytes(-(-bits.bit_length() // SET_BITS_BLOCK) * size, "little")
+        zero = bytes(size)
+        out: list[int] = []
+        for start in range(0, len(data), size):
+            block = data[start:start + size]
+            if block != zero:
+                out.extend(map((start << 3).__add__, set_bits(int.from_bytes(block, "little"))))
+        return out
     digits = bin(bits)[:1:-1]  # digits[k] is bit k
     out = []
     k = digits.find("1")
@@ -672,6 +703,11 @@ class Analysis:
         if self.index.product_prefix is None:
             return _word_member_masks(self.position_choices, self.index, full)
         return _product_member_masks(self.position_choices, self.index, full)
+
+    @cached_property
+    def realized_masks(self) -> frozenset[int]:
+        """The distinct member masks of the base words: what strong and complete independence read."""
+        return frozenset(self.member_masks)
 
     @cached_property
     def region_logograms(self) -> list[frozenset[PartialString]]:

@@ -777,6 +777,22 @@ class TestCompletenessAndIrreducibility:
     def test_redundant_member_not_irreducible(self):
         assert not irreducible(Analysis(entangled_problem()))
 
+    def test_irreducible_against_dropping_each_member(self):
+        """The union of every other member's cylinder, OR-ed afresh per member, against the target."""
+        rng = random.Random(29)
+        verdicts = []
+        for i in range(300):
+            analysis = Analysis(random_problem(rng, (BINARY, TERNARY)[i % 2], max_len=rng.randint(1, 5)))
+            cyls = analysis.cylinders
+            unions = [0] * len(cyls)
+            for j in range(len(cyls)):
+                for other in cyls[:j] + cyls[j + 1:]:
+                    unions[j] |= other
+            expected = all(u != analysis.target_mask for u in unions) if cyls else analysis.target_mask == 0
+            assert irreducible(analysis) == expected
+            verdicts.append(expected)
+        assert verdicts.count(True) > 20 and verdicts.count(False) > 20
+
     def test_empty_target_is_vacuously_irreducible(self):
         base = sigma_exact(BINARY, 2)
         analysis = Analysis(DecisionProblem(base, base.masked(0)))

@@ -602,7 +602,7 @@ class TestDecode:
             space = index.candidate_space(positions)
             keys = [0, space.size - 1, *(rng.randrange(space.size) for _ in range(200))]
             assert space.decode(keys) == [reference_decode(alphabet, positions, k) for k in keys]
-            chunk_counts.add(len(space.decode_tables))
+            chunk_counts.add(len(logogram._decoder(alphabet, positions)[0]))
             past_max_len += any(p > index.max_len for p in positions)
         assert chunk_counts >= {0, 1, 2, 3} and past_max_len > 10
 
@@ -640,6 +640,79 @@ class TestDecode:
                 assert g == checked and hash(g) == hash(checked)
                 decoded += 1
         assert decoded > 1000
+
+
+class TestDecodeMemo:
+    """The decoded strings are memoized per (alphabet, positions): one entry, a pure function of its key."""
+
+    def test_expansion_check_decodes_no_key_twice(self, monkeypatch):
+        """log_rel then verify_logogram_expansion on one problem build one string per distinct key."""
+        rng = random.Random(25)
+        problems = [random_problem(rng, (BINARY, TERNARY)[i % 2], max_len=rng.randint(2, 5)) for i in range(20)]
+        problems = [p for p in problems if ProblemIndex(p.base).shared_prefix_len == 0]
+        made = []
+        unchecked = PartialString._unchecked.__func__
+        monkeypatch.setattr(PartialString, "_unchecked",
+                            classmethod(lambda cls, *args: made.append(args) or unchecked(cls, *args)))
+        built = 0
+        for problem in problems:
+            logogram._decoder.cache_clear()
+            made.clear()
+            result = log_rel(problem, restrict="never", keep_full=True)
+            assert verify_logogram_expansion(problem)
+            assert len(made) == len(result.full)  # the reduced keys are full keys: no second build
+            built += len(made)
+        assert len(problems) > 10 and built > 100
+
+    def test_strings_follow_changes_of_alphabet_and_positions(self):
+        rng = random.Random(26)
+        bases = {BINARY: ProblemIndex(sigma_upto(BINARY, 6)), TERNARY: ProblemIndex(sigma_upto(TERNARY, 6))}
+        position_sets = [(1, 2, 3), (2, 3, 4), (1, 2, 3, 4, 5, 6), (1, 2, 3)]
+        for positions in position_sets:
+            for alphabet in (BINARY, TERNARY, BINARY):  # the same positions under both alphabets in turn
+                space = bases[alphabet].candidate_space(positions)
+                keys = [0, space.size - 1, *(rng.randrange(space.size) for _ in range(100))]
+                assert space.decode(keys) == [reference_decode(alphabet, positions, k) for k in keys]
+                assert logogram._decoder.cache_info().currsize == 1
+
+    def test_plain_judges_unchanged_with_the_memo_warm(self):
+        rng = random.Random(27)
+        for i in range(20):
+            problem = random_problem(rng, (BINARY, TERNARY)[i % 2], max_len=rng.randint(1, 4))
+            logogram._decoder.cache_clear()
+            cold_full, cold_reduced = log_rel_naive(problem)
+            engine = log_rel(problem, restrict="never", keep_full=True)  # warms the memo over these positions
+            assert logogram._decoder.cache_info().currsize == 1
+            assert log_rel_naive(problem) == (cold_full, cold_reduced) == (engine.full, engine.reduced)
+            assert reduce_strings(engine.full) == reduce_strings(cold_full) == cold_reduced
+
+
+def set_bits_cases(rng):
+    """Integers of 0 to 2^20 bits, one set bit to all ones, with set bits at byte, word and block edges."""
+    yield 0
+    block = logogram.SET_BITS_BLOCK
+    edges = [7, 8, 63, 64, block - 1, block, block + 1, 2 * block - 1, 2 * block]
+    for length in [1, 8, 9, 64, 65, 4097, block, block + 1, 1 << 16, 1 << 20]:
+        yield 1 << (length - 1)
+        yield (1 << length) - 1
+        for density in (0.001, 0.05, 0.5):
+            digits = "".join("1" if rng.random() < density else "0" for _ in range(length - 1))
+            yield int("1" + digits, 2) | sum(1 << k for k in edges if k < length)
+
+
+class TestSetBits:
+    def test_against_bit_by_bit_reading(self):
+        rng = random.Random(28)
+        checked = 0
+        for x in set_bits_cases(rng):
+            if x.bit_length() <= 1 << 13:
+                expected = [k for k in range(x.bit_length()) if x >> k & 1]
+            else:  # x >> k costs x's length, so read bit by bit from its bytes: the same judge, linear
+                data = x.to_bytes((x.bit_length() + 7) // 8, "little")
+                expected = [k for k in range(x.bit_length()) if data[k >> 3] >> (k & 7) & 1]
+            assert set_bits(x) == expected
+            checked += 1
+        assert checked == 51
 
 
 class TestNaiveOracle:
