@@ -14,12 +14,14 @@ cached bytecode is stale (as every command would under
 PYTHONDONTWRITEBYTECODE).  The cache commands run twice each, cold then warm,
 in one fresh temporary directory with a relative --cache-dir, so the first run
 writes the cache file, the second reads it, and the echoed cache_dir is the
-same on every machine.
+same on every machine.  The file commands read language files that the script
+writes into that directory and name by relative paths, for the same reason.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -63,6 +65,18 @@ CACHE_COMMANDS = (
     ("logogram", "--n", "2", "--m", "2", "--reduced", "--cache-dir", "cache"),
     ("logogram", "--n", "3", "--m", "3", "--reduced", "--cache-dir", "cache"),  # the hit perfbench times
 )
+TERNARY_CUBE = ["".join(w) for w in itertools.product("012", repeat=3)]
+# Language files: a base holding every ternary word of length 3, given as words, and a mixed-length one.
+LANGUAGE_FILES = {
+    "cube.lang": ("012", TERNARY_CUBE),
+    "cube-target.lang": ("012", [w for w in TERNARY_CUBE if w[0] == "1" or w[1:] == "20"]),
+    "mixed.lang": ("01", ["0", "10", "110", "111", "0101", "0110", "1000", "10011"]),
+    "mixed-target.lang": ("01", ["0", "110", "1000"]),
+}
+FILE_COMMANDS = (
+    ("logogram", "--base-file", "cube.lang", "--target-file", "cube-target.lang", "--cache-dir", "cache"),
+    ("logogram", "--base-file", "mixed.lang", "--target-file", "mixed-target.lang", "--cache-dir", "cache"),
+)
 
 
 def main() -> int:
@@ -70,8 +84,11 @@ def main() -> int:
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     subprocess.run([sys.executable, "-m", "compileall", "-q", str(SRC)], check=True, stdout=subprocess.DEVNULL)
     with tempfile.TemporaryDirectory() as scratch:
+        for name, (symbols, words) in LANGUAGE_FILES.items():
+            Path(scratch, name).write_text("\n".join([f"alphabet={symbols}", *words]) + "\n", encoding="utf-8")
         runs = [(c, "json", None) for c in COMMANDS] + [(c, "text", None) for c in TEXT_COMMANDS]
         runs += [(c, "json", scratch) for c in CACHE_COMMANDS for _cold_then_warm in range(2)]
+        runs += [(c, "json", scratch) for c in FILE_COMMANDS]
         for command, fmt, cwd in runs:
             argv = [*command, "--format", fmt]
             proc = subprocess.run([sys.executable, "-m", "strtool", *argv], env=env, cwd=cwd,

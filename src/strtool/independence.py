@@ -43,7 +43,7 @@ and keeps only the products that no word's member mask realizes.
 import itertools
 from typing import NamedTuple
 
-from .languages import BudgetExceeded, FiniteLanguage, expand_in
+from .languages import BudgetExceeded, FiniteLanguage
 from .logogram import Analysis, LogogramResult, ProblemIndex, _chunk_width, set_bits
 from .sat import SAT_ALPHABET, EchelonSpec
 from .strings import PartialString, join_all, read_only
@@ -61,11 +61,6 @@ class NotInReducedLogogram(ValueError):
 def entangles(f: PartialString, g: PartialString, E: FiniteLanguage) -> bool:
     """True iff every E-word including f also includes g; both must occur in E."""
     return entangles_sets((f,), (g,), E)
-
-
-def pairwise_independent(f: PartialString, g: PartialString, E: FiniteLanguage) -> bool:
-    """Neither string entangles the other relative to E."""
-    return not entangles(f, g, E) and not entangles(g, f, E)
 
 
 def entangles_sets(H, K, E: FiniteLanguage) -> bool:
@@ -330,14 +325,6 @@ def _smallest_generator(members, compatible, domain, closure, failing: set[int])
         extend([], (1 << len(failing)) - 1, (1 << len(members)) - 1, 0)
         if found:
             return min(found)
-
-
-def completeness_of_subset(H, analysis: Analysis) -> bool:
-    """True iff the expansion of H inside the base equals the target."""
-    H = frozenset(H)
-    if not H <= analysis.logogram.reduced:
-        raise ValueError("subset must lie inside the reduced logogram")
-    return expand_in(H, analysis.problem.base) == analysis.problem.target
 
 
 def irreducible(analysis: Analysis) -> bool:

@@ -37,7 +37,6 @@ from .strings import (
     join_sets,
     read_only,
     reduce_strings,
-    word_includes,
 )
 
 
@@ -246,7 +245,7 @@ def expand_in(H: Iterable[PartialString], L: FiniteLanguage) -> FiniteLanguage:
     projections: dict[tuple[int, ...], set] = {}
     bottom = False
     for g in H:
-        if g.alphabet != L.alphabet:
+        if g.alphabet is not L.alphabet and g.alphabet != L.alphabet:  # `!=` calls `__eq__` even on one object
             raise AlphabetMismatch(f"string alphabet {g.alphabet!r} differs from language {L.alphabet!r}")
         if not g.entries:
             bottom = True
@@ -349,44 +348,6 @@ def cylindrify(A: FiniteLanguage, L: FiniteLanguage) -> FiniteLanguage:
     return L._sub(frozenset(hits))
 
 
-def is_cylinder_in(A: FiniteLanguage, E: FiniteLanguage) -> bool:
-    """True iff A is a fixed point of cylindrification relative to E; requires A to be a subset of E."""
-    if not A.issubset(E):
-        raise ValueError("A must be a subset of the reference language E")
-    return cylindrify(A, E) == A
-
-
-def strings_of(
-    E: FiniteLanguage,
-    domain_positions: Iterable[int] | None = None,
-    budget: int = 1_000_000,
-) -> frozenset[PartialString]:
-    """All substrings of words of E, optionally restricted to candidate positions.
-
-    Equals {g : expand_in({g}, E) is nonempty}; use that membership test
-    instead of this enumeration when E is large.
-    """
-    allowed = None if domain_positions is None else frozenset(domain_positions)
-    total = 0
-    for w in E.words:
-        k = len(w) if allowed is None else sum(1 for p in allowed if p <= len(w))
-        total += 1 << k
-        if total > budget:
-            raise BudgetExceeded("substring enumeration too large", total, budget)
-    out: set[PartialString] = set()
-    for w in E.words:
-        positions = [p for p in range(1, len(w) + 1) if allowed is None or p in allowed]
-        for r in range(len(positions) + 1):
-            for combo in itertools.combinations(positions, r):
-                out.add(PartialString(E.alphabet, tuple((p, w[p - 1]) for p in combo)))
-    return frozenset(out)
-
-
-def occurs_in(g: PartialString, E: FiniteLanguage) -> bool:
-    """Membership test for the substring set of E without enumerating it."""
-    return any(word_includes(w, g) for w in E.words)
-
-
 # --- seeded random generators (word length uniform in [0, cap], uniform symbols) ---
 
 def random_language(rng: random.Random, alphabet: Alphabet, cap: int, max_words: int = 24) -> FiniteLanguage:
@@ -472,12 +433,6 @@ def check_expansion_laws(samples: int, seed: int) -> LawReport:
 
 
 # --- language files ---
-
-def save_language(L: FiniteLanguage, path: str | Path) -> None:
-    lines = [f"alphabet={''.join(L.alphabet.symbols)}"]
-    lines.extend(L.sorted_words())
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
 
 def load_language(path: str | Path) -> FiniteLanguage:
     alphabet: Alphabet | None = None

@@ -6,22 +6,22 @@ closure of F within E; the reduced logogram keeps its minimal elements.
 
 Engine layout: E is indexed once into per-(position, symbol) bitmasks over
 the word list, so a candidate's relative cylinder is an AND of masks.  The
-list is sorted by length, then text.  When E is a full product, a prefix
-followed by every word of Σ^k (an echelon is one), word k is the prefix and
-the base-|Σ| digits of k, and the index is digit arithmetic: a position's
-masks are periodic bit patterns, and the word keys and the keys some word
-extends (below) are built by replicating blocks, without reading a word.
-An echelon or a `sigma_exact` slice arrives as a `ProductLanguage`, which
-states its prefix and length, so its index sorts nothing and builds its word
-list only if something reads it.  Otherwise each length group is joined into one text, and a position's
-column is a strided slice of each group's text: the index makes no Python
-step per word.  Candidates are integer keys (digit j of a key is
-the symbol code at the j-th candidate position, 0 = undefined), and the
-logogram is computed over bitsets of the whole candidate space, bit k
-standing for key k.  A candidate qualifies iff some base word extends it
-and no bad word (outside the target's closure) does; "some word of S
-extends it" is an OR-transform of S's word keys down the restriction
-order, one position at a time.  Every
+list is sorted by length, then text.  When E is a whole `ProductLanguage`,
+a prefix followed by every word of Σ^k (an echelon or a `sigma_exact` slice
+is one), word k is the prefix and the base-|Σ| digits of k, and the index is
+digit arithmetic: a position's masks are periodic bit patterns, and the word
+keys and the keys some word extends (below) are built by replicating blocks,
+without reading a word; the index sorts nothing and builds its word list
+only if something reads it.  This is the only way into the product path: a
+base given as words is never tested for that shape.  Such a base has each
+length group joined into one text, and a position's column is a strided
+slice of each group's text: the index makes no Python step per word.
+Candidates are integer keys (digit j of a key is the symbol code at the
+j-th candidate position, 0 = undefined), and the logogram is computed
+over bitsets of the whole candidate space, bit k standing for key k.  A
+candidate qualifies iff some base word extends it and no bad word (outside
+the target's closure) does; "some word of S extends it" is an OR-transform
+of S's word keys down the restriction order, one position at a time.  Every
 string between a qualifying string and a qualifying extension of it
 qualifies too, so a key is minimal iff none of its one-entry deletions
 qualifies: one more set of shifts.  full_count is the popcount of the
@@ -201,24 +201,21 @@ class DecisionProblem:
 class ProblemIndex:
     """Per-(position, symbol) bitmask index over the words of a base language.
 
-    Bit k of every mask stands for words[k] (sorted by length, then text);
-    `ordinal` maps each word to its k, and is built only when first read
-    (no check needs it; a word outside the base names it in `word_mask`'s
-    error).  A base whose words all have one length is prefix-free at once,
-    since distinct words of equal length never prefix one another.
+    Bit k of every mask stands for words[k] (sorted by length, then text).
+    A base whose words all have one length is prefix-free at once, since
+    distinct words of equal length never prefix one another.
 
-    A base is a full product when its words have one length L, share a prefix
-    of length s, and number |Σ|^(L − s): it is then exactly prefix·Σ^(L − s), as
-    an echelon is, and `product_prefix` holds the prefix (None otherwise).
+    A whole `ProductLanguage` (an echelon or a `sigma_exact` slice) is the one
+    full product the index knows: it states its prefix and length L, so it is
+    exactly prefix·Σ^(L − len(prefix)), and `product_prefix` holds the prefix.
     Index order is then product order in code-point order, so word k is the
-    prefix followed by the base-|Σ| digits of k, and its masks, keys and member
-    masks follow from digit arithmetic without reading a word
-    (`_product_position_masks`, `_product_keys`, `_product_reachable`,
-    `_product_member_masks`).  A whole `ProductLanguage` (an echelon or a
-    `sigma_exact` slice) states its prefix and length, so it is indexed without
-    a sort, and `words` is built only when read; a base given as words is sorted
-    and tested for the product shape.  Every other base is read word by word
-    (`_column_masks`, `_word_keys`, `_word_member_masks`).
+    prefix followed by the base-|Σ| digits of k; nothing is sorted, `words` is
+    built only when read, and the masks, keys and member masks follow from
+    digit arithmetic without reading a word (`_product_position_masks`,
+    `_product_keys`, `_product_reachable`, `_product_member_masks`).  Every
+    other base, a plain word set of the same shape included, has
+    `product_prefix` None and is read word by word (`_column_masks`,
+    `_word_keys`, `_word_member_masks`).
     """
 
     def __init__(self, base: FiniteLanguage):
@@ -231,9 +228,11 @@ class ProblemIndex:
             self.product_prefix, self.max_len, self.all_mask = base.prefix, base.length, base.mask
             self.shared_prefix_len = len(base.prefix) if self.all_mask > 1 else 0
             self.prefix_free = True
+            self.pos_masks = _product_position_masks(self.alphabet, self.product_prefix, self.max_len)
         else:
             by_lex = sorted(base.words)
             self.words = tuple(sorted(by_lex, key=len))  # stable: by length, then text
+            self.product_prefix = None
             self.all_mask = (1 << len(self.words)) - 1
             self.max_len = len(self.words[-1])
             lo, hi = by_lex[0], by_lex[-1]
@@ -241,25 +240,15 @@ class ProblemIndex:
             while shared < len(lo) and lo[shared] == hi[shared]:
                 shared += 1
             self.shared_prefix_len = shared if len(self.words) > 1 else 0
-            one_length = len(self.words[0]) == self.max_len
-            self.product_prefix = lo[:shared] if one_length and \
-                len(self.words) == len(self.alphabet.symbols) ** (self.max_len - shared) else None
-            self.prefix_free = one_length or not any(
+            self.prefix_free = len(self.words[0]) == self.max_len or not any(
                 by_lex[i + 1].startswith(by_lex[i]) for i in range(len(by_lex) - 1)
             )
-        if self.product_prefix is None:
             self.pos_masks = _column_masks(self.words, self.alphabet)
-        else:
-            self.pos_masks = _product_position_masks(self.alphabet, self.product_prefix, self.max_len)
 
     @cached_property
     def words(self) -> tuple[str, ...]:
         """The words of a whole `ProductLanguage` base in index order, built on first read (others set it at once)."""
         return tuple(self.language.ordered_words())
-
-    @cached_property
-    def ordinal(self) -> dict[str, int]:
-        return {w: k for k, w in enumerate(self.words)}
 
     def candidate_space(self, positions: tuple[int, ...]) -> "CandidateSpace":
         """The key tables over these candidate positions, built on first use and kept."""
@@ -276,7 +265,7 @@ class ProblemIndex:
         words = frozenset(words)  # the same object when it already is one
         mask = flags_mask(bytes(map(words.__contains__, self.words)))
         if mask.bit_count() != len(words):
-            raise KeyError(next(w for w in words if w not in self.ordinal))
+            raise KeyError(next(w for w in words if w not in self.language))
         return mask
 
     def language_mask(self, language: FiniteLanguage) -> int:
@@ -304,7 +293,7 @@ class ProblemIndex:
 
     def mask_language(self, mask: int) -> FiniteLanguage:
         """The base words of mask: in product form over a whole `ProductLanguage` base, read from `words` otherwise."""
-        if isinstance(self.language, ProductLanguage) and self.language.is_full:  # index order is product order
+        if self.product_prefix is not None:  # index order is product order
             return self.language.masked(mask)
         return self.language._sub(frozenset(itertools.compress(self.words, bit_flags(mask))))
 
@@ -983,20 +972,6 @@ def verify_logogram_expansion(analysis: Analysis | DecisionProblem) -> bool:
         return False
     included = bytes(map(bool, analysis.member_masks))  # byte k: word k includes a member
     return flags_mask(included) == analysis.target_mask
-
-
-def cover_of(
-    analysis: Analysis,
-    H: frozenset[PartialString] | None = None,
-) -> list[tuple[PartialString, FiniteLanguage]]:
-    """Pairs (g, relative cylinder of g) for g in the reduced logogram or a subset of it."""
-    if H is not None and not H <= analysis.logogram.reduced:
-        raise ValueError("cover strings must belong to the reduced logogram")
-    return [
-        (g, analysis.index.mask_language(cyl))
-        for g, cyl in zip(analysis.members, analysis.cylinders)
-        if H is None or g in H
-    ]
 
 
 # --- cache files ---

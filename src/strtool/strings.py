@@ -64,6 +64,8 @@ class Alphabet:
     __setattr__ = __delattr__ = read_only
 
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
         if other.__class__ is self.__class__:
             return self.symbols == other.symbols
         return NotImplemented
@@ -262,7 +264,7 @@ def _common_alphabet(H: Iterable[PartialString], K: Iterable[PartialString] = ()
     for g in itertools.chain(H, K):
         if alphabet is None:
             alphabet = g.alphabet
-        elif g.alphabet != alphabet:
+        elif g.alphabet is not alphabet and g.alphabet != alphabet:  # `!=` calls `__eq__` even on one object
             raise AlphabetMismatch(f"mixed alphabets in string set: {alphabet!r} vs {g.alphabet!r}")
     return alphabet
 

@@ -17,20 +17,18 @@ from strtool.independence import (
     classify_all,
     complete_independence,
     completely_independent_events,
-    completeness_of_subset,
     construct_separator,
     entangles,
     entangles_sets,
     internal_independence,
     irreducible,
-    pairwise_independent,
     region_relations,
     sat_shape_report,
     strong_independence,
     wizard_cover_report,
 )
 from strtool import independence, logogram
-from strtool.languages import BINARY, TERNARY, FiniteLanguage, cylindrify, sigma_exact
+from strtool.languages import BINARY, TERNARY, FiniteLanguage, cylindrify, expand_in, sigma_exact
 from strtool.logogram import Analysis, DecisionProblem, log_rel, log_rel_naive
 from strtool.sat import (
     EchelonSpec,
@@ -201,14 +199,15 @@ class TestEntanglement:
             entangles(ps("11"), ps("1"), lang(["10", "01"]))
 
     def test_pairwise_independent(self):
+        """Two strings are pairwise independent when neither entangles the other."""
         E = sigma_exact(BINARY, 2)
-        assert pairwise_independent(ps("1"), ps("_1"), E)
-        assert not pairwise_independent(ps("1"), ps("10"), E)
+        assert not entangles(ps("1"), ps("_1"), E) and not entangles(ps("_1"), ps("1"), E)
+        assert entangles(ps("10"), ps("1"), E)  # so "1" and "10" are not independent
 
     def test_pairwise_on_minimal_echelon(self):
         problem, result, analysis = echelon_with_result(1, 1)
         a, b = sorted(result.reduced, key=lambda g: g.render())
-        assert pairwise_independent(a, b, problem.base)
+        assert not entangles(a, b, problem.base) and not entangles(b, a, problem.base)
 
     def test_set_level(self):
         E = sigma_exact(BINARY, 2)
@@ -627,10 +626,11 @@ class TestComplete:
                             closed.add(bigger)
                             frontier.append(bigger)
             assert len(closed) == complete_independence(analysis).subsets_checked
+            ordinal = {w: k for k, w in enumerate(analysis.index.words)}
             for K in closed:
                 word = construct_separator((join_all([members[i] for i in K]),), spec)
                 assert word in problem.base.words
-                assert analysis.member_masks[analysis.index.ordinal[word]] == sum(1 << i for i in K)
+                assert analysis.member_masks[ordinal[word]] == sum(1 << i for i in K)
 
 
 def judge_closed_set_product(analysis):
@@ -745,25 +745,42 @@ class TestClosedSetProduct:
         assert complete_independence(analysis) == (True, 0, None)
 
 
+def completeness_of_subset(H, problem, reduced):
+    """True iff expanding H inside the base gives the target's closure there (the judge of completeness).
+
+    H must lie inside the reduced logogram.  The expansion and the closure are word scans
+    (`expand_in`, `cylindrify`): no index and no `Analysis`.
+    """
+    H = frozenset(H)
+    if not H <= reduced:
+        raise ValueError("subset must lie inside the reduced logogram")
+    return expand_in(H, problem.base) == cylindrify(problem.target, problem.base)
+
+
+def irreducible_by_expansion(problem, reduced):
+    """The irreducibility judge: dropping any one member leaves an incomplete set."""
+    return not any(completeness_of_subset(reduced - {g}, problem, reduced) for g in reduced)
+
+
 class TestCompletenessAndIrreducibility:
     def test_full_reduced_logogram_is_complete(self):
         for n, m in ((1, 1), (2, 1), (2, 2)):
             problem, result, analysis = echelon_with_result(n, m)
-            assert completeness_of_subset(result.reduced, analysis)
+            assert completeness_of_subset(result.reduced, problem, result.reduced)
 
     def test_dropping_a_member_breaks_completeness(self):
         problem, result, analysis = echelon_with_result(2, 2)
         member = sorted(result.reduced, key=lambda g: g.render())[0]
-        assert not completeness_of_subset(result.reduced - {member}, analysis)
+        assert not completeness_of_subset(result.reduced - {member}, problem, result.reduced)
 
     def test_empty_subset_incomplete(self):
         problem, result, analysis = echelon_with_result(1, 1)
-        assert not completeness_of_subset(frozenset(), analysis)
+        assert not completeness_of_subset(frozenset(), problem, result.reduced)
 
     def test_rejects_foreign_subset(self):
         problem, result, analysis = echelon_with_result(1, 1)
         with pytest.raises(ValueError):
-            completeness_of_subset(frozenset({ps("1", problem.alphabet)}), analysis)
+            completeness_of_subset(frozenset({ps("1", problem.alphabet)}), problem, result.reduced)
 
     def test_irreducible_echelons(self):
         for n, m in ((1, 1), (2, 2)):
@@ -792,6 +809,16 @@ class TestCompletenessAndIrreducibility:
             assert irreducible(analysis) == expected
             verdicts.append(expected)
         assert verdicts.count(True) > 20 and verdicts.count(False) > 20
+
+    def test_agrees_with_the_expansion_judge_on_random_problems(self):
+        """`irreducible` against `irreducible_by_expansion` over the naive reduced logogram."""
+        verdicts = []
+        for problem in independence_problems(2000, seed=20261020):
+            reduced = log_rel_naive(problem)[1]
+            expected = irreducible_by_expansion(problem, reduced)
+            assert irreducible(Analysis(problem)) == expected, (sorted(problem.base.words), sorted(problem.target.words))
+            verdicts.append(expected)
+        assert verdicts.count(True) > 20 and verdicts.count(False) > 20, verdicts.count(True)
 
     def test_empty_target_is_vacuously_irreducible(self):
         base = sigma_exact(BINARY, 2)

@@ -27,7 +27,6 @@ from strtool.logogram import (
     DecisionProblem,
     ProblemIndex,
     auto_positions,
-    cover_of,
     _cache_digest,
     cache_file,
     echelon_fingerprint,
@@ -216,27 +215,26 @@ class TestProblemIndex:
             idx = ProblemIndex(L)
             share = rng.choice((0.0, 0.05, 0.3, 1.0))
             subset = frozenset(w for w in idx.words if rng.random() < share)
-            expected = sum(1 << idx.ordinal[w] for w in subset)
+            ordinal = {w: k for k, w in enumerate(idx.words)}
+            expected = sum(1 << ordinal[w] for w in subset)
             assert idx.word_mask(subset) == idx.word_mask(sorted(subset)) == expected
             closure = [w for w in idx.words if any(w.startswith(a) for a in subset)]
-            assert idx.closure_mask(expected) == sum(1 << idx.ordinal[w] for w in closure)
+            assert idx.closure_mask(expected) == sum(1 << ordinal[w] for w in closure)
             assert Analysis(DecisionProblem(L, lang(subset, alphabet))).target_mask == idx.closure_mask(expected)
             prefix_free += idx.prefix_free
             empty += not subset
             whole += len(subset) == len(idx.words)
         assert 10 < prefix_free < 350 and min(empty, whole) > 50
         idx = ProblemIndex(sigma_exact(BINARY, 5))
-        assert "ordinal" not in vars(idx)  # built on first read: here, to name the foreign word
         for foreign in ({"2"}, {"00000", "00001", "00010", "2"}):
-            with pytest.raises(KeyError):
+            with pytest.raises(KeyError, match="'2'"):  # the error names the foreign word
                 idx.word_mask(foreign)
 
 
 def word_level_index(base):
-    """An index of base that takes the word-level path: no product prefix, masks read from the words."""
-    index = ProblemIndex(base)
-    index.product_prefix = None
-    index.pos_masks = logogram._column_masks(index.words, index.alphabet)
+    """An index of base's words as a plain language: the word-level path, masks read from the words."""
+    index = ProblemIndex(FiniteLanguage.of(base.alphabet, base.words))
+    assert index.product_prefix is None
     return index
 
 
@@ -306,7 +304,8 @@ class TestFullProductIndex:
         index = ProblemIndex(base)
         assert "words" not in vars(index) and "words" not in vars(base)
         plain = ProblemIndex(FiniteLanguage.of(base.alphabet, base.words))
-        for name in ("product_prefix", "shared_prefix_len", "max_len", "all_mask", "prefix_free", "pos_masks", "words"):
+        assert (index.product_prefix, plain.product_prefix) == (base.prefix, None)
+        for name in ("shared_prefix_len", "max_len", "all_mask", "prefix_free", "pos_masks", "words"):
             assert getattr(index, name) == getattr(plain, name), name
         rng = random.Random(len(base))
         target = base.masked(rng.getrandbits(len(base)))
@@ -334,7 +333,7 @@ class TestFullProductIndex:
 
     @pytest.mark.parametrize("word", ["", "0", "0110", "2102"])
     def test_one_word_base(self, word):
-        base = lang([word], TERNARY)
+        base = ProductLanguage(TERNARY, word, 0)
         assert ProblemIndex(base).product_prefix == word
         for target in ([], [word]):
             assert_paths_agree(DecisionProblem(base, lang(target, TERNARY)))
@@ -342,7 +341,7 @@ class TestFullProductIndex:
     def test_alphabet_order_differs_from_code_points(self):
         """Key digits follow the alphabet's order (1, 0, 2), index order the code points (0, 1, 2)."""
         alphabet = Alphabet.of("102")
-        for base in (sigma_exact(alphabet, 4), lang(["21" + w for w in sigma_exact(alphabet, 3).words], alphabet)):
+        for base in (sigma_exact(alphabet, 4), ProductLanguage(alphabet, "21", 3)):
             index = ProblemIndex(base)
             assert index.words == tuple(sorted(base.words))
             positions = auto_positions(index)
@@ -354,7 +353,7 @@ class TestFullProductIndex:
     @pytest.mark.parametrize("alphabet, prefix, free", [(TERNARY, "12", 3), (BINARY, "", 4), (BINARY, "0", 0)])
     def test_member_masks_are_exact_for_any_members(self, alphabet, prefix, free):
         """Members with entries at prefix positions, matching or not, and past the end get their cylinders' masks."""
-        base = lang([prefix + w for w in sigma_exact(alphabet, free).words], alphabet)
+        base = ProductLanguage(alphabet, prefix, free)
         length = len(prefix) + free
         rng = random.Random(len(prefix) * 10 + free)
         members = [PartialString.parse(alphabet, "-")]
@@ -372,6 +371,9 @@ class TestFullProductIndex:
     def test_other_bases_take_the_word_path(self, monkeypatch):
         product = sigma_exact(TERNARY, 3)
         bases = [
+            FiniteLanguage.of(TERNARY, product.words),  # the words of a full product, given as words
+            FiniteLanguage.of(TERNARY, {"21" + w for w in product.words}),  # the same behind a shared prefix
+            lang(["0110"], TERNARY),  # one word
             FiniteLanguage.of(TERNARY, product.words - {"120"}),  # a product minus one word
             FiniteLanguage.of(TERNARY, {"1" + w for w in product.words} - {"1000"} | {"000"}),  # same count, two lengths
             sigma_upto(BINARY, 3),
@@ -923,19 +925,13 @@ class TestExpansionIdentity:
 
 class TestCover:
     def test_cover_of_reduced_unions_to_target(self):
+        """The reduced members' relative cylinders cover the target."""
         problem = DecisionProblem(sigma_exact(BINARY, 2), lang(["10", "11", "01"]))
-        pairs = cover_of(Analysis(problem))
-        union = frozenset().union(*(cyl.words for _, cyl in pairs))
-        assert union == problem.target.words
-
-    def test_empty_subset(self):
-        problem = DecisionProblem(sigma_exact(BINARY, 2), lang(["10", "11"]))
-        assert cover_of(Analysis(problem), H=frozenset()) == []
-
-    def test_rejects_foreign_strings(self):
-        problem = DecisionProblem(sigma_exact(BINARY, 2), lang(["10", "11"]))
-        with pytest.raises(ValueError):
-            cover_of(Analysis(problem), H=frozenset({ps("0")}))
+        analysis = Analysis(problem)
+        union = 0
+        for cyl in analysis.cylinders:
+            union |= cyl
+        assert analysis.index.mask_language(union).words == problem.target.words
 
 
 class TestCache:

@@ -1,4 +1,3 @@
-import functools
 import itertools
 import random
 
@@ -91,27 +90,28 @@ def label_by_literals(spec: EchelonSpec) -> dict[str, int]:
 
 
 def word_level_echelon(spec: EchelonSpec) -> tuple[list[str], list[str]]:
-    """The echelon's words and its satisfiable ones, built word by word (judge for the product form).
+    """The echelon's words and its satisfiable ones, built from its clause blocks (judge for the product form).
 
-    Every tuple of m clauses over n variables is encoded by `encode`.  A formula is
-    satisfiable when some assignment satisfies all its clauses, each clause decided by
-    `satisfies` once per assignment that is tried on it.
+    Each of the 3^n clauses over n variables is encoded and decided once: its block is the
+    body of `encode` of the one-clause formula, and its assignment mask has bit k set when
+    `satisfies` holds under the k-th assignment of `solutions`.  A tuple of m clauses is the
+    prefix (`encode` of m empty clauses, less its body) followed by its clauses' blocks, and
+    it is satisfiable when the AND of their masks is nonzero.  With one clause only that
+    matters, so its mask keeps just the first satisfying assignment.
     """
-    ys = solutions(spec.n)
-    clauses = [frozenset(i if code == 1 else -i for i, code in enumerate(codes, 1) if code)
-               for codes in itertools.product((0, 1, 2), repeat=spec.n)]
-
-    @functools.cache
-    def holds(clause, y):
-        return satisfies(CnfInstance.of(spec.n, [clause]), y)
-
-    words, satisfiable = [], []
-    for chosen in itertools.product(clauses, repeat=spec.m):
-        word = encode(CnfInstance(spec.n, spec.m, chosen))
-        words.append(word)
-        if any(all(holds(c, y) for c in chosen) for y in ys):
-            satisfiable.append(word)
-    return words, satisfiable
+    n, m = spec.n, spec.m
+    ys = solutions(n)
+    blocks = []  # (block, assignment mask) per clause
+    for codes in itertools.product((0, 1, 2), repeat=n):
+        clause = CnfInstance.of(n, [[i if code == 1 else -i for i, code in enumerate(codes, 1) if code]])
+        satisfied = (1 << k for k, y in enumerate(ys) if satisfies(clause, y))
+        blocks.append((encode(clause)[-n:], sum(satisfied) if m > 1 else next(satisfied, 0)))
+    rows = [("", (1 << len(ys)) - 1)]  # (body, AND of masks) per tuple of the clauses chosen so far
+    for _ in range(m):
+        rows = [(body + block, held & mask) for body, held in rows for block, mask in blocks]
+    prefix = encode(CnfInstance.of(n, [[]] * m))[:-n * m]
+    words = [prefix + body for body, _ in rows]
+    return words, [word for word, (_, held) in zip(words, rows) if held]
 
 
 # Every echelon of at most 3**9 words; (4,2) is among them.
