@@ -16,6 +16,8 @@ in one fresh temporary directory with a relative --cache-dir, so the first run
 writes the cache file, the second reads it, and the echoed cache_dir is the
 same on every machine.  The file commands read language files that the script
 writes into that directory and name by relative paths, for the same reason.
+Every command runs with STRTOOL_CACHE=cache, so the cache_dir that the
+--no-cache commands echo is the same for every user.
 """
 
 from __future__ import annotations
@@ -82,6 +84,7 @@ FILE_COMMANDS = (
 def main() -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env["STRTOOL_CACHE"] = "cache"
     subprocess.run([sys.executable, "-m", "compileall", "-q", str(SRC)], check=True, stdout=subprocess.DEVNULL)
     with tempfile.TemporaryDirectory() as scratch:
         for name, (symbols, words) in LANGUAGE_FILES.items():

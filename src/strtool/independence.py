@@ -35,7 +35,11 @@ closed set J(C).  The closed sets (10,934 on the (3,3) echelon, against
 string over the members' positions, so each is an AND of one choice per
 position: the members undefined there, or those agreeing with one symbol
 there.  The check builds that AND-product a chunk of positions at a time
-and keeps only the products that no word's member mask realizes.
+and keeps only the products that no word's member mask realizes.  When
+one is left, the counterexample is the smallest subset generating a
+failing set; C generates a closed set K iff join(C) = join(K), so the
+search compares joins, each the OR of its members' entry bits, and needs
+no second construction of J(C).
 """
 
 # Annotations are evaluated at import (no `from __future__ import annotations`):
@@ -227,7 +231,9 @@ def complete_independence(analysis: Analysis) -> IndependenceVerdict:
     members' positions (undefined past w's end), so w's mask is down of
     that string.  The root J(∅), the members with an empty domain, counts
     only when it is nonempty, which happens when ⊥ is a member.  The
-    counterexample is the smallest failing C by (size, member renders).
+    counterexample is the smallest failing C by (size, member renders),
+    found by `_smallest_generator` from the members' entries as bits, one
+    per distinct (position, symbol), and the failing sets.
     """
     members = analysis.members
     realized = analysis.realized_masks
@@ -235,33 +241,10 @@ def complete_independence(analysis: Analysis) -> IndependenceVerdict:
     checked = len(realized) - (0 in realized) + len(failing)
     if not failing:
         return IndependenceVerdict(holds=True, subsets_checked=checked)
-    choices = analysis.position_choices
-    full = (1 << len(members)) - 1
-    # compatible[i]: the members that can be joined to member i, agreeing with each of its entries
-    compatible = []
-    for g in members:
-        agreeing = full
-        for p, sym in g.entries:
-            agreeing &= choices[p][1][sym]
-        compatible.append(agreeing)
-    domain = [sum(1 << p for p, _ in g.entries) for g in members]  # positions as bits
-    inside: dict[int, int] = {}  # domain bits -> members whose domain lies inside
-
-    def inside_of(dom: int) -> int:
-        """Members whose domain lies inside dom, computed once per domain."""
-        inner = full
-        for p, (undefined, _) in choices.items():
-            if not dom >> p & 1:
-                inner &= undefined
-        inside[dom] = inner
-        return inner
-
-    def closure(compat: int, dom: int) -> int:
-        """Members below the join with this compatible set and domain."""
-        return compat & (inside.get(dom) or inside_of(dom))
-
+    entry_bit: dict[tuple[int, str], int] = {}  # one bit per distinct (position, symbol)
+    entries = [sum(1 << entry_bit.setdefault(e, len(entry_bit)) for e in g.entries) for g in members]
     return IndependenceVerdict(holds=False, subsets_checked=checked, counterexample=Counterexample(
-        _smallest_generator(members, compatible, domain, closure, failing),
+        _smallest_generator([g.render() for g in members], entries, failing),
         "no base word includes exactly this compatible subset",
     ))
 
@@ -294,37 +277,47 @@ def _unrealized_closed_sets(analysis: Analysis, realized: frozenset[int]) -> set
     return {y for k in closed for t in last if (y := k & t) and y not in realized}
 
 
-def _smallest_generator(members, compatible, domain, closure, failing: set[int]) -> tuple[str, ...]:
-    """Renders of the smallest compatible subset C, by (size, renders), whose closed set is failing.
+def _smallest_generator(renders: list[str], entries: list[int], failing: set[int]) -> tuple[str, ...]:
+    """Renders of the smallest subset C of members, by (size, renders), whose closed set is failing.
 
-    C lies inside its own closed set, so only subsets of some failing set
-    are walked, one size at a time; each failing set generates itself, so
-    the search ends by the size of the smallest one.  Bit f of holding[j]
-    stands for the f-th failing set holding member j, and the search
-    carries the AND of its chosen members' bitsets: nonzero iff some
-    failing set holds them all.
+    entries[i] holds member i's entries as bits, one per distinct (position, symbol), so
+    the join of compatible members is the OR of their bits.  C generates a closed set K,
+    J(C) = K, iff join(C) = join(K): J(C) = down(join C), and a join of members is the
+    join of the members below it.  So C generates a failing set iff its OR is one of
+    the failing sets' joins.  C lies inside its own closed set, so only subsets of some
+    failing set are walked, one size at a time; each failing set generates itself, so
+    the search ends by the size of the smallest one.  Bit f of holding[j] stands for the
+    f-th failing set holding member j, and the search carries the AND of its chosen
+    members' bitsets: nonzero iff some failing set holds them all, which also makes
+    them compatible.
     """
-    renders = [g.render() for g in members]
-    holding = [0] * len(members)
+    holding = [0] * len(entries)
+    joins = set()
     for f, K in enumerate(failing):
+        join = 0
         for i in set_bits(K):
             holding[i] |= 1 << f
+            join |= entries[i]
+        joins.add(join)
+    best = None
     for size in itertools.count(1):
-        found = []
 
-        def extend(chosen: list[int], cover: int, compat: int, dom: int) -> None:
+        def extend(chosen: list[int], cover: int, joined: int) -> None:
+            nonlocal best
             if len(chosen) == size:
-                if closure(compat, dom) in failing:
-                    found.append(tuple(renders[i] for i in chosen))
+                if joined in joins:
+                    found = tuple(renders[i] for i in chosen)
+                    if best is None or found < best:
+                        best = found
                 return
-            for j in range(chosen[-1] + 1 if chosen else 0, len(members)):
+            for j in range(chosen[-1] + 1 if chosen else 0, len(entries)):
                 within = cover & holding[j]
-                if within and compat >> j & 1:
-                    extend(chosen + [j], within, compat & compatible[j], dom | domain[j])
+                if within:
+                    extend(chosen + [j], within, joined | entries[j])
 
-        extend([], (1 << len(failing)) - 1, (1 << len(members)) - 1, 0)
-        if found:
-            return min(found)
+        extend([], (1 << len(failing)) - 1, 0)
+        if best is not None:
+            return best
 
 
 def irreducible(analysis: Analysis) -> bool:

@@ -82,8 +82,8 @@ members and the base alone (its word strings, or its product form), never
 from the index's position masks or keys, so that compare is a check on the
 kernel.  Which
 regions hold a string's cylinder is answered by one method,
-`Analysis.regions_holding`.  A problem with labels answers it word by
-word, against each region's closure mask, the labels transposed.  An
+`Analysis.regions_holding`.  A problem with labels answers it against
+each region's closure mask, one word mask of the region's words.  An
 echelon's regions are a clause product (`ClauseProduct`), and there the
 answer is the AND over clauses of the OR of the masks of the literals the
 string fixes: no region mask is built.  A region walk that needs a mask
@@ -626,9 +626,7 @@ class Analysis:
 
         On a clause product region j is the AND over clauses of the OR of the position masks
         of the clause's literals true under j.  With labels it holds the words whose label has
-        bit j set: the labels are written out as binary digits, last word first, so one
-        region's digits, a strided slice, read as its words' mask; 64 regions at a time bound
-        the string's memory.
+        bit j set, one `word_mask` per region.
         """
         product, index = self.problem.clauses, self.index
         if product is not None:
@@ -646,14 +644,8 @@ class Analysis:
         labels = self.problem.labels
         if labels is None:
             raise ValueError("problem has no solution regions")
-        count = max(labels.values(), default=0).bit_length()
-        order = [labels.get(w, 0) for w in reversed(index.words)]
-        masks = []
-        for low in range(0, count, 64):
-            width = min(64, count - low)
-            digits = "".join([format(label >> low & (1 << width) - 1, f"0{width}b") for label in order])
-            masks.extend(int(digits[width - 1 - j::width], 2) for j in range(width))
-        return list(map(index.closure_mask, masks))
+        return [index.closure_mask(index.word_mask([w for w, label in labels.items() if label >> j & 1]))
+                for j in range(max(labels.values(), default=0).bit_length())]
 
     @cached_property
     def position_choices(self) -> ChoiceTable:

@@ -1,6 +1,7 @@
 import itertools
 import random
 import string
+from collections import Counter
 from math import prod
 
 import pytest
@@ -12,6 +13,9 @@ from strtool.independence import (
     NotInReducedLogogram,
     PROPER_WITNESS,
     WIZARD,
+    RegionRow,
+    WizardCoverReport,
+    WizardFinding,
     atomic_constituents,
     classify,
     classify_all,
@@ -97,8 +101,8 @@ class TestAnalysis:
         assert walks == closures  # the problem's walk, then one per region, each fed its closure mask
 
 
-def labelled_problems(count, seed):
-    """Seeded labelled problems over binary and ternary alphabets, with nonzero labels over 1-4 regions.
+def labelled_problems(count, seed, regions=4):
+    """Seeded labelled problems over binary and ternary alphabets, with nonzero labels over 1 to `regions` regions.
 
     Half the bases have one word length, so they are prefix-free; the others mix lengths
     and often hold the empty word.
@@ -111,8 +115,8 @@ def labelled_problems(count, seed):
         words = {"".join(rng.choice(alphabet.symbols) for _ in range(rng.randint(0, top) if mixed else n))
                  for _ in range(rng.randint(1, 14))}
         target = [w for w in sorted(words) if rng.random() < 0.6] or [min(words)]
-        regions = rng.randint(1, 4)
-        labels = {w: rng.randrange(1, 1 << regions) for w in target}
+        drawn = rng.randint(1, regions)
+        labels = {w: rng.randrange(1, 1 << drawn) for w in target}
         yield DecisionProblem(lang(words, alphabet), lang(target, alphabet), labels)
 
 
@@ -179,6 +183,76 @@ class TestRegionWalks:
                 kinds[kind] += 1
         assert prefix_free > 20 and not_prefix_free > 20
         assert min(kinds.values()) > 20, kinds
+
+
+class TestRegionChecksByDefinition:
+    """`region_relations` and `wizard_cover_report` against reports rebuilt with no index and no Analysis.
+
+    Each region's reduced logogram comes from `log_rel_naive`, a cylinder is the base words
+    including the string (`word_includes`), and a region's closure the base words with a
+    prefix in it (`cylindrify`).
+    """
+
+    def test_labelled_random_problems(self):
+        seen = Counter()
+        for problem in labelled_problems(2000, seed=28, regions=5):
+            base, labels = problem.base, problem.labels
+            regions = [lang([w for w, label in labels.items() if label >> j & 1], base.alphabet)
+                       for j in range(max(labels.values()).bit_length())]
+            logograms = [log_rel_naive(DecisionProblem(base, region))[1] for region in regions]
+            closures = [cylindrify(region, base).words for region in regions]
+            cylinders = {}
+
+            def cylinder(g):
+                if g not in cylinders:
+                    cylinders[g] = frozenset(w for w in base.words if word_includes(w, g))
+                return cylinders[g]
+
+            def held(g):  # the number of region closures holding g's cylinder
+                return sum(cylinder(g) <= closure for closure in closures)
+
+            analysis = Analysis(problem)
+            for ignore_bewitched in (False, True):
+                sides = [{g for g in H if held(g) < 2} for H in logograms] if ignore_bewitched else logograms
+                rows = []
+                for i in range(1, len(regions)):
+                    low, high = frozenset().union(*sides[:i]), sides[i]
+                    vacuous = not low or not high
+                    exp_low, exp_high = expand_in(low, base).words, expand_in(high, base).words
+                    rows.append(RegionRow(
+                        index=i,
+                        disjoint=not low & high,
+                        disjoint_unfiltered=not frozenset().union(*logograms[:i]) & logograms[i],
+                        low_entangles_high=not vacuous and exp_low <= exp_high,
+                        high_entangles_low=not vacuous and exp_high <= exp_low,
+                        vacuous=vacuous,
+                        low_size=len(low),
+                        high_size=len(high),
+                    ))
+                    for name in ("disjoint", "low_entangles_high", "vacuous"):
+                        seen[name, getattr(rows[-1], name)] += 1
+                report = region_relations(analysis, ignore_bewitched)
+                assert report.rows == tuple(rows), (sorted(base.words), labels, ignore_bewitched)
+                assert report.holds == all(r.disjoint and not r.low_entangles_high and not r.high_entangles_low
+                                           for r in rows)
+            pool = [cylinder(g) for g in frozenset().union(*logograms)]
+            findings = []
+            for g in sorted(log_rel_naive(problem)[1], key=lambda g: (g.size, g.render())):
+                if held(g):
+                    continue  # a witness: some region's closure holds its cylinder
+                assoc = [c for c in pool if c & cylinder(g)]
+                union = frozenset().union(*assoc)
+                findings.append(WizardFinding(
+                    string=g.render(),
+                    witnesses=len(assoc),
+                    union_holds=cylinder(g) <= union,
+                    proper=cylinder(g) < union,
+                    witness_inside_wizard=any(c <= cylinder(g) for c in assoc),
+                ))
+            expected = WizardCoverReport(all(f.union_holds for f in findings), len(findings), tuple(findings))
+            assert wizard_cover_report(analysis) == expected, (sorted(base.words), labels)
+            seen["wizards", bool(findings)] += 1
+        assert len(seen) == 8 and min(seen.values()) > 20, seen
 
 
 class TestEntanglement:
@@ -475,14 +549,14 @@ def complete_oracle(analysis):
     return worst is None, None if worst is None else list(worst[1]), len(distinct)
 
 
-def two_sat_fragment():
-    """The (3,3) echelon's 2-SAT sub-base, the words whose clause blocks hold at most two literals; the target is its satisfiable words."""
-    spec = EchelonSpec(3, 3)
+def k_sat_fragment(n, m, k):
+    """The (n,m) echelon's k-SAT sub-base, the words whose clause blocks hold at most k literals; the target is its satisfiable words."""
+    spec = EchelonSpec(n, m)
     echelon = enumerate_echelon(spec)
     start = len(spec.prefix)
 
     def narrow(word):
-        return all(spec.n - word.count("0", i, i + spec.n) <= 2 for i in range(start, len(word), spec.n))
+        return all(spec.n - word.count("0", i, i + spec.n) <= k for i in range(start, len(word), spec.n))
 
     alphabet = echelon.base.alphabet
     return DecisionProblem(FiniteLanguage.of(alphabet, filter(narrow, echelon.base.words)),
@@ -553,15 +627,22 @@ class TestComplete:
         assert sum(size > 1 for size in failing_sizes) > 20  # and not only singleton failures
 
     def test_two_sat_fragment_fails(self):
-        analysis = Analysis(two_sat_fragment())
+        analysis = Analysis(k_sat_fragment(3, 3, 2))
         assert (len(analysis.problem.base.words), len(analysis.members)) == (6859, 126)
         verdict = complete_independence(analysis)
         assert not verdict.holds and verdict.subsets_checked == 10934  # SAT's closed sets
         assert len({mask for mask in analysis.member_masks if mask}) == 3294
         assert verdict.counterexample.strings == ("________1__1__1", "________1__1___1", "________1__1____1")
 
+    def test_three_sat_fragment_fails_with_four_members(self):
+        analysis = Analysis(k_sat_fragment(4, 2, 3))
+        assert (len(analysis.problem.base.words), len(analysis.members)) == (4225, 56)
+        verdict = complete_independence(analysis)
+        assert not verdict.holds and verdict.subsets_checked == 5976  # SAT's closed sets
+        assert verdict.counterexample.strings == ("________1___1", "________1____1", "________1_____1", "________1______1")
+
     def test_counterexample_search_extends_only_subsets_inside_a_failing_set(self, monkeypatch):
-        # the search reads compatible[j] once per extension; searching sizes 1..s it extends,
+        # the search reads entries[j] once per extension; searching sizes 1..s it extends,
         # for each size, every pairwise-compatible subset of at most that size some failing closed set holds
         reads = []
         real = independence._smallest_generator
@@ -571,9 +652,10 @@ class TestComplete:
                 reads[-1] += 1
                 return list.__getitem__(self, j)
 
-        def counting(members, compatible, *rest):
-            reads.append(0)
-            return real(members, Counted(compatible), *rest)
+        def counting(renders, entries, failing):
+            # building the failing sets' joins reads each member of each failing set once: not an extension
+            reads.append(-sum(K.bit_count() for K in failing))
+            return real(renders, Counted(entries), failing)
 
         monkeypatch.setattr(independence, "_smallest_generator", counting)
         # members 1, _1, __1; no word realizes {1, __1} or {_1, __1}, and no failing set holds both 1 and _1:

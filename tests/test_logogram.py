@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import json
@@ -93,12 +94,13 @@ class TestDecisionProblem:
     def test_region_masks_transpose_labels(self):
         rng = random.Random(4)
         E = sigma_exact(BINARY, 8)
-        for count in (1, 63, 64, 65, 130):  # region masks are built 64 regions at a time
+        for count in (1, 63, 64, 65, 130):  # up to more regions than a 64-bit word holds
             labels = {w: rng.randrange(1, 1 << count) for w in sorted(E.words) if rng.random() < 0.7}
             labels[min(labels)] |= 1 << count - 1  # the last region is nonempty
             analysis = Analysis(DecisionProblem(E, lang(labels), labels))
-            regions = [[w for w, label in labels.items() if label >> j & 1] for j in range(count)]
-            assert analysis.region_masks == [analysis.index.word_mask(r) for r in regions]
+            words = analysis.index.words
+            assert analysis.region_masks == [sum(1 << k for k, w in enumerate(words) if labels.get(w, 0) >> j & 1)
+                                             for j in range(count)]
 
 
 def cylinder_transpose(analysis):
@@ -232,8 +234,17 @@ class TestProblemIndex:
 
 
 def word_level_index(base):
-    """An index of base's words as a plain language: the word-level path, masks read from the words."""
-    index = ProblemIndex(FiniteLanguage.of(base.alphabet, base.words))
+    """An index of a whole product base's words as a plain language: the word-level path, masks read from the words.
+
+    One index per product is built and kept, since more than one test indexes (2,6)'s 531,441 words.
+    """
+    assert base.is_full
+    return _word_level_product_index(base.alphabet, base.prefix, base.free)
+
+
+@functools.cache
+def _word_level_product_index(alphabet, prefix, free):
+    index = ProblemIndex(FiniteLanguage.of(alphabet, ProductLanguage(alphabet, prefix, free).words))
     assert index.product_prefix is None
     return index
 
@@ -253,8 +264,8 @@ def assert_paths_agree(problem):
     analysis = Analysis(problem)
     index = analysis.index
     assert index.product_prefix is not None
-    assert index.pos_masks == logogram._column_masks(index.words, index.alphabet)
     word_index = word_level_index(problem.base)
+    assert index.pos_masks == word_index.pos_masks
     radix = len(index.alphabet.symbols) + 1
     free = auto_positions(index)
     wider = (*range(1, index.shared_prefix_len + 1)[-1:], *free, index.max_len + 1)
@@ -303,7 +314,7 @@ class TestFullProductIndex:
         base = make(*args)
         index = ProblemIndex(base)
         assert "words" not in vars(index) and "words" not in vars(base)
-        plain = ProblemIndex(FiniteLanguage.of(base.alphabet, base.words))
+        plain = word_level_index(base)
         assert (index.product_prefix, plain.product_prefix) == (base.prefix, None)
         for name in ("shared_prefix_len", "max_len", "all_mask", "prefix_free", "pos_masks", "words"):
             assert getattr(index, name) == getattr(plain, name), name

@@ -336,7 +336,7 @@ class TestClauseProduct:
         monkeypatch.setattr(Analysis, "region_masks", property(lambda self: built.append(self) or real(self)))
         assert main(["verify", "--suite", suite, "--n", "3", "--m", "2"]) == 0
         assert all(analysis.problem.clauses is None for analysis in built)  # no echelon region mask
-        assert bool(built) == (suite == "wizards")  # the toy wizard problem's labels are transposed
+        assert bool(built) == (suite == "wizards")  # the toy wizard problem's label region masks are built
 
 
 class TestEffectiveSize:
