@@ -9,9 +9,10 @@ A language that is all or part of prefix·Σ^k, such as an echelon, its
 satisfiable words or a length-k slice, can be held in product form
 (`ProductLanguage`): a bitmask over the product order of prefix·Σ^k, bit i
 for the prefix followed by the base-|Σ| digits of i in code-point order.
-Its size, subset tests against the same product and `expand_in` are mask
-arithmetic; its word set is built only when something reads it, and then
-equals, and hashes like, a plain language of the same words.
+Its size and subset tests against the same product are mask arithmetic;
+its word set is built only when something reads it (`expand_in` reads it,
+as it reads any language's), and then equals, and hashes like, a plain
+language of the same words.
 
 Language file format: one header line "alphabet=<symbols>", then one word
 per line; '#' starts a comment; blank lines are ignored (the empty word is
@@ -236,11 +237,6 @@ def expand_in(H: Iterable[PartialString], L: FiniteLanguage) -> FiniteLanguage:
     projection and lookup per word; a word that matches leaves the list the
     later domains scan.  About |L| x (distinct domains) steps, plus one step
     per member and a sort of L by length.
-
-    A product-form L is not read word by word: each domain's projections
-    become a table of flags over its free positions' symbol combinations,
-    spread to the whole product order (`_spread`), and the result is L's mask
-    ANDed with the OR of those flags, again in product form.
     """
     projections: dict[tuple[int, ...], set] = {}
     bottom = False
@@ -255,8 +251,6 @@ def expand_in(H: Iterable[PartialString], L: FiniteLanguage) -> FiniteLanguage:
         projections.setdefault(domain, set()).add(symbols if len(symbols) > 1 else symbols[0])
     if bottom:
         return L  # the empty string is included in every word
-    if isinstance(L, ProductLanguage):
-        return L.masked(L.mask & _product_expansion(projections, L))
     rest = sorted(L.words, key=len)
     hits: list[str] = []
     for domain, projs in projections.items():
@@ -267,62 +261,6 @@ def expand_in(H: Iterable[PartialString], L: FiniteLanguage) -> FiniteLanguage:
             hits.extend(itertools.compress(tail, found))
             rest[start:] = itertools.compress(tail, map(not_, found))
     return L._sub(frozenset(hits))
-
-
-def _product_expansion(projections: dict[tuple[int, ...], set], L: ProductLanguage) -> int:
-    """The mask, over L's whole product, of the words whose symbols on some domain form one of its projections.
-
-    Per domain, a projection must match L's prefix at the prefix positions it covers; its
-    symbols at the free positions, as base-|Σ| digits in code-point order, index a flag
-    table over the domain's free positions.  A domain reaching past L's length matches no word.
-    """
-    symbols = sorted(L.alphabet.symbols)
-    rank = {s: d for d, s in enumerate(symbols)}
-    start = len(L.prefix)
-    mask = 0
-    for domain, projs in projections.items():
-        if domain[-1] > L.length:
-            continue
-        fixed = tuple(L.prefix[p - 1] for p in domain if p <= start)  # positions increase: prefix ones first
-        free = [p - start for p in domain if p > start]
-        table = bytearray(len(symbols) ** len(free))
-        for proj in projs:
-            proj = proj if len(domain) > 1 else (proj,)  # one position projects to a bare symbol
-            if proj[:len(fixed)] == fixed:
-                k = 0
-                for s in proj[len(fixed):]:
-                    k = k * len(symbols) + rank[s]
-                table[k] = 1
-        if any(table):
-            mask |= flags_mask(_spread(table, free, L.free, len(symbols)))
-    return mask
-
-
-def _spread(table: bytearray, domain: list[int], free: int, radix: int) -> bytearray:
-    """Flags over the digit tuples of domain (free positions, increasing) spread to all of Σ^free.
-
-    Byte i of the result is table's byte at word i's digits on domain.  Positions are
-    taken last first; the flags then run over the domain digits before p, outermost, and
-    all digits after p, an inner block.  A domain position's digit joins the block as it
-    is; any other position repeats each block radix times, by strided slices when blocks
-    outnumber their bytes.
-    """
-    flags, block = table, 1
-    inside = set(domain)
-    for p in range(free, 0, -1):
-        if p not in inside:
-            grown = bytearray(len(flags) * radix)
-            if block < len(flags) // block:
-                for j in range(block):
-                    column = flags[j::block]
-                    for c in range(radix):
-                        grown[c * block + j::block * radix] = column
-            else:
-                for i in range(0, len(flags), block):
-                    grown[i * radix:(i + block) * radix] = flags[i:i + block] * radix
-            flags = grown
-        block *= radix
-    return flags
 
 
 def cylindrify(A: FiniteLanguage, L: FiniteLanguage) -> FiniteLanguage:

@@ -80,10 +80,13 @@ its candidate pairs from them, and the expansion identity
 member mask against the target's closure mask.  They are built from the
 members and the base alone (its word strings, or its product form), never
 from the index's position masks or keys, so that compare is a check on the
-kernel.  Which
+kernel.  A stored full set has the same expansion when it holds the
+members and each of its strings extends one, and `position_choices` tell
+that too: the members below a string are one AND over them.  Which
 regions hold a string's cylinder is answered by one method,
 `Analysis.regions_holding`.  A problem with labels answers it against
-each region's closure mask, one word mask of the region's words.  An
+each region's closure mask, a strided slice of the labels written as one
+row of bits per word.  An
 echelon's regions are a clause product (`ClauseProduct`), and there the
 answer is the AND over clauses of the OR of the masks of the literals the
 string fixes: no region mask is built.  A region walk that needs a mask
@@ -292,9 +295,7 @@ class ProblemIndex:
         return mask
 
     def mask_language(self, mask: int) -> FiniteLanguage:
-        """The base words of mask: in product form over a whole `ProductLanguage` base, read from `words` otherwise."""
-        if self.product_prefix is not None:  # index order is product order
-            return self.language.masked(mask)
+        """The base words of mask, read from `words`."""
         return self.language._sub(frozenset(itertools.compress(self.words, bit_flags(mask))))
 
     def closure_mask(self, mask: int) -> int:
@@ -626,7 +627,8 @@ class Analysis:
 
         On a clause product region j is the AND over clauses of the OR of the position masks
         of the clause's literals true under j.  With labels it holds the words whose label has
-        bit j set, one `word_mask` per region.
+        bit j set: the labels are written once as one row of bits per word, and mask j is a
+        strided slice of those rows.
         """
         product, index = self.problem.clauses, self.index
         if product is not None:
@@ -644,8 +646,9 @@ class Analysis:
         labels = self.problem.labels
         if labels is None:
             raise ValueError("problem has no solution regions")
-        return [index.closure_mask(index.word_mask([w for w, label in labels.items() if label >> j & 1]))
-                for j in range(max(labels.values(), default=0).bit_length())]
+        regions = max(labels.values(), default=0).bit_length()
+        rows = "".join(format(labels.get(w, 0), f"0{regions}b") for w in index.words)  # one row of bits per word
+        return [index.closure_mask(int(rows[regions - 1 - j::regions][::-1], 2)) for j in range(regions)]
 
     @cached_property
     def position_choices(self) -> ChoiceTable:
@@ -946,22 +949,31 @@ def logexp_closure_check(
 def verify_logogram_expansion(analysis: Analysis | DecisionProblem) -> bool:
     """True iff expanding the logogram (full and reduced) inside E recovers the prefix closure of F.
 
-    The expansions are recomputed from the base (its words, or its product
-    form), independently of the index masks the engine used.  The reduced
-    set's expansion is the words whose member mask (`Analysis.member_masks`,
-    built from the members and the base) is nonzero, read as one mask in
-    index order and compared with the target's closure mask.  The full set
-    is expanded by `expand_in` only when it is stored (on a product-form
-    base by flag tables over the product, and compared as a mask);
-    otherwise its expansion is the reduced set's, since every member of the
-    full set extends a reduced one.
+    The reduced set's expansion is recomputed from the base (its words, or
+    its product form), independently of the index masks the engine used: the
+    words whose member mask (`Analysis.member_masks`, built from the members
+    and the base) is nonzero, read as one mask in index order and compared
+    with the target's closure mask.  A stored full set must hold every
+    member, and each of its strings must extend a member, so that its
+    cylinder lies inside the member's: its expansion is then the members'.
+    The members below a string are the AND over `Analysis.position_choices`
+    of the symbol's entry where it holds a symbol and the undefined entry
+    elsewhere.  No word is read for the full set.
     """
     if isinstance(analysis, DecisionProblem):
         analysis = Analysis(analysis)
-    problem, result = analysis.problem, analysis.logogram
-    if result.full is not None and \
-            expand_in(result.full, problem.base) != analysis.index.mask_language(analysis.target_mask):
-        return False
+    result = analysis.logogram
+    if result.full is not None:
+        if not result.reduced <= result.full:
+            return False
+        choices, members = analysis.position_choices, (1 << len(analysis.members)) - 1
+        for g in result.full:
+            fixed = dict(g.entries)
+            below = members
+            for pos, (undefined, by_symbol) in choices.items():
+                below &= by_symbol[fixed[pos]] if pos in fixed else undefined
+            if not below:
+                return False
     included = bytes(map(bool, analysis.member_masks))  # byte k: word k includes a member
     return flags_mask(included) == analysis.target_mask
 

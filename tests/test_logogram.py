@@ -256,10 +256,10 @@ def result_fields(result):
 def assert_paths_agree(problem):
     """The digit-arithmetic path against the word-level one on one full-product base.
 
-    Position masks, keys, reachable keys and member masks are compared on the same index;
-    log_rel runs once on it and once on a word-level index of the same base, over the
-    default positions and, where the space is small, over positions that add the last
-    prefix position and one past the end.
+    Position masks, keys, reachable keys and member masks are compared with a word-level
+    index of the same base, and log_rel runs once on each, over the default positions and,
+    where the space is small, over positions that add the last prefix position and one past
+    the end.
     """
     analysis = Analysis(problem)
     index = analysis.index
@@ -270,14 +270,14 @@ def assert_paths_agree(problem):
     free = auto_positions(index)
     wider = (*range(1, index.shared_prefix_len + 1)[-1:], *free, index.max_len + 1)
     for positions in [free, wider] if radix ** len(wider) <= 4 ** 8 else [free]:
-        space = index.candidate_space(positions)
-        assert space.keys.tolist() == logogram._word_keys(index, positions, radix).tolist()
-        assert space.reachable == space.extended(space.bitset(index.all_mask))
+        space, word_space = index.candidate_space(positions), word_index.candidate_space(positions)
+        assert space.keys.tolist() == word_space.keys.tolist()
+        assert space.reachable == word_space.reachable
         product, words = (log_rel(problem, positions, index=idx) for idx in (index, word_index))
         assert result_fields(product) == result_fields(words)
     assert all(len(index.product_prefix) < pos <= index.max_len for pos in analysis.position_choices)
     full = (1 << len(analysis.members)) - 1
-    assert analysis.member_masks == logogram._word_member_masks(analysis.position_choices, index, full)
+    assert analysis.member_masks == logogram._word_member_masks(analysis.position_choices, word_index, full)
 
 
 def random_target(base, seed):
@@ -320,11 +320,12 @@ class TestFullProductIndex:
             assert getattr(index, name) == getattr(plain, name), name
         rng = random.Random(len(base))
         target = base.masked(rng.getrandbits(len(base)))
-        product_form, word_form = (Analysis(DecisionProblem(b, t), budget=4 ** 9)
-                                   for b, t in ((base, target), (plain.language, FiniteLanguage.of(base.alphabet, target.words))))
-        assert product_form.target_mask == target.mask == word_form.target_mask
+        word_target = FiniteLanguage.of(base.alphabet, target.words)
+        product_form = Analysis(DecisionProblem(base, target), budget=4 ** 9)
+        assert product_form.target_mask == target.mask == plain.closure_mask(plain.language_mask(word_target))
         if len(auto_positions(index)) <= 9:
-            assert result_fields(product_form.logogram) == result_fields(word_form.logogram)
+            word_form = log_rel(DecisionProblem(plain.language, word_target), index=plain, budget=4 ** 9)
+            assert result_fields(product_form.logogram) == result_fields(word_form)
             assert product_form.index.mask_language(product_form.target_mask) == target
 
     def test_masked_product_base_is_indexed_by_its_words(self):
@@ -920,6 +921,32 @@ class TestExpansionIdentity:
                 logogram = given
 
             assert verify_logogram_expansion(Given(problem)) == holds
+
+    def test_stored_full_set_must_hold_the_members_and_extend_them(self):
+        """A stored full set fails with a base word outside the closure added, or its least member dropped."""
+        rng = random.Random(44)
+        problems = [random_problem(rng, (BINARY, TERNARY)[i % 2], max_len=rng.randint(1, 5)) for i in range(300)]
+        problems += [enumerate_echelon(EchelonSpec(n, m)) for n, m in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (2, 3)]]
+        caught = {"word outside the closure": 0, "least member dropped": 0}
+        for problem in problems:
+            result = log_rel(problem, keep_full=True)
+            cases = [(result, None)]
+            outside = sorted(problem.base.words - cylindrify(problem.target, problem.base).words)
+            if outside:
+                word = PartialString.from_word(problem.alphabet, rng.choice(outside))
+                cases.append((result._replace(full=result.full | {word}), "word outside the closure"))
+            if result.reduced:
+                least = min(result.reduced, key=lambda g: (g.size, g.render()))
+                cases.append((result._replace(full=result.full - {least}), "least member dropped"))
+            for given, fault in cases:
+
+                class Given(Analysis):  # every artefact is derived from this logogram
+                    logogram = given
+
+                assert verify_logogram_expansion(Given(problem)) == (fault is None), (fault, problem.target.words)
+                if fault:
+                    caught[fault] += 1
+        assert min(caught.values()) > 20, caught
 
     def test_analysis_attributes_cannot_be_assigned(self):
         problem = enumerate_echelon(EchelonSpec(2, 2))
