@@ -241,7 +241,7 @@ def expand_in(H: Iterable[PartialString], L: FiniteLanguage) -> FiniteLanguage:
     projections: dict[tuple[int, ...], set] = {}
     bottom = False
     for g in H:
-        if g.alphabet is not L.alphabet and g.alphabet != L.alphabet:  # `!=` calls `__eq__` even on one object
+        if g.alphabet != L.alphabet:
             raise AlphabetMismatch(f"string alphabet {g.alphabet!r} differs from language {L.alphabet!r}")
         if not g.entries:
             bottom = True

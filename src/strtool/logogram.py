@@ -38,10 +38,10 @@ in one membership pass (`ProblemIndex.language_mask`).
 (`log_abs`, on which LogExp is built) is the logogram relative to a full
 capped slice, over every position.  A deliberately plain enumerator
 (`log_rel_naive`) re-derives the same sets with no index, no restriction
-and no pruning: one pass per domain projects the base words defined on it
-and keeps the projections whose words all lie in the target's closure,
-about words x 2^npos projections in all; it is the correctness oracle for
-the engine.
+and no pruning: per domain it projects the base words defined on it and
+keeps the projections of words inside the target's closure that no word
+outside it shares, about words x 2^npos projections in all; it is the
+correctness oracle for the engine.
 
 Decoding a key is table-driven.  The positions are split, lowest digits
 first, into chunks of as many positions as keep a chunk's values within
@@ -81,8 +81,9 @@ member mask against the target's closure mask.  They are built from the
 members and the base alone (its word strings, or its product form), never
 from the index's position masks or keys, so that compare is a check on the
 kernel.  A stored full set has the same expansion when it holds the
-members and each of its strings extends one, and `position_choices` tell
-that too: the members below a string are one AND over them.  Which
+members and each of its strings extends one: with one flag row over the
+full strings per member entry, a member's extensions are the AND of its
+entries' rows, and the OR over members must cover every full string.  Which
 regions hold a string's cylinder is answered by one method,
 `Analysis.regions_holding`.  A problem with labels answers it against
 each region's closure mask, a strided slice of the labels written as one
@@ -119,7 +120,7 @@ import os
 import sys
 import time
 from bisect import bisect_left, bisect_right
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from operator import and_, itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -860,12 +861,14 @@ def log_rel_naive(problem: DecisionProblem, candidate_positions=None, budget: in
 
     A string over a domain (a subset of the positions) qualifies iff some base
     word defined on the whole domain projects onto it and every such word lies
-    in the target's closure.  So each of those words is projected once per
-    domain, a flag per projection records whether all its words were in the
-    closure, and the projections whose flag stayed true are the qualifying
-    strings: about words x 2^len(positions) projections in all.  Returns
-    (full, reduced) string sets.  The reduced set comes from `reduce_strings`,
-    which shares no code with the kernel's minimal keys.
+    in the target's closure.  The words are split once into those inside and
+    those outside the closure; per domain the qualifying strings are the
+    projections of the inside words long enough for the domain, minus the
+    projections of such outside words: about words x 2^len(positions)
+    projections in all.  The symbols come from the validated base words and the
+    positions of a domain increase, so the strings are built unchecked.
+    Returns (full, reduced) string sets.  The reduced set comes from
+    `reduce_strings`, which shares no code with the kernel's minimal keys.
     """
     if not problem.base.words:
         raise ValueError("base language is empty")
@@ -881,18 +884,19 @@ def log_rel_naive(problem: DecisionProblem, candidate_positions=None, budget: in
     if space > budget:
         raise BudgetExceeded("naive candidate space too large", space, budget)
     closure = cylindrify(problem.target, problem.base).words
+    inside = [w for w in words if w in closure]  # both sorted by length, as words is
+    outside = [w for w in words if w not in closure]
 
+    make = PartialString._unchecked
     full: list[PartialString] = []
     for r in range(len(positions) + 1):
         for domain in itertools.combinations(positions, r):
             # one symbol (r == 1) or a tuple of them; zip pairs either with the domain
             project = itemgetter(*(p - 1 for p in domain)) if domain else lambda w: ()
-            qualifies = {}
-            for w in words[bisect_left(words, domain[-1], key=len) if domain else 0:]:
-                codes = project(w)
-                qualifies[codes] = qualifies.get(codes, True) and w in closure
-            full.extend(PartialString(alphabet, tuple(zip(domain, codes)))
-                        for codes, ok in qualifies.items() if ok)
+            low = domain[-1] if domain else 0  # the shortest word length defined on the domain
+            qualifying = set(map(project, inside[bisect_left(inside, low, key=len):]))
+            qualifying -= set(map(project, outside[bisect_left(outside, low, key=len):]))
+            full.extend(make(alphabet, tuple(zip(domain, codes))) for codes in qualifying)
     full_set = frozenset(full)
     return full_set, reduce_strings(full_set)
 
@@ -956,9 +960,10 @@ def verify_logogram_expansion(analysis: Analysis | DecisionProblem) -> bool:
     with the target's closure mask.  A stored full set must hold every
     member, and each of its strings must extend a member, so that its
     cylinder lies inside the member's: its expansion is then the members'.
-    The members below a string are the AND over `Analysis.position_choices`
-    of the symbol's entry where it holds a symbol and the undefined entry
-    elsewhere.  No word is read for the full set.
+    For each entry some member holds, one flag row over the full strings
+    marks those holding it; a member's extensions are the AND of its
+    entries' rows, and their OR over the members must cover every full
+    string.  No word is read for the full set.
     """
     if isinstance(analysis, DecisionProblem):
         analysis = Analysis(analysis)
@@ -966,14 +971,19 @@ def verify_logogram_expansion(analysis: Analysis | DecisionProblem) -> bool:
     if result.full is not None:
         if not result.reduced <= result.full:
             return False
-        choices, members = analysis.position_choices, (1 << len(analysis.members)) - 1
-        for g in result.full:
-            fixed = dict(g.entries)
-            below = members
-            for pos, (undefined, by_symbol) in choices.items():
-                below &= by_symbol[fixed[pos]] if pos in fixed else undefined
-            if not below:
-                return False
+        flags = {e: bytearray(len(result.full)) for g in analysis.members for e in g.entries}
+        for j, g in enumerate(result.full):
+            for e in g.entries:
+                row = flags.get(e)
+                if row is not None:
+                    row[j] = 1
+        rows = {e: flags_mask(row) for e, row in flags.items()}  # bit j: full string j holds entry e
+        everyone = (1 << len(result.full)) - 1
+        extended = 0
+        for g in analysis.members:
+            extended |= reduce(and_, map(rows.__getitem__, g.entries), everyone)
+        if extended != everyone:
+            return False
     included = bytes(map(bool, analysis.member_masks))  # byte k: word k includes a member
     return flags_mask(included) == analysis.target_mask
 

@@ -11,6 +11,11 @@ Antichain reduction (`reduce_strings`) is bit-parallel over the members kept
 so far: it holds one bitset per position and one per (position, symbol)
 entry, and never compares two members directly.
 
+`Alphabet` and `PartialString` are immutable values: each is the tuple of
+its fields (`(symbols,)`, `(alphabet, entries)`), so the hash and equality
+that every set of strings uses are `hash` and `==` of that field tuple, as
+for every value type of the package, run by tuple itself in C.
+
 Text forms:
   * positional: one character per position up to the string's size, with
     '_' marking undefined positions ("1_2"); words contain no '_'.
@@ -22,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping
-from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 BLANK = "_"
@@ -36,17 +41,36 @@ class AlphabetMismatch(ValueError):
 def read_only(self, name: str, *value: object) -> None:
     """`__setattr__` and `__delattr__` of the immutable value types.
 
-    Their `__init__` sets each field once through `object.__setattr__`; equality
-    compares the field tuple and the hash is `hash` of it (`PartialString`
-    hashes its entries alone, which equal strings share).
+    Every value type is equal by its field tuple and hashes as `hash` of it.
+    `Alphabet` and `PartialString` are that tuple (a `tuple` subclass with
+    read-only field properties), so their equality and hash are tuple's own, in
+    C; the other types set each field once through `object.__setattr__` in
+    `__init__`.
     """
     raise AttributeError(f"cannot assign to or delete {type(self).__name__}.{name}")
 
 
-class Alphabet:
-    """Ordered finite symbol set; must contain '0' and '1', never '_'."""
+def not_a_sequence(self, *args: object) -> None:
+    """The sequence operations of `tuple` that `Alphabet` and `PartialString` turn off.
 
-    def __init__(self, symbols: tuple[str, ...]) -> None:
+    Each is the tuple of its fields, so indexing reads a field and `==`,
+    `hash` and ordering are the field tuple's; concatenating, repeating,
+    counting and searching a value, or reversing it, has no meaning.
+    """
+    raise TypeError(f"{type(self).__name__} is a value, not a sequence of its fields")
+
+
+class Alphabet(tuple):
+    """Ordered finite symbol set; must contain '0' and '1', never '_'.
+
+    The value is the tuple `(symbols,)`: equality, hash and ordering are
+    that tuple's, so an alphabet equals `(symbols,)` and `BINARY[0]` is its
+    symbols.  `in`, `len` and iteration read the symbols.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, symbols: tuple[str, ...]) -> "Alphabet":
         if not symbols:
             raise ValueError("alphabet must be nonempty")
         if len(set(symbols)) != len(symbols):
@@ -59,19 +83,14 @@ class Alphabet:
         for required in ("0", "1"):
             if required not in symbols:
                 raise ValueError(f"alphabet must include {required!r}")
-        object.__setattr__(self, "symbols", symbols)
+        return tuple.__new__(cls, (symbols,))
 
+    symbols = property(itemgetter(0))
     __setattr__ = __delattr__ = read_only
+    __add__ = __radd__ = __mul__ = __rmul__ = __reversed__ = count = index = not_a_sequence
 
-    def __eq__(self, other: object) -> bool:
-        if other is self:
-            return True
-        if other.__class__ is self.__class__:
-            return self.symbols == other.symbols
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.symbols,))
+    def __getnewargs__(self) -> tuple[tuple[str, ...]]:
+        return (self.symbols,)
 
     @classmethod
     def of(cls, symbols: str | Iterable[str]) -> "Alphabet":
@@ -103,15 +122,20 @@ def _check_same_alphabet(a: "PartialString", b: "PartialString") -> None:
         raise AlphabetMismatch(f"mixed alphabets: {a.alphabet!r} vs {b.alphabet!r}")
 
 
-class PartialString:
+class PartialString(tuple):
     """Finite partial map position -> symbol, positions >= 1.
 
     The size is the maximum position in the domain (0 for the empty
     string), so the positional rendering of a string of size L has exactly
-    L characters.
+    L characters.  The value is the tuple `(alphabet, entries)`: equality
+    and hash are that tuple's, so a string equals `(alphabet, entries)` and
+    `g[1]` is its entries.  A string is not iterable, and `len` counts its
+    entries.
     """
 
-    def __init__(self, alphabet: Alphabet, entries: tuple[tuple[int, str], ...]) -> None:
+    __slots__ = ()
+
+    def __new__(cls, alphabet: Alphabet, entries: tuple[tuple[int, str], ...]) -> "PartialString":
         last = 0
         symbols = alphabet.symbols
         for pos, sym in entries:
@@ -123,26 +147,21 @@ class PartialString:
             if sym not in symbols:
                 raise ValueError(f"symbol {sym!r} not in {alphabet!r}")
             last = pos
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "entries", entries)
+        return tuple.__new__(cls, (alphabet, entries))
 
     @classmethod
     def _unchecked(cls, alphabet: Alphabet, entries: tuple[tuple[int, str], ...]) -> "PartialString":
-        """The string of these entries, which every caller takes sorted and in-alphabet from its own tables: no check."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "alphabet", alphabet)
-        object.__setattr__(g, "entries", entries)
-        return g
+        """The string of these entries, which every caller has sorted and in-alphabet by construction: no check."""
+        return tuple.__new__(cls, (alphabet, entries))
 
+    alphabet = property(itemgetter(0))
+    entries = property(itemgetter(1))
     __setattr__ = __delattr__ = read_only
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.alphabet, self.entries) == (other.alphabet, other.entries)
-        return NotImplemented
+    def __getnewargs__(self) -> tuple[Alphabet, tuple[tuple[int, str], ...]]:
+        return self.alphabet, self.entries
 
-    def __hash__(self) -> int:
-        return hash(self.entries)  # equal strings have equal entries; one call, no Alphabet.__hash__
+    __iter__ = __contains__ = __add__ = __radd__ = __mul__ = __rmul__ = __reversed__ = count = index = not_a_sequence
 
     @classmethod
     def of(cls, alphabet: Alphabet, entries: Mapping[int, str] | Iterable[tuple[int, str]]) -> "PartialString":
@@ -180,7 +199,7 @@ class PartialString:
             return cls.of(alphabet, entries)
         return cls(alphabet, tuple((i + 1, c) for i, c in enumerate(text) if c != BLANK))
 
-    @cached_property
+    @property
     def as_dict(self) -> dict[int, str]:
         return dict(self.entries)
 
@@ -190,7 +209,7 @@ class PartialString:
 
     @property
     def domain(self) -> tuple[int, ...]:
-        return tuple(dict(self.entries))
+        return tuple([pos for pos, _ in self.entries])
 
     @property
     def is_word(self) -> bool:
@@ -264,7 +283,7 @@ def _common_alphabet(H: Iterable[PartialString], K: Iterable[PartialString] = ()
     for g in itertools.chain(H, K):
         if alphabet is None:
             alphabet = g.alphabet
-        elif g.alphabet is not alphabet and g.alphabet != alphabet:  # `!=` calls `__eq__` even on one object
+        elif g.alphabet != alphabet:
             raise AlphabetMismatch(f"mixed alphabets in string set: {alphabet!r} vs {g.alphabet!r}")
     return alphabet
 
@@ -310,9 +329,11 @@ def reduce_strings(H: Iterable[PartialString]) -> frozenset[PartialString]:
     iff m has an entry where g is undefined or holds another symbol, so g is
     kept iff the OR of `at[pos]` over the positions outside g's domain and of
     `at[pos] & ~has[(pos, sym)]` over g's entries covers every kept index.
-    The first OR is shared by every string of a round with g's domain, and
-    the second term is tabulated once per round, so a test costs one
-    big-integer OR per entry of g.
+    The second term is tabulated once per round, each entry's value carrying
+    one more bit above the kept indices for its position (k-th in `at`), so
+    the OR over g's entries also gives g's domain among the kept positions.
+    The first OR is shared by every string of a round with that domain, so a
+    test costs one big-integer OR per entry of g.
     """
     members = set(H)
     alphabet = _common_alphabet(members)
@@ -323,23 +344,26 @@ def reduce_strings(H: Iterable[PartialString]) -> frozenset[PartialString]:
     at: dict[int, int] = {}
     has: dict[tuple[int, str], int] = {}
     for count in sorted(rounds):
-        everyone = (1 << len(kept)) - 1
-        other = {(pos, sym): defined & ~has.get((pos, sym), 0)
-                 for pos, defined in at.items() for sym in alphabet.symbols}
-        outside: dict[tuple[int, ...], int] = {}
+        shift = len(kept)
+        everyone = (1 << shift) - 1
+        positions = list(at.items())
+        other = {(pos, sym): defined & ~has.get((pos, sym), 0) | 1 << (shift + k)
+                 for k, (pos, defined) in enumerate(positions) for sym in alphabet.symbols}
+        outside: dict[int, int] = {}
         survivors = []
         for g in rounds[count]:
-            domain = g.domain
-            blocked = outside.get(domain)
-            if blocked is None:
-                blocked = 0
-                for pos, defined in at.items():
-                    if pos not in domain:
-                        blocked |= defined
-                outside[domain] = blocked
+            blocked = 0
             for entry in g.entries:
                 blocked |= other.get(entry, 0)
-            if blocked == everyone:
+            domain = blocked >> shift
+            rest = outside.get(domain)
+            if rest is None:
+                rest = 0
+                for k, (pos, defined) in enumerate(positions):
+                    if not domain >> k & 1:
+                        rest |= defined
+                outside[domain] = rest
+            if (blocked | rest) & everyone == everyone:
                 survivors.append(g)
         for g in survivors:
             bit = 1 << len(kept)

@@ -1,7 +1,7 @@
-"""The immutable value types and report records: field equality, hash of the field tuple, no assignment or deletion.
+"""The immutable value types and report records: field equality, hash of the field tuple, no assignment or deletion."""
 
-`PartialString` hashes its entries alone (equal strings have equal entries), so its hash is one call.
-"""
+import copy
+import pickle
 
 import pytest
 
@@ -74,7 +74,7 @@ def test_value_type(name):
     a, b = make(), make()
     assert a is not b and a == b and not a != b
     values = tuple(getattr(a, f) for f in fields)
-    assert hash(a) == hash(b) == (hash(a.entries) if name == "PartialString" else hash(values))
+    assert hash(a) == hash(b) == hash(values)
     for f in (*fields, "extra"):
         with pytest.raises(AttributeError):
             setattr(a, f, None)
@@ -92,3 +92,55 @@ def test_labelled_problem_hashes_by_value():
     for f in ("base", "target", "labels", "clauses", "extra"):
         with pytest.raises(AttributeError):
             setattr(a, f, None)
+
+
+class TestStringValues:
+    """`Alphabet` and `PartialString` are the tuples of their fields: tuple's equality and hash, read-only."""
+
+    def test_alphabet_is_part_of_a_string_value(self):
+        entries = ((1, "0"), (3, "1"))
+        binary, ternary = PartialString(BINARY, entries), PartialString(TERNARY, entries)
+        assert binary != ternary and not binary == ternary
+        assert len({binary, ternary, PartialString(BINARY, entries)}) == 2
+        assert PartialString.bottom(BINARY) != PartialString.bottom(TERNARY)
+        assert BINARY != TERNARY and Alphabet.of("01") == BINARY and hash(Alphabet.of("01")) == hash(BINARY)
+
+    def test_string_is_not_a_collection(self):
+        g = PartialString(TERNARY, ((1, "0"), (3, "2")))
+        for read in (iter, list, tuple, set, lambda g: (1, "0") in g, lambda g: TERNARY in g):
+            with pytest.raises(TypeError):
+                read(g)
+        assert len(g) == 2 and g.entries == ((1, "0"), (3, "2"))
+
+    def test_value_is_its_field_tuple(self):
+        g = PartialString(TERNARY, ((1, "0"), (3, "2")))
+        assert g == (TERNARY, ((1, "0"), (3, "2"))) and hash(g) == hash((TERNARY, g.entries))
+        assert g[0] is g.alphabet is TERNARY and g[1] is g.entries
+        assert BINARY == (("0", "1"),) and hash(BINARY) == hash((BINARY.symbols,)) and BINARY[0] is BINARY.symbols
+        assert (BINARY < TERNARY) == (BINARY.symbols < TERNARY.symbols)
+        assert len(BINARY) == 2 and list(BINARY) == ["0", "1"] and "1" in BINARY and "2" not in BINARY
+
+    @pytest.mark.parametrize("value", [BINARY, PartialString(BINARY, ((2, "1"),))], ids=repr)
+    def test_tuple_sequence_operations_raise(self, value):
+        for op in (lambda v: v + v, lambda v: v + (1,), lambda v: (1,) + v, lambda v: v * 2, lambda v: 2 * v,
+                   lambda v: v.count(v[0]), lambda v: v.index(v[0]), reversed):
+            with pytest.raises(TypeError):
+                op(value)
+
+    @pytest.mark.parametrize("value", [BINARY, Alphabet.of("0123"), PartialString.bottom(BINARY),
+                                       PartialString(TERNARY, ((1, "0"), (3, "2")))], ids=repr)
+    def test_copy_and_pickle_round_trip(self, value):
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
+        if isinstance(value, PartialString):
+            twin = pickle.loads(pickle.dumps(value))
+            assert (twin.alphabet, twin.entries) == (value.alphabet, value.entries)
+
+    def test_assignment_raises(self):
+        g = PartialString(BINARY, ((2, "1"),))
+        for target, field, value in ((g, "alphabet", TERNARY), (g, "entries", ()), (BINARY, "symbols", ("0",))):
+            with pytest.raises(AttributeError):
+                setattr(target, field, value)
+            with pytest.raises(AttributeError):
+                delattr(target, field)
+        assert g == PartialString(BINARY, ((2, "1"),)) and BINARY.symbols == ("0", "1")
