@@ -85,6 +85,19 @@ from .strings import PartialString
 
 TOOL_NAME = "strtool"
 SUITES = ("closure", "logogram", "sat", "wizards", "regions", "events", "all")
+ECHELON_SUITES = ("sat", "wizards", "regions", "all")  # the suites that read --n and --m
+
+
+class DefaultSize(int):
+    """`verify`'s default --n and --m: an int, told apart by its type from a given value, which is a plain int."""
+
+
+def positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
 
 
 class CheckResult:
@@ -437,7 +450,7 @@ def run_suite(cfg: dict) -> VerificationReport:
     suite = cfg["suite"]
     started = time.perf_counter()
     suites = []
-    if suite in ("sat", "wizards", "regions", "all"):
+    if suite in ECHELON_SUITES:
         spec = EchelonSpec(cfg["n"], cfg["m"])
         analysis = Analysis(admitted_echelon(spec, cfg["budget"], cfg["word_budget"]), budget=cfg["budget"])
     if suite in ("closure", "all"):
@@ -522,6 +535,10 @@ def cmd_verify(args: argparse.Namespace) -> tuple[VerificationReport, int]:
         args.ignore_bewitched = True  # all checks the region relations on proper witnesses only
     elif args.ignore_bewitched and args.suite != "regions":
         raise ValueError(f"--ignore-bewitched applies to --suite regions, not --suite {args.suite}")
+    given = [f"--{key}" for key in ("n", "m") if type(getattr(args, key)) is int]
+    if given and args.suite not in ECHELON_SUITES:
+        raise ValueError(f"{'/'.join(given)}: the echelon size is read by --suite "
+                         f"{', '.join(ECHELON_SUITES)}, not --suite {args.suite}")
     cfg = _config_echo(args)
     report = run_suite(cfg)
     return report, 0 if report.passed else 1
@@ -591,9 +608,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("--suite", choices=SUITES, required=True)
-    p_ver.add_argument("--n", type=int, default=2)
-    p_ver.add_argument("--m", type=int, default=2)
-    p_ver.add_argument("--samples", type=int, default=200)
+    p_ver.add_argument("--n", type=int, default=DefaultSize(2), help="echelon suites only (default 2)")
+    p_ver.add_argument("--m", type=int, default=DefaultSize(2), help="echelon suites only (default 2)")
+    p_ver.add_argument("--samples", type=positive_int, default=200)
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--ignore-bewitched", action="store_true")
     common(p_ver)

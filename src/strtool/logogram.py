@@ -51,12 +51,16 @@ stands for.  A key then costs one divmod and one tuple concatenation per
 chunk instead of one divmod per position.  The tables hold only sorted,
 in-alphabet entries, so the strings are built without the validating
 `PartialString` constructor (`PartialString._unchecked`).  Decoding is a
-pure function of alphabet, positions and key, so each key is decoded once:
-the tables and a memo of the strings decoded so far, by key, are one cache
-entry per (alphabet, positions) (`_decoder`), shared by every index and
-problem over them.  One entry is kept, so the memo holds at most the keys
-decoded over the last positions, never more than their candidate space.
-The region walks, the expansion identity's second solve of a problem and
+pure function of alphabet, positions and key, and a key over positions P
+has digit 0 past len(P), so it decodes to the same string over P and over
+every extension of P.  Each alphabet therefore has one `Decoder`
+(`_decoder`), shared by every index and problem over it: the tables of its
+kept positions and a memo of the strings decoded so far, by key.  A
+positions tuple that is a prefix of the kept one is served as it is, one
+that extends it rebuilds the tables and keeps the memo, and any other one
+replaces both.  The memo never holds more strings than the candidate space
+of its alphabet's kept positions.  Problems over 1..L for several L, the
+region walks, the expansion identity's second solve of a problem and
 LogExp's repeated closures over one slice take their strings from it, and a
 reduced key is always a full key of the same walk.  No index, problem or
 analysis is cached.
@@ -120,8 +124,8 @@ import os
 import sys
 import time
 from bisect import bisect_left, bisect_right
-from functools import cached_property, lru_cache, reduce
-from operator import and_, itemgetter
+from functools import cached_property, lru_cache, partial, reduce
+from operator import and_, getitem, itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -411,14 +415,14 @@ class CandidateSpace:
         return bits
 
     def decode(self, keys: list[int]) -> list[PartialString]:
-        """The strings of these keys, each decoded once per alphabet and positions (`_decoder`).
+        """The strings of these keys, each decoded once per alphabet while the positions nest (`_decoder`).
 
         A key not yet in the memo costs one divmod and one tuple concatenation per chunk of
         positions.  The tables hold only in-alphabet entries at increasing positions, so the
         strings are built unchecked.
         """
         alphabet, make = self.alphabet, PartialString._unchecked
-        tables, memo = _decoder(alphabet, self.positions)
+        tables, memo = _decoder(alphabet).over(self.positions)
         for key in itertools.filterfalse(memo.__contains__, keys):
             value, entries = key, ()
             for radix, table in tables:
@@ -440,13 +444,49 @@ class CandidateSpace:
 DecodeTables = list[tuple[int, list[tuple[tuple[int, str], ...]]]]  # (radix, table) per chunk of positions
 
 
-@lru_cache(maxsize=1)
-def _decoder(alphabet: Alphabet, positions: tuple[int, ...]) -> tuple[DecodeTables, dict[int, PartialString]]:
-    """The decode tables of these positions, and the memo of the strings decoded over them, by key.
+class Decoder:
+    """One alphabet's decode tables over its kept positions, and the memo of the strings decoded over them, by key.
 
-    (radix, table) per chunk of positions, lowest digits first: table[v] holds the entries of
-    chunk value v.  A chunk takes as many positions as keep radix = (len(symbols) + 1)**len(chunk)
-    at most DECODE_CHUNK_KEYS (one position when a single digit needs more).
+    Digit j of a key is the code at positions[j], and a key over P has digit 0 past len(P),
+    so a key decodes to the same string over P and over every extension of P.  `over`
+    therefore serves any positions tuple that is a prefix of the kept one from the kept
+    tables and memo; a tuple that extends the kept one rebuilds the tables and keeps the
+    memo; any other tuple starts a new memo.  The memo never holds more strings than the
+    candidate space of the kept positions.
+    """
+
+    __slots__ = ("alphabet", "positions", "tables", "memo")
+
+    def __init__(self, alphabet: Alphabet) -> None:
+        self.alphabet = alphabet
+        self.positions: tuple[int, ...] = ()
+        self.tables: DecodeTables = []
+        self.memo: dict[int, PartialString] = {}
+
+    def over(self, positions: tuple[int, ...]) -> tuple[DecodeTables, dict[int, PartialString]]:
+        """Tables that decode keys over positions, and the memo they share."""
+        kept = self.positions
+        if kept[:len(positions)] == positions:  # a prefix of the kept positions, or the same
+            return self.tables, self.memo
+        if positions[:len(kept)] != kept:  # not an extension either
+            self.memo = {}
+        self.positions, self.tables = positions, _decode_tables(self.alphabet, positions)
+        return self.tables, self.memo
+
+
+@lru_cache(maxsize=None)
+def _decoder(alphabet: Alphabet) -> Decoder:
+    """The decoder of this alphabet, shared by every index and problem over it and never evicted:
+    the decoders keep at most one memo per alphabet used, each bounded as `Decoder` states."""
+    return Decoder(alphabet)
+
+
+def _decode_tables(alphabet: Alphabet, positions: tuple[int, ...]) -> DecodeTables:
+    """The decode tables of these positions: (radix, table) per chunk of positions, lowest digits first.
+
+    table[v] holds the entries of chunk value v.  A chunk takes as many positions as keep
+    radix = (len(symbols) + 1)**len(chunk) at most DECODE_CHUNK_KEYS (one position when a
+    single digit needs more).
     """
     base = len(alphabet.symbols) + 1
     width = _chunk_width(base)
@@ -457,7 +497,7 @@ def _decoder(alphabet: Alphabet, positions: tuple[int, ...]) -> tuple[DecodeTabl
             # p's digit is the next-higher one: value = digit * len(table) + low value
             table = [low + entry for entry in [(), *(((p, s),) for s in alphabet.symbols)] for low in table]
         tables.append((len(table), table))
-    return tables, {}
+    return tables
 
 
 def _chunk_width(radix: int) -> int:
@@ -866,7 +906,9 @@ def log_rel_naive(problem: DecisionProblem, candidate_positions=None, budget: in
     projections of the inside words long enough for the domain, minus the
     projections of such outside words: about words x 2^len(positions)
     projections in all.  The symbols come from the validated base words and the
-    positions of a domain increase, so the strings are built unchecked.
+    positions of a domain increase, so the strings are built unchecked: each
+    entry is read from one table of shared (pos, sym) pairs per position, and
+    each string is made by `tuple.__new__`, with no Python-level call.
     Returns (full, reduced) string sets.  The reduced set comes from
     `reduce_strings`, which shares no code with the kernel's minimal keys.
     """
@@ -887,16 +929,19 @@ def log_rel_naive(problem: DecisionProblem, candidate_positions=None, budget: in
     inside = [w for w in words if w in closure]  # both sorted by length, as words is
     outside = [w for w in words if w not in closure]
 
-    make = PartialString._unchecked
+    entry = {p: {s: (p, s) for s in alphabet.symbols} for p in positions}  # one shared pair per (pos, sym)
+    make = partial(tuple.__new__, PartialString)  # PartialString._unchecked, in C
     full: list[PartialString] = []
     for r in range(len(positions) + 1):
         for domain in itertools.combinations(positions, r):
-            # one symbol (r == 1) or a tuple of them; zip pairs either with the domain
+            # one symbol (r == 1) or a tuple of them: either is a sequence of single characters
             project = itemgetter(*(p - 1 for p in domain)) if domain else lambda w: ()
             low = domain[-1] if domain else 0  # the shortest word length defined on the domain
             qualifying = set(map(project, inside[bisect_left(inside, low, key=len):]))
             qualifying -= set(map(project, outside[bisect_left(outside, low, key=len):]))
-            full.extend(make(alphabet, tuple(zip(domain, codes))) for codes in qualifying)
+            if qualifying:
+                rows = tuple(map(entry.__getitem__, domain))
+                full.extend([make((alphabet, tuple(map(getitem, rows, codes)))) for codes in qualifying])
     full_set = frozenset(full)
     return full_set, reduce_strings(full_set)
 

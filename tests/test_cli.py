@@ -319,6 +319,30 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert f"--ignore-bewitched applies to --suite regions, not --suite {suite}" in captured.err
 
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_samples_below_one_is_usage_error(self, capsys, samples):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--suite", "all", "--samples", samples])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --samples: must be at least 1, not {samples}" in captured.err
+
+    @pytest.mark.parametrize("suite", ["closure", "logogram", "events"])
+    @pytest.mark.parametrize("flags", [("--n", "9"), ("--m", "2"), ("--n", "2", "--m", "2")])
+    def test_echelon_size_outside_echelon_suites_is_usage_error(self, capsys, suite, flags):
+        assert main(["verify", "--suite", suite, "--samples", "4", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        given = "/".join(flag for flag in flags if flag.startswith("--"))
+        assert f"{given}: the echelon size is read by --suite sat, wizards, regions, all, not --suite {suite}" \
+            in captured.err
+
+    @pytest.mark.parametrize("suite", ["closure", "events"])
+    def test_suites_without_echelon_echo_the_default_size(self, capsys, suite):
+        code, report = run_json(capsys, "verify", "--suite", suite, "--samples", "20")
+        assert code == 0 and (report["config"]["n"], report["config"]["m"]) == (2, 2)
+
     def test_oracle_check_builds_one_index_per_problem(self, monkeypatch):
         real_init = ProblemIndex.__init__
         built = []

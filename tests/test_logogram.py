@@ -2,6 +2,7 @@ import functools
 import gc
 import itertools
 import json
+import operator
 import os
 import random
 import string
@@ -588,6 +589,12 @@ class TestKernel:
         assert len(builds) == 1
 
 
+def assert_memo_bound(alphabet):
+    """The alphabet's decode memo holds at most the candidate space of its kept positions."""
+    decoder = logogram._decoder(alphabet)
+    assert len(decoder.memo) <= (len(alphabet.symbols) + 1) ** len(decoder.positions)
+
+
 def reference_decode(alphabet, positions, key):
     """Digit by digit: digit j of the key (base len(symbols) + 1) is the symbol code at positions[j], 0 = undefined."""
     base = len(alphabet.symbols) + 1
@@ -616,7 +623,8 @@ class TestDecode:
             space = index.candidate_space(positions)
             keys = [0, space.size - 1, *(rng.randrange(space.size) for _ in range(200))]
             assert space.decode(keys) == [reference_decode(alphabet, positions, k) for k in keys]
-            chunk_counts.add(len(logogram._decoder(alphabet, positions)[0]))
+            assert_memo_bound(alphabet)
+            chunk_counts.add(-(-len(positions) // logogram._chunk_width(len(alphabet.symbols) + 1)))
             past_max_len += any(p > index.max_len for p in positions)
         assert chunk_counts >= {0, 1, 2, 3} and past_max_len > 10
 
@@ -658,7 +666,7 @@ class TestDecode:
 
 
 class TestDecodeMemo:
-    """The decoded strings are memoized per (alphabet, positions): one entry, a pure function of its key."""
+    """The decoded strings are memoized per alphabet while the positions nest: a pure function of the key."""
 
     def test_expansion_check_decodes_no_key_twice(self, monkeypatch):
         """log_rel then verify_logogram_expansion on one problem build one string per distinct key."""
@@ -683,12 +691,55 @@ class TestDecodeMemo:
         rng = random.Random(26)
         bases = {BINARY: ProblemIndex(sigma_upto(BINARY, 6)), TERNARY: ProblemIndex(sigma_upto(TERNARY, 6))}
         position_sets = [(1, 2, 3), (2, 3, 4), (1, 2, 3, 4, 5, 6), (1, 2, 3)]
+        logogram._decoder.cache_clear()
         for positions in position_sets:
             for alphabet in (BINARY, TERNARY, BINARY):  # the same positions under both alphabets in turn
                 space = bases[alphabet].candidate_space(positions)
                 keys = [0, space.size - 1, *(rng.randrange(space.size) for _ in range(100))]
                 assert space.decode(keys) == [reference_decode(alphabet, positions, k) for k in keys]
-                assert logogram._decoder.cache_info().currsize == 1
+                assert logogram._decoder.cache_info().currsize <= 2
+                assert_memo_bound(alphabet)
+
+    @pytest.mark.parametrize("alphabet", [BINARY, TERNARY], ids=["binary", "ternary"])
+    def test_nested_positions_share_their_strings(self, alphabet):
+        """A key decodes to one object over (1..L) and over any (1..L') that extends or prefixes it."""
+        logogram._decoder.cache_clear()
+        index = ProblemIndex(sigma_upto(alphabet, 6))
+        short, long = index.candidate_space((1, 2, 3)), index.candidate_space((1, 2, 3, 4, 5))
+        keys = range(short.size)  # every key over (1, 2, 3) is a key over (1..5) too
+        first = short.decode(keys)
+        extended = long.decode([*keys, long.size - 1])
+        assert all(map(operator.is_, first, extended))
+        assert first == [reference_decode(alphabet, (1, 2, 3), k) for k in keys]
+        assert extended[:-1] == [reference_decode(alphabet, (1, 2, 3, 4, 5), k) for k in keys]
+        assert all(map(operator.is_, short.decode(keys), first))  # a prefix of the kept positions
+        assert logogram._decoder(alphabet).positions == (1, 2, 3, 4, 5)
+        assert_memo_bound(alphabet)
+
+    @pytest.mark.parametrize("positions", [(2, 3), (1, 3), (1, 2, 4), (3, 4, 5, 6)])
+    def test_positions_that_do_not_nest_start_a_new_memo(self, positions):
+        """After (1, 2, 3), a tuple that neither extends nor prefixes it never gets a string decoded over it."""
+        logogram._decoder.cache_clear()
+        index = ProblemIndex(sigma_upto(TERNARY, 6))
+        kept = index.candidate_space((1, 2, 3))
+        kept.decode(range(kept.size))
+        space = index.candidate_space(positions)
+        keys = range(space.size)
+        assert space.decode(keys) == [reference_decode(TERNARY, positions, k) for k in keys]
+        assert logogram._decoder(TERNARY).positions == positions
+        assert len(logogram._decoder(TERNARY).memo) == space.size
+        assert_memo_bound(TERNARY)
+
+    def test_memo_bound_over_many_problems(self):
+        """One entry per alphabet, and no memo past the candidate space of its kept positions."""
+        rng = random.Random(29)
+        logogram._decoder.cache_clear()
+        for i in range(60):
+            alphabet = (BINARY, TERNARY)[i % 2]
+            problem = random_problem(rng, alphabet, max_len=rng.randint(1, 6))
+            log_rel(problem, restrict=("auto", "never")[i % 3 == 0], keep_full=True)
+            assert_memo_bound(alphabet)
+            assert logogram._decoder.cache_info().currsize == min(i + 1, 2)
 
     def test_plain_judges_unchanged_with_the_memo_warm(self):
         rng = random.Random(27)
@@ -772,6 +823,24 @@ class TestNaiveOracle:
         problem = DecisionProblem(lang(["01", "1"]), lang(["1"]))
         with pytest.raises(ValueError, match="candidate positions must be >= 1"):
             log_rel_naive(problem, positions)
+
+    def test_strings_are_exact_values(self):
+        """Every string is a PartialString of (int, str) entries at increasing positions, on domains of 0, 1 and more."""
+        rng = random.Random(30)
+        domain_sizes = set()
+        for i in range(40):
+            alphabet = (BINARY, TERNARY)[i % 2]
+            problem = random_problem(rng, alphabet, max_len=rng.randint(1, 4))
+            positions = tuple(sorted(rng.sample(range(1, 6), rng.randint(1, 3)))) if i % 4 else None
+            full, reduced = log_rel_naive(problem, positions)
+            for g in full | reduced:
+                assert type(g) is PartialString and type(g.entries) is tuple
+                assert all(type(e) is tuple and len(e) == 2 and type(e[0]) is int and type(e[1]) is str
+                           for e in g.entries)
+                assert (g.alphabet, g.entries) == PartialString(alphabet, g.entries)  # in-alphabet, increasing
+                domain_sizes.add(min(len(g.entries), 2))
+            assert full == log_rel(problem, positions, keep_full=True, restrict="never").full
+        assert domain_sizes == {0, 1, 2}
 
     def test_builds_no_engine_tables(self, monkeypatch):
         spec = EchelonSpec(2, 2)
