@@ -61,6 +61,7 @@ COMMANDS = (
 TEXT_COMMANDS = (
     ("verify", "--suite", "all"),
     ("logogram", "--n", "3", "--m", "2", "--no-cache"),
+    ("classify", "--n", "3", "--m", "2", "--string", "________2_2"),  # a record's tuple field as a text list
 )
 CACHE_COMMANDS = (
     ("logogram", "--n", "3", "--m", "2", "--cache-dir", "cache"),  # the full set is stored

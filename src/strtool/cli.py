@@ -9,7 +9,8 @@ Exit codes: 0 pass, 1 verification failure, 2 usage or budget error.
 
 Reports are byte-stable for a fixed config, seed and tool version: JSON
 output carries no timings (wall-clock lines go to stderr) and every
-collection is emitted in sorted order.
+collection is emitted in sorted order.  `to_json` alone fixes the JSON shape:
+a report record's field names are its keys.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from .logogram import (
     verify_logogram_expansion,
 )
 from .independence import (
-    Counterexample,
     EventFamily,
     NotInReducedLogogram,
     WIZARD,
@@ -100,6 +100,20 @@ def positive_int(text: str) -> int:
     return value
 
 
+def to_json(value: object) -> object:
+    """The JSON form of a report value: a record (a NamedTuple) as a dict of its fields by name,
+    a string by its rendering, a list or tuple as a list, a dict by its values; anything else as is."""
+    if isinstance(value, PartialString):
+        return value.render()
+    if hasattr(value, "_asdict"):
+        value = value._asdict()
+    if isinstance(value, dict):
+        return {key: to_json(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return list(map(to_json, value))
+    return value
+
+
 class CheckResult:
     def __init__(self, name: str, holds: bool, counts: dict | None = None,
                  counterexample: object = None, details: object = None) -> None:
@@ -111,14 +125,13 @@ class CheckResult:
         self.elapsed = 0.0  # seconds since the previous check, set by run_suite
 
     def to_json(self) -> dict:
-        cx = self.counterexample  # a Counterexample record or a law failure's text
         return {
             "name": self.name,
             "holds": self.holds,
             "partial": False,  # schema 1 carries the field; no check is ever partial
             "counts": self.counts,
-            "counterexample": cx.to_json() if isinstance(cx, Counterexample) else cx,
-            "details": self.details,
+            "counterexample": to_json(self.counterexample),  # a Counterexample record or a law failure's text
+            "details": to_json(self.details),
         }
 
 
@@ -151,7 +164,7 @@ class VerificationReport:
             counts = ", ".join(f"{k}: {v}" for k, v in sorted(c.counts.items()))
             lines.append(f"{status} {c.name}" + (f" ({counts})" if counts else ""))
             if c.counterexample is not None:
-                lines.append(f"  counterexample: {json.dumps(c.to_json()['counterexample'], sort_keys=True)}")
+                lines.append(f"  counterexample: {json.dumps(to_json(c.counterexample), sort_keys=True)}")
         if self.result is not None:
             for k, v in sorted(self.result.items()):
                 if isinstance(v, list):
@@ -289,7 +302,7 @@ def suite_sat(spec: EchelonSpec, analysis: Analysis) -> Iterator[CheckResult]:
         name="sat-shape",
         holds=shape.holds,
         counts={"members": shape.members, "findings": len(shape.findings)},
-        details=shape.to_json()["findings"] or None,
+        details=shape.findings or None,
     )
 
     verdicts = classify_all(analysis)
@@ -302,7 +315,7 @@ def suite_sat(spec: EchelonSpec, analysis: Analysis) -> Iterator[CheckResult]:
             "proper": sum(1 for v in verdicts if v.kind == "ProperWitness"),
             "improper": sum(1 for v in verdicts if v.kind == "ImproperWitness"),
         },
-        details={"per_string": [v.to_json() for v in verdicts]},
+        details={"per_string": verdicts},
     )
 
     inner = internal_independence(analysis)
@@ -357,7 +370,7 @@ def suite_wizards(spec: EchelonSpec, analysis: Analysis) -> Iterator[CheckResult
             "wizards": toy.wizard_count,
             "proper_inclusions": sum(1 for f in toy.findings if f.proper),
         },
-        details=toy.to_json()["findings"],
+        details=toy.findings,
     )
 
     echelon_report = wizard_cover_report(analysis)
@@ -380,7 +393,7 @@ def suite_regions(spec: EchelonSpec, analysis: Analysis, ignore_bewitched: bool)
             "vacuous": sum(1 for r in report.rows if r.vacuous),
             "ignore_bewitched": int(ignore_bewitched),
         },
-        details=report.to_json()["rows"],
+        details=report.rows,
     )
 
 
@@ -568,7 +581,7 @@ def cmd_classify(args: argparse.Namespace) -> tuple[VerificationReport, int]:
     except NotInReducedLogogram as exc:
         payload = {"string": g.render(), "error": str(exc)}
         return VerificationReport(config=cfg, result=payload), 1
-    return VerificationReport(config=cfg, result=verdict.to_json()), 0
+    return VerificationReport(config=cfg, result=to_json(verdict)), 0
 
 
 def _config_echo(args: argparse.Namespace) -> dict:

@@ -48,7 +48,7 @@ import itertools
 from typing import NamedTuple
 
 from .languages import BudgetExceeded, FiniteLanguage
-from .logogram import Analysis, LogogramResult, ProblemIndex, _chunk_width, set_bits
+from .logogram import Analysis, LogogramResult, ProblemIndex, choice_tables, set_bits
 from .sat import SAT_ALPHABET, EchelonSpec
 from .strings import PartialString, join_all, read_only
 
@@ -91,22 +91,12 @@ def entangles_sets(H, K, E: FiniteLanguage) -> bool:
 class StringVerdict(NamedTuple):
     string: PartialString
     kind: str
-    containing_regions: tuple[int, ...]  # 1-based region indices
-
-    def to_json(self) -> dict:
-        return {
-            "string": self.string.render(),
-            "kind": self.kind,
-            "regions": list(self.containing_regions),
-        }
+    regions: tuple[int, ...]  # 1-based indices of the regions holding the string's cylinder
 
 
 class Counterexample(NamedTuple):
     strings: tuple[str, ...]  # member renders
     reason: str
-
-    def to_json(self) -> dict:
-        return {"strings": list(self.strings), "reason": self.reason}
 
 
 class IndependenceVerdict(NamedTuple):
@@ -252,25 +242,15 @@ def complete_independence(analysis: Analysis) -> IndependenceVerdict:
 def _unrealized_closed_sets(analysis: Analysis, realized: frozenset[int]) -> set[int]:
     """The closed sets (nonempty member sets down(s), see `complete_independence`) outside realized.
 
-    The member positions are cut into chunks of `_chunk_width(symbols + 1)`
-    positions, the remainder chunk first, and each chunk's table holds the
-    distinct ANDs of one choice per position.  Every chunk but the last is
-    folded into the set of distinct nonzero products; the last is streamed
-    against it, so only the products outside realized are kept.
+    The member positions are cut into chunks by `choice_tables`, the remainder
+    chunk first, each chunk's table holding the ANDs of one choice per
+    position.  Every chunk but the last is folded into the set of distinct
+    nonzero products; the last is streamed against it, so only the products
+    outside realized are kept.
     """
-    choices = analysis.position_choices
     full = (1 << len(analysis.members)) - 1
-    positions = list(choices)
-    width = _chunk_width(len(analysis.index.alphabet.symbols) + 1)
-    first = len(positions) % width or width  # the remainder chunk; one empty chunk when no position
-    tables = []
-    for chunk in [positions[:first], *(positions[i:i + width] for i in range(first, len(positions), width))]:
-        table = {full}
-        for p in chunk:
-            undefined, by_symbol = choices[p]
-            table = {k & t for k in table for t in {undefined, *by_symbol.values()}}
-        tables.append(table)
-    *head, last = tables
+    options = [[undefined, *by_symbol.values()] for undefined, by_symbol in analysis.position_choices.values()]
+    *head, last = map(set, choice_tables(options, full))
     closed = {full}
     for table in head:
         closed = {y for k in closed for t in table if (y := k & t)}
@@ -324,7 +304,10 @@ def irreducible(analysis: Analysis) -> bool:
     """True iff removing any one reduced-logogram string breaks completeness.
 
     Without member i the expansion is the words some other member covers: outside
-    cylinder i those covered at all, inside it those covered at least twice.
+    cylinder i those covered at all, inside it those covered at least twice.  Where the
+    expansion identity holds this is `strong_independence`: the cylinders' union is then
+    the target's closure, which dropping member i shrinks iff some word lies in cylinder i
+    alone, i.e. iff 1 << i is a realized member mask.  Both stay, computed apart.
     """
     cyls = analysis.cylinders
     if not cyls:
@@ -343,21 +326,11 @@ class WizardFinding(NamedTuple):
     proper: bool
     witness_inside_wizard: bool
 
-    def to_json(self) -> dict:
-        return self._asdict()
-
 
 class WizardCoverReport(NamedTuple):
     holds: bool
     wizard_count: int
     findings: tuple[WizardFinding, ...] = ()
-
-    def to_json(self) -> dict:
-        return {
-            "holds": self.holds,
-            "wizard_count": self.wizard_count,
-            "findings": [f.to_json() for f in self.findings],
-        }
 
 
 def wizard_cover_report(analysis: Analysis) -> WizardCoverReport:
@@ -400,13 +373,6 @@ class ShapeReport(NamedTuple):
     holds: bool
     members: int
     findings: tuple[ShapeFinding, ...] = ()
-
-    def to_json(self) -> dict:
-        return {
-            "holds": self.holds,
-            "members": self.members,
-            "findings": [{"string": f.string, "problems": list(f.problems)} for f in self.findings],
-        }
 
 
 def sat_shape_report(spec: EchelonSpec, logogram: LogogramResult) -> ShapeReport:
@@ -488,7 +454,7 @@ def completely_independent_events(family: EventFamily) -> bool:
 
 
 class RegionRow(NamedTuple):
-    index: int  # compares regions 1..index against region index+1
+    i: int  # compares regions 1..i against region i+1
     disjoint: bool
     disjoint_unfiltered: bool
     low_entangles_high: bool
@@ -497,23 +463,11 @@ class RegionRow(NamedTuple):
     low_size: int
     high_size: int
 
-    def to_json(self) -> dict:
-        out = self._asdict()
-        out["i"] = out.pop("index")
-        return out
-
 
 class RegionRelationsReport(NamedTuple):
     ignore_bewitched: bool
     holds: bool
     rows: tuple[RegionRow, ...] = ()
-
-    def to_json(self) -> dict:
-        return {
-            "ignore_bewitched": self.ignore_bewitched,
-            "holds": self.holds,
-            "rows": [r.to_json() for r in self.rows],
-        }
 
 
 def region_relations(analysis: Analysis, ignore_bewitched: bool) -> RegionRelationsReport:
@@ -560,7 +514,7 @@ def region_relations(analysis: Analysis, ignore_bewitched: bool) -> RegionRelati
             fwd = not (exp_low & ~exp_high)
             bwd = not (exp_high & ~exp_low)
         rows.append(RegionRow(
-            index=i,
+            i=i,
             disjoint=disjoint,
             disjoint_unfiltered=disjoint_unfiltered,
             low_entangles_high=fwd,

@@ -27,7 +27,7 @@ from bisect import bisect_left
 from functools import cached_property
 from operator import itemgetter, not_
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .strings import (
     Alphabet,
@@ -306,32 +306,14 @@ def random_string_set(rng: random.Random, alphabet: Alphabet, cap: int, max_size
     return frozenset(random_string(rng, alphabet, cap) for _ in range(rng.randint(0, max_size)))
 
 
-class LawReport:
-    """Outcome of a seeded law-checking run."""
+class LawReport(NamedTuple):
+    """Outcome of a seeded law-checking run: the checks made per law and the first 16 failures."""
 
-    def __init__(self, samples: int, seed: int, holds: bool = True,
-                 checks: dict[str, int] | None = None, failures: list[str] | None = None) -> None:
-        self.samples = samples
-        self.seed = seed
-        self.holds = holds
-        self.checks = {} if checks is None else checks
-        self.failures = [] if failures is None else failures
-
-    def record(self, law: str, ok: bool, detail: str) -> None:
-        self.checks[law] = self.checks.get(law, 0) + 1
-        if not ok:
-            self.holds = False
-            if len(self.failures) < 16:
-                self.failures.append(f"{law}: {detail}")
-
-    def to_json(self) -> dict:
-        return {
-            "samples": self.samples,
-            "seed": self.seed,
-            "holds": self.holds,
-            "checks": dict(sorted(self.checks.items())),
-            "failures": list(self.failures),
-        }
+    samples: int
+    seed: int
+    holds: bool
+    checks: dict[str, int]
+    failures: tuple[str, ...]
 
 
 def check_expansion_laws(samples: int, seed: int) -> LawReport:
@@ -345,7 +327,14 @@ def check_expansion_laws(samples: int, seed: int) -> LawReport:
     (via the set join), the union law, and reduction invariance.
     """
     rng = random.Random(seed)
-    report = LawReport(samples=samples, seed=seed)
+    checks: dict[str, int] = {}
+    failures: list[str] = []
+
+    def record(law: str, ok: bool, detail: str) -> None:
+        checks[law] = checks.get(law, 0) + 1
+        if not ok and len(failures) < 16:
+            failures.append(f"{law}: {detail}")
+
     for i in range(samples):
         alphabet = (BINARY, TERNARY)[i % 2]
         L = sigma_upto(alphabet, rng.randint(1, 4)) if rng.random() < 0.3 else random_language(rng, alphabet, 6)
@@ -355,19 +344,19 @@ def check_expansion_laws(samples: int, seed: int) -> LawReport:
         tag = f"sample {i}"
 
         cyl_A, cyl_B = cylindrify(A, L), cylindrify(B, L)
-        report.record("extensive", A.issubset(cyl_A), tag)
-        report.record("idempotent", cylindrify(cyl_A, L) == cyl_A, tag)
-        report.record("monotone", cyl_A.issubset(cyl_B), tag)
+        record("extensive", A.issubset(cyl_A), tag)
+        record("idempotent", cylindrify(cyl_A, L) == cyl_A, tag)
+        record("monotone", cyl_A.issubset(cyl_B), tag)
         union = cylindrify(A.union(B), L)
-        report.record("union-of-words", union == cyl_A.union(cyl_B), tag)
+        record("union-of-words", union == cyl_A.union(cyl_B), tag)
 
         H = random_string_set(rng, alphabet, 6)
         K = random_string_set(rng, alphabet, 6)
         eH, eK = expand_in(H, L), expand_in(K, L)
-        report.record("intersection-of-strings", eH.intersection(eK) == expand_in(join_sets(H, K), L), tag)
-        report.record("union-of-strings", expand_in(H | K, L) == eH.union(eK), tag)
-        report.record("reduction-invariant", expand_in(reduce_strings(H), L) == eH, tag)
-    return report
+        record("intersection-of-strings", eH.intersection(eK) == expand_in(join_sets(H, K), L), tag)
+        record("union-of-strings", expand_in(H | K, L) == eH.union(eK), tag)
+        record("reduction-invariant", expand_in(reduce_strings(H), L) == eH, tag)
+    return LawReport(samples, seed, not failures, checks, tuple(failures))
 
 
 # --- language files ---

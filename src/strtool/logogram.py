@@ -508,6 +508,24 @@ def _chunk_width(radix: int) -> int:
     return width
 
 
+def choice_tables(options: list[list[int]], full: int) -> list[list[int]]:
+    """Per chunk of positions, the AND of one option per position for every combination, in product order.
+
+    options holds each position's options, the same number r at every position; a chunk takes
+    `_chunk_width(r)` positions, the remainder chunk first, so every table but the first holds
+    r**width entries and none more than DECODE_CHUNK_KEYS.  With no position, one table: [full].
+    """
+    width = _chunk_width(len(options[0])) if options else 1
+    first = len(options) % width or width
+    tables = []
+    for chunk in [options[:first], *(options[i:i + width] for i in range(first, len(options), width))]:
+        table = [full]
+        for choice in chunk:
+            table = [agreeing & t for agreeing in table for t in choice]
+        tables.append(table)
+    return tables
+
+
 def _word_keys(index: ProblemIndex, positions: tuple[int, ...], base: int) -> memoryview:
     """One candidate key per index word, in index order, as unsigned 64-bit integers.
 
@@ -776,10 +794,9 @@ def _product_member_masks(choices: ChoiceTable, index: ProblemIndex, full: int) 
     the positions outside the free ones are one fixed mask: those agreeing with the prefix
     symbol at each prefix position, and those undefined at each position past L.  Word k's
     free symbols are the digits of k in code-point order, most significant first, so the
-    masks in index order are an AND-product over that fixed mask: the free positions are
-    cut into chunks of at most DECODE_CHUNK_KEYS symbol combinations, each chunk has a
-    table of its combinations' agreeing members in product order, and each chunk
-    multiplies the list out, every mask so far ANDed with every entry of the table.
+    masks in index order are an AND-product over that fixed mask: each `choice_tables`
+    table of the free positions' agreeing members, in product order, multiplies the list
+    out, every mask so far ANDed with every entry of the table.
     """
     prefix, length = index.product_prefix, index.max_len
     ranked = sorted(index.alphabet.symbols)
@@ -790,12 +807,9 @@ def _product_member_masks(choices: ChoiceTable, index: ProblemIndex, full: int) 
         elif pos > length:
             fixed &= past_end
     masks = [fixed]
-    width = _chunk_width(len(ranked))
-    for low in range(len(prefix), length, width):
-        table = [full]
-        for pos in range(low + 1, min(low + width, length) + 1):
-            by_symbol = choices[pos][1] if pos in choices else dict.fromkeys(ranked, full)
-            table = [agreeing & by_symbol[s] for agreeing in table for s in ranked]
+    free = [choices[pos][1] if pos in choices else dict.fromkeys(ranked, full)
+            for pos in range(len(prefix) + 1, length + 1)]
+    for table in choice_tables([[by_symbol[s] for s in ranked] for by_symbol in free], full):
         masks = [x & y for x in masks for y in table]
     return masks
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import strtool
-from strtool.cli import _oracle_agrees, random_problem, toy_wizard_problem
+from strtool.cli import _oracle_agrees, random_problem, to_json, toy_wizard_problem
 from strtool.independence import (
     IMPROPER_WITNESS,
     WIZARD,
@@ -139,7 +139,7 @@ def test_criterion_4_sat_structure(batteries):
 
         shape = sat_shape_report(spec, result)
         if not shape.holds:
-            problems.append(f"({n},{m}): shape findings {shape.to_json()['findings']}")
+            problems.append(f"({n},{m}): shape findings {to_json(shape.findings)}")
 
         if not internal_independence(analysis).holds:
             problems.append(f"({n},{m}): internal independence fails")
@@ -193,7 +193,7 @@ def test_criterion_6_region_relations(batteries):
     for n, m in ((2, 2), (3, 2)):
         report = region_relations(batteries[(n, m)]["analysis"], ignore_bewitched=True)
         if not report.holds:
-            issues.append(f"({n},{m}): {[r.to_json() for r in report.rows if not r.disjoint]}")
+            issues.append(f"({n},{m}): {[to_json(r) for r in report.rows if not r.disjoint]}")
     criterion(6, not issues, "filtered region disjointness and non-entanglement on (2,2) and (3,2)"
               + (f"; issues: {issues}" if issues else ""))
 

@@ -9,12 +9,19 @@ from pathlib import Path
 import pytest
 
 import strtool
-from strtool import cli, logogram
+from strtool import cli, languages, logogram
 from strtool.cli import main
 from strtool.independence import Counterexample
 from strtool.languages import FiniteLanguage, load_language
-from strtool.logogram import DecisionProblem, ProblemIndex, auto_positions, problem_fingerprint
-from strtool.sat import EchelonSpec, enumerate_echelon
+from strtool.logogram import (
+    DecisionProblem,
+    ProblemIndex,
+    _cache_digest,
+    auto_positions,
+    load_logogram_cache,
+    problem_fingerprint,
+)
+from strtool.sat import SAT_ALPHABET, EchelonSpec, enumerate_echelon
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -66,6 +73,31 @@ class TestLogogramCommand:
             assert warm["result"]["cached"] is False, f"hit on the first {keep} lines"
             assert warm["result"]["reduced_count"] == 12
             assert warm["result"]["reduced"] == cold["result"]["reduced"]
+
+    @pytest.mark.parametrize("damage", ["unflagged-line", "reduced-count", "full-set-short"])
+    def test_signed_but_inconsistent_cache_is_recomputed(self, capsys, tmp_path, damage):
+        """A file whose digest is valid still misses when its body disagrees with its flags or counts."""
+        argv = ("logogram", "--n", "2", "--m", "1", "--cache-dir", str(tmp_path))  # 4 reduced, 8 more stored
+        code, cold = run_json(capsys, *argv)
+        assert code == 0 and cold["result"]["cached"] is False
+        path = next(tmp_path.glob("logogram-*.txt"))
+        header, *body = path.read_text().splitlines()
+        header = json.loads(header)
+        del header["sha256"]
+        if damage == "unflagged-line":
+            body.append(body[0][2:])
+        elif damage == "reduced-count":
+            header["reduced_count"] += 1
+        else:
+            assert body.pop().startswith(". ")
+        header["sha256"] = _cache_digest(header, body)
+        path.write_text("\n".join([json.dumps(header, sort_keys=True), *body]) + "\n")
+        spec = EchelonSpec(2, 1)
+        assert load_logogram_cache(SAT_ALPHABET, tmp_path, spec.body_positions, cold["result"]["fingerprint"]) is None
+        code, again = run_json(capsys, *argv)
+        assert code == 0 and again["result"] == cold["result"]
+        code, warm = run_json(capsys, *argv)
+        assert code == 0 and warm["result"] == {**cold["result"], "cached": True}
 
     def test_repeated_alphabet_header_is_exit_2(self, capsys, tmp_path):
         base = tmp_path / "base.lang"
@@ -232,6 +264,14 @@ class TestVerifyCommand:
         assert report["pass"] is True
         names = [c["name"] for c in report["checks"]]
         assert names == ["closure-laws", "logexp-closure"]
+
+    def test_closure_suite_fails_on_a_broken_law(self, capsys, monkeypatch):
+        monkeypatch.setattr(languages, "join_sets", lambda H, K: frozenset())  # breaks the intersection law
+        code, report = run_json(capsys, "verify", "--suite", "closure", "--samples", "150", "--seed", "7")
+        laws = report["checks"][0]
+        assert code == 1 and report["pass"] is False and laws["holds"] is False
+        first = languages.check_expansion_laws(150, 7).failures[0]
+        assert first.startswith("intersection-of-strings: sample ") and laws["counterexample"] == first
 
     def test_regions_suite_with_filter(self, capsys):
         code, report = run_json(capsys, "verify", "--suite", "regions", "--n", "2", "--m", "2",

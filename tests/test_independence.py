@@ -6,7 +6,7 @@ from math import prod
 
 import pytest
 
-from strtool.cli import constituents_by_intersection, random_problem, toy_wizard_problem
+from strtool.cli import constituents_by_intersection, random_problem, to_json, toy_wizard_problem
 from strtool.independence import (
     EventFamily,
     IMPROPER_WITNESS,
@@ -33,8 +33,9 @@ from strtool.independence import (
 )
 from strtool import independence, logogram
 from strtool.languages import BINARY, TERNARY, FiniteLanguage, cylindrify, expand_in, sigma_exact
-from strtool.logogram import Analysis, DecisionProblem, log_rel, log_rel_naive
+from strtool.logogram import Analysis, DecisionProblem, LogogramResult, log_rel, log_rel_naive, verify_logogram_expansion
 from strtool.sat import (
+    SAT_ALPHABET,
     EchelonSpec,
     decode,
     enumerate_echelon,
@@ -131,7 +132,7 @@ class TestClassificationByDefinition:
         for verdict in classify_all(analysis):
             cylinder = [w for w in problem.base.words if word_includes(w, verdict.string)]
             containing = tuple(j + 1 for j in range(len(ys)) if all(satisfied[w][j] for w in cylinder))
-            assert verdict.containing_regions == containing, verdict.string.render()
+            assert verdict.regions == containing, verdict.string.render()
 
     def test_labelled_random_problems(self):
         rng = random.Random(18)
@@ -148,7 +149,7 @@ class TestClassificationByDefinition:
             for verdict in classify_all(Analysis(problem)):
                 cylinder = {w for w in problem.base.words if word_includes(w, verdict.string)}
                 containing = tuple(j + 1 for j, closure in enumerate(closures) if cylinder <= closure)
-                assert verdict.containing_regions == containing
+                assert verdict.regions == containing
                 kinds[verdict.kind] += 1
         assert kinds[PROPER_WITNESS] > 20 and kinds[IMPROPER_WITNESS] > 20, kinds
 
@@ -176,7 +177,7 @@ class TestRegionWalks:
                 cylinder = {w for w in base.words if word_includes(w, verdict.string)}
                 containing = tuple(j + 1 for j, closure in enumerate(closures) if cylinder <= closure)
                 kind = PROPER_WITNESS if len(containing) == 1 else IMPROPER_WITNESS if containing else WIZARD
-                assert (verdict.kind, verdict.containing_regions) == (kind, containing)
+                assert (verdict.kind, verdict.regions) == (kind, containing)
                 # a member lies in a region exactly when that region's reduced logogram holds it
                 assert containing == tuple(j + 1 for j, H in enumerate(analysis.region_logograms)
                                            if verdict.string in H)
@@ -220,7 +221,7 @@ class TestRegionChecksByDefinition:
                     vacuous = not low or not high
                     exp_low, exp_high = expand_in(low, base).words, expand_in(high, base).words
                     rows.append(RegionRow(
-                        index=i,
+                        i=i,
                         disjoint=not low & high,
                         disjoint_unfiltered=not frozenset().union(*logograms[:i]) & logograms[i],
                         low_entangles_high=not vacuous and exp_low <= exp_high,
@@ -295,27 +296,27 @@ class TestClassify:
         problem, result, analysis = echelon_with_result(1, 1)
         verdict = classify(PartialString.of(problem.alphabet, {5: "1"}), analysis)
         assert verdict.kind == PROPER_WITNESS
-        assert verdict.containing_regions == (2,)
+        assert verdict.regions == (2,)
 
     def test_two_variable_improper(self):
         problem, result, analysis = echelon_with_result(2, 1)
         g = string_entries(EchelonSpec(2, 1), [(1, 1, "1")])
         verdict = classify(g, analysis)
         assert verdict.kind == IMPROPER_WITNESS
-        assert verdict.containing_regions == (2, 4)
+        assert verdict.regions == (2, 4)
 
     def test_toy_wizard(self):
         toy = toy_wizard_problem()
         verdict = classify(ps("1"), Analysis(toy))
         assert verdict.kind == WIZARD
-        assert verdict.containing_regions == ()
+        assert verdict.regions == ()
 
     def test_non_prefix_free_base_classifies_against_region_closures(self):
         base = lang(["0", "1", "01"])
         analysis = Analysis(DecisionProblem(base, lang(["0"]), {"0": 1}))
         verdicts = classify_all(analysis)
         assert sorted(v.string.render() for v in verdicts) == ["0", "_1"]
-        assert all(v.kind == PROPER_WITNESS and v.containing_regions == (1,) for v in verdicts)
+        assert all(v.kind == PROPER_WITNESS and v.regions == (1,) for v in verdicts)
 
     def test_partitions_reduced_logogram(self):
         problem, result, analysis = echelon_with_result(2, 2)
@@ -902,6 +903,21 @@ class TestCompletenessAndIrreducibility:
             verdicts.append(expected)
         assert verdicts.count(True) > 20 and verdicts.count(False) > 20, verdicts.count(True)
 
+    def test_equals_strong_independence_where_the_expansion_identity_holds(self):
+        """With the identity the cylinders cover the target's closure, and dropping member i
+        shrinks that cover iff some word includes member i alone: strong independence."""
+        rng = random.Random(5)
+        problems = [random_problem(rng, (BINARY, TERNARY)[i % 2], max_len=rng.randint(1, 5)) for i in range(1000)]
+        problems += [enumerate_echelon(EchelonSpec(n, m)) for n in (1, 2, 3) for m in (1, 2, 3)]
+        verdicts = Counter()
+        for problem in problems:
+            analysis = Analysis(problem)
+            assert verify_logogram_expansion(analysis)
+            verdict = irreducible(analysis)
+            assert verdict == strong_independence(analysis).holds, (sorted(problem.base.words), sorted(problem.target.words))
+            verdicts[verdict] += 1
+        assert min(verdicts[True], verdicts[False]) > 20, verdicts
+
     def test_empty_target_is_vacuously_irreducible(self):
         base = sigma_exact(BINARY, 2)
         analysis = Analysis(DecisionProblem(base, base.masked(0)))
@@ -936,6 +952,18 @@ class TestShape:
         report = sat_shape_report(EchelonSpec(1, 1), fake)
         assert not report.holds
         assert report.findings
+
+    def test_findings_and_their_rendering(self):
+        """On (2,2) the clause blocks are positions 7-10, clause c's variable v at 6 + 2(c - 1) + v.
+        The findings follow `sorted_reduced`: by (size, render), size being the last defined position."""
+        members = [{3: "2", 7: "1", 9: "1"}, {7: "0", 10: "2"}, {7: "1", 9: "2"}, {8: "1", 9: "2"}]
+        reduced = frozenset(PartialString.of(SAT_ALPHABET, entries) for entries in members)
+        fake = LogogramResult(None, reduced, len(reduced), 3 ** 4, (7, 8, 9, 10), True, 0.0)
+        assert to_json(sat_shape_report(EchelonSpec(2, 2), fake)) == {"holds": False, "members": 4, "findings": [
+            {"string": "__2___1_1", "problems": ["entry at position 3 outside the clause blocks"]},
+            {"string": "______1_2", "problems": ["variable 1 prescribed in both signs"]},
+            {"string": "______0__2", "problems": ["code '0' at clause 1, variable 1"]},
+        ]}
 
 
 class TestEvents:

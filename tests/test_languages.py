@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from strtool import languages
+from strtool.cli import to_json
 from strtool.languages import (
     BINARY,
     FiniteLanguage,
@@ -194,9 +196,16 @@ class TestLawSuite:
         assert not report.failures
 
     def test_reports_are_reproducible(self):
-        a = check_expansion_laws(25, seed=9).to_json()
-        b = check_expansion_laws(25, seed=9).to_json()
+        a = to_json(check_expansion_laws(25, seed=9))
+        b = to_json(check_expansion_laws(25, seed=9))
         assert a == b
+
+    def test_a_broken_law_reports_its_first_16_failing_samples(self, monkeypatch):
+        monkeypatch.setattr(languages, "join_sets", lambda H, K: frozenset())  # breaks the intersection law
+        report = check_expansion_laws(200, seed=3)
+        assert not report.holds and len(report.failures) == 16
+        samples = [int(f.removeprefix("intersection-of-strings: sample ")) for f in report.failures]
+        assert samples == sorted(set(samples)) and set(report.checks.values()) == {200}
 
     def test_random_language_respects_cap(self):
         rng = random.Random(0)

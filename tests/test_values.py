@@ -39,12 +39,12 @@ VALUES = {
     "CnfInstance": (lambda: CnfInstance(2, 2, (frozenset({1, -2}), frozenset({2}))), ("n", "m", "clauses")),
     "EchelonSpec": (lambda: EchelonSpec(3, 2), ("n", "m")),
     "StringVerdict": (lambda: StringVerdict(PartialString(BINARY, ((2, "1"),)), WIZARD, (1, 3)),
-                      ("string", "kind", "containing_regions")),
+                      ("string", "kind", "regions")),
     "WizardFinding": (lambda: WizardFinding("_1", 3, True, False, True),
                       ("string", "witnesses", "union_holds", "proper", "witness_inside_wizard")),
     "EventFamily": (lambda: EventFamily(lang("0", "1", "01"), (lang("0"), lang("0", "01"))), ("universe", "events")),
     "RegionRow": (lambda: RegionRow(1, True, True, False, False, False, 2, 3),
-                  ("index", "disjoint", "disjoint_unfiltered", "low_entangles_high", "high_entangles_low",
+                  ("i", "disjoint", "disjoint_unfiltered", "low_entangles_high", "high_entangles_low",
                    "vacuous", "low_size", "high_size")),
     "IndependenceVerdict": (lambda: IndependenceVerdict(True, 6), ("holds", "subsets_checked", "counterexample")),
     "IndependenceVerdict-failing": (lambda: IndependenceVerdict(False, 3, Counterexample(("1",), "x")),
