@@ -38,13 +38,15 @@ there.  The check builds that AND-product a chunk of positions at a time
 and keeps only the products that no word's member mask realizes.  When
 one is left, the counterexample is the smallest subset generating a
 failing set; C generates a closed set K iff join(C) = join(K), so the
-search compares joins, each the OR of its members' entry bits, and needs
-no second construction of J(C).
+search compares joins, each the OR of its members' entry bits.  It walks
+the subsets in report order and stops at its first hit.
 """
 
 # Annotations are evaluated at import (no `from __future__ import annotations`):
 # NamedTuple would otherwise compile each record field's type from a string.
 import itertools
+from functools import reduce
+from operator import or_
 from typing import NamedTuple
 
 from .languages import BudgetExceeded, FiniteLanguage
@@ -187,13 +189,12 @@ def construct_separator(fs, spec: EchelonSpec) -> str:
         raise ValueError("incompatible prescriptions")
     if joined.alphabet != SAT_ALPHABET:
         raise ValueError("separator strings must use the CNF-code alphabet")
-    body = ["0"] * (spec.n * spec.m)
-    start = spec.n + spec.m + 2
+    body = dict.fromkeys(spec.body_positions, "0")
     for pos, sym in joined.entries:
-        if not (start < pos <= start + spec.n * spec.m):
+        if pos not in body:
             raise ValueError(f"position {pos} of {joined.render()!r} is outside echelon ({spec.n},{spec.m})")
-        body[pos - start - 1] = sym
-    return spec.prefix + "".join(body)
+        body[pos] = sym
+    return spec.prefix + "".join(body.values())
 
 
 def complete_independence(analysis: Analysis) -> IndependenceVerdict:
@@ -221,9 +222,9 @@ def complete_independence(analysis: Analysis) -> IndependenceVerdict:
     members' positions (undefined past w's end), so w's mask is down of
     that string.  The root J(∅), the members with an empty domain, counts
     only when it is nonempty, which happens when ⊥ is a member.  The
-    counterexample is the smallest failing C by (size, member renders),
-    found by `_smallest_generator` from the members' entries as bits, one
-    per distinct (position, symbol), and the failing sets.
+    counterexample is the smallest failing C by (size, member renders), the
+    first hit of `_smallest_generator`'s walk in that order over the
+    members' entries as bits, one per distinct (position, symbol).
     """
     members = analysis.members
     realized = analysis.realized_masks
@@ -264,40 +265,31 @@ def _smallest_generator(renders: list[str], entries: list[int], failing: set[int
     the join of compatible members is the OR of their bits.  C generates a closed set K,
     J(C) = K, iff join(C) = join(K): J(C) = down(join C), and a join of members is the
     join of the members below it.  So C generates a failing set iff its OR is one of
-    the failing sets' joins.  C lies inside its own closed set, so only subsets of some
-    failing set are walked, one size at a time; each failing set generates itself, so
-    the search ends by the size of the smallest one.  Bit f of holding[j] stands for the
-    f-th failing set holding member j, and the search carries the AND of its chosen
-    members' bitsets: nonzero iff some failing set holds them all, which also makes
-    them compatible.
+    the failing sets' joins.  The subsets of each size are walked in report order, so
+    the first hit is returned: C lists its members by index, and each next member, of a
+    higher index than the last, is tried in render order.  Each failing set generates
+    itself, so the walk ends by the size of the smallest one.  C lies inside its closed
+    set, so a subset is extended only while some failing set holds it: bit f of
+    holding[i], a column of the failing sets' binary rows, stands for the f-th one
+    holding member i, and each stack entry carries the AND over its members.  The last
+    member needs no AND, since a failing set whose join is the OR holds the subset.
     """
-    holding = [0] * len(entries)
-    joins = set()
-    for f, K in enumerate(failing):
-        join = 0
-        for i in set_bits(K):
-            holding[i] |= 1 << f
-            join |= entries[i]
-        joins.add(join)
-    best = None
+    k = len(entries)
+    joins = {reduce(or_, map(entries.__getitem__, set_bits(K)), 0) for K in failing}
+    rows = "".join(format(K, f"0{k}b") for K in failing)  # member i is column k - 1 - i
+    holding = [int(rows[k - 1 - i::k], 2) for i in range(k)]
+    later = [sorted(range(i, k), key=renders.__getitem__) for i in range(k + 1)]  # members i.. in render order
     for size in itertools.count(1):
-
-        def extend(chosen: list[int], cover: int, joined: int) -> None:
-            nonlocal best
-            if len(chosen) == size:
-                if joined in joins:
-                    found = tuple(renders[i] for i in chosen)
-                    if best is None or found < best:
-                        best = found
-                return
-            for j in range(chosen[-1] + 1 if chosen else 0, len(entries)):
-                within = cover & holding[j]
-                if within:
-                    extend(chosen + [j], within, joined | entries[j])
-
-        extend([], (1 << len(failing)) - 1, 0)
-        if best is not None:
-            return best
+        stack = [((), -1, 0, later[0])]  # (chosen, cover, joined, the members that may follow); -1 covers every set
+        while stack:
+            chosen, cover, joined, after = stack.pop()
+            if len(chosen) < size - 1:
+                stack += [(chosen + (j,), within, joined | entries[j], later[j + 1])
+                          for j in reversed(after) if (within := cover & holding[j])]
+                continue
+            for j in after:
+                if joined | entries[j] in joins:
+                    return tuple(renders[i] for i in (*chosen, j))
 
 
 def irreducible(analysis: Analysis) -> bool:
@@ -382,18 +374,16 @@ def sat_shape_report(spec: EchelonSpec, logogram: LogogramResult) -> ShapeReport
     {1,2}, exactly one code per clause, and no variable prescribed in both
     signs across clauses.  Violations become findings, not errors.
     """
-    start = spec.n + spec.m + 2
     findings = []
     for g in logogram.sorted_reduced():
         problems: list[str] = []
         per_clause: dict[int, int] = {}
         signs: dict[int, str] = {}
         for pos, sym in g.entries:
-            if not (start < pos <= start + spec.n * spec.m):
+            if (slot := spec.slot(pos)) is None:
                 problems.append(f"entry at position {pos} outside the clause blocks")
                 continue
-            offset = pos - start - 1
-            clause, var = offset // spec.n + 1, offset % spec.n + 1
+            clause, var = slot
             per_clause[clause] = per_clause.get(clause, 0) + 1
             if sym not in ("1", "2"):
                 problems.append(f"code {sym!r} at clause {clause}, variable {var}")

@@ -143,6 +143,11 @@ class EchelonSpec:
             raise ValueError(f"(clause={clause}, var={var}) outside echelon ({self.n},{self.m})")
         return (self.n + self.m + 2) + (clause - 1) * self.n + var
 
+    def slot(self, pos: int) -> tuple[int, int] | None:
+        """The (clause, var) whose code sits at word position pos, the inverse of `position`; None off the body."""
+        offset = pos - (self.n + self.m + 2) - 1
+        return (offset // self.n + 1, offset % self.n + 1) if 0 <= offset < self.n * self.m else None
+
 
 def encode(inst: CnfInstance) -> str:
     spec = EchelonSpec(inst.n, inst.m)

@@ -642,11 +642,25 @@ class TestComplete:
         assert not verdict.holds and verdict.subsets_checked == 5976  # SAT's closed sets
         assert verdict.counterexample.strings == ("________1___1", "________1____1", "________1_____1", "________1______1")
 
+    def test_four_sat_fragment_fails_with_five_members(self):
+        analysis = Analysis(k_sat_fragment(5, 2, 4))
+        assert (len(analysis.problem.base.words), len(analysis.members)) == (44521, 90)
+        verdict = complete_independence(analysis)
+        assert not verdict.holds and verdict.subsets_checked == 56954  # SAT's closed sets
+        assert len({mask for mask in analysis.member_masks if mask}) == 42810
+        assert verdict.counterexample.strings == (
+            "_________1____1", "_________1_____1", "_________1______1", "_________1_______1", "_________1________1")
+
     def test_counterexample_search_extends_only_subsets_inside_a_failing_set(self, monkeypatch):
-        # the search reads entries[j] once per extension; searching sizes 1..s it extends,
-        # for each size, every pairwise-compatible subset of at most that size some failing closed set holds
-        reads = []
+        # the search reads entries[j] once per member it tries and ORs it onto the join of the subset it extends;
+        # a failing set K holds a subset iff the subset's join lies inside join(K), bit for bit
+        reads, extended, handed = [], [], []
         real = independence._smallest_generator
+
+        class Entry(int):
+            def __ror__(self, joined):
+                extended.append(joined)
+                return int(self) | joined
 
         class Counted(list):
             def __getitem__(self, j):
@@ -656,11 +670,13 @@ class TestComplete:
         def counting(renders, entries, failing):
             # building the failing sets' joins reads each member of each failing set once: not an extension
             reads.append(-sum(K.bit_count() for K in failing))
-            return real(renders, Counted(entries), failing)
+            handed.append(entries)
+            return real(renders, Counted(map(Entry, entries)), failing)
 
         monkeypatch.setattr(independence, "_smallest_generator", counting)
         # members 1, _1, __1; no word realizes {1, __1} or {_1, __1}, and no failing set holds both 1 and _1:
-        # size 1 extends the three members, size 2 extends them again and the two failing pairs
+        # size 1 scans the three members; size 2 pushes the three, each held, then scans 1's later members
+        # in render order, _1 and then __1, the hit
         base = lang(["000", "100", "010", "001", "110", "111"])
         verdict = complete_independence(Analysis(DecisionProblem(base, lang(base.words - {"000"}))))
         assert verdict.counterexample.strings == ("1", "__1")
@@ -673,7 +689,7 @@ class TestComplete:
             base = lang(rng.sample(pool, rng.randint(1, min(len(pool), 24))), alphabet)
             target = lang([w for w in sorted(base.words) if rng.random() < 0.5], alphabet)
             analysis = Analysis(DecisionProblem(base, target))
-            reads.clear()
+            extended.clear()
             verdict = complete_independence(analysis)
             if verdict.holds:
                 continue
@@ -681,17 +697,16 @@ class TestComplete:
             masks = {sum(1 << i for i, g in enumerate(members) if word_includes(w, g)) for w in base.words}
             closed = {closed_set(members, subset) for subset in compatible_subsets(members)}
             failing = [K for K in closed if sum(1 << i for i in K) not in masks]
+            joins = [0] * len(failing)
+            for f, K in enumerate(failing):
+                for i in K:
+                    joins[f] |= handed[-1][i]
+            assert all(any(not joined & ~join for join in joins) for joined in extended)
             size = len(verdict.counterexample.strings)
-            held = [0] * (size + 1)  # held[t]: the compatible t-subsets some failing set holds
-            every = [0] * (size + 1)
-            for subset in compatible_subsets(members):
-                if len(subset) <= size:
-                    every[len(subset)] += 1
-                    held[len(subset)] += any(K.issuperset(subset) for K in failing)
-            assert reads == [sum(sum(held[1:t + 1]) for t in range(1, size + 1))]
-            pruned += held != every
+            small = [subset for subset in compatible_subsets(members) if len(subset) < size]
+            pruned += any(not any(K.issuperset(subset) for K in failing) for subset in small)
             checked += 1
-        assert pruned > 20  # the pruning shows: some compatible subsets lie in no failing set
+        assert pruned > 4  # the pruning shows: on 6 problems a subset the walk may not extend lies in no failing set
 
     def test_separator_realises_every_closed_set(self):
         for n, m in ((2, 2), (3, 2), (2, 3)):
@@ -956,11 +971,12 @@ class TestShape:
     def test_findings_and_their_rendering(self):
         """On (2,2) the clause blocks are positions 7-10, clause c's variable v at 6 + 2(c - 1) + v.
         The findings follow `sorted_reduced`: by (size, render), size being the last defined position."""
-        members = [{3: "2", 7: "1", 9: "1"}, {7: "0", 10: "2"}, {7: "1", 9: "2"}, {8: "1", 9: "2"}]
+        members = [{3: "2", 7: "1", 9: "1"}, {7: "0", 10: "2"}, {7: "1", 9: "2"}, {8: "1", 9: "2"}, {7: "1", 8: "1", 9: "1"}]
         reduced = frozenset(PartialString.of(SAT_ALPHABET, entries) for entries in members)
         fake = LogogramResult(None, reduced, len(reduced), 3 ** 4, (7, 8, 9, 10), True, 0.0)
-        assert to_json(sat_shape_report(EchelonSpec(2, 2), fake)) == {"holds": False, "members": 4, "findings": [
+        assert to_json(sat_shape_report(EchelonSpec(2, 2), fake)) == {"holds": False, "members": 5, "findings": [
             {"string": "__2___1_1", "problems": ["entry at position 3 outside the clause blocks"]},
+            {"string": "______111", "problems": ["clause 1 has 2 prescriptions"]},
             {"string": "______1_2", "problems": ["variable 1 prescribed in both signs"]},
             {"string": "______0__2", "problems": ["code '0' at clause 1, variable 1"]},
         ]}

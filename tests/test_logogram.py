@@ -44,6 +44,7 @@ from strtool.logogram import (
     verify_logogram_expansion,
 )
 from strtool.cli import random_problem
+from strtool.independence import complete_independence
 from strtool import logogram
 from strtool.sat import EchelonSpec, consistent_selection_count, enumerate_echelon
 from strtool.strings import Alphabet, AlphabetMismatch, PartialString, reduce_strings, word_includes
@@ -479,6 +480,19 @@ class TestLogRel:
             log_rel(problem)
             assert gc.collect() == 0
             Analysis(problem).region_logograms
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_failing_counterexample_search_leaves_no_reference_cycles(self):
+        # no word realizes {1, __1} or {_1, __1}, so the search walks subsets up to size 2
+        base = lang(["000", "100", "010", "001", "110", "111"])
+        analysis = Analysis(DecisionProblem(base, lang(base.words - {"000"})))
+        analysis.realized_masks
+        gc.collect()
+        gc.disable()
+        try:
+            assert complete_independence(analysis).counterexample.strings == ("1", "__1")
             assert gc.collect() == 0
         finally:
             gc.enable()

@@ -132,6 +132,8 @@ class TestInstance:
             CnfInstance.of(2, [[3]])
         with pytest.raises(ValueError):
             CnfInstance.of(2, [[0]])
+        with pytest.raises(ValueError, match="declared m=2 but got 1 clauses"):
+            CnfInstance(2, 2, (frozenset({1}),))
 
     def test_well_formedness_flag(self):
         tautologicalish = CnfInstance.of(2, [[1, -1]])
@@ -186,6 +188,15 @@ class TestEncoding:
         assert word[spec.position(1, 4) - 1] == "2"
         assert word[spec.position(2, 3) - 1] == "2"
         assert spec.word_length == len(word)
+
+    def test_slot_inverts_position_on_the_body_alone(self):
+        spec = EchelonSpec(4, 2)
+        slots = {pos: spec.slot(pos) for pos in range(-1, spec.word_length + 3)}
+        assert [pos for pos, slot in slots.items() if slot is not None] == list(spec.body_positions)
+        assert all(spec.position(*slots[pos]) == pos for pos in spec.body_positions)
+        for clause, var in ((0, 1), (3, 1), (1, 0), (1, 5)):
+            with pytest.raises(ValueError, match=r"outside echelon \(4,2\)"):
+                spec.position(clause, var)
 
 
 class TestSolutions:

@@ -102,6 +102,13 @@ class TestOrder:
         with pytest.raises(AlphabetMismatch):
             extends(ps("1"), ps("1", BINARY))
 
+    def test_reversed_comparisons_and_get(self):
+        f, g = ps("1_2"), ps("1__")
+        assert f >= g and f > g and f >= f
+        assert not (g >= f or g > f or f > f)
+        assert not (ps("2") >= ps("1") or ps("2") > ps("1"))  # incomparable either way
+        assert [f.get(pos) for pos in range(5)] == [None, "1", None, "2", None]
+
     @given(strings())
     def test_reflexive_and_bottom_least(self, g):
         assert g <= g
