@@ -2,7 +2,8 @@
 
     python3 scripts/trajectory.py --quick   # Tier-1, the 3^9 and 3^12 rungs, the (13,1) refusals
     python3 scripts/trajectory.py           # the same, plus the 3^14 rungs (2,7) and (7,2),
-                                            # and the reduced logogram of (7,2)
+                                            # the reduced logogram of (7,2), and the regions
+                                            # suite on (4,3), (6,2) and (11,1)
 
 strtool and the tests are run from the checkout that holds this script.  Every
 command runs, one at a time, as the only child of a small launcher process
@@ -44,7 +45,9 @@ QUICK = [("verify", "--suite", "sat", "--n", str(n), "--m", str(m), "--threads",
          for n, m in ((3, 3), (4, 3), (3, 4), (2, 6), (6, 2), (12, 1))]
 SLOW = [*(("verify", "--suite", "sat", "--n", str(n), "--m", str(m), "--threads", "1", *RAISED)
           for n, m in ((2, 7), (7, 2))),
-        ("logogram", "--n", "7", "--m", "2", "--reduced", "--no-cache", "--threads", "1", *RAISED)]
+        ("logogram", "--n", "7", "--m", "2", "--reduced", "--no-cache", "--threads", "1", *RAISED),
+        ("verify", "--suite", "regions", "--n", "4", "--m", "3", "--ignore-bewitched"),
+        *(("verify", "--suite", "regions", "--n", str(n), "--m", str(m)) for n, m in ((6, 2), (11, 1)))]
 REFUSALS = [("verify", "--suite", suite, "--n", "13", "--m", "1", "--threads", "1")
             for suite in ("sat", "wizards", "regions")]
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")

@@ -27,8 +27,8 @@ qualifies too, so a key is minimal iff none of its one-entry deletions
 qualifies: one more set of shifts.  full_count is the popcount of the
 qualifying set, and only the keys that are reported are decoded into
 strings.  The index keeps, per positions tuple, the digit-0 masks, one key
-per word and the keys some base word extends, so each region walk builds
-only its bad-word bitset.  A target reaches the kernel as its closure
+per word and the keys some base word extends, which every walk over those
+positions shares.  A target reaches the kernel as its closure
 mask: the base words having a prefix among its words, which on a
 prefix-free base are its words themselves (`ProblemIndex.closure_mask`).
 A target that is a mask over the base's product, as an echelon's
@@ -66,7 +66,7 @@ reduced key is always a full key of the same walk.  No index, problem or
 analysis is cached.
 
 An `Analysis` wraps one problem and computes its index, target closure
-mask, logogram, member cylinders and masks, region masks and region
+mask, logogram, member cylinders and masks, label region masks and region
 logograms once, on first use; the checks in `strtool.independence` take
 one.  A word's member mask comes from position-chunk tables read from
 `Analysis.position_choices`, per member position the members undefined
@@ -89,15 +89,19 @@ members and each of its strings extends one: with one flag row over the
 full strings per member entry, a member's extensions are the AND of its
 entries' rows, and the OR over members must cover every full string.  Which
 regions hold a string's cylinder is answered by one method,
-`Analysis.regions_holding`.  A problem with labels answers it against
+`Analysis.regions_holding`, and each region's reduced logogram by one
+`log_rel` walk per region.  A problem with labels answers both through
 each region's closure mask, a strided slice of the labels written as one
-row of bits per word.  An
-echelon's regions are a clause product (`ClauseProduct`), and there the
-answer is the AND over clauses of the OR of the masks of the literals the
-string fixes: no region mask is built.  A region walk that needs a mask
-gets it from the index's position masks, m ANDs of ORs of position masks
-per region.  Either way a member lies in a region exactly when that
-region's reduced logogram holds it.
+row of bits per word; the walk's bad words are the words outside it.  An
+echelon's regions are a clause product (`ClauseProduct`), and no region
+mask is built.  Region j holds a string's whole cylinder iff each clause
+has a literal true under j among the string's entries (the clause rule):
+`regions_holding` reads that off the string's entries, and a region walk
+reads it off the keys, whose qualifying set is the reachable keys ANDed
+over the clauses with the OR of each true literal's digit run, one shift
+of a digit-0 mask (`CandidateSpace.holding`), with no word key read and
+no down-closure pass.  Either way a member lies in a region exactly when
+that region's reduced logogram holds it.
 
 Cache files: "logogram-<fingerprint>.txt" with a JSON header line followed
 by one rendered string per line, reduced members flagged "R ", remaining
@@ -147,8 +151,11 @@ class ClauseProduct(NamedTuple):
     position makes that literal true under the regions whose bits are set in mask.  A word
     lies in region j iff each clause has a literal true under j among the word's symbols.
     The base must hold every word that fills the clause positions with any symbols (an
-    echelon's body is the full product), so a string lies in region j, all of its cylinder,
-    iff each clause has such a literal among the string's own entries.
+    echelon's body is the full product), and at each of a clause's positions some symbol
+    must make none of its literals true (an echelon's 0, the variable left out).  Then the
+    clause rule holds: region j holds a string's whole cylinder iff each clause has a
+    literal true under j among the string's own entries, since a clause without one is
+    falsified by some word of the cylinder.
     """
     regions: int
     clauses: tuple[tuple[tuple[int, str, int], ...], ...]
@@ -404,6 +411,25 @@ class CandidateSpace:
     def qualifying(self, bad_mask: int) -> int:
         """The keys some word extends and no word of bad_mask extends."""
         return self.reachable & ~self.extended(self.bitset(bad_mask))
+
+    def holding(self, product: ClauseProduct, region: int) -> int:
+        """The keys some word extends whose whole cylinder region holds, by the clause rule (`ClauseProduct`).
+
+        A clause's keys are the OR of the digit runs of its literals true under region, the
+        run of a literal at positions[i] being zero[i] << code(symbol) * steps[i]; a literal
+        at a position outside these positions adds nothing.  No word or word key is read.
+        """
+        digit = {p: i for i, p in enumerate(self.positions)}
+        code = {s: d for d, s in enumerate(self.alphabet.symbols, 1)}
+        bits = self.reachable
+        for clause in product.clauses:
+            some = 0
+            for pos, sym, mask in clause:
+                i = digit.get(pos)
+                if i is not None and mask >> region & 1:
+                    some |= self.zero[i] << code[sym] * self.steps[i]
+            bits &= some
+        return bits
 
     def extended(self, bits: int) -> int:
         """The keys some key in bits extends: the down-closure of bits, one position at a time."""
@@ -664,8 +690,8 @@ class Analysis:
         """Bit j is set iff region j's closure within the base holds all of g's (nonempty) cylinder.
 
         On a clause product it is the AND over clauses of the OR of the masks of the literals
-        g fixes (`ClauseProduct`), and no region mask is built; with labels, the test of
-        the cylinder against each region mask.
+        g fixes (the clause rule, `ClauseProduct`), and no region mask is built; with labels,
+        the test of the cylinder against each region mask.
         """
         product = self.problem.clauses
         if product is None:
@@ -682,29 +708,15 @@ class Analysis:
 
     @cached_property
     def region_masks(self) -> list[int]:
-        """Mask j is the closure within the base of region j.
+        """Mask j is the closure within the base of region j: the words whose label has bit j set.
 
-        On a clause product region j is the AND over clauses of the OR of the position masks
-        of the clause's literals true under j.  With labels it holds the words whose label has
-        bit j set: the labels are written once as one row of bits per word, and mask j is a
-        strided slice of those rows.
+        The labels are written once as one row of bits per word, and mask j is a strided slice
+        of those rows.  Regions given as a clause product have no region mask: their walks and
+        `regions_holding` read the clauses.
         """
-        product, index = self.problem.clauses, self.index
-        if product is not None:
-            masks = []
-            for j in range(product.regions):
-                mask = index.all_mask
-                for clause in product.clauses:
-                    some = 0
-                    for pos, sym, lit in clause:
-                        if lit >> j & 1:
-                            some |= index.pos_masks[pos - 1].get(sym, 0)
-                    mask &= some
-                masks.append(mask)
-            return list(map(index.closure_mask, masks))
-        labels = self.problem.labels
+        labels, index = self.problem.labels, self.index
         if labels is None:
-            raise ValueError("problem has no solution regions")
+            raise ValueError("problem has no solution regions given as labels")
         regions = max(labels.values(), default=0).bit_length()
         rows = "".join(format(labels.get(w, 0), f"0{regions}b") for w in index.words)  # one row of bits per word
         return [index.closure_mask(int(rows[regions - 1 - j::regions][::-1], 2)) for j in range(regions)]
@@ -754,11 +766,16 @@ class Analysis:
 
     @cached_property
     def region_logograms(self) -> list[frozenset[PartialString]]:
-        """The reduced logogram of each region within the base, one walk per region closure."""
-        return [
-            log_rel(self.problem, index=self.index, budget=self.budget, keep_full=False, closure=mask).reduced
-            for mask in self.region_masks
-        ]
+        """The reduced logogram of each region within the base, one walk per region.
+
+        A clause product's walk takes the region's index and reads its keys off the clauses;
+        a labelled region's walk takes the region's closure mask.
+        """
+        walk = partial(log_rel, self.problem, index=self.index, budget=self.budget, keep_full=False)
+        product = self.problem.clauses
+        if product is not None:
+            return [walk(region=j).reduced for j in range(product.regions)]
+        return [walk(closure=mask).reduced for mask in self.region_masks]
 
 
 def _word_member_masks(choices: ChoiceTable, index: ProblemIndex, full: int) -> list[int]:
@@ -855,6 +872,7 @@ def log_rel(
     restrict: str = "auto",
     index: ProblemIndex | None = None,
     closure: int | None = None,
+    region: int | None = None,
 ) -> LogogramResult:
     """Relative logogram of problem.target within problem.base, with minimal elements.
 
@@ -865,7 +883,9 @@ def log_rel(
     positions only.
 
     A caller holding the target's closure mask (`ProblemIndex.closure_mask`) passes it as
-    closure, and problem.target is then not read.
+    closure, and problem.target is then not read.  On a problem whose regions are a
+    clause product, region=j walks region j in place of the target: its qualifying keys
+    are read off the clauses (`CandidateSpace.holding`), and no word mask is read.
     """
     start = time.perf_counter()
     idx = index if index is not None else ProblemIndex(problem.base)
@@ -875,9 +895,14 @@ def log_rel(
         raise BudgetExceeded("candidate space too large", space, budget)
 
     tables = idx.candidate_space(positions)
-    if closure is None:
-        closure = idx.closure_mask(idx.language_mask(problem.target))
-    qualifying = tables.qualifying(idx.all_mask & ~closure)
+    if region is not None:
+        if problem.clauses is None or not 0 <= region < problem.clauses.regions:
+            raise ValueError(f"region {region} is not a clause-product region of the problem")
+        qualifying = tables.holding(problem.clauses, region)
+    else:
+        if closure is None:
+            closure = idx.closure_mask(idx.language_mask(problem.target))
+        qualifying = tables.qualifying(idx.all_mask & ~closure)
     full_count = qualifying.bit_count()
     if keep_full is None:
         keep_full = full_count <= FULL_KEEP_LIMIT

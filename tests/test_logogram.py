@@ -602,6 +602,30 @@ class TestKernel:
         assert analysis.index.candidate_space(positions) is tables
         assert len(builds) == 1
 
+    def test_clause_region_walks_read_no_word_key(self, monkeypatch):
+        """A clause-product region walk, over any positions, matches its labelled twin's walk and reads no word key."""
+        problem = enumerate_echelon(EchelonSpec(2, 2))
+        product = problem.clauses
+        labels = {}
+        for w in problem.target.words:
+            label = (1 << product.regions) - 1
+            for clause in product.clauses:
+                label &= functools.reduce(operator.or_, [mask for pos, sym, mask in clause if w[pos - 1] == sym], 0)
+            labels[w] = label
+        twin = Analysis(DecisionProblem(problem.base, problem.target, labels))
+        index = ProblemIndex(problem.base)
+        body = EchelonSpec(2, 2).body_positions
+        for positions in (None, tuple(range(1, index.max_len + 1)), body[1:3], body[::2] + (index.max_len + 1,)):
+            for j, mask in enumerate(twin.region_masks):
+                expected = result_fields(log_rel(twin.problem, positions, closure=mask, keep_full=True))
+                with monkeypatch.context() as patch:
+                    for name in ("bitset", "extended"):
+                        patch.setattr(logogram.CandidateSpace, name, None)
+                    assert result_fields(log_rel(problem, positions, region=j, index=index, keep_full=True)) == expected
+        for bad, walked in ((product.regions, problem), (0, twin.problem)):
+            with pytest.raises(ValueError, match="clause-product region"):
+                log_rel(walked, region=bad)
+
 
 def assert_memo_bound(alphabet):
     """The alphabet's decode memo holds at most the candidate space of its kept positions."""
