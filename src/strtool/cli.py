@@ -41,6 +41,7 @@ from .languages import (
 from .logogram import (
     DEFAULT_CANDIDATE_BUDGET,
     Analysis,
+    CandidateSpace,
     DecisionProblem,
     ProblemIndex,
     auto_positions,
@@ -243,11 +244,10 @@ def suite_closure(samples: int, seed: int) -> Iterator[CheckResult]:
 
 def _oracle_agrees(problem: DecisionProblem, naive_budget: int) -> bool:
     naive_full, naive_reduced = log_rel_naive(problem, budget=naive_budget)
-    index = ProblemIndex(problem.base)
-    plain = log_rel(problem, restrict="never", keep_full=True, index=index)
+    plain = log_rel(problem, restrict="never", keep_full=True)
     if plain.full != naive_full or plain.reduced != naive_reduced:
         return False
-    auto = log_rel(problem, restrict="auto", keep_full=True, index=index)
+    auto = log_rel(problem, restrict="auto", keep_full=True)
     return auto.reduced == naive_reduced
 
 
@@ -503,7 +503,7 @@ def cmd_logogram(args: argparse.Namespace) -> tuple[VerificationReport, int]:
         # keyed by its spec: the words are enumerated only on a cache miss
         spec = EchelonSpec(args.n, args.m)
         admit_echelon(spec, args.budget, args.word_budget)
-        alphabet, positions, problem, index = SAT_ALPHABET, spec.body_positions, None, None
+        alphabet, positions, index = SAT_ALPHABET, spec.body_positions, None
         fingerprint = echelon_fingerprint(alphabet, spec.n, spec.m, positions)
     else:
         problem = DecisionProblem(base=load_language(args.base_file), target=load_language(args.target_file))
@@ -517,15 +517,11 @@ def cmd_logogram(args: argparse.Namespace) -> tuple[VerificationReport, int]:
         result = load_logogram_cache(alphabet, args.cache_dir, positions, fingerprint)
         cached = result is not None
     if result is None:
-        if problem is None:
+        if index is None:  # an echelon, enumerated and indexed on a cache miss only
             problem = enumerate_echelon(spec, budget=args.word_budget)
-        result = log_rel(
-            problem,
-            candidate_positions=positions,
-            budget=args.budget,
-            keep_full=False if args.reduced else None,
-            index=index,
-        )
+            index = ProblemIndex(problem.base)
+        result = log_rel(problem, space=CandidateSpace(index, positions, args.budget),
+                         keep_full=False if args.reduced else None)
         if not args.no_cache:
             save_logogram_cache(result, args.cache_dir, fingerprint)
 

@@ -26,11 +26,12 @@ string between a qualifying string and a qualifying extension of it
 qualifies too, so a key is minimal iff none of its one-entry deletions
 qualifies: one more set of shifts.  full_count is the popcount of the
 qualifying set, and only the keys that are reported are decoded into
-strings.  The index keeps, per positions tuple, the digit-0 masks, one key
-per word and the keys some base word extends, which every walk over those
-positions shares.  A target reaches the kernel as its closure
-mask: the base words having a prefix among its words, which on a
-prefix-free base are its words themselves (`ProblemIndex.closure_mask`).
+strings.  A `CandidateSpace` over one positions tuple is the budget check;
+it builds the digit-0 masks, one key per word and the keys some base word
+extends on first read, and lives only as long as the walks that share it:
+the index keeps none.  A target reaches the kernel as its closure mask: the
+base words having a prefix among its words, which on a prefix-free base are
+its words themselves (`ProblemIndex.closure_mask`).
 A target that is a mask over the base's product, as an echelon's
 satisfiable words are, is its own mask; any other target's words are read
 in one membership pass (`ProblemIndex.language_mask`).
@@ -55,15 +56,12 @@ pure function of alphabet, positions and key, and a key over positions P
 has digit 0 past len(P), so it decodes to the same string over P and over
 every extension of P.  Each alphabet therefore has one `Decoder`
 (`_decoder`), shared by every index and problem over it: the tables of its
-kept positions and a memo of the strings decoded so far, by key.  A
-positions tuple that is a prefix of the kept one is served as it is, one
-that extends it rebuilds the tables and keeps the memo, and any other one
-replaces both.  The memo never holds more strings than the candidate space
-of its alphabet's kept positions.  Problems over 1..L for several L, the
-region walks, the expansion identity's second solve of a problem and
-LogExp's repeated closures over one slice take their strings from it, and a
-reduced key is always a full key of the same walk.  No index, problem or
-analysis is cached.
+kept positions and a memo of the strings decoded so far, by key, bounded
+as `Decoder` states.  Problems over 1..L for several L, the region walks,
+the expansion identity's second solve of a problem and LogExp's repeated
+closures over one slice take their strings from it, and a reduced key is
+always a full key of the same walk.  No index, space, problem or analysis
+is cached.
 
 An `Analysis` wraps one problem and computes its index, target closure
 mask, logogram, member cylinders and masks, label region masks and region
@@ -126,7 +124,6 @@ import itertools
 import json
 import os
 import sys
-import time
 from bisect import bisect_left, bisect_right
 from functools import cached_property, lru_cache, partial, reduce
 from operator import and_, getitem, itemgetter
@@ -150,11 +147,12 @@ class ClauseProduct(NamedTuple):
     A clause is a tuple of literals (position, symbol, mask): a word holding symbol at
     position makes that literal true under the regions whose bits are set in mask.  A word
     lies in region j iff each clause has a literal true under j among the word's symbols.
-    The base must hold every word that fills the clause positions with any symbols (an
-    echelon's body is the full product), and at each of a clause's positions some symbol
-    must make none of its literals true (an echelon's 0, the variable left out).  Then the
-    clause rule holds: region j holds a string's whole cylinder iff each clause has a
-    literal true under j among the string's own entries, since a clause without one is
+    The clause positions must be free positions of a whole `ProductLanguage` base, so that
+    the base holds every word that fills them with any symbols (an echelon's body is the
+    full product), and at each of a clause's positions some symbol must make none of its
+    literals true (an echelon's 0, the variable left out); `DecisionProblem` checks both.
+    Then the clause rule holds: region j holds a string's whole cylinder iff each clause has
+    a literal true under j among the string's own entries, since a clause without one is
     falsified by some word of the cylinder.
     """
     regions: int
@@ -169,7 +167,7 @@ class DecisionProblem:
     every target word carries a nonzero label and no other word carries one (problems built
     word by word, such as the toy wizard problem).  A `ClauseProduct` states the regions of an
     echelon without a per-word table; its target is the words some region holds, which the
-    enumerator guarantees and which is not re-checked here.
+    enumerator guarantees and which is not re-checked here; the clause rule's premise is.
     """
 
     def __init__(self, base: FiniteLanguage, target: FiniteLanguage, labels: dict[str, int] | None = None,
@@ -191,6 +189,14 @@ class DecisionProblem:
                 for pos, sym, mask in clause:
                     if pos < 1 or sym not in base.alphabet.symbols or not 0 < mask < top:
                         raise ValueError(f"bad literal {(pos, sym, mask)} for {clauses.regions} regions")
+            whole = isinstance(base, ProductLanguage) and base.is_full
+            free = range(len(base.prefix) + 1, base.length + 1) if whole else ()
+            for clause in clauses.clauses:
+                for pos, _, _ in clause:
+                    if pos not in free:
+                        raise ValueError(f"clause position {pos} is not a free position of a whole product base")
+                    if {s for p, s, _ in clause if p == pos} == set(base.alphabet.symbols):
+                        raise ValueError(f"every symbol makes a literal of clause {clause} true at position {pos}")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "labels", labels)
@@ -218,7 +224,8 @@ class ProblemIndex:
 
     Bit k of every mask stands for words[k] (sorted by length, then text).
     A base whose words all have one length is prefix-free at once, since
-    distinct words of equal length never prefix one another.
+    distinct words of equal length never prefix one another.  The index keeps
+    no candidate keys: a `CandidateSpace` over it builds them for its walks.
 
     A whole `ProductLanguage` (an echelon or a `sigma_exact` slice) is the one
     full product the index knows: it states its prefix and length L, so it is
@@ -238,7 +245,6 @@ class ProblemIndex:
             raise ValueError("cannot index an empty base language")
         self.language = base
         self.alphabet = base.alphabet
-        self._spaces: dict[tuple[int, ...], CandidateSpace] = {}
         if isinstance(base, ProductLanguage) and base.is_full:  # prefix·Σ^free as stated: no word is read
             self.product_prefix, self.max_len, self.all_mask = base.prefix, base.length, base.mask
             self.shared_prefix_len = len(base.prefix) if self.all_mask > 1 else 0
@@ -264,13 +270,6 @@ class ProblemIndex:
     def words(self) -> tuple[str, ...]:
         """The words of a whole `ProductLanguage` base in index order, built on first read (others set it at once)."""
         return tuple(self.language.ordered_words())
-
-    def candidate_space(self, positions: tuple[int, ...]) -> "CandidateSpace":
-        """The key tables over these candidate positions, built on first use and kept."""
-        space = self._spaces.get(positions)
-        if space is None:
-            space = self._spaces[positions] = CandidateSpace(self, positions)
-        return space
 
     def word_mask(self, words) -> int:
         """The mask of these base words, read in one membership pass over the base, in C.
@@ -384,22 +383,36 @@ class CandidateSpace:
     the symbol code at positions[j], 0 = undefined.  A word's key has digit 0 at the
     positions past its end, and word w extends candidate g iff every nonzero digit of
     g's key equals w's digit there: the restriction order on keys.
+
+    Building one is the kernel's budget check.  Its tables (`zero`, `keys`, `reachable`) are
+    built on first read and live as long as the space, which only the walks sharing it hold.
     """
 
-    def __init__(self, index: ProblemIndex, positions: tuple[int, ...]):
-        self.alphabet = index.alphabet
-        self.positions = positions
+    def __init__(self, index: ProblemIndex, positions: tuple[int, ...], budget: int = DEFAULT_CANDIDATE_BUDGET):
         self.base = base = len(index.alphabet.symbols) + 1
-        self.size = size = base ** len(positions)
+        self.size = base ** len(positions)
+        if self.size > budget:
+            raise BudgetExceeded("candidate space too large", self.size, budget)
+        self.index, self.alphabet, self.positions = index, index.alphabet, positions
         self.steps = [base ** j for j in range(len(positions))]
-        # zero[j]: the keys whose digit j is 0, one run of step bits every base * step bits
-        self.zero = [_periodic(step, base * step, size) for step in self.steps]
-        if index.product_prefix is None:
-            self.keys = _word_keys(index, positions, base)
-            self.reachable = self.extended(self.bitset(index.all_mask))
-        else:
-            self.keys = _product_keys(index, positions, base)
-            self.reachable = _product_reachable(index, positions, base)
+
+    @cached_property
+    def zero(self) -> list[int]:
+        """zero[j]: the keys whose digit j is 0, one run of step bits every base * step bits."""
+        return [_periodic(step, self.base * step, self.size) for step in self.steps]
+
+    @cached_property
+    def keys(self) -> memoryview:
+        """One key per base word, in index order."""
+        build = _word_keys if self.index.product_prefix is None else _product_keys
+        return build(self.index, self.positions, self.base)
+
+    @cached_property
+    def reachable(self) -> int:
+        """The keys some base word extends."""
+        if self.index.product_prefix is None:
+            return self.extended(self.bitset(self.index.all_mask))
+        return _product_reachable(self.index, self.positions, self.base)
 
     def bitset(self, word_mask: int) -> int:
         """The keys of the words in word_mask (bit k for index.words[k])."""
@@ -410,6 +423,7 @@ class CandidateSpace:
 
     def qualifying(self, bad_mask: int) -> int:
         """The keys some word extends and no word of bad_mask extends."""
+        self.zero  # built first, so that its transients do not add to the word keys' and bitsets' peak
         return self.reachable & ~self.extended(self.bitset(bad_mask))
 
     def holding(self, product: ClauseProduct, region: int) -> int:
@@ -656,7 +670,8 @@ class Analysis:
     member mask stands for members[i], and bit k of a cylinder, target or
     region closure mask for index.words[k].  No attribute can be assigned or
     deleted, so the artefacts derived from the problem and its logogram
-    (members, cylinders, member masks) can never describe another one.
+    (members, cylinders, member masks) can never describe another one.  The
+    logogram walk and the region walks build candidate spaces of their own.
     """
 
     def __init__(self, problem: DecisionProblem, *, budget: int = DEFAULT_CANDIDATE_BUDGET):
@@ -671,7 +686,8 @@ class Analysis:
 
     @cached_property
     def logogram(self) -> "LogogramResult":
-        return log_rel(self.problem, index=self.index, budget=self.budget, closure=self.target_mask)
+        space = CandidateSpace(self.index, auto_positions(self.index), self.budget)  # dies with the walk
+        return log_rel(self.problem, space=space, closure=self.target_mask)
 
     @cached_property
     def members(self) -> list[PartialString]:
@@ -768,10 +784,11 @@ class Analysis:
     def region_logograms(self) -> list[frozenset[PartialString]]:
         """The reduced logogram of each region within the base, one walk per region.
 
-        A clause product's walk takes the region's index and reads its keys off the clauses;
-        a labelled region's walk takes the region's closure mask.
+        The walks share one candidate space, released with them.  A clause product's walk
+        reads its keys off the clauses; a labelled region's walk takes the region's closure mask.
         """
-        walk = partial(log_rel, self.problem, index=self.index, budget=self.budget, keep_full=False)
+        space = CandidateSpace(self.index, auto_positions(self.index), self.budget)
+        walk = partial(log_rel, self.problem, space=space, keep_full=False)
         product = self.problem.clauses
         if product is not None:
             return [walk(region=j).reduced for j in range(product.regions)]
@@ -838,7 +855,6 @@ class LogogramResult(NamedTuple):
     candidate_space_size: int
     positions: tuple[int, ...]
     restricted: bool
-    elapsed: float
 
     def sorted_reduced(self) -> list[PartialString]:
         return sorted(self.reduced, key=lambda g: (g.size, g.render()))
@@ -846,34 +862,23 @@ class LogogramResult(NamedTuple):
 
 def auto_positions(index: ProblemIndex) -> tuple[int, ...]:
     """The candidate positions log_rel would pick for this base by default."""
-    return _candidate_positions(index, None, "auto")[0]
+    return _candidate_positions(index, None, "auto")
 
 
-def _candidate_positions(index: ProblemIndex, candidate_positions, restrict: str):
+def _candidate_positions(index: ProblemIndex, candidate_positions, restrict: str) -> tuple[int, ...]:
     if restrict not in ("auto", "never"):
         raise ValueError(f"restrict must be 'auto' or 'never', not {restrict!r}")
-    full_range = tuple(range(1, index.max_len + 1))
     if candidate_positions is not None:
         positions = tuple(sorted(set(candidate_positions)))
         if any(p < 1 for p in positions):
             raise ValueError("candidate positions must be >= 1")
-        return positions, positions != full_range
-    if restrict == "auto" and index.shared_prefix_len > 0:
-        return full_range[index.shared_prefix_len:], True
-    return full_range, False
+        return positions
+    return tuple(range(index.shared_prefix_len + 1 if restrict == "auto" else 1, index.max_len + 1))
 
 
-def log_rel(
-    problem: DecisionProblem,
-    candidate_positions=None,
-    *,
-    budget: int = DEFAULT_CANDIDATE_BUDGET,
-    keep_full: bool | None = None,
-    restrict: str = "auto",
-    index: ProblemIndex | None = None,
-    closure: int | None = None,
-    region: int | None = None,
-) -> LogogramResult:
+def log_rel(problem: DecisionProblem, candidate_positions=None, *, budget: int = DEFAULT_CANDIDATE_BUDGET,
+            keep_full: bool | None = None, restrict: str = "auto", space: CandidateSpace | None = None,
+            closure: int | None = None, region: int | None = None) -> LogogramResult:
     """Relative logogram of problem.target within problem.base, with minimal elements.
 
     When every base word shares a constant prefix (restrict="auto"), the
@@ -886,48 +891,48 @@ def log_rel(
     closure, and problem.target is then not read.  On a problem whose regions are a
     clause product, region=j walks region j in place of the target: its qualifying keys
     are read off the clauses (`CandidateSpace.holding`), and no word mask is read.
-    """
-    start = time.perf_counter()
-    idx = index if index is not None else ProblemIndex(problem.base)
-    positions, restricted = _candidate_positions(idx, candidate_positions, restrict)
-    space = (len(idx.alphabet.symbols) + 1) ** len(positions)
-    if space > budget:
-        raise BudgetExceeded("candidate space too large", space, budget)
 
-    tables = idx.candidate_space(positions)
+    Given no space, the base is indexed and one `CandidateSpace` (the budget check) is built
+    for this walk over the positions that candidate_positions and restrict pick, and it dies
+    with the walk.  A caller that walks one space several times builds it and passes it as
+    space: the walk runs over its index and positions, candidate_positions must then be
+    None, and restrict and budget are not read.
+    """
+    if space is None:
+        index = ProblemIndex(problem.base)
+        space = CandidateSpace(index, _candidate_positions(index, candidate_positions, restrict), budget)
+    elif candidate_positions is not None:
+        raise ValueError("give candidate positions or a candidate space, not both")
+    index = space.index
     if region is not None:
         if problem.clauses is None or not 0 <= region < problem.clauses.regions:
             raise ValueError(f"region {region} is not a clause-product region of the problem")
-        qualifying = tables.holding(problem.clauses, region)
+        qualifying = space.holding(problem.clauses, region)
     else:
         if closure is None:
-            closure = idx.closure_mask(idx.language_mask(problem.target))
-        qualifying = tables.qualifying(idx.all_mask & ~closure)
+            closure = index.closure_mask(index.language_mask(problem.target))
+        qualifying = space.qualifying(index.all_mask & ~closure)
     full_count = qualifying.bit_count()
     if keep_full is None:
         keep_full = full_count <= FULL_KEEP_LIMIT
     return LogogramResult(
-        full=frozenset(tables.decode(set_bits(qualifying))) if keep_full else None,
-        reduced=frozenset(tables.decode(set_bits(tables.minimal(qualifying)))),
+        full=frozenset(space.decode(set_bits(qualifying))) if keep_full else None,
+        reduced=frozenset(space.decode(set_bits(space.minimal(qualifying)))),
         full_count=full_count,
-        candidate_space_size=space,
-        positions=positions,
-        restricted=restricted,
-        elapsed=time.perf_counter() - start,
+        candidate_space_size=space.size,
+        positions=space.positions,
+        restricted=space.positions != tuple(range(1, index.max_len + 1)),
     )
 
 
-def log_abs(
-    F: FiniteLanguage,
-    universe: FiniteLanguage,
-    *,
-    budget: int = DEFAULT_CANDIDATE_BUDGET,
-    keep_full: bool | None = None,
-    index: ProblemIndex | None = None,
-) -> LogogramResult:
-    """Absolute logogram of F inside a full capped slice (its logogram relative to the slice), over index when given."""
+def log_abs(F: FiniteLanguage, universe: FiniteLanguage, *, budget: int = DEFAULT_CANDIDATE_BUDGET,
+            keep_full: bool | None = None, space: CandidateSpace | None = None) -> LogogramResult:
+    """Absolute logogram of F inside a full capped slice (its logogram relative to the slice).
+
+    A given space is over the slice's index and every position up to its cap (`log_rel`).
+    """
     _check_full_slice(universe)
-    return log_rel(DecisionProblem(universe, F), restrict="never", budget=budget, keep_full=keep_full, index=index)
+    return log_rel(DecisionProblem(universe, F), restrict="never", budget=budget, keep_full=keep_full, space=space)
 
 
 def _check_full_slice(universe: FiniteLanguage) -> None:
@@ -986,9 +991,9 @@ def log_rel_naive(problem: DecisionProblem, candidate_positions=None, budget: in
 
 
 def logexp(H: frozenset[PartialString], universe: FiniteLanguage,
-           index: ProblemIndex | None = None) -> frozenset[PartialString]:
-    """The closure carrying H to the full absolute logogram of its expansion, over the slice's index when given."""
-    return log_abs(expand_in(H, universe), universe, keep_full=True, index=index).full
+           space: CandidateSpace | None = None) -> frozenset[PartialString]:
+    """The closure carrying H to the full absolute logogram of its expansion, over the slice's space when given."""
+    return log_abs(expand_in(H, universe), universe, keep_full=True, space=space).full
 
 
 class LogExpReport(NamedTuple):
@@ -1011,21 +1016,21 @@ def logexp_closure_check(
     plus one extra word-string from the universe.  With a partner set, the
     union LogExp(H | partner) is compared against the union of the separate
     closures and a collective string is reported when the inclusion is
-    proper.  One index of the universe serves every LogExp of the check.
+    proper.  One candidate space serves every LogExp of the check, and no more.
     """
     _check_full_slice(universe)
-    index = ProblemIndex(universe)
-    le_h = logexp(H, universe, index)
+    space = CandidateSpace(ProblemIndex(universe), tuple(range(1, universe.max_len + 1)))
+    le_h = logexp(H, universe, space)
     extensive = H <= le_h
-    idempotent = logexp(le_h, universe, index) == le_h
+    idempotent = logexp(le_h, universe, space) == le_h
     sorted_words = sorted(universe.words, key=lambda w: (len(w), w), reverse=True)
     extra = PartialString.from_word(universe.alphabet, sorted_words[0]) if sorted_words else None
     bigger = H | {extra} if extra is not None else H
-    monotone = le_h <= logexp(bigger, universe, index)
+    monotone = le_h <= logexp(bigger, universe, space)
     union_strict = collective_sample = None
     if partner is not None:
-        le_union = logexp(H | partner, universe, index)
-        le_parts = le_h | logexp(partner, universe, index)
+        le_union = logexp(H | partner, universe, space)
+        le_parts = le_h | logexp(partner, universe, space)
         union_strict = le_parts < le_union
         if union_strict:
             collective_sample = min(le_union - le_parts, key=lambda g: (g.size, g.render())).render()
@@ -1155,7 +1160,6 @@ def load_logogram_cache(
     fingerprint is the problem's key over positions (`echelon_fingerprint` or
     `problem_fingerprint`), and the header must carry it.
     """
-    start = time.perf_counter()
     path = cache_file(cache_dir, fingerprint)
     if not path.is_file():
         return None
@@ -1191,7 +1195,6 @@ def load_logogram_cache(
             candidate_space_size=header["candidate_space_size"],
             positions=positions,
             restricted=header["restricted"],
-            elapsed=time.perf_counter() - start,
         )
     except (ValueError, IndexError):  # undecodable text or JSON, an empty file
         return None

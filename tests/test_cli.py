@@ -150,13 +150,13 @@ class TestLogogramCommand:
         assert captured.err == "memory error: out of memory\n"
 
     def test_memory_limit_in_a_child_is_exit_2_without_a_report(self):
-        """A 120 MB address-space limit, set in the child alone, stops (3,4)'s battery, which peaks near 180 MB.
+        """An 80 MB address-space limit, set in the child alone, stops (3,4)'s battery, which peaks near 103 MB RSS.
 
         Importing strtool fits under 40 MB on Linux x86-64 with CPython 3.11; where the
         interpreter cannot even start under the limit, the test is skipped rather than failed.
         """
         resource = pytest.importorskip("resource")
-        limit = 120 * 2 ** 20
+        limit = 80 * 2 ** 20
         src = str(Path(strtool.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
@@ -165,7 +165,7 @@ class TestLogogramCommand:
                                   preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
 
         if run("-c", "import strtool.cli").returncode != 0:
-            pytest.skip("this interpreter cannot start and import strtool under a 120 MB address-space limit")
+            pytest.skip("this interpreter cannot start and import strtool under an 80 MB address-space limit")
         proc = run("-m", "strtool", "verify", "--suite", "sat", "--n", "3", "--m", "4", "--threads", "1")
         assert proc.returncode == 2
         assert proc.stdout == ""
@@ -382,18 +382,6 @@ class TestVerifyCommand:
     def test_suites_without_echelon_echo_the_default_size(self, capsys, suite):
         code, report = run_json(capsys, "verify", "--suite", suite, "--samples", "20")
         assert code == 0 and (report["config"]["n"], report["config"]["m"]) == (2, 2)
-
-    def test_oracle_check_builds_one_index_per_problem(self, monkeypatch):
-        real_init = ProblemIndex.__init__
-        built = []
-
-        def counting_init(self, base):
-            built.append(base)
-            real_init(self, base)
-
-        monkeypatch.setattr(ProblemIndex, "__init__", counting_init)
-        assert cli._oracle_agrees(enumerate_echelon(EchelonSpec(2, 1)), naive_budget=4 ** 9)
-        assert len(built) == 1
 
     def test_report_schema(self, capsys):
         code, report = run_json(capsys, "verify", "--suite", "events", "--samples", "20", "--seed", "1")

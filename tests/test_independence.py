@@ -964,7 +964,6 @@ class TestShape:
             candidate_space_size=4,
             positions=(5,),
             restricted=True,
-            elapsed=0.0,
         )
         report = sat_shape_report(EchelonSpec(1, 1), fake)
         assert not report.holds
@@ -975,7 +974,7 @@ class TestShape:
         The findings follow `sorted_reduced`: by (size, render), size being the last defined position."""
         members = [{3: "2", 7: "1", 9: "1"}, {7: "0", 10: "2"}, {7: "1", 9: "2"}, {8: "1", 9: "2"}, {7: "1", 8: "1", 9: "1"}]
         reduced = frozenset(PartialString.of(SAT_ALPHABET, entries) for entries in members)
-        fake = LogogramResult(None, reduced, len(reduced), 3 ** 4, (7, 8, 9, 10), True, 0.0)
+        fake = LogogramResult(None, reduced, len(reduced), 3 ** 4, (7, 8, 9, 10), True)
         assert to_json(sat_shape_report(EchelonSpec(2, 2), fake)) == {"holds": False, "members": 5, "findings": [
             {"string": "__2___1_1", "problems": ["entry at position 3 outside the clause blocks"]},
             {"string": "______111", "problems": ["clause 1 has 2 prescriptions"]},

@@ -6,6 +6,7 @@ import operator
 import os
 import random
 import string
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -25,6 +26,7 @@ from strtool.languages import (
 )
 from strtool.logogram import (
     Analysis,
+    CandidateSpace,
     ClauseProduct,
     DecisionProblem,
     ProblemIndex,
@@ -92,6 +94,18 @@ class TestDecisionProblem:
         for literal in ((0, "1", 1), (1, "2", 1), (1, "1", 0), (1, "1", 4)):  # position, symbol, mask
             with pytest.raises(ValueError, match="bad literal"):
                 DecisionProblem(E, E, clauses=ClauseProduct(2, ((literal,),)))
+
+    def test_clause_rule_premise_checked(self):
+        """Clause positions must be free positions of a whole product, and leave some symbol making no literal true."""
+        E = sigma_exact(BINARY, 2)
+        with pytest.raises(ValueError, match="every symbol"):  # the clause is true for every word
+            DecisionProblem(E, E, clauses=ClauseProduct(1, (((1, "0", 1), (1, "1", 1)),)))
+        product = ClauseProduct(2, (((1, "1", 2), (2, "0", 1)),))
+        for base in (lang(E.words), E.masked(0b111), ProductLanguage(BINARY, "1", 1), sigma_exact(BINARY, 1)):
+            with pytest.raises(ValueError, match="not a free position"):  # words, a part, a prefix, too short
+                DecisionProblem(base, base, clauses=product)
+        for n, m in SMALL_ECHELONS:
+            assert enumerate_echelon(EchelonSpec(n, m)).clauses is not None
 
     def test_region_masks_transpose_labels(self):
         rng = random.Random(4)
@@ -251,10 +265,6 @@ def _word_level_product_index(alphabet, prefix, free):
     return index
 
 
-def result_fields(result):
-    return result._replace(elapsed=None)
-
-
 def assert_paths_agree(problem):
     """The digit-arithmetic path against the word-level one on one full-product base.
 
@@ -272,11 +282,10 @@ def assert_paths_agree(problem):
     free = auto_positions(index)
     wider = (*range(1, index.shared_prefix_len + 1)[-1:], *free, index.max_len + 1)
     for positions in [free, wider] if radix ** len(wider) <= 4 ** 8 else [free]:
-        space, word_space = index.candidate_space(positions), word_index.candidate_space(positions)
+        space, word_space = CandidateSpace(index, positions), CandidateSpace(word_index, positions)
         assert space.keys.tolist() == word_space.keys.tolist()
         assert space.reachable == word_space.reachable
-        product, words = (log_rel(problem, positions, index=idx) for idx in (index, word_index))
-        assert result_fields(product) == result_fields(words)
+        assert log_rel(problem, space=space) == log_rel(problem, space=word_space)
     assert all(len(index.product_prefix) < pos <= index.max_len for pos in analysis.position_choices)
     full = (1 << len(analysis.members)) - 1
     assert analysis.member_masks == logogram._word_member_masks(analysis.position_choices, word_index, full)
@@ -326,8 +335,9 @@ class TestFullProductIndex:
         product_form = Analysis(DecisionProblem(base, target), budget=4 ** 9)
         assert product_form.target_mask == target.mask == plain.closure_mask(plain.language_mask(word_target))
         if len(auto_positions(index)) <= 9:
-            word_form = log_rel(DecisionProblem(plain.language, word_target), index=plain, budget=4 ** 9)
-            assert result_fields(product_form.logogram) == result_fields(word_form)
+            word_form = log_rel(DecisionProblem(plain.language, word_target),
+                                space=CandidateSpace(plain, auto_positions(plain), 4 ** 9))
+            assert product_form.logogram == word_form
             assert product_form.index.mask_language(product_form.target_mask) == target
 
     def test_masked_product_base_is_indexed_by_its_words(self):
@@ -342,7 +352,7 @@ class TestFullProductIndex:
             assert index.language_mask(base) == index.all_mask
             problem = DecisionProblem(base, random_target(base, mask))
             plain = DecisionProblem(lang(base.words, TERNARY), problem.target)
-            assert result_fields(log_rel(problem)) == result_fields(log_rel(plain))
+            assert log_rel(problem) == log_rel(plain)
             assert log_rel(problem, restrict="never", keep_full=True).reduced == log_rel_naive(problem)[1]
 
     @pytest.mark.parametrize("word", ["", "0", "0110", "2102"])
@@ -359,7 +369,7 @@ class TestFullProductIndex:
             index = ProblemIndex(base)
             assert index.words == tuple(sorted(base.words))
             positions = auto_positions(index)
-            keys = index.candidate_space(positions).keys[:3]  # words ...0, ...1, ...2
+            keys = CandidateSpace(index, positions).keys[:3]  # words ...0, ...1, ...2
             assert [key // 4 ** (len(positions) - 1) for key in keys] == [2, 1, 3]  # the last position's digit
             for seed in range(3):
                 assert_paths_agree(DecisionProblem(base, random_target(base, seed)))
@@ -559,7 +569,7 @@ class TestChainWalk:
         qualifying = brute_qualifying(problem, positions)
         idx = ProblemIndex(problem.base)
         bad_mask = idx.all_mask & ~idx.word_mask(cylindrify(problem.target, problem.base).words)
-        keys = set_bits(idx.candidate_space(positions).qualifying(bad_mask))
+        keys = set_bits(CandidateSpace(idx, positions).qualifying(bad_mask))
         assert keys == sorted(sum(d * base ** j for j, d in enumerate(t)) for t in qualifying)
         result = log_rel(problem, positions, keep_full=True)
         assert result.full == digits_to_strings(problem, positions, qualifying)
@@ -591,16 +601,40 @@ class TestKernel:
         assert (result.full_count, len(result.reduced)) == (full_count, reduced)
         assert reduced == consistent_selection_count(n, m)
 
-    def test_region_walks_reuse_the_index_tables(self, monkeypatch):
-        builds = []
-        space = logogram.CandidateSpace
-        monkeypatch.setattr(logogram, "CandidateSpace", lambda *args: builds.append(args) or space(*args))
+    def test_logogram_walk_releases_its_space(self, monkeypatch):
+        """No candidate space that `Analysis.logogram` created outlives the walk: the index keeps none."""
+        built = []
+        make = logogram.CandidateSpace
+
+        def tracked(*args):
+            space = make(*args)
+            built.append(weakref.ref(space))
+            return space
+
+        monkeypatch.setattr(logogram, "CandidateSpace", tracked)
+        analysis = Analysis(enumerate_echelon(EchelonSpec(3, 3)))
+        assert len(analysis.logogram.reduced) == 126
+        assert len(built) == 1 and built[0]() is None
+
+    def test_region_walks_share_one_space(self, monkeypatch):
+        """The 16 region walks on (4,2) build one space, and its digit-0 masks and reachable keys once."""
+        builds, reads = [], []
+        make = logogram.CandidateSpace
+        monkeypatch.setattr(logogram, "CandidateSpace", lambda *args: builds.append(args) or make(*args))
+        for name in ("zero", "reachable"):
+            counted = functools.cached_property(lambda space, read=make.__dict__[name].func, name=name:
+                                                reads.append(name) or read(space))
+            counted.__set_name__(make, name)
+            monkeypatch.setattr(make, name, counted)
         analysis = Analysis(enumerate_echelon(EchelonSpec(4, 2)))
-        positions = analysis.logogram.positions
-        tables = analysis.index.candidate_space(positions)
         assert len(analysis.region_logograms) == 16
-        assert analysis.index.candidate_space(positions) is tables
-        assert len(builds) == 1
+        assert len(builds) == 1 and sorted(reads) == ["reachable", "zero"]
+
+    def test_space_and_positions_are_not_both_given(self):
+        problem = enumerate_echelon(EchelonSpec(2, 1))
+        space = CandidateSpace(ProblemIndex(problem.base), (1, 2))
+        with pytest.raises(ValueError, match="not both"):
+            log_rel(problem, (1, 2), space=space)
 
     def test_clause_region_walks_read_no_word_key(self, monkeypatch):
         """A clause-product region walk, over any positions, matches its labelled twin's walk and reads no word key."""
@@ -615,13 +649,16 @@ class TestKernel:
         twin = Analysis(DecisionProblem(problem.base, problem.target, labels))
         index = ProblemIndex(problem.base)
         body = EchelonSpec(2, 2).body_positions
-        for positions in (None, tuple(range(1, index.max_len + 1)), body[1:3], body[::2] + (index.max_len + 1,)):
+        for positions in (auto_positions(index), tuple(range(1, index.max_len + 1)), body[1:3],
+                          body[::2] + (index.max_len + 1,)):
+            space = CandidateSpace(index, positions)
             for j, mask in enumerate(twin.region_masks):
-                expected = result_fields(log_rel(twin.problem, positions, closure=mask, keep_full=True))
+                expected = log_rel(twin.problem, positions, closure=mask, keep_full=True)
                 with monkeypatch.context() as patch:
                     for name in ("bitset", "extended"):
                         patch.setattr(logogram.CandidateSpace, name, None)
-                    assert result_fields(log_rel(problem, positions, region=j, index=index, keep_full=True)) == expected
+                    assert log_rel(problem, space=space, region=j, keep_full=True) == expected
+            assert "keys" not in vars(space)  # no word key is built
         for bad, walked in ((product.regions, problem), (0, twin.problem)):
             with pytest.raises(ValueError, match="clause-product region"):
                 log_rel(walked, region=bad)
@@ -658,7 +695,7 @@ class TestDecode:
             index = ProblemIndex(lang(words, alphabet))
             pool = range(1, index.max_len + 6)
             positions = tuple(sorted(rng.sample(pool, rng.randint(0, min(most, len(pool))))))
-            space = index.candidate_space(positions)
+            space = CandidateSpace(index, positions)
             keys = [0, space.size - 1, *(rng.randrange(space.size) for _ in range(200))]
             assert space.decode(keys) == [reference_decode(alphabet, positions, k) for k in keys]
             assert_memo_bound(alphabet)
@@ -677,8 +714,8 @@ class TestDecode:
                 base = lang({"01" + w for w in problem.base.words}, alphabet)
                 problem = DecisionProblem(base, lang({"01" + w for w in problem.target.words}, alphabet))
             index = ProblemIndex(problem.base)
-            result = log_rel(problem, restrict=restrict, keep_full=True, index=index)
-            space = index.candidate_space(result.positions)
+            result = log_rel(problem, restrict=restrict, keep_full=True)
+            space = CandidateSpace(index, result.positions)
             closure = index.word_mask(cylindrify(problem.target, problem.base).words)
             keys = set_bits(space.qualifying(index.all_mask & ~closure))
             assert result.full == frozenset(reference_decode(alphabet, result.positions, k) for k in keys)
@@ -732,7 +769,7 @@ class TestDecodeMemo:
         logogram._decoder.cache_clear()
         for positions in position_sets:
             for alphabet in (BINARY, TERNARY, BINARY):  # the same positions under both alphabets in turn
-                space = bases[alphabet].candidate_space(positions)
+                space = CandidateSpace(bases[alphabet], positions)
                 keys = [0, space.size - 1, *(rng.randrange(space.size) for _ in range(100))]
                 assert space.decode(keys) == [reference_decode(alphabet, positions, k) for k in keys]
                 assert logogram._decoder.cache_info().currsize <= 2
@@ -743,7 +780,7 @@ class TestDecodeMemo:
         """A key decodes to one object over (1..L) and over any (1..L') that extends or prefixes it."""
         logogram._decoder.cache_clear()
         index = ProblemIndex(sigma_upto(alphabet, 6))
-        short, long = index.candidate_space((1, 2, 3)), index.candidate_space((1, 2, 3, 4, 5))
+        short, long = CandidateSpace(index, (1, 2, 3)), CandidateSpace(index, (1, 2, 3, 4, 5))
         keys = range(short.size)  # every key over (1, 2, 3) is a key over (1..5) too
         first = short.decode(keys)
         extended = long.decode([*keys, long.size - 1])
@@ -759,9 +796,9 @@ class TestDecodeMemo:
         """After (1, 2, 3), a tuple that neither extends nor prefixes it never gets a string decoded over it."""
         logogram._decoder.cache_clear()
         index = ProblemIndex(sigma_upto(TERNARY, 6))
-        kept = index.candidate_space((1, 2, 3))
+        kept = CandidateSpace(index, (1, 2, 3))
         kept.decode(range(kept.size))
-        space = index.candidate_space(positions)
+        space = CandidateSpace(index, positions)
         keys = range(space.size)
         assert space.decode(keys) == [reference_decode(TERNARY, positions, k) for k in keys]
         assert logogram._decoder(TERNARY).positions == positions

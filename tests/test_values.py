@@ -60,9 +60,8 @@ VALUES = {
                                                                                    False, 2, 3),)),
                               ("ignore_bewitched", "holds", "rows")),
     "LogogramResult": (lambda: LogogramResult(None, frozenset({PartialString(BINARY, ((2, "1"),))}), 3, 9, (1, 2),
-                                              False, 0.5),
-                       ("full", "reduced", "full_count", "candidate_space_size", "positions", "restricted",
-                        "elapsed")),
+                                              False),
+                       ("full", "reduced", "full_count", "candidate_space_size", "positions", "restricted")),
     "LogExpReport": (lambda: LogExpReport(True, True, True, True, "_0", True),
                      ("extensive", "idempotent", "monotone", "holds", "collective_sample", "union_strict")),
 }
