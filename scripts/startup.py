@@ -3,9 +3,11 @@
 Byte-compiles the package first, as an install would, then starts N fresh
 interpreters that each time `import strtool.cli` with `time.perf_counter`,
 and prints the median and quartiles in milliseconds.  N more interpreters run
-the same import under `-X importtime` and give each module's cumulative
-import time; the non-strtool modules whose median reaches 1 ms are listed
-as the heavy ones.  Run it on two checkouts to compare them:
+the same import under `-X importtime` and give each module's self and
+cumulative import time: the non-strtool modules whose median cumulative
+time reaches 1 ms are listed as the heavy ones, and every strtool module is
+listed with its median self time, strtool's own share of the import.  Run
+it on two checkouts to compare them:
 
     python3 scripts/startup.py --runs 30
 
@@ -32,13 +34,13 @@ def run(env: dict, *args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, check=True)
 
 
-def cumulative_ms(stderr: str) -> dict[str, float]:
-    """Module -> cumulative import ms, from `-X importtime` lines after the mark."""
+def import_ms(stderr: str) -> dict[str, tuple[float, float]]:
+    """Module -> (self, cumulative) import ms, from `-X importtime` lines after the mark."""
     out = {}
     for line in stderr.split(MARK, 1)[1].splitlines():
         if line.startswith("import time:"):
-            _, cumulative, name = line.split("|")
-            out[name.strip()] = int(cumulative) / 1000
+            own, cumulative, name = line.removeprefix("import time:").split("|")
+            out[name.strip()] = (int(own) / 1000, int(cumulative) / 1000)
     return out
 
 
@@ -56,18 +58,18 @@ def main() -> int:
     q1, median, q3 = statistics.quantiles(times, n=4)
     print(f"import strtool.cli: median {median:.1f} ms (quartiles {q1:.1f}-{q3:.1f}) over {args.runs} interpreters")
 
-    samples: dict[str, list[float]] = {}
+    samples: dict[str, list[tuple[float, float]]] = {}
     for _ in range(args.runs):
-        for name, ms in cumulative_ms(run(env, "-X", "importtime", "-c", PROFILED).stderr).items():
+        for name, ms in import_ms(run(env, "-X", "importtime", "-c", PROFILED).stderr).items():
             samples.setdefault(name, []).append(ms)
-    heavy = sorted(
-        ((statistics.median(v), name) for name, v in samples.items()
-         if name.split(".")[0] != "strtool" and len(v) == args.runs),
-        reverse=True,
-    )
-    listed = [f"{name} {ms:.1f}" for ms, name in heavy if ms >= HEAVY_MS]
+    medians = {name: tuple(map(statistics.median, zip(*v))) for name, v in samples.items() if len(v) == args.runs}
+    heavy = sorted(((cumulative, name) for name, (_, cumulative) in medians.items()
+                    if name.split(".")[0] != "strtool" and cumulative >= HEAVY_MS), reverse=True)
     print(f"heavy modules (median cumulative ms under -X importtime, >= {HEAVY_MS}): "
-          + (", ".join(listed) or "none"))
+          + (", ".join(f"{name} {ms:.1f}" for ms, name in heavy) or "none"))
+    own = sorted(((own, name) for name, (own, _) in medians.items() if name.split(".")[0] == "strtool"), reverse=True)
+    listed = ", ".join(f"{name} {ms:.2f}" for ms, name in own)
+    print(f"strtool modules (median self ms under -X importtime): {listed} (sum {sum(ms for ms, _ in own):.2f})")
     return 0
 
 

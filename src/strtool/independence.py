@@ -49,8 +49,8 @@ from functools import reduce
 from operator import or_
 from typing import NamedTuple
 
-from .languages import BudgetExceeded, FiniteLanguage
-from .logogram import Analysis, LogogramResult, ProblemIndex, choice_tables, set_bits
+from .languages import BudgetExceeded, FiniteLanguage, expand_in
+from .logogram import Analysis, LogogramResult, choice_tables, set_bits
 from .sat import SAT_ALPHABET, EchelonSpec
 from .strings import PartialString, join_all, read_only
 
@@ -75,19 +75,10 @@ def entangles_sets(H, K, E: FiniteLanguage) -> bool:
     Vacuously true for empty H.  Every member of either set must occur in E.
     """
     H, K = frozenset(H), frozenset(K)
-    if not H | K:
-        return True
-    idx = ProblemIndex(E)
-    exp_h = exp_k = 0
     for g in sorted(H | K, key=lambda s: (s.size, s.render())):
-        cyl = idx.cylinder_mask(g)
-        if not cyl:
+        if not expand_in((g,), E):
             raise ValueError(f"member {g.render()!r} does not occur in the base language")
-        if g in H:
-            exp_h |= cyl
-        if g in K:
-            exp_k |= cyl
-    return not (exp_h & ~exp_k)
+    return expand_in(H, E).issubset(expand_in(K, E))
 
 
 class StringVerdict(NamedTuple):

@@ -26,12 +26,14 @@ string between a qualifying string and a qualifying extension of it
 qualifies too, so a key is minimal iff none of its one-entry deletions
 qualifies: one more set of shifts.  full_count is the popcount of the
 qualifying set, and only the keys that are reported are decoded into
-strings.  A `CandidateSpace` over one positions tuple is the budget check;
+strings.  A `CandidateSpace` is the one way to choose a walk's positions
+(strictly increasing, each at least 1) and budget, and the budget check;
 it builds the digit-0 masks, one key per word and the keys some base word
 extends on first read, and lives only as long as the walks that share it:
 the index keeps none.  A target reaches the kernel as its closure mask: the
-base words having a prefix among its words, which on a prefix-free base are
-its words themselves (`ProblemIndex.closure_mask`).
+base words having a prefix among its words (its words themselves on a
+prefix-free base), read off the index's word list by code the naive judge's
+closure does not share (`ProblemIndex.closure_mask`).
 A target that is a mask over the base's product, as an echelon's
 satisfiable words are, is its own mask; any other target's words are read
 in one membership pass (`ProblemIndex.language_mask`).
@@ -126,7 +128,7 @@ import os
 import sys
 from bisect import bisect_left, bisect_right
 from functools import cached_property, lru_cache, partial, reduce
-from operator import and_, getitem, itemgetter
+from operator import and_, ge, getitem, itemgetter, not_
 from pathlib import Path
 from typing import NamedTuple
 
@@ -305,15 +307,22 @@ class ProblemIndex:
                 return 0
         return mask
 
-    def mask_language(self, mask: int) -> FiniteLanguage:
-        """The base words of mask, read from `words`."""
-        return self.language._sub(frozenset(itertools.compress(self.words, bit_flags(mask))))
-
     def closure_mask(self, mask: int) -> int:
-        """The base words having a prefix among mask's words: mask itself when the base is prefix-free."""
+        """The base words having a prefix among mask's words: mask itself when the base is prefix-free.
+
+        Otherwise one C-level pass per length k of mask's words, shortest first, slices each
+        unmatched word of length k or more to k and looks it up among them: no code is shared
+        with the naive judge's closure (`log_rel_naive`).
+        """
         if self.prefix_free:
             return mask
-        return self.word_mask(cylindrify(self.mask_language(mask), self.language).words)
+        rest, hits = self.words, []
+        for k, heads in itertools.groupby(itertools.compress(self.words, bit_flags(mask)), len):
+            rest = rest[bisect_left(rest, k, key=len):]  # the words are sorted by length
+            found = list(map(set(heads).__contains__, map(itemgetter(slice(k)), rest)))
+            hits.extend(itertools.compress(rest, found))
+            rest = list(itertools.compress(rest, map(not_, found)))
+        return self.word_mask(hits)
 
 
 def _column_masks(words: tuple[str, ...], alphabet: Alphabet) -> list[dict[str, int]]:
@@ -384,11 +393,15 @@ class CandidateSpace:
     positions past its end, and word w extends candidate g iff every nonzero digit of
     g's key equals w's digit there: the restriction order on keys.
 
-    Building one is the kernel's budget check.  Its tables (`zero`, `keys`, `reachable`) are
-    built on first read and live as long as the space, which only the walks sharing it hold.
+    A space is the only way to choose a walk's positions and budget: building one refuses
+    positions that are not strictly increasing or include one below 1 (none, or some past
+    the longest word, are valid) and is the kernel's budget check.  Its tables (`zero`,
+    `keys`, `reachable`) are built on first read and live as long as the space.
     """
 
     def __init__(self, index: ProblemIndex, positions: tuple[int, ...], budget: int = DEFAULT_CANDIDATE_BUDGET):
+        if min(positions, default=1) < 1 or any(map(ge, positions, positions[1:])):
+            raise ValueError(f"candidate positions must be strictly increasing and >= 1, not {positions}")
         self.base = base = len(index.alphabet.symbols) + 1
         self.size = base ** len(positions)
         if self.size > budget:
@@ -862,23 +875,18 @@ class LogogramResult(NamedTuple):
 
 def auto_positions(index: ProblemIndex) -> tuple[int, ...]:
     """The candidate positions log_rel would pick for this base by default."""
-    return _candidate_positions(index, None, "auto")
+    return _candidate_positions(index, "auto")
 
 
-def _candidate_positions(index: ProblemIndex, candidate_positions, restrict: str) -> tuple[int, ...]:
+def _candidate_positions(index: ProblemIndex, restrict: str) -> tuple[int, ...]:
     if restrict not in ("auto", "never"):
         raise ValueError(f"restrict must be 'auto' or 'never', not {restrict!r}")
-    if candidate_positions is not None:
-        positions = tuple(sorted(set(candidate_positions)))
-        if any(p < 1 for p in positions):
-            raise ValueError("candidate positions must be >= 1")
-        return positions
     return tuple(range(index.shared_prefix_len + 1 if restrict == "auto" else 1, index.max_len + 1))
 
 
-def log_rel(problem: DecisionProblem, candidate_positions=None, *, budget: int = DEFAULT_CANDIDATE_BUDGET,
-            keep_full: bool | None = None, restrict: str = "auto", space: CandidateSpace | None = None,
-            closure: int | None = None, region: int | None = None) -> LogogramResult:
+def log_rel(problem: DecisionProblem, *, keep_full: bool | None = None, restrict: str = "auto",
+            space: CandidateSpace | None = None, closure: int | None = None,
+            region: int | None = None) -> LogogramResult:
     """Relative logogram of problem.target within problem.base, with minimal elements.
 
     When every base word shares a constant prefix (restrict="auto"), the
@@ -892,17 +900,15 @@ def log_rel(problem: DecisionProblem, candidate_positions=None, *, budget: int =
     clause product, region=j walks region j in place of the target: its qualifying keys
     are read off the clauses (`CandidateSpace.holding`), and no word mask is read.
 
-    Given no space, the base is indexed and one `CandidateSpace` (the budget check) is built
-    for this walk over the positions that candidate_positions and restrict pick, and it dies
-    with the walk.  A caller that walks one space several times builds it and passes it as
-    space: the walk runs over its index and positions, candidate_positions must then be
-    None, and restrict and budget are not read.
+    The walk's positions and budget come only from a `CandidateSpace`.  Given none, the base
+    is indexed and one space is built for this walk over the positions restrict picks, under
+    the default budget, and it dies with the walk.  A caller that wants other positions or
+    another budget, or walks one space several times, builds the space and passes it as
+    space: the walk runs over its index and positions, and restrict is not read.
     """
     if space is None:
         index = ProblemIndex(problem.base)
-        space = CandidateSpace(index, _candidate_positions(index, candidate_positions, restrict), budget)
-    elif candidate_positions is not None:
-        raise ValueError("give candidate positions or a candidate space, not both")
+        space = CandidateSpace(index, _candidate_positions(index, restrict))
     index = space.index
     if region is not None:
         if problem.clauses is None or not 0 <= region < problem.clauses.regions:
@@ -925,14 +931,14 @@ def log_rel(problem: DecisionProblem, candidate_positions=None, *, budget: int =
     )
 
 
-def log_abs(F: FiniteLanguage, universe: FiniteLanguage, *, budget: int = DEFAULT_CANDIDATE_BUDGET,
-            keep_full: bool | None = None, space: CandidateSpace | None = None) -> LogogramResult:
+def log_abs(F: FiniteLanguage, universe: FiniteLanguage, *, keep_full: bool | None = None,
+            space: CandidateSpace | None = None) -> LogogramResult:
     """Absolute logogram of F inside a full capped slice (its logogram relative to the slice).
 
-    A given space is over the slice's index and every position up to its cap (`log_rel`).
+    A given space (the way to another budget) is over the slice's index and every position up to its cap.
     """
     _check_full_slice(universe)
-    return log_rel(DecisionProblem(universe, F), restrict="never", budget=budget, keep_full=keep_full, space=space)
+    return log_rel(DecisionProblem(universe, F), restrict="never", keep_full=keep_full, space=space)
 
 
 def _check_full_slice(universe: FiniteLanguage) -> None:
@@ -953,8 +959,10 @@ def log_rel_naive(problem: DecisionProblem, candidate_positions=None, budget: in
     positions of a domain increase, so the strings are built unchecked: each
     entry is read from one table of shared (pos, sym) pairs per position, and
     each string is made by `tuple.__new__`, with no Python-level call.
-    Returns (full, reduced) string sets.  The reduced set comes from
-    `reduce_strings`, which shares no code with the kernel's minimal keys.
+    Returns (full, reduced) string sets.  The target's closure comes from
+    `cylindrify`, which the kernel does not call (`ProblemIndex.closure_mask`),
+    and the reduced set from `reduce_strings`, which shares no code with the
+    kernel's minimal keys.
     """
     if not problem.base.words:
         raise ValueError("base language is empty")

@@ -17,6 +17,7 @@ from strtool.languages import (
     FiniteLanguage,
     ProductLanguage,
     TERNARY,
+    bit_flags,
     cylindrify,
     expand_in,
     random_language,
@@ -62,6 +63,18 @@ def lang(words, alphabet=BINARY):
 
 def renders(strings):
     return sorted(g.render() for g in strings)
+
+
+def mask_words(index, mask):
+    """The index words of mask (bit k for index.words[k])."""
+    return frozenset(itertools.compress(index.words, bit_flags(mask)))
+
+
+def log_rel_over(problem, positions, **kwargs):
+    """log_rel in a space built over these candidate positions (every one up to the longest word when None)."""
+    index = ProblemIndex(problem.base)
+    space = CandidateSpace(index, tuple(range(1, index.max_len + 1)) if positions is None else positions)
+    return log_rel(problem, space=space, **kwargs)
 
 
 # Every echelon of at most 3**9 words.
@@ -178,8 +191,6 @@ class TestProblemIndex:
             subset = [w for w in idx.words if rng.random() < 0.5]
             mask = sum(bit[w] for w in subset)
             assert idx.word_mask(subset) == mask
-            assert idx.mask_language(mask).words == frozenset(subset)
-            assert idx.mask_language(idx.all_mask).words == L.words
 
     def test_columns_and_prefix_facts_agree_with_per_word_scan(self):
         wide = Alphabet(tuple("01" + string.ascii_letters[:38]))  # 40 symbols
@@ -338,7 +349,7 @@ class TestFullProductIndex:
             word_form = log_rel(DecisionProblem(plain.language, word_target),
                                 space=CandidateSpace(plain, auto_positions(plain), 4 ** 9))
             assert product_form.logogram == word_form
-            assert product_form.index.mask_language(product_form.target_mask) == target
+            assert mask_words(product_form.index, product_form.target_mask) == target.words
 
     def test_masked_product_base_is_indexed_by_its_words(self):
         """A part of a product is a base given by words, even when those words form a smaller product."""
@@ -347,8 +358,8 @@ class TestFullProductIndex:
             base = whole.masked(mask)
             index = ProblemIndex(base)
             assert index.words == tuple(sorted(base.ordered_words()))
-            assert index.mask_language(index.all_mask) == base
-            assert index.mask_language(1) == lang([index.words[0]], TERNARY)
+            assert mask_words(index, index.all_mask) == base.words
+            assert mask_words(index, 1) == {index.words[0]}
             assert index.language_mask(base) == index.all_mask
             problem = DecisionProblem(base, random_target(base, mask))
             plain = DecisionProblem(lang(base.words, TERNARY), problem.target)
@@ -463,8 +474,9 @@ class TestLogRel:
 
     def test_budget(self):
         problem = DecisionProblem(sigma_exact(BINARY, 3), lang(["111"]))
+        index = ProblemIndex(problem.base)
         with pytest.raises(BudgetExceeded) as err:
-            log_rel(problem, budget=10)
+            log_rel(problem, space=CandidateSpace(index, auto_positions(index), 10))
         assert err.value.size == 3 ** 3
 
     def test_prefix_restriction_matches_unrestricted_reduction(self):
@@ -571,7 +583,7 @@ class TestChainWalk:
         bad_mask = idx.all_mask & ~idx.word_mask(cylindrify(problem.target, problem.base).words)
         keys = set_bits(CandidateSpace(idx, positions).qualifying(bad_mask))
         assert keys == sorted(sum(d * base ** j for j, d in enumerate(t)) for t in qualifying)
-        result = log_rel(problem, positions, keep_full=True)
+        result = log_rel_over(problem, positions, keep_full=True)
         assert result.full == digits_to_strings(problem, positions, qualifying)
         assert result.full_count == len(qualifying)
         assert result.reduced == reduce_strings(result.full)
@@ -587,7 +599,7 @@ class TestKernel:
             E = lang(words, alphabet)
             problem = DecisionProblem(E, lang([w for w in sorted(words) if rng.random() < 0.5], alphabet))
             naive_full, naive_reduced = log_rel_naive(problem, positions)
-            result = log_rel(problem, positions, keep_full=True, restrict="never")
+            result = log_rel_over(problem, positions, keep_full=True)
             assert result.full == naive_full and result.reduced == naive_reduced
             assert any(g.entries and max(alphabet.symbols.index(c) for _, c in g.entries) >= 36
                        for g in result.full)
@@ -597,7 +609,7 @@ class TestKernel:
     ])
     def test_echelon_counts(self, n, m, full_count, reduced):
         spec = EchelonSpec(n, m)
-        result = log_rel(enumerate_echelon(spec), spec.body_positions, keep_full=False)
+        result = log_rel_over(enumerate_echelon(spec), spec.body_positions, keep_full=False)
         assert (result.full_count, len(result.reduced)) == (full_count, reduced)
         assert reduced == consistent_selection_count(n, m)
 
@@ -630,11 +642,20 @@ class TestKernel:
         assert len(analysis.region_logograms) == 16
         assert len(builds) == 1 and sorted(reads) == ["reachable", "zero"]
 
-    def test_space_and_positions_are_not_both_given(self):
-        problem = enumerate_echelon(EchelonSpec(2, 1))
-        space = CandidateSpace(ProblemIndex(problem.base), (1, 2))
-        with pytest.raises(ValueError, match="not both"):
-            log_rel(problem, (1, 2), space=space)
+    @pytest.mark.parametrize("words, target, positions", [
+        (["000", "011", "101", "110", "111"], ["011", "111"], (3, 2, 1)),  # descending
+        (["00", "01", "10", "11"], ["01", "11"], (1, 1, 2)),  # a repeated position
+        (["00", "01", "10", "11"], ["01", "11"], (0, 1)),  # a position below 1
+    ])
+    def test_space_takes_only_strictly_increasing_positions_from_one(self, words, target, positions):
+        """A space is the one way to choose a walk's positions: any others are refused, not walked."""
+        problem = DecisionProblem(lang(words), lang(target))
+        index = ProblemIndex(problem.base)
+        with pytest.raises(ValueError, match="strictly increasing and >= 1"):
+            log_rel(problem, space=CandidateSpace(index, positions))
+        for valid in ((), (2,), (2, index.max_len + 1, index.max_len + 3)):  # none, and some past every word
+            result = log_rel(problem, space=CandidateSpace(index, valid), keep_full=True)
+            assert (result.full, result.reduced) == log_rel_naive(problem, valid)
 
     def test_clause_region_walks_read_no_word_key(self, monkeypatch):
         """A clause-product region walk, over any positions, matches its labelled twin's walk and reads no word key."""
@@ -651,9 +672,9 @@ class TestKernel:
         body = EchelonSpec(2, 2).body_positions
         for positions in (auto_positions(index), tuple(range(1, index.max_len + 1)), body[1:3],
                           body[::2] + (index.max_len + 1,)):
-            space = CandidateSpace(index, positions)
+            space, twin_space = CandidateSpace(index, positions), CandidateSpace(twin.index, positions)
             for j, mask in enumerate(twin.region_masks):
-                expected = log_rel(twin.problem, positions, closure=mask, keep_full=True)
+                expected = log_rel(twin.problem, space=twin_space, closure=mask, keep_full=True)
                 with monkeypatch.context() as patch:
                     for name in ("bitset", "extended"):
                         patch.setattr(logogram.CandidateSpace, name, None)
@@ -878,6 +899,22 @@ class TestNaiveOracle:
         with pytest.raises(BudgetExceeded):
             log_rel_naive(problem, budget=10)
 
+    def test_a_closure_bug_in_the_judge_does_not_reach_the_kernel(self, monkeypatch):
+        """The kernel computes its own prefix closure, so a faulty `cylindrify` fools the judge alone."""
+        rng = random.Random(37)
+        problems = [random_problem(rng, (BINARY, TERNARY)[i % 2], max_len=rng.randint(1, 4)) for i in range(60)]
+        engine = [log_rel(problem, restrict="never", keep_full=True) for problem in problems]
+        real = cylindrify
+
+        def shortest_prefixes_only(A, L):  # only the shortest target words act as prefixes
+            shortest = min(map(len, A.words), default=0)
+            return real(FiniteLanguage.of(A.alphabet, [w for w in A.words if len(w) == shortest]), L)
+
+        monkeypatch.setattr(logogram, "cylindrify", shortest_prefixes_only)
+        assert [log_rel(problem, restrict="never", keep_full=True) for problem in problems] == engine
+        fooled = [log_rel_naive(problem) != (result.full, result.reduced) for problem, result in zip(problems, engine)]
+        assert sum(fooled) > 5
+
     @given(naive_cases())
     def test_matches_definition(self, case):
         problem, positions = case
@@ -914,7 +951,7 @@ class TestNaiveOracle:
                            for e in g.entries)
                 assert (g.alphabet, g.entries) == PartialString(alphabet, g.entries)  # in-alphabet, increasing
                 domain_sizes.add(min(len(g.entries), 2))
-            assert full == log_rel(problem, positions, keep_full=True, restrict="never").full
+            assert full == log_rel_over(problem, positions, keep_full=True).full
         assert domain_sizes == {0, 1, 2}
 
     def test_builds_no_engine_tables(self, monkeypatch):
@@ -971,8 +1008,9 @@ class TestLogAbs:
         assert result.full_count == len(full)
 
     def test_budget_below_candidate_space(self):
+        universe = sigma_upto(BINARY, 2)
         with pytest.raises(BudgetExceeded) as err:
-            log_abs(lang(["1"]), sigma_upto(BINARY, 2), budget=8)
+            log_abs(lang(["1"]), universe, space=CandidateSpace(ProblemIndex(universe), (1, 2), 8))
         assert err.value.size == 3 ** 2
 
     def test_target_outside_universe(self):
@@ -1114,7 +1152,7 @@ class TestCover:
         union = 0
         for cyl in analysis.cylinders:
             union |= cyl
-        assert analysis.index.mask_language(union).words == problem.target.words
+        assert mask_words(analysis.index, union) == problem.target.words
 
 
 class TestCache:
@@ -1206,7 +1244,7 @@ class TestCache:
     def test_signed_blank_padded_body_loads_as_saved(self, tmp_path):
         spec = EchelonSpec(2, 2)
         problem = enumerate_echelon(spec)
-        result = log_rel(problem, spec.body_positions, keep_full=True)
+        result = log_rel_over(problem, spec.body_positions, keep_full=True)
         path = self.save(result, problem, tmp_path)
         self.rewrite_body(path, lambda text: text + "__")
         loaded = self.load(problem, tmp_path, result.positions)
@@ -1235,7 +1273,7 @@ class TestCache:
     def test_truncated_or_flipped_file_is_never_a_wrong_hit(self, tmp_path, n, m, keep_full):
         spec = EchelonSpec(n, m)
         problem = enumerate_echelon(spec)
-        cold = log_rel(problem, candidate_positions=spec.body_positions, keep_full=keep_full)
+        cold = log_rel_over(problem, spec.body_positions, keep_full=keep_full)
         path = self.save(cold, problem, tmp_path)
         assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temporary file left behind
         data = path.read_bytes()
@@ -1276,7 +1314,7 @@ class TestCache:
         other, spec = EchelonSpec(2, 1), EchelonSpec(1, 2)
         assert other.body_positions == spec.body_positions
         positions = spec.body_positions
-        result = log_rel(enumerate_echelon(other), candidate_positions=positions)
+        result = log_rel_over(enumerate_echelon(other), positions)
         own_key, key = (echelon_fingerprint(TERNARY, s.n, s.m, positions) for s in (other, spec))
         path = save_logogram_cache(result, tmp_path, own_key)
         assert load_logogram_cache(TERNARY, tmp_path, positions, own_key) is not None  # a valid file

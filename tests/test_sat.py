@@ -6,7 +6,7 @@ import pytest
 from strtool import cli
 from strtool.cli import main
 from strtool.independence import classify_all
-from strtool.languages import BudgetExceeded, FiniteLanguage
+from strtool.languages import BudgetExceeded, FiniteLanguage, bit_flags
 from strtool.logogram import Analysis, DecisionProblem, ProblemIndex, log_rel_naive
 from strtool.sat import (
     SAT_ALPHABET,
@@ -138,7 +138,8 @@ def clause_region_masks(analysis: Analysis) -> list[int]:
 def regions_of(problem):
     """The region word sets of an echelon, read from its clause region masks (judged by `label_by_assignment`)."""
     analysis = Analysis(problem)
-    return [analysis.index.mask_language(mask).words for mask in clause_region_masks(analysis)]
+    words = analysis.index.words
+    return [frozenset(itertools.compress(words, bit_flags(mask))) for mask in clause_region_masks(analysis)]
 
 
 class TestInstance:
