@@ -56,12 +56,14 @@ COMMANDS = (
     ("classify", "--n", "3", "--m", "2", "--string", "________2_2"),  # an improper witness in regions 1 and 5
     ("verify", "--suite", "sat", "--n", "2", "--m", "6", "--threads", "1"),  # 3^12 words: the word-scale checks
     ("verify", "--suite", "sat", "--n", "3", "--m", "4", "--threads", "1"),  # 172,438 closed sets in the walk
+    ("classify", "--n", "4", "--formula", "1,3,-4;2,-3"),  # parse_formula, CnfInstance and the size measures
 )
 # The text renderer reads the same report objects as the JSON one.
 TEXT_COMMANDS = (
     ("verify", "--suite", "all"),
     ("logogram", "--n", "3", "--m", "2", "--no-cache"),
     ("classify", "--n", "3", "--m", "2", "--string", "________2_2"),  # a record's tuple field as a text list
+    ("classify", "--n", "4", "--formula", "1,3,-4;2,-3"),
 )
 CACHE_COMMANDS = (
     ("logogram", "--n", "3", "--m", "2", "--cache-dir", "cache"),  # the full set is stored

@@ -47,12 +47,12 @@ the subsets in report order and stops at its first hit.
 import itertools
 from functools import reduce
 from operator import or_
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .languages import BudgetExceeded, FiniteLanguage, expand_in
 from .logogram import Analysis, LogogramResult, choice_tables, set_bits
 from .sat import SAT_ALPHABET, EchelonSpec
-from .strings import PartialString, join_all, read_only
+from .strings import PartialString, Value, join_all
 
 PROPER_WITNESS = "ProperWitness"
 IMPROPER_WITNESS = "ImproperWitness"
@@ -388,23 +388,18 @@ def sat_shape_report(spec: EchelonSpec, logogram: LogogramResult) -> ShapeReport
     return ShapeReport(holds=not findings, members=len(logogram.reduced), findings=tuple(findings))
 
 
-class EventFamily:
-    def __init__(self, universe: FiniteLanguage, events: tuple[FiniteLanguage, ...]) -> None:
+class EventFamily(Value):
+    """Events over a universe: the value `(universe, events)`, events a tuple of sublanguages of the universe."""
+
+    __slots__ = ()
+    _fields = ("universe", "events")
+
+    def __new__(cls, universe: FiniteLanguage, events: Iterable[FiniteLanguage]) -> "EventFamily":
+        events = tuple(events)
         for E in events:
             if not E.issubset(universe):
                 raise ValueError("every event must be a subset of the universe")
-        object.__setattr__(self, "universe", universe)
-        object.__setattr__(self, "events", events)
-
-    __setattr__ = __delattr__ = read_only
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.universe, self.events) == (other.universe, other.events)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.universe, self.events))
+        return tuple.__new__(cls, (universe, events))
 
 
 def atomic_constituents(family: EventFamily) -> list[FiniteLanguage]:

@@ -1,9 +1,12 @@
 """Finite languages and the expansion / cylindrification operators.
 
 A finite language is an explicit word set over one alphabet; mixed lengths
-are allowed.  Full length-capped slices stand in for the set of all words
-wherever a law quantifies over it: every identity checked here is
-echelon-wise, so a capped slice is an exact test bed, not an approximation.
+are allowed.  Like every value type it is a `strtool.strings.Value`, the
+tuple of its fields `(alphabet, words)`, and it keeps its words as a
+frozenset, so a language never changes once built.  Full length-capped
+slices stand in for the set of all words wherever a law quantifies over
+it: every identity checked here is echelon-wise, so a capped slice is an
+exact test bed, not an approximation.
 
 A language that is all or part of prefix·Σ^k, such as an echelon, its
 satisfiable words or a length-k slice, can be held in product form
@@ -12,7 +15,8 @@ for the prefix followed by the base-|Σ| digits of i in code-point order.
 Its size and subset tests against the same product are mask arithmetic;
 its word set is built only when something reads it (`expand_in` reads it,
 as it reads any language's), and then equals, and hashes like, a plain
-language of the same words.
+language of the same words: its fields are `(alphabet, prefix, free, mask)`,
+so it keeps its own `==`, `!=` and hash.
 
 Language file format: one header line "alphabet=<symbols>", then one word
 per line; '#' starts a comment; blank lines are ignored (the empty word is
@@ -35,8 +39,8 @@ from .strings import (
     BINARY,
     PartialString,
     TERNARY,
+    Value,
     join_sets,
-    read_only,
     reduce_strings,
 )
 
@@ -64,36 +68,28 @@ def flags_mask(flags: bytes | bytearray) -> int:
     return int(flags[::-1].translate(_DIGIT_BYTES), 2)
 
 
-class FiniteLanguage:
-    def __init__(self, alphabet: Alphabet, words: frozenset[str]) -> None:
+class FiniteLanguage(Value):
+    """An explicit word set over one alphabet: the value `(alphabet, words)`, words a frozenset."""
+
+    __slots__ = ()
+    _fields = ("alphabet", "words")
+
+    def __new__(cls, alphabet: Alphabet, words: Iterable[str]) -> "FiniteLanguage":
+        words = frozenset(words)  # the same object when it already is one
         if not set("".join(words)) <= set(alphabet.symbols):
             for w in words:  # one pass over all symbols above; this loop only names the offender
                 for c in w:
                     if c not in alphabet:
                         raise ValueError(f"word {w!r} uses symbol {c!r} outside {alphabet!r}")
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "words", words)
+        return tuple.__new__(cls, (alphabet, words))
 
     def _sub(self, words: frozenset[str]) -> "FiniteLanguage":
         """The sublanguage of self with these words, which every caller takes from self's own words: no check."""
-        sub = object.__new__(FiniteLanguage)
-        object.__setattr__(sub, "alphabet", self.alphabet)
-        object.__setattr__(sub, "words", words)
-        return sub
-
-    __setattr__ = __delattr__ = read_only
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, FiniteLanguage):
-            return (self.alphabet, self.words) == (other.alphabet, other.words)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.alphabet, self.words))
+        return tuple.__new__(FiniteLanguage, (self.alphabet, words))
 
     @classmethod
     def of(cls, alphabet: Alphabet, words: Iterable[str]) -> "FiniteLanguage":
-        return cls(alphabet, frozenset(words))
+        return cls(alphabet, words)
 
     def __contains__(self, word: object) -> bool:
         return word in self.words
@@ -146,9 +142,12 @@ class ProductLanguage(FiniteLanguage):
     the whole product.  `len` is the mask's popcount, and equality and subset tests against a
     language over the same product compare masks.  `words` is built on first read and is
     the frozenset a plain language of the same words holds, so the two compare and hash alike.
+    The class has a `__dict__`, the one place `words` and `is_full` are cached.
     """
 
-    def __init__(self, alphabet: Alphabet, prefix: str, free: int, mask: int | None = None) -> None:
+    _fields = ("alphabet", "prefix", "free", "mask")
+
+    def __new__(cls, alphabet: Alphabet, prefix: str, free: int, mask: int | None = None) -> "ProductLanguage":
         if not set(prefix) <= set(alphabet.symbols):
             raise ValueError(f"prefix {prefix!r} uses a symbol outside {alphabet!r}")
         if free < 0:
@@ -158,11 +157,7 @@ class ProductLanguage(FiniteLanguage):
             mask = full
         elif mask < 0 or mask & ~full:
             raise ValueError(f"mask has bits outside the {full.bit_length()} words of the product")
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "free", free)
-        object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "is_full", mask == full)
+        return tuple.__new__(cls, (alphabet, prefix, free, mask))
 
     def masked(self, mask: int) -> "ProductLanguage":
         """The language over the same product with this mask."""
@@ -186,15 +181,23 @@ class ProductLanguage(FiniteLanguage):
         return words if self.is_full else list(itertools.compress(words, bit_flags(self.mask)))
 
     @cached_property
+    def is_full(self) -> bool:
+        return len(self) == len(self.alphabet.symbols) ** self.free
+
+    @cached_property
     def words(self) -> frozenset[str]:
         return frozenset(self.ordered_words())
 
     def __eq__(self, other: object) -> bool:
         if self._same_product(other):
             return self.mask == other.mask
-        return super().__eq__(other)
+        return isinstance(other, FiniteLanguage) and (self.alphabet, self.words) == (other.alphabet, other.words)
 
-    __hash__ = FiniteLanguage.__hash__
+    def __ne__(self, other: object) -> bool:  # tuple's own `!=` would ignore the `==` above
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet, self.words))
 
     def __len__(self) -> int:
         return self.mask.bit_count()

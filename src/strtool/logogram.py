@@ -127,15 +127,17 @@ import json
 import os
 import sys
 from bisect import bisect_left, bisect_right
+from collections.abc import Mapping
 from functools import cached_property, lru_cache, partial, reduce
 from operator import and_, ge, getitem, itemgetter, not_
 from pathlib import Path
+from types import MappingProxyType
 from typing import NamedTuple
 
 from . import __version__
 from .languages import (BudgetExceeded, FiniteLanguage, ProductLanguage, bit_flags, cylindrify, expand_in,
                         flags_mask, is_full_slice)
-from .strings import BLANK, Alphabet, AlphabetMismatch, PartialString, read_only, reduce_strings
+from .strings import BLANK, Alphabet, AlphabetMismatch, PartialString, Value, read_only, reduce_strings
 
 DEFAULT_CANDIDATE_BUDGET = 4 ** 12
 FULL_KEEP_LIMIT = 50_000
@@ -161,7 +163,7 @@ class ClauseProduct(NamedTuple):
     clauses: tuple[tuple[tuple[int, str, int], ...], ...]
 
 
-class DecisionProblem:
+class DecisionProblem(Value):
     """A base language E, a target F inside it, and optional solution regions covering F.
 
     Regions come in one of two forms.  Labels are per word: bit j of labels[w] means that
@@ -170,27 +172,38 @@ class DecisionProblem:
     word by word, such as the toy wizard problem).  A `ClauseProduct` states the regions of an
     echelon without a per-word table; its target is the words some region holds, which the
     enumerator guarantees and which is not re-checked here; the clause rule's premise is.
+    The problem keeps its own copies: the labels as a read-only mapping, hashed as their
+    items, and the clauses and their literals as tuples.
     """
 
-    def __init__(self, base: FiniteLanguage, target: FiniteLanguage, labels: dict[str, int] | None = None,
-                 clauses: ClauseProduct | None = None) -> None:
+    __slots__ = ()
+    _fields = ("base", "target", "labels", "clauses")
+
+    def __new__(cls, base: FiniteLanguage, target: FiniteLanguage, labels: Mapping[str, int] | None = None,
+                clauses: ClauseProduct | None = None) -> "DecisionProblem":
         if base.alphabet != target.alphabet:
             raise AlphabetMismatch("base and target use different alphabets")
         if not target.issubset(base):
             raise ValueError("target must be a subset of the base language")
         if labels is not None:
+            labels = MappingProxyType(dict(labels))
             if clauses is not None:
                 raise ValueError("give regions as labels or as clauses, not both")
             if not labels.keys() <= target.words:
                 raise ValueError("every region must be a subset of the target")
             if labels.keys() != target.words or not all(labels.values()):
                 raise ValueError("regions must cover the target exactly")
+            for word, label in labels.items():
+                if not isinstance(label, int) or label < 1:
+                    raise ValueError(f"label {label!r} of {word!r} is not a set of regions (an int above 0)")
         if clauses is not None:
-            top = 1 << clauses.regions
+            regions, given = clauses
+            clauses = ClauseProduct(regions, tuple(tuple(map(tuple, clause)) for clause in given))
+            top = 1 << regions
             for clause in clauses.clauses:
                 for pos, sym, mask in clause:
                     if pos < 1 or sym not in base.alphabet.symbols or not 0 < mask < top:
-                        raise ValueError(f"bad literal {(pos, sym, mask)} for {clauses.regions} regions")
+                        raise ValueError(f"bad literal {(pos, sym, mask)} for {regions} regions")
             whole = isinstance(base, ProductLanguage) and base.is_full
             free = range(len(base.prefix) + 1, base.length + 1) if whole else ()
             for clause in clauses.clauses:
@@ -199,22 +212,14 @@ class DecisionProblem:
                         raise ValueError(f"clause position {pos} is not a free position of a whole product base")
                     if {s for p, s, _ in clause if p == pos} == set(base.alphabet.symbols):
                         raise ValueError(f"every symbol makes a literal of clause {clause} true at position {pos}")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "clauses", clauses)
-
-    __setattr__ = __delattr__ = read_only
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.base, self.target, self.labels, self.clauses) == \
-                (other.base, other.target, other.labels, other.clauses)
-        return NotImplemented
+        return tuple.__new__(cls, (base, target, labels, clauses))
 
     def __hash__(self) -> int:
         labels = None if self.labels is None else frozenset(self.labels.items())
         return hash((self.base, self.target, labels, self.clauses))
+
+    def __getnewargs__(self) -> tuple:
+        return self.base, self.target, None if self.labels is None else dict(self.labels), self.clauses
 
     @property
     def alphabet(self):
@@ -537,20 +542,12 @@ def _decoder(alphabet: Alphabet) -> Decoder:
 def _decode_tables(alphabet: Alphabet, positions: tuple[int, ...]) -> DecodeTables:
     """The decode tables of these positions: (radix, table) per chunk of positions, lowest digits first.
 
-    table[v] holds the entries of chunk value v.  A chunk takes as many positions as keep
-    radix = (len(symbols) + 1)**len(chunk) at most DECODE_CHUNK_KEYS (one position when a
-    single digit needs more).
+    table[v] holds the entries of chunk value v, the `choice_tables` product of each
+    position's entries, undefined first: the higher positions' entries are the more
+    significant digits and follow the lower positions' entries.
     """
-    base = len(alphabet.symbols) + 1
-    width = _chunk_width(base)
-    tables = []
-    for start in range(0, len(positions), width):
-        table: list[tuple[tuple[int, str], ...]] = [()]
-        for p in positions[start:start + width]:
-            # p's digit is the next-higher one: value = digit * len(table) + low value
-            table = [low + entry for entry in [(), *(((p, s),) for s in alphabet.symbols)] for low in table]
-        tables.append((len(table), table))
-    return tables
+    options = [[(), *(((p, s),) for s in alphabet.symbols)] for p in reversed(positions)]
+    return [(len(table), table) for table in reversed(choice_tables(options, (), lambda high, low: low + high))]
 
 
 def _chunk_width(radix: int) -> int:
@@ -561,20 +558,21 @@ def _chunk_width(radix: int) -> int:
     return width
 
 
-def choice_tables(options: list[list[int]], full: int) -> list[list[int]]:
-    """Per chunk of positions, the AND of one option per position for every combination, in product order.
+def choice_tables(options: list[list], unit, combine=and_) -> list[list]:
+    """Per chunk of positions, the combine of one option per position for every combination, in product order.
 
     options holds each position's options, the same number r at every position; a chunk takes
     `_chunk_width(r)` positions, the remainder chunk first, so every table but the first holds
-    r**width entries and none more than DECODE_CHUNK_KEYS.  With no position, one table: [full].
+    r**width entries and none more than DECODE_CHUNK_KEYS.  An entry is unit combined with
+    its options in position order, combine(earlier, option).  With no position, one table: [unit].
     """
     width = _chunk_width(len(options[0])) if options else 1
     first = len(options) % width or width
     tables = []
     for chunk in [options[:first], *(options[i:i + width] for i in range(first, len(options), width))]:
-        table = [full]
+        table = [unit]
         for choice in chunk:
-            table = [agreeing & t for agreeing in table for t in choice]
+            table = [combine(earlier, t) for earlier in table for t in choice]
         tables.append(table)
     return tables
 

@@ -33,24 +33,29 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import Iterable
 
 from .languages import BudgetExceeded, ProductLanguage, flags_mask
 from .logogram import ClauseProduct, DecisionProblem
-from .strings import TERNARY, Alphabet, PartialString, read_only
+from .strings import TERNARY, Alphabet, PartialString, Value
 
 SAT_ALPHABET: Alphabet = TERNARY
 DEFAULT_WORD_BUDGET = 2_000_000
 
 
-class CnfInstance:
-    """n variables, m clauses; a clause is a frozenset of signed literals.
+class CnfInstance(Value):
+    """n variables, m clauses; a clause is a frozenset of signed literals, and the clauses a tuple.
 
     A clause holding both a literal and its negation is constructible (and
     flagged by `is_well_formed`) but has no encoded form: the code scheme
     reserves a single code per (clause, variable) slot.
     """
 
-    def __init__(self, n: int, m: int, clauses: tuple[frozenset[int], ...]) -> None:
+    __slots__ = ()
+    _fields = ("n", "m", "clauses")
+
+    def __new__(cls, n: int, m: int, clauses: Iterable[Iterable[int]]) -> "CnfInstance":
+        clauses = tuple(map(frozenset, clauses))
         if n < 1 or m < 1:
             raise ValueError("need n >= 1 and m >= 1")
         if len(clauses) != m:
@@ -59,24 +64,12 @@ class CnfInstance:
             for lit in clause:
                 if lit == 0 or abs(lit) > n:
                     raise ValueError(f"literal {lit} out of range for n={n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "clauses", clauses)
-
-    __setattr__ = __delattr__ = read_only
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.n, self.m, self.clauses) == (other.n, other.m, other.clauses)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.m, self.clauses))
+        return tuple.__new__(cls, (n, m, clauses))
 
     @classmethod
-    def of(cls, n: int, clauses) -> "CnfInstance":
-        clause_sets = tuple(frozenset(c) for c in clauses)
-        return cls(n, len(clause_sets), clause_sets)
+    def of(cls, n: int, clauses: Iterable[Iterable[int]]) -> "CnfInstance":
+        clauses = tuple(clauses)
+        return cls(n, len(clauses), clauses)
 
     @property
     def is_well_formed(self) -> bool:
@@ -106,24 +99,16 @@ def satisfies(inst: CnfInstance, y: Assignment) -> bool:
     return all(any(lit_true(lit) for lit in clause) for clause in inst.clauses)
 
 
-class EchelonSpec:
+class EchelonSpec(Value):
     """One (n, m) slice of the encoded language."""
 
-    def __init__(self, n: int, m: int) -> None:
+    __slots__ = ()
+    _fields = ("n", "m")
+
+    def __new__(cls, n: int, m: int) -> "EchelonSpec":
         if n < 1 or m < 1:
             raise ValueError("need n >= 1 and m >= 1")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-
-    __setattr__ = __delattr__ = read_only
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.n, self.m) == (other.n, other.m)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.m))
+        return tuple.__new__(cls, (n, m))
 
     @property
     def prefix(self) -> str:

@@ -11,10 +11,14 @@ Antichain reduction (`reduce_strings`) is bit-parallel over the members kept
 so far: it holds one bitset per position and one per (position, symbol)
 entry, and never compares two members directly.
 
-`Alphabet` and `PartialString` are immutable values: each is the tuple of
-its fields (`(symbols,)`, `(alphabet, entries)`), so the hash and equality
-that every set of strings uses are `hash` and `==` of that field tuple, as
-for every value type of the package, run by tuple itself in C.
+Every value type of the package is a `Value`: the tuple of its fields
+(`(symbols,)` for an `Alphabet`, `(alphabet, entries)` for a `PartialString`),
+so the hash and equality that every set of values uses are `hash` and `==`
+of that field tuple, run by tuple itself in C.  A value validates in
+`__new__` and keeps frozen copies of what it is given (tuples, frozensets,
+read-only mappings), so a value once built never changes.  `Analysis`, which
+has identity and caches its artefacts, and the NamedTuple report records are
+the exceptions.
 
 Text forms:
   * positional: one character per position up to the string's size, with
@@ -39,28 +43,46 @@ class AlphabetMismatch(ValueError):
 
 
 def read_only(self, name: str, *value: object) -> None:
-    """`__setattr__` and `__delattr__` of the immutable value types.
-
-    Every value type is equal by its field tuple and hashes as `hash` of it.
-    `Alphabet` and `PartialString` are that tuple (a `tuple` subclass with
-    read-only field properties), so their equality and hash are tuple's own, in
-    C; the other types set each field once through `object.__setattr__` in
-    `__init__`.
-    """
+    """`__setattr__` and `__delattr__` of `Value` and `Analysis`: no field of a value is ever reassigned."""
     raise AttributeError(f"cannot assign to or delete {type(self).__name__}.{name}")
 
 
 def not_a_sequence(self, *args: object) -> None:
-    """The sequence operations of `tuple` that `Alphabet` and `PartialString` turn off.
+    """The sequence operations of `tuple` that a `Value` turns off.
 
-    Each is the tuple of its fields, so indexing reads a field and `==`,
-    `hash` and ordering are the field tuple's; concatenating, repeating,
-    counting and searching a value, or reversing it, has no meaning.
+    A value is the tuple of its fields, so indexing reads a field and `==`,
+    `hash` and ordering are the field tuple's; iterating, searching,
+    concatenating, repeating or reversing a value has no meaning.
     """
     raise TypeError(f"{type(self).__name__} is a value, not a sequence of its fields")
 
 
-class Alphabet(tuple):
+class Value(tuple):
+    """An immutable value: the tuple of its fields, named once in `_fields`.
+
+    Each field is read through a read-only property, and equality, hash and
+    ordering are the field tuple's, in C.  A subclass validates in `__new__`,
+    freezes what it keeps, and builds itself with `tuple.__new__(cls, fields)`;
+    copies and pickles call `__new__` again with the fields.  A subclass may
+    define `__iter__`, `__contains__` or `__len__` over its contents.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        for i, name in enumerate(cls.__dict__.get("_fields", ())):
+            setattr(cls, name, property(itemgetter(i)))
+
+    __setattr__ = __delattr__ = read_only
+    __iter__ = __contains__ = __add__ = __radd__ = __mul__ = __rmul__ = __reversed__ = count = index = not_a_sequence
+
+    def __getnewargs__(self) -> tuple:
+        return self[:]
+
+
+class Alphabet(Value):
     """Ordered finite symbol set; must contain '0' and '1', never '_'.
 
     The value is the tuple `(symbols,)`: equality, hash and ordering are
@@ -69,8 +91,10 @@ class Alphabet(tuple):
     """
 
     __slots__ = ()
+    _fields = ("symbols",)
 
-    def __new__(cls, symbols: tuple[str, ...]) -> "Alphabet":
+    def __new__(cls, symbols: Iterable[str]) -> "Alphabet":
+        symbols = tuple(symbols)
         if not symbols:
             raise ValueError("alphabet must be nonempty")
         if len(set(symbols)) != len(symbols):
@@ -85,16 +109,9 @@ class Alphabet(tuple):
                 raise ValueError(f"alphabet must include {required!r}")
         return tuple.__new__(cls, (symbols,))
 
-    symbols = property(itemgetter(0))
-    __setattr__ = __delattr__ = read_only
-    __add__ = __radd__ = __mul__ = __rmul__ = __reversed__ = count = index = not_a_sequence
-
-    def __getnewargs__(self) -> tuple[tuple[str, ...]]:
-        return (self.symbols,)
-
     @classmethod
     def of(cls, symbols: str | Iterable[str]) -> "Alphabet":
-        return cls(tuple(symbols))
+        return cls(symbols)
 
     @property
     def first(self) -> str:
@@ -122,7 +139,7 @@ def _check_same_alphabet(a: "PartialString", b: "PartialString") -> None:
         raise AlphabetMismatch(f"mixed alphabets: {a.alphabet!r} vs {b.alphabet!r}")
 
 
-class PartialString(tuple):
+class PartialString(Value):
     """Finite partial map position -> symbol, positions >= 1.
 
     The size is the maximum position in the domain (0 for the empty
@@ -134,8 +151,10 @@ class PartialString(tuple):
     """
 
     __slots__ = ()
+    _fields = ("alphabet", "entries")
 
-    def __new__(cls, alphabet: Alphabet, entries: tuple[tuple[int, str], ...]) -> "PartialString":
+    def __new__(cls, alphabet: Alphabet, entries: Iterable[tuple[int, str]]) -> "PartialString":
+        entries = tuple(entries)
         last = 0
         symbols = alphabet.symbols
         for pos, sym in entries:
@@ -154,19 +173,10 @@ class PartialString(tuple):
         """The string of these entries, which every caller has sorted and in-alphabet by construction: no check."""
         return tuple.__new__(cls, (alphabet, entries))
 
-    alphabet = property(itemgetter(0))
-    entries = property(itemgetter(1))
-    __setattr__ = __delattr__ = read_only
-
-    def __getnewargs__(self) -> tuple[Alphabet, tuple[tuple[int, str], ...]]:
-        return self.alphabet, self.entries
-
-    __iter__ = __contains__ = __add__ = __radd__ = __mul__ = __rmul__ = __reversed__ = count = index = not_a_sequence
-
     @classmethod
     def of(cls, alphabet: Alphabet, entries: Mapping[int, str] | Iterable[tuple[int, str]]) -> "PartialString":
         items = entries.items() if isinstance(entries, Mapping) else entries
-        return cls(alphabet, tuple(sorted(items)))
+        return cls(alphabet, sorted(items))
 
     @classmethod
     def bottom(cls, alphabet: Alphabet) -> "PartialString":
@@ -174,7 +184,7 @@ class PartialString(tuple):
 
     @classmethod
     def from_word(cls, alphabet: Alphabet, word: str) -> "PartialString":
-        return cls(alphabet, tuple((i + 1, c) for i, c in enumerate(word)))
+        return cls(alphabet, enumerate(word, 1))
 
     @classmethod
     def parse(cls, alphabet: Alphabet, text: str) -> "PartialString":
@@ -197,7 +207,7 @@ class PartialString(tuple):
                     raise ValueError(f"bad sparse entry {part!r} in {text!r}")
                 entries.append((pos, sym))
             return cls.of(alphabet, entries)
-        return cls(alphabet, tuple((i + 1, c) for i, c in enumerate(text) if c != BLANK))
+        return cls(alphabet, [(i, c) for i, c in enumerate(text, 1) if c != BLANK])
 
     @property
     def as_dict(self) -> dict[int, str]:
@@ -261,7 +271,7 @@ class PartialString(tuple):
         """Restriction to the positions where both agree; always defined."""
         _check_same_alphabet(self, other)
         d = other.as_dict
-        return PartialString(self.alphabet, tuple((p, s) for p, s in self.entries if d.get(p) == s))
+        return PartialString(self.alphabet, [(p, s) for p, s in self.entries if d.get(p) == s])
 
     def __repr__(self) -> str:
         return f"PartialString({self.render()!r})"
